@@ -52,6 +52,7 @@ from .market import (
     check_market_axioms,
     extract_state_price_density,
     gains,
+    hedged_family,
     market,
     market_value,
     synthesize_one_step_prices,
@@ -63,6 +64,7 @@ from .risksharing import (
     entropic_allocation,
     entropic_share_params,
     entropic_sharing_family,
+    pooled_family,
     share_dual,
     share_value,
     stability_check,

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .optim import eg_minimize, maximize
+from .optim import eg_minimize, maximize, maximize_nelder_mead
 from .tree import CashBalance, Tree
 from .valuation import OneStepValuation
 
@@ -27,17 +27,16 @@ _PROB_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DualSolverOptions:
-    """Knobs for the dual-side solvers.
+    """Knobs for the solvers.
 
-    ``tolerance`` is the duality-gap target of the simplex descent;
-    ``step_rule`` documents the line-search family used by the unconstrained
-    ascent (the simplex side always uses c/sqrt(k) steps with c =
-    ``step_constant``).
+    ``tolerance`` is the duality-gap target of the simplex descent, which
+    takes c/sqrt(k) steps with c = ``step_constant``; the unconstrained
+    ascent uses the gradient tolerance, finite-difference step and
+    divergence bound.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
-    step_rule: str = "backtracking"
     step_constant: float = 1.0
     gradient_tolerance: float = 1e-6
     fd_step: float = 1e-6
@@ -251,17 +250,10 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
         return math.inf
     # domain walls and kinks can strand the ascent short of the optimum;
     # restarted simplex search finishes the job at this dimension
-    from scipy.optimize import minimize as _scipy_minimize
-
-    best, x = res.value, res.x
-    for _ in range(2):
-        nm = _scipy_minimize(lambda v: -float(objective(v[None, :])[0]), x,
-                             method="Nelder-Mead",
-                             options={"xatol": 1e-10, "fatol": 1e-13,
-                                      "maxiter": 2000 * q.size, "maxfev": 2000 * q.size})
-        x = nm.x
-        if -float(nm.fun) > best:
-            best = -float(nm.fun)
+    polished = maximize_nelder_mead(objective, res.x, divergence_bound=opts.divergence_bound)
+    if polished.diverged:
+        return math.inf
+    best = max(res.value, polished.value)
     if not np.isfinite(best):
         raise ConvergenceError("one-step dual maximization found no finite value", best=res)
     return float(best)

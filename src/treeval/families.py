@@ -12,8 +12,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dual import _mapping_of, dual_density
 from .errors import DomainError, ValidationError
-from .tree import CashBalance, NodeRecord, Tree, build_tree
+from .tree import CashBalance, Tree
 from .valuation import OneStepValuation, ValuationFamily
 
 _PROB_TOL = 1e-9
@@ -30,15 +31,6 @@ def _stack_outcomes(k_x, k_children) -> np.ndarray:
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
-
-
-def _density_items(lam) -> Mapping[str, float]:
-    if isinstance(lam, Mapping):
-        return lam
-    values = getattr(lam, "values", None)
-    if isinstance(values, Mapping):
-        return values
-    raise ValidationError(f"expected a density mapping, got {type(lam).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +95,6 @@ class EntropicParams:
     reference: np.ndarray
     subtree_reference: np.ndarray
 
-    def node_reference(self, node_id: str) -> float:
-        return float(self.reference[self.tree.node_index(node_id)])
-
 
 def entropic_params(tree: Tree, gamma: float, reference=None) -> EntropicParams:
     if not (gamma > 0 and np.isfinite(gamma)):
@@ -152,36 +141,14 @@ def entropic_value(params: EntropicParams, x: str, balance: CashBalance) -> floa
     return float(_entropic_node_value(params, params.tree.node_index(x), balance.values))
 
 
-def _density_vector(params_tree: Tree, xi: int, lam) -> np.ndarray:
-    """Validated probability vector over the subtree at xi, in subtree order."""
-    items = _density_items(lam)
-    tree = params_tree
-    sub = tree.descendant_indices(xi)
-    allowed = {int(i) for i in sub}
-    vec = np.zeros(len(sub))
-    pos = {int(i): k for k, i in enumerate(sub)}
-    for node_id, v in items.items():
-        i = tree.node_index(node_id)
-        v = float(v)
-        if v < 0:
-            raise DomainError(f"density has a negative mass at {node_id!r}")
-        if i not in allowed:
-            if v > 0:
-                raise DomainError(f"density puts mass on {node_id!r}, outside the subtree")
-            continue
-        vec[pos[i]] = v
-    if abs(vec.sum() - 1.0) > _PROB_TOL:
-        raise DomainError(f"density must sum to 1 on the subtree (got {vec.sum()!r})")
-    return vec
-
-
 def entropic_dual(params: EntropicParams, x: str, lam) -> float:
     """Relative entropy of the density against the renormalized reference on
     the subtree, divided by gamma; zero masses contribute zero."""
     tree = params.tree
     xi = tree.node_index(x)
-    vec = _density_vector(tree, xi, lam)
+    masses = dual_density(tree, x, _mapping_of(lam)).values
     sub = tree.descendant_indices(xi)
+    vec = np.array([masses.get(tree.ids[i], 0.0) for i in sub])
     ref = params.reference[sub] / params.subtree_reference[xi]
     pos = vec > 0
     return float(np.sum(vec[pos] * np.log(vec[pos] / ref[pos])) / params.gamma)
@@ -282,7 +249,7 @@ def worst_case_family(params: WorstCaseParams) -> ValuationFamily:
     one_steps = {params.tree.ids[i]: worst_case_one_step(params, params.tree.ids[i])
                  for i in params.tree.internal_indices()}
     tag = "worst_stopping" if params.stopping else "worst_case"
-    return ValuationFamily(params.tree, one_steps, descriptor=tag, dual_smooth=False)
+    return ValuationFamily(params.tree, one_steps, descriptor=tag)
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +420,6 @@ def crra_ui_dual(params: UIParams, x: str, lam) -> float:
 # counterexamples and witnesses
 
 
-def _equal_probability_trinomial() -> Tree:
-    """Two-period ternary lattice whose nine leaves are equally likely; the
-    indifference-price computations put no mass on interior nodes."""
-    records = [NodeRecord("r", None)]
-    for a in "abc":
-        records.append(NodeRecord(a, "r"))
-        for b in "abc":
-            records.append(NodeRecord(a + b, a))
-    return build_tree(records)
-
-
 @dataclass
 class PastingCounterexample:
     found: bool
@@ -487,7 +443,6 @@ def ui_dc_counterexample(R: float, x0: float, *, budget: int = 10_000, seed: int
     refinement pass perturbs the best pair found.  With exponential utility
     the time-0 gap collapses to solver noise, which is the control case.
     """
-    _equal_probability_trinomial()  # the lattice the claims live on; validation only
     u = utility if utility is not None else CRRAUtility(R)
     if scale is None:
         scale = 0.45 * x0 if isinstance(u, CRRAUtility) else 1.0

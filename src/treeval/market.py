@@ -3,6 +3,10 @@ of a cash balance against the market, the axiom suite for the hedged
 valuations, and state-price-density extraction from one-step linear pricing
 weights.
 
+The hedged valuations are a ``ValuationFamily`` assembled from one-step
+hedges, a sup over the positions held at each node; the optimal strategy
+is read off the same one-step solves.
+
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
 adapted, interest is zero, and positions are unconstrained reals.  The
@@ -18,10 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
-from .errors import DivergenceError, ValidationError
-from .optim import maximize
+from .errors import ValidationError
 from .tree import CashBalance, Tree
-from .valuation import AxiomReport, check_axioms
+from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
 
 
 @dataclass(frozen=True)
@@ -103,13 +106,6 @@ def _strategy_vector(mkt: Market, xi: int, strategy: Strategy) -> tuple[np.ndarr
     if missing:
         raise ValidationError(f"strategy missing holdings at: {missing}")
     return theta, decisions
-
-
-def _strategy_of(mkt: Market, decisions: Sequence[int], theta: np.ndarray) -> Strategy:
-    n_assets = len(mkt.asset_names)
-    holdings = {mkt.tree.ids[u]: theta[k * n_assets:(k + 1) * n_assets].copy()
-                for k, u in enumerate(decisions)}
-    return Strategy(holdings=holdings)
 
 
 def gains(mkt: Market, x: str, strategy: Strategy) -> CashBalance:
@@ -209,22 +205,37 @@ class MarketValueResult:
     converged: bool
 
 
-def _hedge_at(family, mkt: Market, xi: int, values_full: np.ndarray,
-              opts: DualSolverOptions, mat: np.ndarray):
-    def objective(batch: np.ndarray) -> np.ndarray:
-        return family.node_values(values_full[None, :] + batch @ mat.T)[:, xi]
+def _hedged(family, mkt: Market, opts: DualSolverOptions):
+    if family.tree is not mkt.tree:
+        raise ValidationError("family and market must share one tree instance")
 
-    res = maximize(objective, np.zeros(mat.shape[1]),
-                   gradient_tolerance=opts.gradient_tolerance,
-                   max_iterations=min(opts.max_iterations, 50_000),
-                   divergence_bound=opts.divergence_bound,
-                   fd_step=opts.fd_step,
-                   value_tolerance=1e-12)
-    if res.diverged:
-        raise DivergenceError(
-            "hedging optimum is unbounded: the market admits arbitrage relative to this family",
-            direction=res.direction)
-    return res
+    def problem(u: int):
+        step, kids = family.one_steps[u], list(mkt.tree.children_index[u])
+        moves = (mkt.prices[:, kids] - mkt.prices[:, [u]]).T   # (children, assets)
+
+        def lift(k_x, k_children):
+            def objective(batch: np.ndarray) -> np.ndarray:
+                return step.evaluate(np.full(batch.shape[0], k_x), k_children + batch @ moves.T)
+            return objective, np.zeros(moves.shape[1])
+
+        return lift, step.smooth
+
+    return sup_family(mkt.tree, {u: problem(u) for u in mkt.tree.internal_indices()}, opts,
+                      descriptor=f"hedged({family.descriptor or 'custom'})")
+
+
+def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
+    """Best hedged valuations: at every node, the valuation of the balance
+    plus the best trading gains from that node on.
+
+    A position held at a node adds a constant to each child subtree's
+    gains, which translation invariance passes through the child's
+    valuation, so the sup over whole strategies is the backward induction
+    of one-step hedges ``sup_theta step_u(a, v + dS_u theta)``, dS_u the
+    children's prices minus u's.  A one-step hedge that runs away raises a
+    divergence error naming its node, with the arbitrage direction as
+    certificate: the market admits arbitrage relative to the family."""
+    return _hedged(family, mkt, opts or DEFAULT_OPTIONS)[0]
 
 
 def market_value(family, mkt: Market, x: str, balance: CashBalance,
@@ -236,62 +247,35 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     opts = opts or DEFAULT_OPTIONS
     if balance.tree is not mkt.tree or family.tree is not mkt.tree:
         raise ValidationError("family, market and balance must share one tree instance")
-    xi = mkt.tree.node_index(x)
-    mat, decisions = _gains_matrix(mkt, xi)
-    res = _hedge_at(family, mkt, xi, balance.values, opts, mat)
-    res0 = _hedge_at(family, mkt, xi, np.zeros(mkt.tree.n_nodes), opts, mat)
+    tree = mkt.tree
+    xi = tree.node_index(x)
+    hedged, solve = _hedged(family, mkt, opts)
+    rows = np.stack([balance.values, np.zeros(tree.n_nodes)])
+    swept = hedged.node_values(rows)
+    # the one-step solves are deterministic: re-solved on the swept child
+    # values they return the positions the sweep used
+    decisions = _decision_nodes(tree, xi)
+    solved = [[solve(u, row[u], vals[list(tree.children_index[u])]) for u in decisions]
+              for row, vals in zip(rows, swept)]
     return MarketValueResult(
-        value=res.value,
-        normalized=res.value - res0.value,
-        access_value=res0.value,
-        strategy=_strategy_of(mkt, decisions, res.x),
-        converged=res.converged and res0.converged,
+        value=float(swept[0, xi]),
+        normalized=float(swept[0, xi] - swept[1, xi]),
+        access_value=float(swept[1, xi]),
+        strategy=Strategy({tree.ids[u]: res.x.copy() for u, res in zip(decisions, solved[0])}),
+        converged=all(res.converged for row in solved for res in row),
     )
-
-
-class MarketFamily:
-    """Normalized market-access valuations evaluated node-by-node; each
-    evaluation runs a hedging optimization, so keep the trees small."""
-
-    def __init__(self, family, mkt: Market, opts: DualSolverOptions | None = None):
-        if family.tree is not mkt.tree:
-            raise ValidationError("family and market must share one tree instance")
-        self.tree = mkt.tree
-        self.family = family
-        self.market = mkt
-        self.opts = opts or DualSolverOptions(gradient_tolerance=1e-7)
-        self._mats = {}
-        self._access = {}
-        for xi in range(self.tree.n_nodes):
-            if self.tree.is_leaf[xi]:
-                continue
-            mat, _ = _gains_matrix(mkt, xi)
-            self._mats[xi] = mat
-            self._access[xi] = _hedge_at(family, mkt, xi, np.zeros(self.tree.n_nodes),
-                                         self.opts, mat).value
-
-    def node_values(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        flat = values.reshape(-1, self.tree.n_nodes)
-        out = np.empty_like(flat)
-        for xi in range(self.tree.n_nodes):
-            if self.tree.is_leaf[xi]:
-                out[:, xi] = flat[:, xi]
-                continue
-            for row in range(flat.shape[0]):
-                res = _hedge_at(self.family, self.market, xi, flat[row], self.opts, self._mats[xi])
-                out[row, xi] = res.value - self._access[xi]
-        return out.reshape(values.shape)
 
 
 def check_market_axioms(family, mkt: Market, trials: int, seed: int, *,
                         tolerance: float = 1e-5,
                         opts: DualSolverOptions | None = None,
                         cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
-    """Axiom suite for the normalized hedged family.  The default tolerance
-    reflects the nested optimization; widen it for non-smooth base families."""
-    return check_axioms(MarketFamily(family, mkt, opts), trials, seed,
-                        tolerance=tolerance, cash_range=cash_range)
+    """Axiom suite for the normalized hedged family, the hedged family
+    committed to the zero balance.  The default tolerance reflects the
+    one-step solves; widen it for non-smooth base families."""
+    hedged = hedged_family(family, mkt, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    normalized = committed_family(hedged, CashBalance.constant(mkt.tree, 0.0))
+    return check_axioms(normalized, trials, seed, tolerance=tolerance, cash_range=cash_range)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""First-order solvers shared by the dual, risk-sharing and market modules:
-finite-difference gradient ascent with a backtracking line search, and
-multiplicative-weights descent on the probability simplex with c/sqrt(k)
-steps.  Objectives must evaluate batches: f((B, d)) -> (B,).
+"""Solvers shared by the valuation, dual and risk-sharing modules:
+finite-difference gradient ascent with a backtracking line search,
+restarted Nelder-Mead for kinked objectives, and multiplicative-weights
+descent on the simplex with c/sqrt(k) steps.  Objectives evaluate batches:
+f((B, d)) -> (B,).
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DomainError
 
 
 @dataclass
@@ -62,7 +65,7 @@ def maximize(f, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 1
     x = np.array(x0, dtype=float)
     fx = float(f(x[None, :])[0])
     if not np.isfinite(fx):
-        raise ValueError("objective is not finite at the start point")
+        raise DomainError("objective is not finite at the start point")
     step = initial_step
     iterations = 0
     stalled = 0
@@ -115,6 +118,45 @@ def maximize(f, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 1
     g = fd_gradient(f, x, fd_step)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     return AscentResult(x, fx, gnorm, iterations, converged=gnorm <= gradient_tolerance)
+
+
+class _Escaped(Exception):
+    pass
+
+
+def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
+    """Maximize a concave batch objective with kinks, where steepest ascent
+    stalls off the optimum, by Nelder-Mead restarted at its endpoint until a
+    run gains nothing (three runs at most).  Each run starts from a simplex
+    with edges max(1, |x|_inf): scipy's default edge is 0.00025 at a zero
+    coordinate, too short to leave a kink.  An iterate beyond the divergence
+    bound reports divergence along its own direction."""
+    from scipy.optimize import minimize  # a slow import, paid on first use
+
+    def negated(v: np.ndarray) -> float:
+        if np.max(np.abs(v)) > divergence_bound:
+            raise _Escaped(v)
+        return -float(f(v[None, :])[0])
+
+    best = AscentResult(np.array(x0, dtype=float), -np.inf, np.nan, 0, converged=False)
+    for _ in range(3):
+        x = best.x
+        simplex = x + max(1.0, np.max(np.abs(x))) * np.vstack([np.zeros(x.size), np.eye(x.size)])
+        try:
+            res = minimize(negated, x, method="Nelder-Mead",
+                           options={"initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-12,
+                                    "maxiter": 2000 * x.size, "maxfev": 2000 * x.size})
+        except _Escaped as escape:
+            far = escape.args[0]
+            return AscentResult(far, best.value, np.nan, best.iterations, converged=False,
+                                diverged=True, direction=far / np.max(np.abs(far)))
+        value = -float(res.fun)
+        gained = not np.isfinite(best.value) or value > best.value + 1e-13 * (1.0 + abs(best.value))
+        if value >= best.value:
+            best = AscentResult(res.x, value, np.nan, best.iterations + res.nit, bool(res.success))
+        if not gained:
+            break
+    return best
 
 
 @dataclass

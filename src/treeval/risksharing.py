@@ -6,9 +6,9 @@ pooled family.
 
 Duals simply add under pooling, so the value is found by simplex descent on
 the summed duals whenever every subsidiary has a smooth dual (the
-exponential family does, in closed form).  Mixed or polyhedral subsidiaries
-go through direct concave maximization over allocations instead, since their
-summed dual takes the value +inf on most of the simplex.
+exponential family does, in closed form).  Any subsidiaries go through the
+pooled family: a ``ValuationFamily`` assembled from one-step
+sup-convolutions, whose splits also rebuild the allocation.
 """
 
 from __future__ import annotations
@@ -21,34 +21,25 @@ import numpy as np
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
 from .families import EntropicParams, entropic_family, entropic_params
-from .optim import eg_minimize, maximize
+from .optim import eg_minimize, fd_gradient
 from .tree import CashBalance, Tree
-from .valuation import AxiomReport, ValuationFamily, check_axioms
+from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
 
 
 def _common_tree(subs: Sequence) -> Tree:
     if len(subs) < 1:
         raise ValidationError("need at least one subsidiary")
-    trees = []
     for sub in subs:
-        if isinstance(sub, EntropicParams):
-            trees.append(sub.tree)
-        elif isinstance(sub, ValuationFamily) or hasattr(sub, "node_values"):
-            trees.append(sub.tree)
-        else:
+        if not isinstance(sub, (EntropicParams, ValuationFamily)):
             raise ValidationError(f"unsupported subsidiary type {type(sub).__name__}")
-    first = trees[0]
-    if any(t is not first for t in trees[1:]):
+    first = subs[0].tree
+    if any(sub.tree is not first for sub in subs[1:]):
         raise ValidationError("subsidiaries must share one tree instance")
     return first
 
 
-def _sub_node_value(sub, tree: Tree, xi: int, values: np.ndarray) -> np.ndarray:
-    """Valuation of subsidiary `sub` at node xi for values (..., n)."""
-    if isinstance(sub, EntropicParams):
-        from .families import _entropic_node_value
-        return _entropic_node_value(sub, xi, values)
-    return sub.node_values(values)[..., xi]
+def _as_family(sub) -> ValuationFamily:
+    return entropic_family(sub) if isinstance(sub, EntropicParams) else sub
 
 
 def share_dual(duals: Sequence, lam) -> float:
@@ -180,64 +171,77 @@ def _share_dual_route(subs, tree, xi, k_sub, opts) -> tuple[float, np.ndarray, l
     return res.value, lam, pieces, res.converged
 
 
-def _is_smooth(sub) -> bool:
-    if isinstance(sub, EntropicParams):
-        return True
-    return bool(getattr(sub, "dual_smooth", True))
+def _split(batch: np.ndarray, total: np.ndarray, j: int) -> np.ndarray:
+    """Stacked pieces (B, (j-1) m) of the first j-1 subsidiaries -> all j
+    pieces (j, B, m); the last takes the remainder of ``total``."""
+    head = batch.reshape(batch.shape[0], j - 1, total.size).transpose(1, 0, 2)
+    return np.concatenate([head, (total - head.sum(axis=0))[None]])
 
 
-def _share_direct_route(subs, tree, xi, k_sub, opts) -> tuple[float, np.ndarray | None, list[np.ndarray], bool]:
-    n_sub = k_sub.size
-    j = len(subs)
+def _pooled(families: Sequence[ValuationFamily], opts: DualSolverOptions):
+    tree, j = families[0].tree, len(families)
+
+    def problem(u: int):
+        steps = [f.one_steps[u] for f in families]
+
+        def lift(k_x, k_children):
+            total = np.concatenate([[k_x], k_children])
+
+            def objective(batch: np.ndarray) -> np.ndarray:
+                pieces = _split(batch, total, j)
+                return sum(step.evaluate(p[:, 0], p[:, 1:]) for step, p in zip(steps, pieces))
+            return objective, np.tile(total / j, j - 1)
+
+        return lift, all(step.smooth for step in steps)
+
+    descriptor = "pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")"
+    return sup_family(tree, {u: problem(u) for u in tree.internal_indices()}, opts, descriptor=descriptor)
+
+
+def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> ValuationFamily:
+    """The pooled valuations: at every node, the best total of the
+    subsidiaries' valuations over splits of the balance.
+
+    Each subsidiary's share of a child subtree can be shifted by a constant
+    that translation invariance passes through its valuation, so the
+    sup-convolution over whole allocations is the backward induction of
+    one-step sup-convolutions of the subsidiaries' one-step operators."""
+    _common_tree(subs)
+    return _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
+
+
+def _share_direct_route(subs, tree: Tree, xi: int, values: np.ndarray, opts):
+    """Pooled values at the balance and at zero from one sweep, and the
+    allocation rebuilt top-down: a subsidiary's piece of a child subtree is
+    the child's own split shifted by a constant to the value the parent's
+    split promised it there.  The shifts at a node sum to zero."""
+    families = [_as_family(s) for s in subs]
+    pooled, solve = _pooled(families, opts)
+    rows = np.stack([values, np.zeros(tree.n_nodes)])
+    swept = pooled.node_values(rows)
+    j = len(families)
+    allocations = np.zeros((2, j, tree.n_nodes))
+    converged = True
+    for row, vals, alloc in zip(rows, swept, allocations):
+        promised = {}
+        for u in tree.descendant_indices(xi):   # parents before children
+            kids = list(tree.children_index[u])
+            if not kids:
+                alloc[:, u] = promised.get(u, np.full(j, row[u] / j))
+                continue
+            # deterministic: the split the sweep found at this node
+            res = solve(u, row[u], vals[kids])
+            converged = converged and res.converged
+            total = np.concatenate([[row[u]], vals[kids]])
+            pieces = _split(res.x[None, :], total, j)[:, 0]
+            own = np.array([float(f.one_steps[u].evaluate(p[0], p[1:]))
+                            for f, p in zip(families, pieces)])
+            shift = promised.get(u, own) - own
+            alloc[:, u] = pieces[:, 0] + shift
+            for k, c in enumerate(kids):
+                promised[c] = pieces[:, 1 + k] + shift
     sub_idx = tree.descendant_indices(xi)
-
-    def split(batch: np.ndarray) -> list[np.ndarray]:
-        pieces = [batch[:, i * n_sub:(i + 1) * n_sub] for i in range(j - 1)]
-        pieces.append(k_sub[None, :] - sum(pieces) if pieces else k_sub[None, :] + np.zeros_like(batch[:, :n_sub]))
-        return pieces
-
-    def objective(batch: np.ndarray) -> np.ndarray:
-        total = np.zeros(batch.shape[0])
-        for sub, piece in zip(subs, split(batch)):
-            full = np.zeros((batch.shape[0], tree.n_nodes))
-            full[:, sub_idx] = piece
-            total += _sub_node_value(sub, tree, xi, full)
-        return total
-
-    if j == 1:
-        full = np.zeros((1, tree.n_nodes))
-        full[0, sub_idx] = k_sub
-        value = float(_sub_node_value(subs[0], tree, xi, full)[0])
-        return value, None, [k_sub.copy()], True
-
-    x0 = np.tile(k_sub / j, j - 1)
-    if all(_is_smooth(s) for s in subs):
-        res = maximize(objective, x0,
-                       gradient_tolerance=opts.gradient_tolerance,
-                       max_iterations=min(opts.max_iterations, 20_000),
-                       divergence_bound=opts.divergence_bound,
-                       fd_step=opts.fd_step,
-                       value_tolerance=1e-12)
-        theta, value, converged = res.x, res.value, res.converged
-    else:
-        # piecewise-linear subsidiaries put kinks where steepest ascent
-        # stalls off-optimum; restarted simplex search (re-inflating the
-        # simplex at the previous endpoint) is reliable at this dimension
-        from scipy.optimize import minimize as _scipy_minimize
-
-        theta, value, converged = x0, -np.inf, False
-        for _ in range(3):
-            res = _scipy_minimize(lambda v: -float(objective(v[None, :])[0]), theta,
-                                  method="Nelder-Mead",
-                                  options={"xatol": 1e-10, "fatol": 1e-12,
-                                           "maxiter": 2000 * x0.size, "maxfev": 2000 * x0.size})
-            theta, converged = res.x, bool(res.success)
-            if -float(res.fun) <= value + 1e-13 * (1.0 + abs(value)):
-                value = max(value, -float(res.fun))
-                break
-            value = -float(res.fun)
-    pieces = [p[0] for p in split(theta[None, :])]
-    return value, None, pieces, converged
+    return float(swept[0, xi]), float(swept[1, xi]), list(allocations[0][:, sub_idx]), converged
 
 
 def share_value(subs: Sequence, x: str, balance: CashBalance,
@@ -247,10 +251,11 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
 
     ``method='dual'`` runs simplex descent on the summed duals (exponential
     subsidiaries only) and recovers the allocation from the inner
-    maximizers; ``method='direct'`` maximizes the summed valuations over
-    allocations.  ``'auto'`` picks the dual route when available.  The
-    allocation always sums to the balance exactly on the subtree; the value
-    achieved by it is reported for verification.
+    maximizers; ``method='direct'`` sweeps the pooled family and rebuilds
+    the allocation from its one-step splits.  ``'auto'`` picks the dual
+    route when available.  The allocation always sums to the balance
+    exactly on the subtree; the value achieved by it is reported for
+    verification.
     """
     opts = opts or DEFAULT_OPTIONS
     tree = _common_tree(subs)
@@ -263,13 +268,13 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     if method == "dual" and not all_entropic:
         raise ValidationError("the dual route needs exponential-family subsidiaries; use method='direct'")
 
-    def run(values_sub: np.ndarray):
-        if method == "dual":
-            return _share_dual_route(subs, tree, xi, values_sub, opts)
-        return _share_direct_route(subs, tree, xi, values_sub, opts)
-
-    value, lam, pieces, converged = run(k_sub)
-    value0, _, _, converged0 = run(np.zeros_like(k_sub))
+    if method == "dual":
+        value, lam, pieces, converged = _share_dual_route(subs, tree, xi, k_sub, opts)
+        value0, _, _, converged0 = _share_dual_route(subs, tree, xi, np.zeros_like(k_sub), opts)
+        converged = converged and converged0
+    else:
+        value, value0, pieces, converged = _share_direct_route(subs, tree, xi, balance.values, opts)
+        lam = None
 
     allocation = []
     achieved = 0.0
@@ -277,7 +282,7 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
         full = np.zeros(tree.n_nodes)
         full[sub_idx] = piece
         allocation.append(CashBalance(tree, full))
-        achieved += float(_sub_node_value(sub, tree, xi, full[None, :])[0])
+        achieved += float(_as_family(sub).node_values(full)[xi])
     feasibility = float(np.max(np.abs(sum(p for p in pieces) - k_sub)))
 
     density = None
@@ -293,7 +298,7 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
         achieved_value=achieved,
         feasibility_gap=feasibility,
         method=method,
-        converged=converged and converged0,
+        converged=converged,
     )
 
 
@@ -314,7 +319,6 @@ def _sub_gradient(sub, tree: Tree, xi: int, full_values: np.ndarray, opts) -> np
         rows[:, sub_idx] = batch
         return sub.node_values(rows)[:, xi]
 
-    from .optim import fd_gradient
     return fd_gradient(f, base[sub_idx], opts.fd_step)
 
 
@@ -350,70 +354,19 @@ def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str,
     return worst
 
 
-class SharingFamily:
-    """Normalized pooled valuations evaluated node-by-node through the
-    direct sup-convolution route; the slow but fully general path."""
-
-    def __init__(self, subs: Sequence, opts: DualSolverOptions | None = None):
-        self.tree = _common_tree(subs)
-        self.subs = list(subs)
-        self.opts = opts or DualSolverOptions(gradient_tolerance=1e-7)
-        self._zero_value = {}
-        for xi in range(self.tree.n_nodes):
-            if self.tree.is_leaf[xi]:
-                continue
-            k = np.zeros(len(self.tree.descendant_indices(xi)))
-            v, _, _, _ = _share_direct_route(self.subs, self.tree, xi, k, self.opts)
-            self._zero_value[xi] = v
-
-    def node_values(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        flat = values.reshape(-1, self.tree.n_nodes)
-        out = np.empty_like(flat)
-        for xi in range(self.tree.n_nodes):
-            sub_idx = self.tree.descendant_indices(xi)
-            if self.tree.is_leaf[xi]:
-                out[:, xi] = flat[:, xi]
-                continue
-            for row in range(flat.shape[0]):
-                v, _, _, _ = _share_direct_route(self.subs, self.tree, xi, flat[row, sub_idx], self.opts)
-                out[row, xi] = v - self._zero_value[xi]
-        return out.reshape(values.shape)
-
-
-class CommittedFamily:
-    """Valuations re-based at a prior commitment: value of (balance +
-    commitment) minus value of the commitment.  Satisfies the same axioms as
-    the underlying family."""
-
-    def __init__(self, family, commitment: CashBalance):
-        if commitment.tree is not family.tree:
-            raise ValidationError("commitment built on a different tree")
-        self.tree = family.tree
-        self._family = family
-        self._commitment = commitment.values
-        self._base = family.node_values(commitment.values)
-        self.descriptor = f"committed({getattr(family, 'descriptor', 'custom')})"
-
-    def node_values(self, values: np.ndarray) -> np.ndarray:
-        return self._family.node_values(np.asarray(values, dtype=float) + self._commitment) - self._base
-
-
-def committed_family(family, commitment: CashBalance) -> CommittedFamily:
-    return CommittedFamily(family, commitment)
-
-
 def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
                          tolerance: float | None = None,
                          opts: DualSolverOptions | None = None,
                          cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
     """Axiom suite for the normalized pooled family: the closed-form
-    aggregate for exponential subsidiaries, the node-by-node numeric path
-    otherwise (smaller default tolerance reflects the nested optimization)."""
+    aggregate for exponential subsidiaries, otherwise the pooled family
+    committed to the zero balance (whose larger default tolerance reflects
+    the one-step solves)."""
     if all(isinstance(s, EntropicParams) for s in subs):
         family = entropic_sharing_family(subs)
         tol = 1e-8 if tolerance is None else tolerance
     else:
-        family = SharingFamily(subs, opts)
+        pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
+        family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
         tol = 1e-5 if tolerance is None else tolerance
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

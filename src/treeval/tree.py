@@ -77,7 +77,6 @@ class Tree:
         # Times via BFS from the root; anything unreached sits on a parent cycle.
         time = np.full(len(records), -1, dtype=np.int64)
         time[root] = 0
-        frontier = [root]
         preorder: list[int] = []
         stack = [root]
         while stack:

@@ -1,5 +1,6 @@
 """One-step valuation operators, their backward-induction assembly into
-per-node operators, stopping-time valuations, and the executable axiom suite.
+per-node operators (also from one-step sups and by re-basing at a
+commitment), stopping-time valuations, and the executable axiom suite.
 
 The assembled operator at a node reads the cash balance only on that node's
 subtree; at a leaf it is the identity on the leaf's cash.  One-step operators
@@ -16,7 +17,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
+from .optim import AscentResult, maximize, maximize_nelder_mead
 from .tree import CashBalance, StoppingTime, Tree, stopping_time
 
 DEFAULT_AXIOM_TOLERANCE = 1e-9
@@ -54,7 +56,7 @@ class ValuationFamily:
     """Per-node valuation operators assembled by backward induction."""
 
     def __init__(self, tree: Tree, one_steps: Mapping[str, OneStepValuation], *,
-                 descriptor: str = "", dual_closed=None, dual_smooth: bool = True):
+                 descriptor: str = "", dual_closed=None):
         steps: list[OneStepValuation | None] = [None] * tree.n_nodes
         for node_id, op in one_steps.items():
             i = tree.node_index(node_id)
@@ -69,7 +71,6 @@ class ValuationFamily:
         self.descriptor = descriptor
         # Optional closed-form dual: callable (node_id, density mapping) -> float.
         self.dual_closed = dual_closed
-        self.dual_smooth = dual_smooth
 
     def node_values(self, values: np.ndarray) -> np.ndarray:
         """Valuation of every node for cash values of shape (..., n_nodes)."""
@@ -97,6 +98,67 @@ def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) ->
     """Build the family of per-node operators from one-step operators
     (total on internal nodes)."""
     return ValuationFamily(tree, one_steps, **kwargs)
+
+
+def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: str):
+    """Family whose one-step operator at each internal node u is a sup found
+    row by row, with the deterministic ``solve(u, k_x, k_children)`` behind
+    it.  ``problems[u] = (lift, smooth)``; ``lift(k_x, k_children)`` gives the
+    batch objective over the search variable and its start.  Smooth sups use
+    steepest ascent with the tolerances of ``opts`` (``DualSolverOptions``),
+    kinked ones restarted Nelder-Mead; a sup that runs away raises a
+    divergence error naming the node, with the direction as certificate."""
+
+    def solve(u: int, k_x, k_children):
+        lift, smooth = problems[u]
+        objective, x0 = lift(k_x, k_children)
+        if x0.size == 0:
+            return AscentResult(x0, float(objective(x0[None, :])[0]), 0.0, 0, converged=True)
+        if smooth:
+            res = maximize(objective, x0, gradient_tolerance=opts.gradient_tolerance,
+                           max_iterations=min(opts.max_iterations, 50_000),
+                           divergence_bound=opts.divergence_bound, fd_step=opts.fd_step,
+                           value_tolerance=1e-12)
+        else:
+            res = maximize_nelder_mead(objective, x0, divergence_bound=opts.divergence_bound)
+        if res.diverged:
+            raise DivergenceError(f"the one-step sup of {descriptor} at {tree.ids[u]!r} is unbounded",
+                                  direction=res.direction)
+        return res
+
+    def one_step(u: int) -> OneStepValuation:
+        def evaluate(k_x, k_children):
+            k_children = np.asarray(k_children, dtype=float)
+            k_x = np.broadcast_to(np.asarray(k_x, dtype=float), k_children.shape[:-1])
+            rows = zip(k_x.reshape(-1), k_children.reshape(-1, k_children.shape[-1]))
+            return np.array([solve(u, a, v).value for a, v in rows]).reshape(k_x.shape)
+
+        return OneStepValuation(evaluate, descriptor=descriptor, smooth=problems[u][1])
+
+    return assemble(tree, {tree.ids[u]: one_step(u) for u in problems}, descriptor=descriptor), solve
+
+
+def committed_family(family: ValuationFamily, commitment: CashBalance) -> ValuationFamily:
+    """Valuations re-based at a prior commitment C: the value of (balance +
+    C) minus the value of C, from the one-step operators
+    ``step_u(a + C_u, v + pi_children(C)) - pi_u(C)``.  Satisfies the same
+    axioms as the underlying family; committing to the zero balance
+    normalizes a family to vanish at zero."""
+    if commitment.tree is not family.tree:
+        raise ValidationError("commitment built on a different tree")
+    tree = family.tree
+    cash, base = commitment.values, family.node_values(commitment.values)
+
+    def rebased(u: int) -> OneStepValuation:
+        step, kids = family.one_steps[u], list(tree.children_index[u])
+
+        def evaluate(k_x, k_children):
+            return step.evaluate(np.asarray(k_x) + cash[u], np.asarray(k_children) + base[kids]) - base[u]
+
+        return OneStepValuation(evaluate, descriptor=f"committed({step.descriptor})", smooth=step.smooth)
+
+    return assemble(tree, {tree.ids[u]: rebased(u) for u in tree.internal_indices()},
+                    descriptor=f"committed({family.descriptor or 'custom'})")
 
 
 def value_at(family, stop: StoppingTime, balance: CashBalance) -> dict[str, float]:

@@ -157,3 +157,57 @@ def worst_stopping_bruteforce(tree: Tree, alpha: dict[str, np.ndarray], values: 
         total = sum(reach[z] * values[tree.node_index(z)] for z in graph)
         best = min(best, total)
     return best
+
+
+def global_hedge_value(family, mkt, x: str, balance: CashBalance) -> float:
+    """Oracle for the best hedged valuation: one scipy search over the
+    stacked positions of every decision node of the subtree at x, valued
+    through the public gains process (no one-step decomposition)."""
+    from scipy.optimize import minimize
+
+    from treeval.market import Strategy, gains
+
+    tree = family.tree
+    decisions = [tree.ids[i] for i in tree.descendant_indices(tree.node_index(x))
+                 if not tree.is_leaf[i]]
+    n_assets = len(mkt.asset_names)
+
+    def negated(theta: np.ndarray) -> float:
+        holdings = {node_id: theta[k * n_assets:(k + 1) * n_assets]
+                    for k, node_id in enumerate(decisions)}
+        hedged = balance.values + gains(mkt, x, Strategy(holdings)).values
+        return -family.value(x, CashBalance(tree, hedged))
+
+    res = minimize(negated, np.zeros(len(decisions) * n_assets), method="BFGS",
+                   options={"gtol": 1e-10, "maxiter": 10_000})
+    return -float(res.fun)
+
+
+def global_pool_value(families, x: str, balance: CashBalance) -> float:
+    """Oracle for the pooled valuation: restarted Nelder-Mead over the full
+    allocation on the subtree at x (the last subsidiary takes the
+    remainder), summing the subsidiaries' node values directly."""
+    from scipy.optimize import minimize
+
+    tree = families[0].tree
+    xi = tree.node_index(x)
+    sub = tree.descendant_indices(xi)
+    j = len(families)
+
+    def negated(flat: np.ndarray) -> float:
+        pieces = flat.reshape(j - 1, sub.size)
+        total = 0.0
+        for fam, piece in zip(families, [*pieces, balance.values[sub] - pieces.sum(axis=0)]):
+            full = np.zeros(tree.n_nodes)
+            full[sub] = piece
+            total += fam.node_values(full)[xi]
+        return -float(total)
+
+    theta = np.tile(balance.values[sub] / j, j - 1)
+    best = -np.inf
+    for _ in range(4):
+        res = minimize(negated, theta, method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20_000, "maxfev": 20_000})
+        theta = res.x
+        best = max(best, -float(res.fun))
+    return best

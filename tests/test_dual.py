@@ -21,7 +21,7 @@ from treeval.dual import (
     primal_from_dual,
     sample_density,
 )
-from treeval.errors import ConvergenceError, DomainError, ValidationError
+from treeval.errors import ConvergenceError, DomainError, TreevalError, ValidationError
 from treeval.families import (
     entropic_dual,
     entropic_family,
@@ -100,6 +100,11 @@ class TestDualValue:
             dual_value(fam, "root", {"root": 0.5, "up": 0.5, "down": 0.5})
         with pytest.raises(DomainError, match="negative"):
             dual_value(fam, "root", {"root": -0.2, "up": 0.7, "down": 0.5})
+
+    def test_nan_mass_raises_a_treeval_error(self):
+        t, params, fam = entropic_setup()
+        with pytest.raises(TreevalError):
+            dual_value(fam, "root", {"root": math.nan, "up": 0.5, "down": 0.5})
 
     def test_probability_mass_off_subtree_diverges(self):
         t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import binary_tree, random_cash, random_tree, three_node_tree
+from helpers import (
+    binary_tree,
+    global_hedge_value,
+    random_cash,
+    random_tree,
+    three_node_tree,
+    trinomial_tree,
+)
 from treeval.dual import DualSolverOptions
 from treeval.errors import DivergenceError, ValidationError
 from treeval.families import (
@@ -16,12 +23,13 @@ from treeval.market import (
     check_market_axioms,
     extract_state_price_density,
     gains,
+    hedged_family,
     market,
     market_value,
     synthesize_one_step_prices,
 )
 from treeval.tree import CashBalance
-from treeval.valuation import assemble, linear_one_step
+from treeval.valuation import ValuationFamily, assemble, linear_one_step
 
 
 def golden_max(f, lo, hi, iters=200):
@@ -160,6 +168,57 @@ class TestMarketValue:
         fam = assemble(t, {"root": linear_one_step([0.5, 0.5])})
         with pytest.raises(DivergenceError) as err:
             market_value(fam, mkt, "root", CashBalance.constant(t, 0.0))
+        assert err.value.direction is not None
+
+
+def lattice_market(depth):
+    """Criterion 10's lattice: equal weights, one asset that doubles on an
+    up move and halves on a down move."""
+    t = binary_tree(depth)
+    return t, market(t, {"s": {n: 2.0 ** n.count("u") * 0.5 ** n.count("d") for n in t.ids}})
+
+
+def two_asset_market():
+    """Trinomial tree of depth 1 with two assets whose price moves span no
+    arbitrage: an incomplete market."""
+    t = trinomial_tree(1)
+    return t, market(t, {"x": {"r": 1.0, "a": 1.5, "b": 1.0, "c": 0.6},
+                         "y": {"r": 1.0, "a": 0.8, "b": 1.2, "c": 1.1}})
+
+
+class TestHedgedFamily:
+    @pytest.mark.parametrize("build", [lambda: lattice_market(2), lambda: lattice_market(3),
+                                       two_asset_market], ids=["lattice2", "lattice3", "two_asset"])
+    def test_per_node_hedge_matches_the_global_search(self, build):
+        t, mkt = build()
+        fam = entropic_family(entropic_params(t, 1.0))
+        k = random_cash(np.random.default_rng(t.n_nodes), t, -1.0, 1.0)
+        res = market_value(fam, mkt, t.root, k)
+        assert res.converged
+        assert res.value == pytest.approx(global_hedge_value(fam, mkt, t.root, k), abs=1e-8)
+
+    def test_strategy_reproduces_the_value(self):
+        t, mkt = lattice_market(3)
+        fam = entropic_family(entropic_params(t, 1.0))
+        k = random_cash(np.random.default_rng(2), t, -1.0, 1.0)
+        res = market_value(fam, mkt, "u", k)
+        hedged = CashBalance(t, k.values + gains(mkt, "u", res.strategy).values)
+        assert fam.value("u", hedged) == pytest.approx(res.value, abs=1e-12)
+        assert sorted(res.strategy.holdings) == ["u", "ud", "uu"]
+
+    def test_hedged_family_is_swept_like_any_family(self):
+        t, mkt = lattice_market(2)
+        fam = entropic_family(entropic_params(t, 1.0))
+        hedged = hedged_family(fam, mkt)
+        assert isinstance(hedged, ValuationFamily)
+        k = random_cash(np.random.default_rng(5), t, -1.0, 1.0)
+        assert hedged.value("r", k) == pytest.approx(market_value(fam, mkt, "r", k).value, abs=1e-12)
+
+    def test_divergence_names_its_node(self):
+        t, mkt = binomial_market()
+        fam = assemble(t, {"root": linear_one_step([0.5, 0.5])})
+        with pytest.raises(DivergenceError, match="'root'") as err:
+            hedged_family(fam, mkt).value("root", CashBalance.constant(t, 0.0))
         assert err.value.direction is not None
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import binary_tree, random_cash, random_tree, three_node_tree
+from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
 from treeval.dual import DualSolverOptions, dual_density
 from treeval.errors import ValidationError
 from treeval.families import (
@@ -13,18 +13,18 @@ from treeval.families import (
     worst_case_params,
 )
 from treeval.risksharing import (
-    CommittedFamily,
     check_sharing_axioms,
     committed_family,
     entropic_allocation,
     entropic_share_params,
     entropic_sharing_family,
+    pooled_family,
     share_dual,
     share_value,
     stability_check,
 )
 from treeval.tree import CashBalance
-from treeval.valuation import check_axioms
+from treeval.valuation import ValuationFamily, check_axioms
 
 TIGHT = DualSolverOptions(tolerance=1e-11)
 
@@ -186,6 +186,48 @@ class TestShareValue:
             share_value([fam, fam], "root", CashBalance.constant(t, 0.0), method="dual")
 
 
+def mixed_pair(rng, tree):
+    """Entropic subsidiary with a random gamma and a worst-case stopping
+    subsidiary with one random distribution per node."""
+    ent = entropic_params(tree, float(rng.uniform(0.5, 2.0)))
+    alpha = {tree.ids[u]: [rng.dirichlet([2.0, 2.0]).tolist()] for u in tree.internal_indices()}
+    return ent, worst_case_family(worst_case_params(tree, alpha, stopping=True))
+
+
+class TestPooledFamily:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_per_node_pooling_no_lower_than_the_global_search(self, depth):
+        rng = np.random.default_rng(70 + depth)
+        for _ in range(2):
+            raw = rng.uniform(0.1, 1.0, 2 ** (depth + 1) - 1)
+            t = binary_tree(depth, weights=raw / raw.sum())
+            ent, wc = mixed_pair(rng, t)
+            k = random_cash(rng, t, -2.0, 2.0)
+            res = share_value([ent, wc], t.root, k, method="direct")
+            assert res.value >= global_pool_value([entropic_family(ent), wc], t.root, k) - 1e-9
+            assert res.feasibility_gap <= 1e-12
+            assert abs(res.achieved_value - res.value) <= 1e-12
+
+    def test_allocation_at_an_inner_node(self):
+        rng = np.random.default_rng(3)
+        t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
+        ent, wc = mixed_pair(rng, t)
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value([ent, wc], "u", k, method="direct")
+        total = res.allocation[0].values + res.allocation[1].values
+        sub_idx = t.descendant_indices(t.node_index("u"))
+        assert np.max(np.abs(total[sub_idx] - k.values[sub_idx])) <= 1e-12
+        off = np.setdiff1d(np.arange(t.n_nodes), sub_idx)
+        assert np.all(total[off] == 0.0)
+        assert res.value == pytest.approx(pooled_family([ent, wc]).value("u", k), abs=1e-12)
+
+    def test_derived_valuations_are_valuation_families(self):
+        t, p1, p2 = hetero_pair()
+        pooled = pooled_family([p1, p2])
+        assert isinstance(pooled, ValuationFamily)
+        assert isinstance(committed_family(pooled, CashBalance.constant(t, 0.0)), ValuationFamily)
+
+
 class TestEntropicAllocation:
     def test_identical_subsidiaries_split_evenly(self):
         t, p1, _ = hetero_pair()
@@ -273,6 +315,26 @@ class TestSharingAxioms:
         assert report.check("L").passed
 
 
+# Mixed pairs on which an earlier numeric pooled path failed dynamic
+# consistency (DC residuals 1.1e-4 and 1.7e-4): tree weights (root, up,
+# down), gamma, the worst-case distribution at the root, the trial seed.
+RECORDED_MIXED_PAIRS = [
+    ((0.2682538589907249, 0.44081680434559617, 0.290929336663679), 1.7132263454674836,
+     (0.613264569879235, 0.386735430120765), 172626503),
+    ((0.2516049143635788, 0.5440254331889595, 0.20436965244746183), 1.1711962524005215,
+     (0.7165819353616516, 0.2834180646383482), 1567389449),
+]
+
+
+@pytest.mark.parametrize("weights, gamma, alpha, trial_seed", RECORDED_MIXED_PAIRS)
+def test_recorded_mixed_pairs_pass_the_sharing_axioms(weights, gamma, alpha, trial_seed):
+    t = three_node_tree(weights)
+    mixed = [entropic_params(t, gamma),
+             worst_case_family(worst_case_params(t, {"root": [list(alpha)]}, stopping=True))]
+    report = check_sharing_axioms(mixed, trials=1, seed=trial_seed, cash_range=(-2.0, 2.0))
+    assert report.all_passed, report.as_dict()
+
+
 class TestCommittedFamily:
     def test_wrapper_satisfies_the_axioms(self):
         rng = np.random.default_rng(19)
@@ -285,6 +347,6 @@ class TestCommittedFamily:
     def test_zero_commitment_is_identity(self):
         t, p1, _ = hetero_pair()
         fam = entropic_family(p1)
-        wrapped = CommittedFamily(fam, CashBalance.constant(t, 0.0))
+        wrapped = committed_family(fam, CashBalance.constant(t, 0.0))
         k = np.array([0.3, -1.0, 2.0])
         assert np.allclose(wrapped.node_values(k), fam.node_values(k), atol=1e-15)
