@@ -20,9 +20,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ValidationError
 from .optim import eg_minimize, maximize, maximize_nelder_mead
 from .tree import CashBalance, Tree
-from .valuation import OneStepValuation
-
-_PROB_TOL = 1e-9
+from .valuation import OneStepValuation, is_probability
 
 
 @dataclass(frozen=True)
@@ -61,31 +59,42 @@ class DualDensity:
     values: Mapping[str, float]
 
 
-def dual_density(tree: Tree, x: str, values: Mapping[str, float]) -> DualDensity:
-    xi = tree.node_index(x)
-    allowed = {tree.ids[i] for i in tree.descendant_indices(xi)}
-    total = 0.0
-    cleaned: dict[str, float] = {}
-    for node_id, v in values.items():
-        tree.node_index(node_id)
-        v = float(v)
-        if v < 0:
-            raise DomainError(f"density mass at {node_id!r} is negative")
-        if node_id not in allowed and v > 0:
-            raise DomainError(f"density puts mass on {node_id!r}, outside the subtree of {x!r}")
-        total += v
-        cleaned[node_id] = v
-    if abs(total - 1.0) > _PROB_TOL:
-        raise DomainError(f"density must sum to 1 (got {total!r})")
-    return DualDensity(support=x, values=cleaned)
-
-
 def _mapping_of(lam) -> Mapping[str, float]:
     if isinstance(lam, DualDensity):
         return lam.values
     if isinstance(lam, Mapping):
         return lam
     raise ValidationError(f"expected a density, got {type(lam).__name__}")
+
+
+def _mass_vector(tree: Tree, lam) -> np.ndarray:
+    """Masses of a density or mapping in node order; unknown nodes are
+    rejected and absent ones carry zero."""
+    masses = np.zeros(tree.n_nodes)
+    for node_id, v in _mapping_of(lam).items():
+        masses[tree.node_index(node_id)] = float(v)
+    return masses
+
+
+def _mass_off(tree: Tree, masses: np.ndarray, xi: int) -> np.ndarray:
+    """Indices of the nodes off the subtree at xi that carry mass."""
+    off = masses > 0
+    off[tree.descendant_indices(xi)] = False
+    return np.flatnonzero(off)
+
+
+def dual_density(tree: Tree, x: str, values: Mapping[str, float]) -> DualDensity:
+    values = _mapping_of(values)
+    masses = _mass_vector(tree, values)
+    negative = np.flatnonzero(masses < 0)
+    if negative.size:
+        raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative")
+    off = _mass_off(tree, masses, tree.node_index(x))
+    if off.size:
+        raise DomainError(f"density puts mass on {tree.ids[off[0]]!r}, outside the subtree of {x!r}")
+    if not is_probability(masses):
+        raise DomainError(f"density must sum to 1 (got {masses.sum()!r})")
+    return DualDensity(support=x, values={node_id: float(v) for node_id, v in values.items()})
 
 
 def sample_density(tree: Tree, x: str, rng: np.random.Generator, *,
@@ -106,23 +115,16 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     opts = opts or DEFAULT_OPTIONS
     tree = family.tree
     xi = tree.node_index(x)
-    items = _mapping_of(lam)
+    masses = _mass_vector(tree, lam)
+    negative = np.flatnonzero(masses < 0)
+    if negative.size:
+        raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative; "
+                          "the dual is +inf there")
+    if not is_probability(masses):
+        raise DomainError(f"density must be a probability (mass {masses.sum()!r}); "
+                          "the dual is +inf otherwise")
 
-    total = 0.0
-    masses = np.zeros(tree.n_nodes)
-    for node_id, v in items.items():
-        i = tree.node_index(node_id)
-        v = float(v)
-        if v < 0:
-            raise DomainError(f"density mass at {node_id!r} is negative; the dual is +inf there")
-        total += v
-        masses[i] = v
-    if abs(total - 1.0) > _PROB_TOL:
-        raise DomainError(f"density must be a probability (mass {total!r}); the dual is +inf otherwise")
-
-    sub = tree.descendant_indices(xi)
-    off = [i for i in np.flatnonzero(masses > 0) if i not in set(int(j) for j in sub)]
-    free = np.concatenate([sub, np.array(off, dtype=np.int64)]) if off else np.asarray(sub)
+    free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]
 
     def objective(batch: np.ndarray) -> np.ndarray:
@@ -223,7 +225,7 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
     opts = opts or DEFAULT_OPTIONS
     psi = np.asarray(psi, dtype=float)
     q = np.concatenate([[float(theta)], psi])
-    if np.any(q < 0) or abs(q.sum() - 1.0) > _PROB_TOL:
+    if not is_probability(q):
         raise DomainError("one-step dual argument must be a probability over (node, children)")
 
     def objective(batch: np.ndarray) -> np.ndarray:
@@ -273,18 +275,10 @@ def dual_recursion_residual(family, x: str, lam, opts: DualSolverOptions | None 
     xi = tree.node_index(x)
     if tree.is_leaf[xi]:
         raise ValidationError("the dual recursion lives on internal nodes")
-    items = _mapping_of(lam)
     sub = tree.descendant_indices(xi)
-    masses = np.zeros(tree.n_nodes)
-    for node_id, v in items.items():
-        masses[tree.node_index(node_id)] = float(v)
-    sub_set = {int(i) for i in sub}
-    if any(m > 0 for i, m in enumerate(masses) if i not in sub_set):
-        raise DomainError("density puts mass outside the subtree")
-    if np.any(masses[sub] <= 0):
+    masses = _mass_vector(tree, dual_density(tree, x, lam))
+    if not np.all(masses[sub] > 0):
         raise DomainError("the recursion residual needs strictly positive mass on the whole subtree")
-    if abs(masses[sub].sum() - 1.0) > _PROB_TOL:
-        raise DomainError("density must sum to 1 on the subtree")
 
     def node_dual(z: str, mapping: Mapping[str, float]) -> float:
         zi = tree.node_index(z)

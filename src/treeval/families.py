@@ -12,12 +12,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dual import _mapping_of, dual_density
+from .dual import _mass_vector, dual_density
 from .errors import DomainError, ValidationError
 from .tree import CashBalance, Tree
-from .valuation import OneStepValuation, ValuationFamily
-
-_PROB_TOL = 1e-9
+from .valuation import OneStepValuation, ValuationFamily, is_probability
 
 
 def _stack_outcomes(k_x, k_children) -> np.ndarray:
@@ -112,15 +110,10 @@ def entropic_params(tree: Tree, gamma: float, reference=None) -> EntropicParams:
         ref = np.array(reference, dtype=float)
         if ref.shape != (tree.n_nodes,):
             raise ValidationError("reference must give one mass per node")
-    if np.any(ref <= 0):
-        raise ValidationError("reference distribution must be strictly positive on every node")
-    if abs(ref.sum() - 1.0) > _PROB_TOL:
-        raise ValidationError(f"reference must sum to 1 over the tree (got {ref.sum()!r})")
-    bar = ref.copy()
-    for u in tree.preorder[::-1]:
-        p = tree.parent_index[u]
-        if p >= 0:
-            bar[p] += bar[u]
+    if not is_probability(ref, positive=True):
+        raise ValidationError("reference distribution must be strictly positive on every node "
+                              f"and sum to 1 over the tree (got sum {ref.sum()!r})")
+    bar = tree.subtree_sums(ref)
     ref.flags.writeable = False
     bar.flags.writeable = False
     return EntropicParams(tree=tree, gamma=float(gamma), reference=ref, subtree_reference=bar)
@@ -146,9 +139,8 @@ def entropic_dual(params: EntropicParams, x: str, lam) -> float:
     the subtree, divided by gamma; zero masses contribute zero."""
     tree = params.tree
     xi = tree.node_index(x)
-    masses = dual_density(tree, x, _mapping_of(lam)).values
     sub = tree.descendant_indices(xi)
-    vec = np.array([masses.get(tree.ids[i], 0.0) for i in sub])
+    vec = _mass_vector(tree, dual_density(tree, x, lam))[sub]
     ref = params.reference[sub] / params.subtree_reference[xi]
     pos = vec > 0
     return float(np.sum(vec[pos] * np.log(vec[pos] / ref[pos])) / params.gamma)
@@ -174,7 +166,7 @@ def entropic_one_step(params: EntropicParams, x: str) -> OneStepValuation:
 
     def one_step_dual(theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-        if np.any(q < 0) or abs(q.sum() - 1.0) > _PROB_TOL:
+        if not is_probability(q):
             raise DomainError("one-step dual argument must be a probability over (node, children)")
         pos = q > 0
         return float(np.sum(q[pos] * np.log(q[pos] / w[pos])) / gamma)
@@ -218,7 +210,7 @@ def worst_case_params(tree: Tree, alphas: Mapping[str, Sequence[Sequence[float]]
             v = np.asarray(a, dtype=float)
             if v.shape != (len(tree.children_index[i]),):
                 raise ValidationError(f"distribution at {node_id!r} has wrong length")
-            if np.any(v < 0) or abs(v.sum() - 1.0) > _PROB_TOL:
+            if not is_probability(v):
                 raise ValidationError(f"distribution at {node_id!r} is not a probability vector")
             v.flags.writeable = False
             mats.append(v)
@@ -269,7 +261,7 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     with constants.  Broadcasts over a leading batch axis of ``outcomes``.
     """
     p = np.asarray(probs, dtype=float)
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > _PROB_TOL:
+    if not is_probability(p, positive=True):
         raise ValidationError("outcome probabilities must be strictly positive and sum to 1")
     k = np.asarray(outcomes, dtype=float)
     if k.shape[-1] != p.shape[0]:
@@ -344,7 +336,7 @@ def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float
             vec = np.asarray(probs[node_id], dtype=float)
         if vec.shape != (m,):
             raise ValidationError(f"outcome probabilities at {node_id!r} must cover the node and its children")
-        if np.any(vec <= 0) or abs(vec.sum() - 1.0) > _PROB_TOL:
+        if not is_probability(vec, positive=True):
             raise ValidationError(f"outcome probabilities at {node_id!r} must be strictly positive and sum to 1")
         vec.flags.writeable = False
         table[node_id] = vec
@@ -375,7 +367,7 @@ def ui_one_step(params: UIParams, x: str) -> OneStepValuation:
 
         def dual(theta, psi, _p=p, _g=g):
             q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-            if np.any(q < 0) or abs(q.sum() - 1.0) > _PROB_TOL:
+            if not is_probability(q):
                 raise DomainError("one-step dual argument must be a probability")
             pos = q > 0
             return float(np.sum(q[pos] * np.log(q[pos] / _p[pos])) / _g)
@@ -402,7 +394,7 @@ def crra_one_period_dual(R: float, x0: float, probs, lam) -> float:
     q = np.asarray(lam, dtype=float)
     if q.shape != p.shape:
         raise ValidationError("density and probabilities differ in length")
-    if np.any(q <= 0) or abs(q.sum() - 1.0) > _PROB_TOL:
+    if not is_probability(q, positive=True):
         raise DomainError("density must be strictly positive and sum to 1")
     s = float(np.sum(p ** (1.0 / R) * q ** (1.0 - 1.0 / R)))
     return x0 * (1.0 - s ** (R / (R - 1.0)))

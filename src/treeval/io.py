@@ -2,12 +2,16 @@
 balances, family descriptors, and one-step pricing weights.
 
 Every file is one JSON object; decimals parse to 64-bit floats and unknown
-fields are rejected so typos fail loudly.
+fields are rejected so typos fail loudly.  NaN, Infinity and integers
+beyond the float range are rejected while parsing; decimals beyond it
+parse to infinity, which the finiteness checks on numbers and probability
+vectors reject.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,9 +33,17 @@ from .valuation import ValuationFamily
 
 
 def _load_object(path) -> dict:
+    def reject(token: str):
+        raise ValidationError(f"{path}: numbers must be finite, got {token}")
+
+    def whole(token: str) -> int:
+        if not math.isfinite(float(token)):
+            reject(token)
+        return int(token)
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=whole, parse_constant=reject)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -48,8 +60,8 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
 from .errors import ValidationError
-from .tree import CashBalance, Tree
+from .tree import CashBalance, Tree, stop_index
 from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
 
 
@@ -185,13 +185,9 @@ def check_gains_axioms(mkt: Market, x: str, trials: int, seed: int, *,
 
         # stop at sigma, then restart below it with the same positions
         sigma = sample_stopping_time(tree, rng, start=tree.ids[xi])
-        stopped = g_full.copy()
-        restart = np.zeros(tree.n_nodes)
-        for node_id in sigma.graph:
-            zi = tree.node_index(node_id)
-            for i in tree.descendant_indices(zi):
-                stopped[i] = g_full[zi]
-                restart[i] = g_full[i] - g_full[zi]
+        at = stop_index(tree, [node_id in sigma.graph for node_id in tree.ids])
+        stopped = np.where(at >= 0, g_full[at], g_full)
+        restart = np.where(at >= 0, g_full - g_full[at], 0.0)
         dec = max(dec, float(np.max(np.abs(stopped + restart - g_full))))
     return GainsAxiomReport(conv, loc, dec, tolerance, trials, seed)
 
@@ -322,7 +318,7 @@ def extract_state_price_density(tree: Tree, one_step_prices: Mapping[str, Sequen
         w = np.asarray(one_step_prices[node_id], dtype=float)
         if w.shape != (len(kids),):
             raise ValidationError(f"one-step prices at {node_id!r} must give one weight per child")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValidationError(
                 f"nonpositive pricing weight at {node_id!r} violates no-arbitrage "
                 "(a nonnegative claim priced at zero must be negligible)")
@@ -337,7 +333,7 @@ def synthesize_one_step_prices(tree: Tree, zeta: Mapping[str, float]) -> dict[st
     ``extract_state_price_density`` is the identity."""
     q = _conditional_reference(tree)
     z = np.array([float(zeta[node_id]) for node_id in tree.ids])
-    if np.any(z <= 0):
+    if not np.all(z > 0):
         raise ValidationError("state-price density must be strictly positive")
     out: dict[str, list[float]] = {}
     for u in range(tree.n_nodes):

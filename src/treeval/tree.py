@@ -104,25 +104,14 @@ class Tree:
                 "weights must be given on every node or on none (leaf-only weights are rejected)"
             )
         weight_arr = None
-        subtree_weight = None
         if all(has_weight):
             weight_arr = np.array(weights, dtype=float)
             if np.any(weight_arr <= 0.0) or not np.all(np.isfinite(weight_arr)):
                 bad = ids[int(np.argmin(weight_arr))]
                 raise ValidationError(f"node weights must be strictly positive; offending node {bad!r}")
-            subtree_weight = weight_arr.copy()
-            for u in reversed(preorder):
-                p = parent[u]
-                if p >= 0:
-                    subtree_weight[p] += subtree_weight[u]
 
         pre_position = np.empty(len(records), dtype=np.int64)
         pre_position[preorder] = np.arange(len(records))
-        subtree_size = np.ones(len(records), dtype=np.int64)
-        for u in reversed(preorder):
-            p = parent[u]
-            if p >= 0:
-                subtree_size[p] += subtree_size[u]
 
         self.ids: tuple[str, ...] = tuple(ids)
         self.index: dict[str, int] = index
@@ -135,15 +124,15 @@ class Tree:
         self.leaf_indices: tuple[int, ...] = tuple(int(i) for i in np.flatnonzero(leaf))
         self.preorder = np.array(preorder, dtype=np.int64)
         self.pre_position = pre_position
-        self.subtree_size = subtree_size
+        self.subtree_size = self.subtree_sums(np.ones(len(records))).astype(np.int64)
         self.weights = weight_arr
-        self.subtree_weight = subtree_weight
+        self.subtree_weight = None if weight_arr is None else self.subtree_sums(weight_arr)
         for arr in (self.parent_index, self.time, self.is_leaf, self.preorder,
                     self.pre_position, self.subtree_size):
             arr.flags.writeable = False
         if weight_arr is not None:
             weight_arr.flags.writeable = False
-            subtree_weight.flags.writeable = False
+            self.subtree_weight.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
@@ -158,6 +147,16 @@ class Tree:
             return self.index[node_id]
         except KeyError:
             raise ValidationError(f"unknown node id {node_id!r}") from None
+
+    def subtree_sums(self, values) -> np.ndarray:
+        """Sum of values over each node's subtree (the node included),
+        accumulated child into parent in reverse preorder."""
+        out = np.array(values, dtype=float)
+        for u in self.preorder[::-1].tolist():
+            p = self.parent_index[u]
+            if p >= 0:
+                out[p] += out[u]
+        return out
 
     def descendant_indices(self, i: int) -> np.ndarray:
         """Indices of the subtree rooted at node i (i included), preorder."""
@@ -201,23 +200,41 @@ class StoppingTime:
     graph: frozenset[str]
 
 
-def stopping_time(tree: Tree, nodes: Iterable[str]) -> StoppingTime:
-    """Validated stopping time from its graph."""
-    graph = frozenset(nodes)
+def stop_index(tree: Tree, members) -> np.ndarray:
+    """For graph masks of shape (..., n_nodes), the index of the nearest
+    graph node at or above each node, and -1 strictly before the stop.
+    Vectorised over the nodes and the leading axes: each of ``depth`` steps
+    lets every node not yet stopped look one level further up.  Pasting,
+    stopping-time validation and the axiom suites all find the stop here."""
+    up = np.where(tree.parent_index >= 0, tree.parent_index, tree.root_index)
+    at = np.where(np.asarray(members, dtype=bool), np.arange(tree.n_nodes), -1)
+    for _ in range(tree.depth):
+        at = np.where(at >= 0, at, at[..., up])
+    return at
+
+
+def _graph_mask(tree: Tree, nodes: Iterable[str]) -> np.ndarray:
     members = np.zeros(tree.n_nodes, dtype=bool)
-    for node_id in graph:
+    for node_id in nodes:
         members[tree.node_index(node_id)] = True
-    hits = np.zeros(tree.n_nodes, dtype=np.int64)
-    for u in tree.preorder:
-        p = tree.parent_index[u]
-        hits[u] = (hits[p] if p >= 0 else 0) + (1 if members[u] else 0)
-    leaf_hits = hits[list(tree.leaf_indices)]
-    if np.any(leaf_hits != 1):
-        k = int(np.argmax(leaf_hits != 1))
-        bad = tree.ids[tree.leaf_indices[k]]
-        raise ValidationError(
-            f"not a stopping time: path to leaf {bad!r} meets the graph {int(leaf_hits[k])} times"
-        )
+    return members
+
+
+def stopping_time(tree: Tree, nodes: Iterable[str]) -> StoppingTime:
+    """Validated stopping time from its graph: every path to a leaf meets
+    the graph, and no graph node lies below another."""
+    graph = frozenset(nodes)
+    members = _graph_mask(tree, graph)
+    at = stop_index(tree, members)
+    for i in tree.leaf_indices:
+        if at[i] < 0:
+            raise ValidationError(
+                f"not a stopping time: path to leaf {tree.ids[i]!r} meets the graph 0 times")
+    for i in map(int, np.flatnonzero(members)):
+        p = tree.parent_index[i]
+        if p >= 0 and at[p] >= 0:
+            raise ValidationError(f"not a stopping time: graph nodes {tree.ids[at[p]]!r} and "
+                                  f"{tree.ids[i]!r} lie on one path")
     return StoppingTime(graph)
 
 
@@ -292,19 +309,8 @@ def replace_after(balance: CashBalance, stop: StoppingTime, replacement: Mapping
     missing = set(stop.graph) - set(replacement)
     if missing:
         raise ValidationError(f"replacement value missing for stop nodes: {sorted(missing)}")
-    members = np.zeros(tree.n_nodes, dtype=bool)
     repl = np.zeros(tree.n_nodes, dtype=float)
     for node_id, v in replacement.items():
-        i = tree.node_index(node_id)
-        members[i] = True
-        repl[i] = float(v)
-    out = np.empty(tree.n_nodes, dtype=float)
-    active = np.full(tree.n_nodes, -1, dtype=np.int64)
-    for u in tree.preorder:
-        p = tree.parent_index[u]
-        act = active[p] if p >= 0 else -1
-        if members[u]:
-            act = u
-        active[u] = act
-        out[u] = repl[act] if act >= 0 else balance.values[u]
-    return CashBalance(tree, out)
+        repl[tree.node_index(node_id)] = float(v)
+    at = stop_index(tree, _graph_mask(tree, stop.graph))
+    return CashBalance(tree, np.where(at >= 0, repl[at], balance.values))

@@ -81,6 +81,14 @@ class TestIO:
         balance = load_cash(files["cash"], doc.tree)
         assert balance.value_at("down") == -1.0
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, files, tmp_path, token):
+        doc = load_tree_document(files["tree"])
+        bad = tmp_path / "cash.json"
+        bad.write_text('{"root": 0.0, "up": %s, "down": 1.0}' % token)
+        with pytest.raises(ValidationError, match="finite"):
+            load_cash(bad, doc.tree)
+
     def test_family_descriptors(self, files, tmp_path):
         doc = load_tree_document(files["tree"])
         ent = load_family(files["fam"], doc.tree)
@@ -202,6 +210,23 @@ class TestVerbs:
         assert res["exponential_control_gap"] <= 1e-10
         assert res["translation_defect_crra"] > 1e-6
         assert res["translation_defect_exponential"] <= 1e-12
+
+    def test_nan_in_a_family_file_exits_2(self, files, tmp_path, capsys):
+        worst = tmp_path / "worst.json"
+        worst.write_text(json.dumps({"family": "worst", "alphas": {"root": [[math.nan, math.nan]]}}))
+        code, out, err = run_cli(["value", "--tree", files["tree"], "--cash", files["cash"],
+                                  "--family", str(worst)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_in_a_prices_file_exits_2(self, files, tmp_path, capsys):
+        p = tmp_path / "prices.json"
+        p.write_text(json.dumps({"one_step_prices": {"root": [math.nan, 0.7]}}))
+        code, out, err = run_cli(["spd", "--tree", files["tree"], "--prices", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_validation_error_exit_code(self, files, capsys):
         code, _, err = run_cli(["value", "--tree", files["tree"], "--cash", files["cash"],

@@ -9,7 +9,7 @@ from helpers import (
     trinomial_tree,
     worst_stopping_bruteforce,
 )
-from treeval.errors import DomainError, ValidationError
+from treeval.errors import DomainError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
     ExponentialUtility,
@@ -371,3 +371,26 @@ class TestParamValidation:
         t = three_node_tree()
         with pytest.raises(ValidationError, match="not a probability"):
             worst_case_params(t, {"root": [[0.5, 0.6]]})
+
+
+class TestNaNRejected:
+    # a NaN compares False with everything, so sum and sign tests alone
+    # let it through; every probability check must also require finite
+    # entries
+
+    def test_entropic_dual_nan_mass(self):
+        params = entropic_params(three_node_tree(), gamma=1.0)
+        with pytest.raises(TreevalError):
+            entropic_dual(params, "root", {"root": np.nan, "up": 0.5, "down": 0.5})
+
+    def test_entropic_params_nan_reference(self):
+        with pytest.raises(TreevalError):
+            entropic_params(three_node_tree(), gamma=1.0, reference=np.array([np.nan, 0.5, 0.5]))
+
+    def test_indifference_price_nan_probability(self):
+        with pytest.raises(TreevalError):
+            indifference_price(ExponentialUtility(1.0), 0.0, [np.nan, 0.5, 0.5], [0.0, 1.0, -1.0])
+
+    def test_worst_case_params_nan_alphas(self):
+        with pytest.raises(TreevalError):
+            worst_case_params(three_node_tree(), {"root": [[np.nan, np.nan]]})

@@ -94,10 +94,13 @@ class TestGains:
 
 class TestGainsAxioms:
     def test_exact_on_fixed_market(self):
+        # every internal start node: stopping times sampled below a later
+        # start node must still stop the paths that miss it
         t, mkt = depth2_market()
-        report = check_gains_axioms(mkt, "r", trials=100, seed=3)
-        assert report.all_passed, report.as_dict()
-        assert report.decomposition_residual <= 1e-12
+        for i in t.internal_indices():
+            report = check_gains_axioms(mkt, t.ids[i], trials=100, seed=3)
+            assert report.all_passed, (t.ids[i], report.as_dict())
+            assert report.decomposition_residual <= 1e-12
 
     def test_exact_on_random_markets(self):
         rng = np.random.default_rng(9)
@@ -105,8 +108,9 @@ class TestGainsAxioms:
             t = random_tree(np.random.default_rng(seed + 80), max_depth=3)
             prices = {f"a{k}": {n: float(rng.uniform(0.5, 2.0)) for n in t.ids} for k in range(2)}
             mkt = market(t, prices)
-            report = check_gains_axioms(mkt, t.root, trials=30, seed=seed)
-            assert report.all_passed, report.as_dict()
+            for i in t.internal_indices():
+                report = check_gains_axioms(mkt, t.ids[i], trials=30, seed=seed)
+                assert report.all_passed, (t.ids[i], report.as_dict())
 
 
 class TestMarketValue:

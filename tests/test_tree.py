@@ -13,6 +13,7 @@ from treeval.tree import (
     descendants,
     hitting_stop,
     replace_after,
+    stop_index,
     stopping_time,
     subtree_mass,
 )
@@ -176,6 +177,30 @@ class TestStoppingTimes:
             t = random_tree(rng, max_depth=4)
             for node_id in t.ids:
                 hitting_stop(t, node_id)  # stopping_time() validates internally
+
+    def test_stop_index_matches_walking_up(self):
+        # oracle: from each node, follow parents to the first graph node;
+        # any mask works, antichain or not, and the batch axis is free
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            t = random_tree(rng, max_depth=4)
+            masks = rng.uniform(size=(6, t.n_nodes)) < 0.3
+            at = stop_index(t, masks)
+            assert at.shape == masks.shape
+            for row, mask in zip(at, masks):
+                for u in range(t.n_nodes):
+                    v = u
+                    while v >= 0 and not mask[v]:
+                        v = t.parent_index[v]
+                    assert row[u] == v
+
+    def test_subtree_sums_match_descendants(self):
+        rng = np.random.default_rng(13)
+        t = random_tree(rng, max_depth=4)
+        values = rng.normal(size=t.n_nodes)
+        sums = t.subtree_sums(values)
+        for i in range(t.n_nodes):
+            assert sums[i] == pytest.approx(values[t.descendant_indices(i)].sum(), abs=1e-12)
 
     def test_invalid_graph_rejected(self):
         t = binary_tree(2)

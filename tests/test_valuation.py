@@ -3,7 +3,13 @@ import pytest
 
 from helpers import binary_tree, random_cash, random_tree, three_node_tree
 from treeval.errors import ValidationError
-from treeval.families import entropic_family, entropic_params, entropic_value
+from treeval.families import (
+    entropic_family,
+    entropic_params,
+    entropic_value,
+    worst_case_family,
+    worst_case_params,
+)
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
     OneStepValuation,
@@ -98,6 +104,14 @@ class TestSampleStoppingTime:
             t = random_tree(rng)
             sample_stopping_time(t, rng)  # validated on construction
 
+    def test_paths_missing_the_start_stop_at_their_leaf(self):
+        t = binary_tree(2)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            sigma = sample_stopping_time(t, rng, start="u")
+            assert {"du", "dd"} <= sigma.graph
+            assert sigma.graph - {"du", "dd"} <= {"u", "uu", "ud"}
+
 
 class TestCheckAxioms:
     def test_entropic_family_passes(self):
@@ -128,6 +142,29 @@ class TestCheckAxioms:
         assert not report.check("TI").passed
         assert report.check("C").witness is not None
         assert "cash" in report.check("C").witness
+
+    @pytest.mark.parametrize("kind", ["entropic", "worst"])
+    def test_sweeps_do_not_grow_with_trials(self, kind):
+        # the pasted (DC) and perturbed (L) balances of all trials go
+        # through one batched sweep each, not one sweep per trial
+        t = random_tree(np.random.default_rng(5))
+        if kind == "entropic":
+            fam = entropic_family(entropic_params(t, gamma=0.8))
+        else:
+            fam = worst_case_family(worst_case_params(t, {
+                t.ids[i]: [np.full(len(t.children_index[i]), 1.0 / len(t.children_index[i]))]
+                for i in t.internal_indices()}))
+        inner = fam.node_values
+        calls = []
+
+        def counted(values):
+            calls.append(trials)
+            return inner(values)
+
+        fam.node_values = counted
+        for trials in (5, 200):
+            assert check_axioms(fam, trials=trials, seed=8).all_passed
+        assert calls.count(5) == calls.count(200)
 
     def test_trials_validated(self):
         t = three_node_tree()
