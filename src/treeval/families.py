@@ -8,6 +8,7 @@ translation-invariance witness that singles out exponential utility).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .dual import _mass_vector, dual_density
 from .errors import DomainError, ValidationError
 from .tree import CashBalance, Tree
-from .valuation import OneStepValuation, ValuationFamily, is_probability
+from .valuation import Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step
 
 
 def _stack_outcomes(k_x, k_children) -> np.ndarray:
@@ -26,9 +27,29 @@ def _stack_outcomes(k_x, k_children) -> np.ndarray:
     return np.concatenate([k_x[..., None], k_children], axis=-1)
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+def _level_sized(a: np.ndarray) -> bool:
+    """Whether ``a`` holds a short last axis over many entries, as a level
+    block does.  numpy spends tens of ns on every outer entry of a
+    reduction over a short last axis, and on every matrix of a stacked
+    matmul of tiny matrices, so such arrays are reduced by one whole-array
+    call per position along the short axis instead."""
+    return a.shape[-1] <= 16 and a.size > 64 * a.shape[-1]
+
+
+def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis."""
+    if not _level_sized(a):
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for i in range(1, a.shape[-1]):
+        ufunc(out, a[..., i], out=out)
+    return out
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, with the maximum subtracted."""
+    m = _reduce_last(np.maximum, a)
+    return m + np.log(_reduce_last(np.add, np.exp(a - m[..., None])))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +146,7 @@ def _entropic_node_value(params: EntropicParams, xi: int, values: np.ndarray) ->
     sub = tree.descendant_indices(xi)
     log_ref = np.log(params.reference[sub] / params.subtree_reference[xi])
     a = log_ref - params.gamma * np.asarray(values, dtype=float)[..., sub]
-    return -_logsumexp(a, axis=-1) / params.gamma
+    return -_logsumexp(a) / params.gamma
 
 
 def entropic_value(params: EntropicParams, x: str, balance: CashBalance) -> float:
@@ -146,39 +167,42 @@ def entropic_dual(params: EntropicParams, x: str, lam) -> float:
     return float(np.sum(vec[pos] * np.log(vec[pos] / ref[pos])) / params.gamma)
 
 
-def entropic_one_step(params: EntropicParams, x: str) -> OneStepValuation:
-    """One-step exponential certainty equivalent splitting the subtree mass
-    as (own weight, child subtree weights); assembling these reproduces the
-    closed-form node values."""
-    tree = params.tree
-    xi = tree.node_index(x)
-    kids = tree.children_index[xi]
-    if not kids:
-        raise ValidationError(f"{x!r} is a leaf; one-step operators live on internal nodes")
-    gamma = params.gamma
-    w = np.concatenate([[params.reference[xi]], params.subtree_reference[list(kids)]])
-    w = w / params.subtree_reference[xi]
-    log_w = np.log(w)
+def _entropic_kernel(gamma: float) -> Kernel:
+    """One-step exponential certainty equivalent; data: the log-weights of
+    (own weight, child subtree weights) over the subtree weight."""
 
-    def evaluate(k_x, k_children):
-        a = log_w - gamma * _stack_outcomes(k_x, k_children)
-        return -_logsumexp(a, axis=-1) / gamma
+    def evaluate(data, k_x, k_children):
+        return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
 
-    def one_step_dual(theta, psi):
+    def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
         if not is_probability(q):
             raise DomainError("one-step dual argument must be a probability over (node, children)")
         pos = q > 0
-        return float(np.sum(q[pos] * np.log(q[pos] / w[pos])) / gamma)
+        return float(np.sum(q[pos] * (np.log(q[pos]) - data[0][pos])) / gamma)
 
-    return OneStepValuation(evaluate, descriptor=f"entropic(gamma={gamma})", dual=one_step_dual)
+    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual)
+
+
+def _entropic_data(params: EntropicParams):
+    ref, bar = params.reference, params.subtree_reference
+
+    def data(nodes, kids):
+        return (np.log(np.concatenate([ref[nodes, None], bar[kids]], axis=1) / bar[nodes, None]),)
+
+    return data
+
+
+def entropic_one_step(params: EntropicParams, x: str) -> OneStepValuation:
+    """One-step exponential certainty equivalent splitting the subtree mass
+    as (own weight, child subtree weights); assembling these reproduces the
+    closed-form node values."""
+    return kernel_step(params.tree, _entropic_kernel(params.gamma), _entropic_data(params), x)
 
 
 def entropic_family(params: EntropicParams) -> ValuationFamily:
-    one_steps = {params.tree.ids[i]: entropic_one_step(params, params.tree.ids[i])
-                 for i in params.tree.internal_indices()}
-    return ValuationFamily(
-        params.tree, one_steps,
+    return kernel_family(
+        params.tree, _entropic_kernel(params.gamma), _entropic_data(params),
         descriptor=f"entropic(gamma={params.gamma})",
         dual_closed=lambda x, lam: entropic_dual(params, x, lam),
     )
@@ -220,28 +244,44 @@ def worst_case_params(tree: Tree, alphas: Mapping[str, Sequence[Sequence[float]]
     return WorstCaseParams(tree=tree, alphas=cleaned, stopping=stopping)
 
 
+def _worst_case_kernel(stopping: bool) -> Kernel:
+    """Minimum over the stop value (when stopping is enabled) and every
+    child expectation; data: the stacked child distributions (a, m) of each
+    node."""
+
+    def evaluate(data, k_x, k_children):
+        mats, k_children = data[0], np.asarray(k_children, dtype=float)
+        if _level_sized(k_children):
+            worst = reduce(np.minimum, [_reduce_last(np.add, k_children * mats[..., a, :])
+                                        for a in range(mats.shape[-2])])
+        else:
+            worst = np.matmul(mats, k_children[..., None])[..., 0].min(axis=-1)
+        return np.minimum(np.asarray(k_x, dtype=float), worst) if stopping else worst
+
+    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False)
+
+
+def _worst_case_data(params: WorstCaseParams):
+    ids, alphas = params.tree.ids, params.alphas
+
+    def data(nodes, kids):
+        sets = [alphas[ids[u]] for u in nodes.tolist()]
+        most = max(map(len, sets))
+        # repeating a node's first distribution leaves its minimum unchanged
+        return (np.array([s + s[:1] * (most - len(s)) for s in sets]),)
+
+    return data
+
+
 def worst_case_one_step(params: WorstCaseParams, x: str) -> OneStepValuation:
     """Minimum over the stop value (when stopping is enabled) and every
-    child expectation; ties resolve to the first candidate in input order."""
-    mats = np.stack(params.alphas[x])
-    stopping = params.stopping
-
-    def evaluate(k_x, k_children):
-        cand = np.asarray(k_children, dtype=float) @ mats.T
-        worst = cand.min(axis=-1)
-        if stopping:
-            worst = np.minimum(np.asarray(k_x, dtype=float), worst)
-        return worst
-
-    tag = "worst_stopping" if stopping else "worst_case"
-    return OneStepValuation(evaluate, descriptor=f"{tag}(m={len(params.alphas[x])})", smooth=False)
+    child expectation at x."""
+    return kernel_step(params.tree, _worst_case_kernel(params.stopping), _worst_case_data(params), x)
 
 
 def worst_case_family(params: WorstCaseParams) -> ValuationFamily:
-    one_steps = {params.tree.ids[i]: worst_case_one_step(params, params.tree.ids[i])
-                 for i in params.tree.internal_indices()}
-    tag = "worst_stopping" if params.stopping else "worst_case"
-    return ValuationFamily(params.tree, one_steps, descriptor=tag)
+    kernel = _worst_case_kernel(params.stopping)
+    return kernel_family(params.tree, kernel, _worst_case_data(params), descriptor=kernel.descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +306,16 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     k = np.asarray(outcomes, dtype=float)
     if k.shape[-1] != p.shape[0]:
         raise ValidationError("outcomes and probabilities differ in length")
-    lo = np.array(k.min(axis=-1), dtype=float)
-    hi = np.array(k.max(axis=-1), dtype=float)
+    return _bisect_price(utility, x0, p, k)
+
+
+def _bisect_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Bisection core of ``indifference_price`` for validated probabilities
+    ``p`` that broadcast against the outcomes ``k`` along the trailing axes.
+    Each entry stops halving once its own bracket is within 1e-12, so its
+    price does not depend on the other entries of the batch."""
+    lo = np.array(_reduce_last(np.minimum, k), dtype=float)
+    hi = np.array(_reduce_last(np.maximum, k), dtype=float)
     target = float(utility.value(x0))
     crra = isinstance(utility, CRRAUtility)
     if crra:
@@ -286,20 +334,21 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
                     f"no indifference price with positive wealth at x0={x0}: {bad.tolist()}")
 
     for _ in range(220):
-        if np.all(hi - lo <= 1e-12):
+        wide = hi - lo > 1e-12
+        if not wide.any():
             break
         mid = 0.5 * (lo + hi)
         wealth = x0 + k - mid[..., None]
         if crra:
-            valid = np.all(wealth > 0, axis=-1)
+            valid = _reduce_last(np.minimum, wealth) > 0
             g = np.where(valid,
-                         np.sum(p * utility.value(np.where(wealth > 0, wealth, 1.0)), axis=-1),
+                         _reduce_last(np.add, p * utility.value(np.where(wealth > 0, wealth, 1.0))),
                          -np.inf)
         else:
-            g = np.sum(p * utility.value(wealth), axis=-1)
+            g = _reduce_last(np.add, p * utility.value(wealth))
         go_up = g >= target
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
+        lo = np.where(wide & go_up, mid, lo)
+        hi = np.where(wide & ~go_up, mid, hi)
     return 0.5 * (lo + hi)
 
 
@@ -343,43 +392,45 @@ def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float
     return UIParams(tree=tree, utility=utility, x0=float(x0), probs=table)
 
 
-def ui_one_step(params: UIParams, x: str) -> OneStepValuation:
-    """Indifference price of the (node, children) outcome vector.  Exactly
-    translation invariant and monotone by construction; concave for concave
-    utilities."""
-    p = params.probs[x]
-    utility = params.utility
-    x0 = params.x0
+def _ui_kernel(utility, x0: float) -> Kernel:
+    """Indifference price of the (node, children) outcome vector; data: the
+    validated outcome probabilities of each node."""
 
-    def evaluate(k_x, k_children):
-        return indifference_price(utility, x0, p, _stack_outcomes(k_x, k_children))
+    def evaluate(data, k_x, k_children):
+        return _bisect_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
 
     dual = None
     if isinstance(utility, CRRAUtility):
-        R = utility.R
-
-        def dual(theta, psi, _p=p, _R=R, _x0=x0):
+        def dual(data, theta, psi):
             q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-            return crra_one_period_dual(_R, _x0, _p, q)
+            return crra_one_period_dual(utility.R, x0, data[0], q)
 
     elif isinstance(utility, ExponentialUtility):
-        g = utility.gamma
-
-        def dual(theta, psi, _p=p, _g=g):
+        def dual(data, theta, psi):
             q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
             if not is_probability(q):
                 raise DomainError("one-step dual argument must be a probability")
             pos = q > 0
-            return float(np.sum(q[pos] * np.log(q[pos] / _p[pos])) / _g)
+            return float(np.sum(q[pos] * np.log(q[pos] / data[0][pos])) / utility.gamma)
 
-    return OneStepValuation(evaluate, descriptor=f"ui({type(utility).__name__}, x0={x0})", dual=dual)
+    return Kernel(evaluate, f"ui({type(utility).__name__}, x0={x0})", dual=dual)
+
+
+def _ui_data(params: UIParams):
+    ids, probs = params.tree.ids, params.probs
+    return lambda nodes, kids: (np.array([probs[ids[u]] for u in nodes.tolist()]),)
+
+
+def ui_one_step(params: UIParams, x: str) -> OneStepValuation:
+    """Indifference price of the (node, children) outcome vector.  Exactly
+    translation invariant and monotone by construction; concave for concave
+    utilities."""
+    return kernel_step(params.tree, _ui_kernel(params.utility, params.x0), _ui_data(params), x)
 
 
 def ui_family(params: UIParams) -> ValuationFamily:
-    one_steps = {params.tree.ids[i]: ui_one_step(params, params.tree.ids[i])
-                 for i in params.tree.internal_indices()}
-    return ValuationFamily(params.tree, one_steps,
-                           descriptor=f"ui({type(params.utility).__name__})")
+    return kernel_family(params.tree, _ui_kernel(params.utility, params.x0), _ui_data(params),
+                         descriptor=f"ui({type(params.utility).__name__})")
 
 
 def crra_one_period_dual(R: float, x0: float, probs, lam) -> float:

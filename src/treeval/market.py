@@ -150,15 +150,17 @@ def check_gains_axioms(mkt: Market, x: str, trials: int, seed: int, *,
     combination, masks to the gains set of each later start node, and splits
     into a stopped part plus an independent restart.  All three are linear
     identities of the realization and must hold to roundoff."""
-    from .valuation import sample_stopping_time
+    from .valuation import sample_stop_masks
 
     tree = mkt.tree
     xi = tree.node_index(x)
     mat, decisions = _gains_matrix(mkt, xi)
     rng = np.random.default_rng(seed)
     d = mat.shape[1]
+    loc_graphs = sample_stop_masks(tree, rng, trials, start=x)
+    dec_at = stop_index(tree, sample_stop_masks(tree, rng, trials, start=x))
     conv = loc = dec = 0.0
-    for _ in range(trials):
+    for t in range(trials):
         theta_a = rng.normal(size=d)
         theta_b = rng.normal(size=d)
         w = float(rng.uniform())
@@ -169,23 +171,21 @@ def check_gains_axioms(mkt: Market, x: str, trials: int, seed: int, *,
         # subtree of one of its graph nodes, is exactly that node's own
         # gains process (the pieces on the other branches vanish there)
         g_full = mat @ theta_a
-        sigma_loc = sample_stopping_time(tree, rng, start=tree.ids[xi])
+        graph = np.flatnonzero(loc_graphs[t])
         pooled = np.zeros(tree.n_nodes)
         piece_of = {}
-        for node_id in sigma_loc.graph:
-            zi = tree.node_index(node_id)
-            mat_z, decisions_z = _gains_matrix(mkt, zi)
+        for zi in graph.tolist():
+            mat_z = _gains_matrix(mkt, zi)[0]
             theta_z = rng.normal(size=mat_z.shape[1])
             piece_of[zi] = mat_z @ theta_z
             pooled += piece_of[zi]
-        z = tree.node_index(sorted(sigma_loc.graph)[int(rng.integers(len(sigma_loc.graph)))])
+        z = int(graph[rng.integers(graph.size)])
         masked = np.zeros(tree.n_nodes)
         masked[tree.descendant_indices(z)] = pooled[tree.descendant_indices(z)]
         loc = max(loc, float(np.max(np.abs(masked - piece_of[z]))))
 
         # stop at sigma, then restart below it with the same positions
-        sigma = sample_stopping_time(tree, rng, start=tree.ids[xi])
-        at = stop_index(tree, [node_id in sigma.graph for node_id in tree.ids])
+        at = dec_at[t]
         stopped = np.where(at >= 0, g_full[at], g_full)
         restart = np.where(at >= 0, g_full - g_full[at], 0.0)
         dec = max(dec, float(np.max(np.abs(stopped + restart - g_full))))
@@ -318,6 +318,8 @@ def extract_state_price_density(tree: Tree, one_step_prices: Mapping[str, Sequen
         w = np.asarray(one_step_prices[node_id], dtype=float)
         if w.shape != (len(kids),):
             raise ValidationError(f"one-step prices at {node_id!r} must give one weight per child")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError(f"one-step prices at {node_id!r} must be finite")
         if not np.all(w > 0):
             raise ValidationError(
                 f"nonpositive pricing weight at {node_id!r} violates no-arbitrage "
@@ -333,8 +335,8 @@ def synthesize_one_step_prices(tree: Tree, zeta: Mapping[str, float]) -> dict[st
     ``extract_state_price_density`` is the identity."""
     q = _conditional_reference(tree)
     z = np.array([float(zeta[node_id]) for node_id in tree.ids])
-    if not np.all(z > 0):
-        raise ValidationError("state-price density must be strictly positive")
+    if not np.all((z > 0) & np.isfinite(z)):
+        raise ValidationError("state-price density must be finite and strictly positive")
     out: dict[str, list[float]] = {}
     for u in range(tree.n_nodes):
         kids = tree.children_index[u]

@@ -9,6 +9,7 @@ iteration over a tree is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -165,6 +166,27 @@ class Tree:
 
     def internal_indices(self) -> Iterable[int]:
         return (i for i in range(self.n_nodes) if not self.is_leaf[i])
+
+    @cached_property
+    def level_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Internal nodes grouped by level and child count, deepest level
+        first, as pairs ``(nodes, kids)``: ``kids[j]`` lists the children of
+        ``nodes[j]`` in input order.  Built without a per-node loop; the
+        level sweeps of ``valuation`` run one block per group."""
+        # a stable sort by parent lists each node's children contiguously
+        # and in input order, after the root (parent -1)
+        by_parent = np.argsort(self.parent_index, kind="stable")
+        count = np.bincount(self.parent_index[self.parent_index >= 0], minlength=self.n_nodes)
+        first = 1 + np.cumsum(count) - count
+        internal = np.flatnonzero(count)
+        order = internal[np.lexsort((count[internal], -self.time[internal]))]
+        key = self.time[order] * self.n_nodes + count[order]
+        groups = []
+        for nodes in np.split(order, np.flatnonzero(np.diff(key)) + 1):
+            kids = by_parent[first[nodes, None] + np.arange(count[nodes[0]])]
+            nodes.flags.writeable = kids.flags.writeable = False
+            groups.append((nodes, kids))
+        return tuple(groups)
 
     def __repr__(self) -> str:
         return f"Tree(n_nodes={self.n_nodes}, depth={self.depth}, root={self.root!r})"

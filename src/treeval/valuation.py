@@ -5,14 +5,19 @@ commitment), stopping-time valuations, and the executable axiom suite.
 The assembled operator at a node reads the cash balance only on that node's
 subtree; at a leaf it is the identity on the leaf's cash.  One-step operators
 receive child values in the tree's deterministic child order, and their
-``evaluate`` must broadcast over a leading batch axis (scalars in, scalar
-out; ``(B,)`` and ``(B, m)`` in, ``(B,)`` out) -- every closed form shipped
+``evaluate`` must broadcast over leading batch axes (scalars in, scalar out;
+``(..., )`` and ``(..., m)`` in, ``(..., )`` out) -- every closed form shipped
 here does, and the batched sweep is what makes the fuzzing suites cheap.
+
+A family stores its operators as level blocks: one kernel, evaluated on the
+stacked parameters of all nodes of one tree level with one child count, so
+a sweep is one numpy call per block rather than one Python call per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -22,6 +27,11 @@ from .optim import AscentResult, maximize, maximize_nelder_mead
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
 DEFAULT_AXIOM_TOLERANCE = 1e-9
+
+# Largest temporary of a block evaluation, in floats: a block is cut along
+# its node axis so that rows x nodes x (children + 1), the size of the
+# stacked outcomes the shipped kernels work on, stays under this.
+CHUNK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,58 @@ class OneStepValuation:
     descriptor: str = ""
     dual: Callable[[float, np.ndarray], float] | None = None
     smooth: bool = True
+
+
+@dataclass(frozen=True, slots=True)
+class Kernel:
+    """A one-step operator written once for many nodes.
+
+    ``evaluate(data, k_x, k_children)`` takes per-node parameters ``data``
+    (a tuple of arrays, node axis first) and broadcasts them against the
+    trailing axes of ``k_x`` (..., b) and ``k_children`` (..., b, m), giving
+    (..., b).  Shipped kernels also accept one node's parameters (node axis
+    dropped) with ``k_x`` (...) and ``k_children`` (..., m), which makes the
+    per-node view a partial application; a kernel that cannot gives
+    ``view(data) -> OneStepValuation`` instead.  ``dual(data, theta, psi)``
+    is the closed-form one-step dual at one node, if any.
+    """
+
+    evaluate: Callable
+    descriptor: str = ""
+    smooth: bool = True
+    dual: Callable | None = None
+    view: Callable[[tuple], OneStepValuation] | None = None
+
+    def one_step(self, data) -> OneStepValuation:
+        """The operator at one node, from that node's parameters."""
+        if self.view is not None:
+            return self.view(data)
+        dual = None if self.dual is None else partial(self.dual, data)
+        return OneStepValuation(partial(self.evaluate, data), self.descriptor, dual, self.smooth)
+
+
+def _take(data, index):
+    """Index the node axis of (nested tuples of) per-node parameters."""
+    return tuple(_take(d, index) for d in data) if isinstance(data, tuple) else data[index]
+
+
+@dataclass(frozen=True, slots=True)
+class Block:
+    """The nodes of one tree level that share a kernel and a child count:
+    ``kids[j]`` are the children of ``nodes[j]`` and ``_take(data, j)`` its
+    parameters."""
+
+    kernel: Kernel
+    data: tuple
+    nodes: np.ndarray
+    kids: np.ndarray
+
+    def parts(self, step: int):
+        """(data, nodes, kids) of consecutive runs of at most ``step`` nodes."""
+        if step >= self.nodes.size:
+            return ((self.data, self.nodes, self.kids),)
+        return [(_take(self.data, slice(s, s + step)), self.nodes[s:s + step], self.kids[s:s + step])
+                for s in range(0, self.nodes.size, step)]
 
 
 def is_probability(q, *, positive: bool = False) -> bool:
@@ -61,36 +123,45 @@ def linear_one_step(child_weights) -> OneStepValuation:
 
 
 class ValuationFamily:
-    """Per-node valuation operators assembled by backward induction."""
+    """Per-node valuation operators assembled by backward induction, stored
+    as level blocks ordered from the deepest internal level up.
 
-    def __init__(self, tree: Tree, one_steps: Mapping[str, OneStepValuation], *,
-                 descriptor: str = "", dual_closed=None):
-        steps: list[OneStepValuation | None] = [None] * tree.n_nodes
-        for node_id, op in one_steps.items():
-            i = tree.node_index(node_id)
-            if tree.is_leaf[i]:
-                raise ValidationError(f"one-step operator given for leaf {node_id!r}")
-            steps[i] = op
-        for i in tree.internal_indices():
-            if steps[i] is None:
-                raise ValidationError(f"missing one-step operator for node {tree.ids[i]!r}")
+    ``build()`` returns the blocks; it runs on the first sweep, so a family
+    that is never swept holds only its parameters."""
+
+    def __init__(self, tree: Tree, build: Callable[[], list[Block]], *, descriptor: str = "",
+                 dual_closed=None):
         self.tree = tree
-        self.one_steps = tuple(steps)
+        self._build = build
         self.descriptor = descriptor
         # Optional closed-form dual: callable (node_id, density mapping) -> float.
         self.dual_closed = dual_closed
 
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(self._build())
+
+    @cached_property
+    def one_steps(self) -> tuple[OneStepValuation | None, ...]:
+        """The one-step operator of every node (None at leaves), built from
+        the blocks on first read; a family that is only swept never
+        builds them."""
+        steps: list[OneStepValuation | None] = [None] * self.tree.n_nodes
+        for block in self.blocks:
+            for j, u in enumerate(block.nodes.tolist()):
+                steps[u] = block.kernel.one_step(_take(block.data, j))
+        return tuple(steps)
+
     def node_values(self, values: np.ndarray) -> np.ndarray:
-        """Valuation of every node for cash values of shape (..., n_nodes)."""
-        values = np.asarray(values, dtype=float)
-        tree = self.tree
-        out = np.empty_like(values)
-        for u in tree.preorder[::-1]:
-            kids = tree.children_index[u]
-            if not kids:
-                out[..., u] = values[..., u]
-            else:
-                out[..., u] = self.one_steps[u].evaluate(values[..., u], out[..., kids])
+        """Valuation of every node for cash values of shape (..., n_nodes):
+        the balance copied (the leaves' values), then one kernel call per
+        block and chunk of at most about ``CHUNK_FLOATS`` temporaries."""
+        out = np.array(values, dtype=float)
+        rows = max(1, out.size // self.tree.n_nodes)
+        for block in self.blocks:
+            step = max(1, CHUNK_FLOATS // (rows * (block.kids.shape[1] + 1)))
+            for data, nodes, kids in block.parts(step):
+                out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
         return out
 
     def value(self, x: str, balance: CashBalance) -> float:
@@ -102,10 +173,46 @@ class ValuationFamily:
         return f"ValuationFamily({self.descriptor or 'custom'}, n_nodes={self.tree.n_nodes})"
 
 
+def kernel_family(tree: Tree, kernel: Kernel, data: Callable, **kwargs) -> ValuationFamily:
+    """Family with one kernel at every internal node: ``data(nodes, kids)``
+    gives the stacked parameters of the nodes of one level group."""
+    return ValuationFamily(tree, lambda: [Block(kernel, data(nodes, kids), nodes, kids)
+                                          for nodes, kids in tree.level_groups], **kwargs)
+
+
+def kernel_step(tree: Tree, kernel: Kernel, data: Callable, x: str) -> OneStepValuation:
+    """The one-step operator of ``kernel_family(tree, kernel, data)`` at x."""
+    xi = tree.node_index(x)
+    if tree.is_leaf[xi]:
+        raise ValidationError(f"{x!r} is a leaf; one-step operators live on internal nodes")
+    return kernel.one_step(_take(data(np.array([xi]), np.array([tree.children_index[xi]])), 0))
+
+
+def _step_kernel(step: OneStepValuation) -> Kernel:
+    """A custom one-step operator as the kernel of a one-node block."""
+
+    def evaluate(data, k_x, k_children):
+        return np.asarray(step.evaluate(k_x[..., 0], k_children[..., 0, :]), dtype=float)[..., None]
+
+    return Kernel(evaluate, step.descriptor, step.smooth, view=lambda data: step)
+
+
 def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) -> ValuationFamily:
     """Build the family of per-node operators from one-step operators
-    (total on internal nodes)."""
-    return ValuationFamily(tree, one_steps, **kwargs)
+    (total on internal nodes); each is a block of one node."""
+    steps: dict[int, OneStepValuation] = {}
+    for node_id, op in one_steps.items():
+        i = tree.node_index(node_id)
+        if tree.is_leaf[i]:
+            raise ValidationError(f"one-step operator given for leaf {node_id!r}")
+        steps[i] = op
+    for i in tree.internal_indices():
+        if i not in steps:
+            raise ValidationError(f"missing one-step operator for node {tree.ids[i]!r}")
+    order = sorted(steps, key=lambda u: (-tree.time[u], u))
+    blocks = [Block(_step_kernel(steps[u]), (), np.array([u]), np.array([tree.children_index[u]]))
+              for u in order]
+    return ValuationFamily(tree, lambda: blocks, **kwargs)
 
 
 def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: str):
@@ -146,6 +253,26 @@ def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: s
     return assemble(tree, {tree.ids[u]: one_step(u) for u in problems}, descriptor=descriptor), solve
 
 
+def _committed(inner: Kernel) -> Kernel:
+    """``inner`` re-based: data (inner data, C at the nodes, pi(C) at the
+    children, pi(C) at the nodes)."""
+
+    def evaluate(data, k_x, k_children):
+        inner_data, cash, base_kids, base = data
+        return inner.evaluate(inner_data, k_x + cash, k_children + base_kids) - base
+
+    def view(data):
+        step, (_, cash, base_kids, base) = inner.one_step(data[0]), data
+
+        def evaluate_one(k_x, k_children):
+            return step.evaluate(np.asarray(k_x) + cash, np.asarray(k_children) + base_kids) - base
+
+        return OneStepValuation(evaluate_one, descriptor=f"committed({step.descriptor})",
+                                smooth=step.smooth)
+
+    return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth, view=view)
+
+
 def committed_family(family: ValuationFamily, commitment: CashBalance) -> ValuationFamily:
     """Valuations re-based at a prior commitment C: the value of (balance +
     C) minus the value of C, from the one-step operators
@@ -154,19 +281,10 @@ def committed_family(family: ValuationFamily, commitment: CashBalance) -> Valuat
     normalizes a family to vanish at zero."""
     if commitment.tree is not family.tree:
         raise ValidationError("commitment built on a different tree")
-    tree = family.tree
     cash, base = commitment.values, family.node_values(commitment.values)
-
-    def rebased(u: int) -> OneStepValuation:
-        step, kids = family.one_steps[u], list(tree.children_index[u])
-
-        def evaluate(k_x, k_children):
-            return step.evaluate(np.asarray(k_x) + cash[u], np.asarray(k_children) + base[kids]) - base[u]
-
-        return OneStepValuation(evaluate, descriptor=f"committed({step.descriptor})", smooth=step.smooth)
-
-    return assemble(tree, {tree.ids[u]: rebased(u) for u in tree.internal_indices()},
-                    descriptor=f"committed({family.descriptor or 'custom'})")
+    return ValuationFamily(family.tree, lambda: [
+        Block(_committed(b.kernel), (b.data, cash[b.nodes], base[b.kids], base[b.nodes]), b.nodes, b.kids)
+        for b in family.blocks], descriptor=f"committed({family.descriptor or 'custom'})")
 
 
 def value_at(family, stop: StoppingTime, balance: CashBalance) -> dict[str, float]:
@@ -178,22 +296,34 @@ def value_at(family, stop: StoppingTime, balance: CashBalance) -> dict[str, floa
     return {node_id: float(vals[tree.node_index(node_id)]) for node_id in sorted(stop.graph)}
 
 
+def sample_stop_masks(tree: Tree, rng: np.random.Generator, trials: int, *,
+                      start: str | None = None, stop_probability: float = 0.35) -> np.ndarray:
+    """Graph masks (trials, n_nodes) of random stopping times of the subtree
+    at start, drawn in one batch: every internal node of the subtree is
+    flagged with the given probability, every leaf always, and each path
+    stops at its first flagged node.  Paths that miss start stop at their
+    leaf."""
+    flagged = (rng.uniform(size=(trials, tree.n_nodes)) < stop_probability) | tree.is_leaf
+    if start is not None:
+        inside = np.zeros(tree.n_nodes, dtype=bool)
+        inside[tree.descendant_indices(tree.node_index(start))] = True
+        flagged &= inside | tree.is_leaf
+    at = stop_index(tree, flagged)
+    parent = tree.parent_index
+    return flagged & ((parent < 0) | (at[:, parent] < 0))
+
+
+def _graph_ids(tree: Tree, mask: np.ndarray) -> list[str]:
+    return sorted(tree.ids[i] for i in np.flatnonzero(mask))
+
+
 def sample_stopping_time(tree: Tree, rng: np.random.Generator, *, start: str | None = None,
                          stop_probability: float = 0.35) -> StoppingTime:
-    """Random stopping time of the subtree at start: each internal node stops
-    with the given probability, leaves always stop.  Paths that miss start
-    stop at their leaf."""
-    start_idx = tree.node_index(start) if start is not None else tree.root_index
-    under = set(tree.descendant_indices(start_idx).tolist())
-    graph = [tree.ids[i] for i in tree.leaf_indices if i not in under]
-    stack = [start_idx]
-    while stack:
-        u = stack.pop()
-        if tree.is_leaf[u] or rng.uniform() < stop_probability:
-            graph.append(tree.ids[u])
-        else:
-            stack.extend(reversed(tree.children_index[u]))
-    return stopping_time(tree, graph)
+    """One draw of ``sample_stop_masks``: each internal node of the subtree
+    at start stops with the given probability, leaves always stop.  Paths
+    that miss start stop at their leaf."""
+    mask = sample_stop_masks(tree, rng, 1, start=start, stop_probability=stop_probability)[0]
+    return stopping_time(tree, _graph_ids(tree, mask))
 
 
 @dataclass
@@ -276,7 +406,7 @@ def check_axioms(family, trials: int, seed: int, *,
     cash_b = rng.uniform(low, high, (trials, n))
     drop = rng.uniform(0.0, 2.0, (trials, n))
     shift = rng.uniform(-3.0, 3.0, (trials, 1))
-    sigmas = [sample_stopping_time(tree, rng) for _ in range(trials)]
+    members = sample_stop_masks(tree, rng, trials)
     local_nodes = rng.integers(0, n, trials)
     local_noise = rng.uniform(-1.0, 1.0, (trials, n))
 
@@ -323,9 +453,6 @@ def check_axioms(family, trials: int, seed: int, *,
 
     # pasting: exchanging the continuation after sigma for its valuation is
     # invisible at every node with no strict ancestor in sigma
-    members = np.zeros((trials, n), dtype=bool)
-    for t, sigma in enumerate(sigmas):
-        members[t, [tree.node_index(z) for z in sigma.graph]] = True
     at = stop_index(tree, members)
     pasted = np.where(at >= 0, np.take_along_axis(pi_a, np.maximum(at, 0), axis=1), cash_a)
     parent = tree.parent_index
@@ -333,7 +460,7 @@ def check_axioms(family, trials: int, seed: int, *,
     dc_res = np.where(before, np.abs(family.node_values(pasted) - pi_a), 0.0)
     add("DC", dc_res, lambda w: {
         "node": tree.ids[w[1]],
-        "sigma": sorted(sigmas[w[0]].graph),
+        "sigma": _graph_ids(tree, members[w[0]]),
         "cash": _cash_witness(tree, cash_a[w[0]]),
     })
 
@@ -349,7 +476,8 @@ def check_axioms(family, trials: int, seed: int, *,
 
     # consistent localisation is the construction identity: valuations along
     # a stopping time dispatch to the node operators
-    dispatch = value_at(family, sigmas[0], CashBalance(tree, cash_a[0]))
+    sigma = StoppingTime(frozenset(_graph_ids(tree, members[0])))
+    dispatch = value_at(family, sigma, CashBalance(tree, cash_a[0]))
     cl_worst = max(abs(dispatch[z] - pi_a[0, tree.node_index(z)]) for z in dispatch)
     checks.append(AxiomCheck("CL", cl_worst <= tolerance, cl_worst, None))
 

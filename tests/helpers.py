@@ -93,6 +93,21 @@ def random_cash(rng: np.random.Generator, tree: Tree, low=-5.0, high=5.0) -> Cas
     return CashBalance(tree, rng.uniform(low, high, tree.n_nodes))
 
 
+def per_node_values(family, values) -> np.ndarray:
+    """Reference sweep: one ``family.one_steps[u].evaluate`` call per
+    internal node, in reverse preorder, for cash values (..., n_nodes)."""
+    values = np.asarray(values, dtype=float)
+    tree = family.tree
+    out = np.empty_like(values)
+    for u in tree.preorder[::-1].tolist():
+        kids = list(tree.children_index[u])
+        if not kids:
+            out[..., u] = values[..., u]
+        else:
+            out[..., u] = family.one_steps[u].evaluate(values[..., u], out[..., kids])
+    return out
+
+
 def enumerate_stopping_graphs(tree: Tree, start: str | None = None):
     """All stopping-time graphs of the subtree at start (default: root),
     as frozensets of node ids.  Independent of the package's stopping-time

@@ -274,6 +274,16 @@ class TestStatePriceDensity:
         with pytest.raises(ValidationError, match="no-arbitrage"):
             extract_state_price_density(t, {"root": [0.5, 0.0]})
 
+    def test_infinite_pricing_weight_rejected(self):
+        t = three_node_tree()
+        with pytest.raises(ValidationError, match="finite"):
+            extract_state_price_density(t, {"root": [np.inf, 0.5]})
+
+    def test_infinite_density_rejected(self):
+        t = three_node_tree()
+        with pytest.raises(ValidationError, match="finite"):
+            synthesize_one_step_prices(t, {"root": 1.0, "up": np.inf, "down": 1.0})
+
     def test_missing_node_rejected(self):
         t, _ = depth2_market()
         with pytest.raises(ValidationError, match="missing one-step"):

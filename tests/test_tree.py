@@ -109,6 +109,26 @@ class TestDescendants:
         with pytest.raises(ValidationError, match="unknown node"):
             descendants(t, "zzz")
 
+    def test_level_groups_cover_internal_nodes_deepest_first(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            base = random_tree(rng)
+            # records in shuffled order: children may precede their parents
+            records = [NodeRecord(i, None if base.parent_index[base.node_index(i)] < 0
+                                  else base.ids[base.parent_index[base.node_index(i)]])
+                       for i in rng.permutation(base.ids)]
+            t = build_tree(records)
+            seen, last_time = [], t.depth
+            for nodes, kids in t.level_groups:
+                times = {int(t.time[u]) for u in nodes}
+                assert len(times) == 1 and times.pop() <= last_time
+                last_time = int(t.time[nodes[0]])
+                assert kids.shape == (nodes.size, len(t.children_index[nodes[0]]))
+                for u, row in zip(nodes.tolist(), kids.tolist()):
+                    assert tuple(row) == t.children_index[u]
+                seen.extend(nodes.tolist())
+            assert sorted(seen) == [i for i in range(t.n_nodes) if not t.is_leaf[i]]
+
     def test_partition_into_child_subtrees(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

@@ -1,21 +1,37 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import binary_tree, random_cash, random_tree, three_node_tree
+from helpers import (
+    binary_tree,
+    per_node_values,
+    random_cash,
+    random_tree,
+    three_node_tree,
+    trinomial_tree,
+)
 from treeval.errors import ValidationError
 from treeval.families import (
+    CRRAUtility,
+    ExponentialUtility,
     entropic_family,
     entropic_params,
     entropic_value,
+    ui_family,
+    ui_params,
     worst_case_family,
     worst_case_params,
 )
+from treeval.market import hedged_family, market
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
     OneStepValuation,
     assemble,
     check_axioms,
+    committed_family,
     linear_one_step,
+    sample_stop_masks,
     sample_stopping_time,
     value_at,
 )
@@ -68,6 +84,89 @@ class TestAssemble:
             assert vals[i] == k.values[i]
 
 
+def _worst(tree, rng, stopping):
+    # one to three distributions a node, so a level mixes their counts
+    return worst_case_family(worst_case_params(tree, {
+        tree.ids[i]: rng.dirichlet(np.ones(len(tree.children_index[i])), int(rng.integers(1, 4)))
+        for i in tree.internal_indices()}, stopping=stopping))
+
+
+def _hedged(tree, rng):
+    # one asset whose moves out of a node take both signs (none out of a
+    # node with one child), so every one-step hedge is bounded
+    prices = np.zeros(tree.n_nodes)
+    for u in tree.preorder.tolist():
+        kids = list(tree.children_index[u])
+        if not kids:
+            continue
+        moves = rng.normal(size=len(kids))
+        prices[kids] = prices[u] + moves - moves.mean()
+    mkt = market(tree, {"s": dict(zip(tree.ids, prices))})
+    return hedged_family(entropic_family(entropic_params(tree, 0.9)), mkt)
+
+
+SWEPT_FAMILIES = {
+    "entropic": lambda t, rng: entropic_family(entropic_params(t, float(rng.uniform(0.3, 2.0)))),
+    "worst_stopping": lambda t, rng: _worst(t, rng, True),
+    "worst_case": lambda t, rng: _worst(t, rng, False),
+    "ui_crra": lambda t, rng: ui_family(ui_params(t, CRRAUtility(float(rng.uniform(1.5, 4.0))), 20.0)),
+    "ui_exponential": lambda t, rng: ui_family(ui_params(t, ExponentialUtility(1.3), 0.0)),
+    "committed": lambda t, rng: committed_family(_worst(t, rng, True), random_cash(rng, t)),
+    "committed_linear": lambda t, rng: committed_family(linear_family(t), random_cash(rng, t)),
+    "linear": lambda t, rng: linear_family(t),
+    "hedged": _hedged,
+}
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
+    @pytest.mark.parametrize("batch", [(), (1,), (7,), (3, 5)])
+    def test_matches_the_per_node_loop(self, kind, batch):
+        rng = np.random.default_rng(len(kind) + len(batch))
+        tol = 1e-12 if kind.startswith("ui") else 1e-13
+        for _ in range(3 if kind == "hedged" else 6):
+            t = random_tree(rng, max_depth=2 if kind == "hedged" else 4, max_branching=3)
+            fam = SWEPT_FAMILIES[kind](t, rng)
+            k = rng.uniform(-2.0, 2.0, batch + (t.n_nodes,))
+            got = fam.node_values(k)
+            assert got.shape == k.shape
+            assert np.max(np.abs(got - per_node_values(fam, k))) <= tol
+
+    def test_batch_sweep_stays_within_a_few_mb_beyond_its_output(self):
+        t = trinomial_tree(8)
+        fam = entropic_family(entropic_params(t, 1.0))
+        assert len(fam.blocks) == t.depth
+        k = np.random.default_rng(0).uniform(-2.0, 2.0, (256, t.n_nodes))
+        fam.node_values(k[:1])   # first-call costs out of the measurement
+        tracemalloc.start()
+        try:
+            out = fam.node_values(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 * 2**20
+        assert np.allclose(out[:2], per_node_values(fam, k[:2]), atol=1e-13)
+
+    def test_custom_step_errors_propagate(self):
+        t = binary_tree(2)
+
+        def refuse(k_x, k_children):
+            raise ValidationError("refused")
+
+        steps = {t.ids[i]: linear_one_step([0.5, 0.5]) for i in t.internal_indices()}
+        steps["u"] = OneStepValuation(refuse)
+        with pytest.raises(ValidationError, match="refused"):
+            assemble(t, steps).node_values(np.zeros((4, t.n_nodes)))
+
+    def test_one_step_view_is_built_on_first_read(self):
+        t = binary_tree(2)
+        fam = entropic_family(entropic_params(t, 1.0))
+        fam.node_values(np.zeros(t.n_nodes))
+        assert "one_steps" not in vars(fam)
+        assert fam.one_steps[t.node_index("u")].evaluate(0.0, np.zeros(2)) == pytest.approx(0.0)
+        assert all((step is None) == bool(t.is_leaf[u]) for u, step in enumerate(fam.one_steps))
+
+
 class TestValueAt:
     def test_leaves_give_back_cash(self):
         t = binary_tree(2)
@@ -111,6 +210,29 @@ class TestSampleStoppingTime:
             sigma = sample_stopping_time(t, rng, start="u")
             assert {"du", "dd"} <= sigma.graph
             assert sigma.graph - {"du", "dd"} <= {"u", "uu", "ud"}
+
+
+class TestSampleStopMasks:
+    def test_each_row_is_a_stopping_time_of_the_subtree(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            t = random_tree(rng)
+            start = t.ids[int(rng.integers(t.n_nodes))]
+            inside = {t.ids[i] for i in t.descendant_indices(t.node_index(start))}
+            for row in sample_stop_masks(t, rng, 30, start=start):
+                graph = {t.ids[i] for i in np.flatnonzero(row)}
+                stopping_time(t, graph)
+                assert {t.ids[i] for i in t.leaf_indices} - inside <= graph
+
+    def test_stop_frequencies_match_the_per_node_coin(self):
+        # root stops with p; a child of the root is the stop when the root
+        # did not stop and the child did (or is a leaf)
+        t = binary_tree(2)
+        masks = sample_stop_masks(t, np.random.default_rng(0), 20_000, stop_probability=0.35)
+        freq = masks.mean(axis=0)
+        assert freq[t.node_index("r")] == pytest.approx(0.35, abs=0.015)
+        assert freq[t.node_index("u")] == pytest.approx(0.65 * 0.35, abs=0.015)
+        assert freq[t.node_index("uu")] == pytest.approx(0.65 * 0.65, abs=0.015)
 
 
 class TestCheckAxioms:
