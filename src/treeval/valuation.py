@@ -16,7 +16,7 @@ a sweep is one numpy call per block rather than one Python call per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
@@ -29,8 +29,10 @@ from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 DEFAULT_AXIOM_TOLERANCE = 1e-9
 
 # Largest temporary of a block evaluation, in floats: a block is cut along
-# its node axis so that rows x nodes x (children + 1), the size of the
-# stacked outcomes the shipped kernels work on, stays under this.
+# its node axis so that rows x nodes x width stays under this.  A block's
+# width is the larger of children + 1 (the stacked outcomes) and the
+# per-node size of its widest parameter array, which kernels broadcast
+# against the rows (the worst-case distributions x children).
 CHUNK_FLOATS = 1 << 16
 
 
@@ -57,25 +59,26 @@ class Kernel:
     ``evaluate(data, k_x, k_children)`` takes per-node parameters ``data``
     (a tuple of arrays, node axis first) and broadcasts them against the
     trailing axes of ``k_x`` (..., b) and ``k_children`` (..., b, m), giving
-    (..., b).  Shipped kernels also accept one node's parameters (node axis
-    dropped) with ``k_x`` (...) and ``k_children`` (..., m), which makes the
-    per-node view a partial application; a kernel that cannot gives
-    ``view(data) -> OneStepValuation`` instead.  ``dual(data, theta, psi)``
-    is the closed-form one-step dual at one node, if any.
+    (..., b).  ``dual(data, theta, psi)`` is the closed-form one-step dual
+    at one node, given that node's parameters as a block of one (b = 1), if
+    any.
     """
 
     evaluate: Callable
     descriptor: str = ""
     smooth: bool = True
     dual: Callable | None = None
-    view: Callable[[tuple], OneStepValuation] | None = None
 
     def one_step(self, data) -> OneStepValuation:
-        """The operator at one node, from that node's parameters."""
-        if self.view is not None:
-            return self.view(data)
+        """The operator at one node, from that node's parameters as a block
+        of one: the kernel on a node axis of length 1."""
+
+        def evaluate(k_x, k_children):
+            k_x, k_children = np.asarray(k_x, dtype=float), np.asarray(k_children, dtype=float)
+            return self.evaluate(data, k_x[..., None], k_children[..., None, :])[..., 0]
+
         dual = None if self.dual is None else partial(self.dual, data)
-        return OneStepValuation(partial(self.evaluate, data), self.descriptor, dual, self.smooth)
+        return OneStepValuation(evaluate, self.descriptor, dual, self.smooth)
 
 
 def _take(data, index):
@@ -83,16 +86,26 @@ def _take(data, index):
     return tuple(_take(d, index) for d in data) if isinstance(data, tuple) else data[index]
 
 
+def _width(data) -> int:
+    """Floats per node of the widest array of (nested tuples of) per-node
+    parameters."""
+    return max((_width(d) if isinstance(d, tuple) else d.size // d.shape[0] for d in data), default=0)
+
+
 @dataclass(frozen=True, slots=True)
 class Block:
     """The nodes of one tree level that share a kernel and a child count:
-    ``kids[j]`` are the children of ``nodes[j]`` and ``_take(data, j)`` its
-    parameters."""
+    ``kids[j]`` are the children of ``nodes[j]`` and
+    ``_take(data, slice(j, j + 1))`` its parameters."""
 
     kernel: Kernel
     data: tuple
     nodes: np.ndarray
     kids: np.ndarray
+    width: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "width", max(self.kids.shape[1] + 1, _width(self.data)))
 
     def parts(self, step: int):
         """(data, nodes, kids) of consecutive runs of at most ``step`` nodes."""
@@ -131,6 +144,9 @@ class ValuationFamily:
 
     def __init__(self, tree: Tree, build: Callable[[], list[Block]], *, descriptor: str = "",
                  dual_closed=None):
+        if not callable(build):
+            raise ValidationError("ValuationFamily(tree, build) takes a callable that returns level "
+                                  "blocks; build a family from one-step operators with assemble")
         self.tree = tree
         self._build = build
         self.descriptor = descriptor
@@ -149,7 +165,7 @@ class ValuationFamily:
         steps: list[OneStepValuation | None] = [None] * self.tree.n_nodes
         for block in self.blocks:
             for j, u in enumerate(block.nodes.tolist()):
-                steps[u] = block.kernel.one_step(_take(block.data, j))
+                steps[u] = block.kernel.one_step(_take(block.data, slice(j, j + 1)))
         return tuple(steps)
 
     def node_values(self, values: np.ndarray) -> np.ndarray:
@@ -159,7 +175,7 @@ class ValuationFamily:
         out = np.array(values, dtype=float)
         rows = max(1, out.size // self.tree.n_nodes)
         for block in self.blocks:
-            step = max(1, CHUNK_FLOATS // (rows * (block.kids.shape[1] + 1)))
+            step = max(1, CHUNK_FLOATS // (rows * block.width))
             for data, nodes, kids in block.parts(step):
                 out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
         return out
@@ -185,7 +201,7 @@ def kernel_step(tree: Tree, kernel: Kernel, data: Callable, x: str) -> OneStepVa
     xi = tree.node_index(x)
     if tree.is_leaf[xi]:
         raise ValidationError(f"{x!r} is a leaf; one-step operators live on internal nodes")
-    return kernel.one_step(_take(data(np.array([xi]), np.array([tree.children_index[xi]])), 0))
+    return kernel.one_step(data(np.array([xi]), np.array([tree.children_index[xi]])))
 
 
 def _step_kernel(step: OneStepValuation) -> Kernel:
@@ -194,7 +210,8 @@ def _step_kernel(step: OneStepValuation) -> Kernel:
     def evaluate(data, k_x, k_children):
         return np.asarray(step.evaluate(k_x[..., 0], k_children[..., 0, :]), dtype=float)[..., None]
 
-    return Kernel(evaluate, step.descriptor, step.smooth, view=lambda data: step)
+    dual = None if step.dual is None else (lambda data, theta, psi: step.dual(theta, psi))
+    return Kernel(evaluate, step.descriptor, step.smooth, dual)
 
 
 def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) -> ValuationFamily:
@@ -261,16 +278,7 @@ def _committed(inner: Kernel) -> Kernel:
         inner_data, cash, base_kids, base = data
         return inner.evaluate(inner_data, k_x + cash, k_children + base_kids) - base
 
-    def view(data):
-        step, (_, cash, base_kids, base) = inner.one_step(data[0]), data
-
-        def evaluate_one(k_x, k_children):
-            return step.evaluate(np.asarray(k_x) + cash, np.asarray(k_children) + base_kids) - base
-
-        return OneStepValuation(evaluate_one, descriptor=f"committed({step.descriptor})",
-                                smooth=step.smooth)
-
-    return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth, view=view)
+    return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth)
 
 
 def committed_family(family: ValuationFamily, commitment: CashBalance) -> ValuationFamily:

@@ -13,6 +13,7 @@ from treeval.errors import DomainError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
     ExponentialUtility,
+    UIParams,
     crra_one_period_dual,
     crra_ui_dual,
     entropic_dual,
@@ -366,6 +367,16 @@ class TestParamValidation:
         t = three_node_tree()
         with pytest.raises(ValidationError, match="x0"):
             ui_params(t, CRRAUtility(2.0), x0=-1.0)
+
+    @pytest.mark.parametrize("probs", [
+        {"root": np.array([0.5, 0.7, 0.1])},
+        {"root": np.array([np.nan, 0.5, 0.5])},
+        {"root": np.array([0.5, 0.5])},
+        {},
+    ])
+    def test_ui_params_built_directly_are_checked(self, probs):
+        with pytest.raises(ValidationError, match="outcome probabilities"):
+            UIParams(three_node_tree(), ExponentialUtility(1.0), 0.0, probs)
 
     def test_worst_case_needs_probability_vectors(self):
         t = three_node_tree()

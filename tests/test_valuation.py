@@ -27,6 +27,7 @@ from treeval.market import hedged_family, market
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
     OneStepValuation,
+    ValuationFamily,
     assemble,
     check_axioms,
     committed_family,
@@ -132,9 +133,14 @@ class TestLevelSweep:
             assert got.shape == k.shape
             assert np.max(np.abs(got - per_node_values(fam, k))) <= tol
 
-    def test_batch_sweep_stays_within_a_few_mb_beyond_its_output(self):
+    @pytest.mark.parametrize("kind", ["entropic", "worst_three_alphas"])
+    def test_batch_sweep_stays_within_a_few_mb_beyond_its_output(self, kind):
         t = trinomial_tree(8)
-        fam = entropic_family(entropic_params(t, 1.0))
+        if kind == "entropic":
+            fam = entropic_family(entropic_params(t, 1.0))
+        else:
+            alphas = [[0.2, 0.3, 0.5], [0.5, 0.3, 0.2], [0.1, 0.8, 0.1]]
+            fam = worst_case_family(worst_case_params(t, {t.ids[i]: alphas for i in t.internal_indices()}))
         assert len(fam.blocks) == t.depth
         k = np.random.default_rng(0).uniform(-2.0, 2.0, (256, t.n_nodes))
         fam.node_values(k[:1])   # first-call costs out of the measurement
@@ -157,6 +163,23 @@ class TestLevelSweep:
         steps["u"] = OneStepValuation(refuse)
         with pytest.raises(ValidationError, match="refused"):
             assemble(t, steps).node_values(np.zeros((4, t.n_nodes)))
+
+    def test_family_needs_a_build_callable(self):
+        t = binary_tree(1)
+        with pytest.raises(ValidationError, match="assemble"):
+            ValuationFamily(t, {"r": linear_one_step([0.5, 0.5])})
+
+    def test_custom_step_keeps_its_dual_in_the_view(self):
+        t = binary_tree(1)
+
+        def dual(theta, psi):
+            return 10.0 * theta + float(np.sum(psi))
+
+        step = OneStepValuation(linear_one_step([0.5, 0.5]).evaluate, "mine", dual, smooth=False)
+        view = assemble(t, {"r": step}).one_steps[t.node_index("r")]
+        assert (view.descriptor, view.smooth) == ("mine", False)
+        assert view.dual(0.2, np.array([0.3, 0.5])) == pytest.approx(2.8)
+        assert view.evaluate(0.0, np.array([1.0, 3.0])) == pytest.approx(2.0)
 
     def test_one_step_view_is_built_on_first_read(self):
         t = binary_tree(2)
