@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .optim import eg_minimize, maximize, maximize_nelder_mead
+from .optim import eg_minimize, fd_gradient, maximize, maximize_nelder_mead
 from .tree import CashBalance, Tree
 from .valuation import OneStepValuation, is_probability
 
@@ -29,8 +29,9 @@ class DualSolverOptions:
 
     ``tolerance`` is the duality-gap target of the simplex descent, which
     takes c/sqrt(k) steps with c = ``step_constant``; the unconstrained
-    ascent uses the gradient tolerance, finite-difference step and
-    divergence bound.
+    ascent uses the gradient tolerance and divergence bound, and the
+    finite-difference step where it differences the objective (one-step
+    duals and one-step sups).
     """
 
     tolerance: float = 1e-9
@@ -132,12 +133,17 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
         full[:, free] = batch
         return family.node_values(full)[:, xi] - batch @ lam_vec
 
+    def gradient(point: np.ndarray):
+        full = np.zeros(tree.n_nodes)
+        full[free] = point
+        values, grad = family.values_and_gradient(full, xi)
+        return values[xi] - point @ lam_vec, grad[free] - lam_vec
+
     x0 = np.zeros(free.size) if start is None else np.array(start, dtype=float)
-    res = maximize(objective, x0,
+    res = maximize(objective, gradient, x0,
                    gradient_tolerance=opts.gradient_tolerance,
                    max_iterations=opts.max_iterations,
-                   divergence_bound=opts.divergence_bound,
-                   fd_step=opts.fd_step)
+                   divergence_bound=opts.divergence_bound)
     if res.diverged:
         return math.inf, None, res
     if not res.converged:
@@ -150,8 +156,8 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
 
 def dual_value(family, x: str, lam, opts: DualSolverOptions | None = None) -> float:
     """sup over cash balances on the subtree of (node value - density . cash),
-    by gradient ascent with central finite differences; +inf signals a
-    density outside the effective domain."""
+    by BFGS on the reverse-sweep gradient; +inf signals a density outside
+    the effective domain."""
     value, _, _ = dual_value_and_argmax(family, x, lam, opts)
     return value
 
@@ -242,11 +248,10 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
                     out[r] = -math.inf
             return out
 
-    res = maximize(objective, np.zeros(q.size),
+    res = maximize(objective, lambda z: fd_gradient(objective, z, opts.fd_step), np.zeros(q.size),
                    gradient_tolerance=opts.gradient_tolerance,
                    max_iterations=min(opts.max_iterations, 2_000),
                    divergence_bound=opts.divergence_bound,
-                   fd_step=opts.fd_step,
                    value_tolerance=1e-12)
     if res.diverged:
         return math.inf

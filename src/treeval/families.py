@@ -15,7 +15,8 @@ import numpy as np
 from .dual import _mass_vector, dual_density
 from .errors import DomainError, ValidationError
 from .tree import CashBalance, Tree
-from .valuation import Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step
+from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step,
+                        probability_rows)
 
 
 def _stack_outcomes(k_x, k_children) -> np.ndarray:
@@ -54,6 +55,12 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return m + np.log(_reduce_last(np.add, np.exp(a - m[..., None])))
 
 
+def _softmax(a: np.ndarray) -> np.ndarray:
+    """exp(a) normalized over the last axis, with the maximum subtracted."""
+    w = np.exp(a - _reduce_last(np.maximum, a)[..., None])
+    return w / _reduce_last(np.add, w)[..., None]
+
+
 # ---------------------------------------------------------------------------
 # utilities
 
@@ -76,6 +83,10 @@ class ExponentialUtility:
         if np.any(v >= 0):
             raise DomainError("exponential utility takes values in (-inf, 0)")
         return -np.log(-v) / self.gamma
+
+    def log_marginal(self, w):
+        """log u'(w)."""
+        return np.log(self.gamma) - self.gamma * np.asarray(w, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -100,6 +111,10 @@ class CRRAUtility:
         if np.any(scaled <= 0):
             raise DomainError("value outside the range of the CRRA utility")
         return scaled ** (1.0 / (1.0 - self.R))
+
+    def log_marginal(self, w):
+        """log u'(w) for w > 0."""
+        return -self.R * np.log(np.asarray(w, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +191,10 @@ def _entropic_kernel(gamma: float) -> Kernel:
     def evaluate(data, k_x, k_children):
         return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
 
+    def grad(data, k_x, k_children):
+        # the Gibbs weights of the outcomes
+        return _softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
         if not is_probability(q):
@@ -183,7 +202,7 @@ def _entropic_kernel(gamma: float) -> Kernel:
         pos = q > 0
         return float(np.sum(q[pos] * (np.log(q[pos]) - data[0][0, pos])) / gamma)
 
-    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual)
+    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad)
 
 
 def _entropic_data(params: EntropicParams):
@@ -216,47 +235,74 @@ def entropic_family(params: EntropicParams) -> ValuationFamily:
 
 @dataclass(frozen=True)
 class WorstCaseParams:
-    """Per-node finite sets of child distributions, with an optional stop
-    branch that locks in the node's own cash."""
+    """Per-node finite sets of child distributions, one read-only
+    (distributions, children) array a node, with an optional stop branch
+    that locks in the node's own cash."""
 
     tree: Tree
-    alphas: Mapping[str, tuple]
+    alphas: Mapping[str, np.ndarray]
     stopping: bool = True
 
 
 def worst_case_params(tree: Tree, alphas: Mapping[str, Sequence[Sequence[float]]],
                       stopping: bool = True) -> WorstCaseParams:
-    cleaned: dict[str, tuple] = {}
-    for i in tree.internal_indices():
-        node_id = tree.ids[i]
-        if node_id not in alphas:
-            raise ValidationError(f"missing child distributions for node {node_id!r}")
-        mats = []
-        for a in alphas[node_id]:
-            v = np.asarray(a, dtype=float)
-            if v.shape != (len(tree.children_index[i]),):
-                raise ValidationError(f"distribution at {node_id!r} has wrong length")
-            if not is_probability(v):
-                raise ValidationError(f"distribution at {node_id!r} is not a probability vector")
-            v.flags.writeable = False
-            mats.append(v)
-        if not mats:
-            raise ValidationError(f"need at least one distribution at {node_id!r}")
-        cleaned[node_id] = tuple(mats)
+    """Validated child distributions, checked with one stacked test per
+    level group: every internal node has at least one, and each is a
+    probability vector over the node's children."""
+    cleaned: dict[str, np.ndarray] = {}
+    for nodes, kids in tree.level_groups:
+        names = [tree.ids[u] for u in nodes.tolist()]
+        missing = [node_id for node_id in names if node_id not in alphas]
+        if missing:
+            raise ValidationError(f"missing child distributions for node {missing[0]!r}")
+        sets = [alphas[node_id] for node_id in names]
+        counts = np.array([len(s) for s in sets])
+        if not counts.all():
+            raise ValidationError(f"need at least one distribution at {names[int(np.argmin(counts))]!r}")
+        owner = np.repeat(np.arange(len(names)), counts)
+        flat = [a for s in sets for a in s]
+        try:
+            mat = np.array(flat, dtype=float)
+        except ValueError:   # ragged, or not numbers
+            mat = None
+        if mat is None or mat.shape != (len(flat), kids.shape[1]):
+            wrong = next((j for j, a in enumerate(flat) if np.shape(a) != (kids.shape[1],)), None)
+            if wrong is None:
+                raise ValidationError(f"distributions at {names[0]!r} and its level must be numbers")
+            raise ValidationError(f"distribution at {names[owner[wrong]]!r} has wrong length")
+        bad = ~probability_rows(mat)
+        if bad.any():
+            raise ValidationError(
+                f"distribution at {names[owner[np.argmax(bad)]]!r} is not a probability vector")
+        mat.flags.writeable = False
+        cleaned.update(zip(names, np.split(mat, np.cumsum(counts)[:-1])))
     return WorstCaseParams(tree=tree, alphas=cleaned, stopping=stopping)
 
 
 def _worst_case_kernel(stopping: bool) -> Kernel:
     """Minimum over the stop value (when stopping is enabled) and every
     child expectation; data: the stacked child distributions (a, m) of each
-    node."""
+    node.  Its partials are a subgradient: the minimizing distribution, or
+    the stop branch (own cash) where stopping is the minimum."""
+
+    def expectations(data, k_children):
+        return _reduce_last(np.add, np.asarray(k_children, dtype=float)[..., None, :] * data[0])
 
     def evaluate(data, k_x, k_children):
-        expectations = _reduce_last(np.add, np.asarray(k_children, dtype=float)[..., None, :] * data[0])
-        worst = _reduce_last(np.minimum, expectations)
+        worst = _reduce_last(np.minimum, expectations(data, k_children))
         return np.minimum(np.asarray(k_x, dtype=float), worst) if stopping else worst
 
-    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False)
+    def grad(data, k_x, k_children):
+        e = expectations(data, k_children)
+        stacked = np.broadcast_to(data[0], e.shape + data[0].shape[-1:])
+        alpha = np.take_along_axis(stacked, np.argmin(e, axis=-1)[..., None, None], axis=-2)[..., 0, :]
+        out = np.concatenate([np.zeros_like(alpha[..., :1]), alpha], axis=-1)
+        if not stopping:
+            return out
+        stop = np.asarray(k_x, dtype=float) <= _reduce_last(np.minimum, e)
+        return np.where(stop[..., None], np.eye(out.shape[-1])[0], out)
+
+    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False, grad=grad)
 
 
 def _worst_case_data(params: WorstCaseParams):
@@ -266,7 +312,8 @@ def _worst_case_data(params: WorstCaseParams):
         sets = [alphas[ids[u]] for u in nodes.tolist()]
         most = max(map(len, sets))
         # repeating a node's first distribution leaves its minimum unchanged
-        return (np.array([s + s[:1] * (most - len(s)) for s in sets]),)
+        return (np.stack([s if len(s) == most else np.concatenate([s, np.repeat(s[:1], most - len(s), 0)])
+                          for s in sets]),)
 
     return data
 
@@ -381,7 +428,7 @@ def _ui_rows(params: UIParams, nodes: np.ndarray) -> np.ndarray:
         if rows[-1].shape != (m,):
             raise ValidationError(f"outcome probabilities at {node_id!r} must cover the node and its children")
     p = np.array(rows)
-    bad = ~((p > 0).all(axis=1) & (np.abs(p.sum(axis=1) - 1.0) <= 1e-9))
+    bad = ~probability_rows(p, positive=True)
     if bad.any():
         raise ValidationError(f"outcome probabilities at {tree.ids[nodes[np.argmax(bad)]]!r} "
                               "must be strictly positive and sum to 1")
@@ -420,6 +467,12 @@ def _ui_kernel(utility, x0: float) -> Kernel:
     def evaluate(data, k_x, k_children):
         return _bisect_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
 
+    def grad(data, k_x, k_children):
+        # implicit function theorem: p_y u'(w_y) / sum p u'(w), w at the price
+        k = _stack_outcomes(k_x, k_children)
+        wealth = x0 + k - _bisect_price(utility, x0, data[0], k)[..., None]
+        return _softmax(np.log(data[0]) + utility.log_marginal(wealth))
+
     dual = None
     if isinstance(utility, CRRAUtility):
         def dual(data, theta, psi):
@@ -434,7 +487,7 @@ def _ui_kernel(utility, x0: float) -> Kernel:
             pos = q > 0
             return float(np.sum(q[pos] * np.log(q[pos] / data[0][0, pos])) / utility.gamma)
 
-    return Kernel(evaluate, f"ui({type(utility).__name__}, x0={x0})", dual=dual)
+    return Kernel(evaluate, f"ui({type(utility).__name__}, x0={x0})", dual=dual, grad=grad)
 
 
 def _ui_data(params: UIParams):

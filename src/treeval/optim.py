@@ -1,21 +1,31 @@
-"""Solvers shared by the valuation, dual and risk-sharing modules:
-finite-difference gradient ascent with a backtracking line search,
-restarted Nelder-Mead for kinked objectives, and multiplicative-weights
-descent on the simplex with c/sqrt(k) steps.  Objectives evaluate batches:
-f((B, d)) -> (B,).
+"""Solvers shared by the valuation, dual and risk-sharing modules: BFGS
+ascent with a backtracking line search and step doubling along recession
+directions, restarted Nelder-Mead for kinked objectives, and
+multiplicative-weights descent on the simplex with c/sqrt(k) steps.
+Objectives evaluate batches: f((B, d)) -> (B,).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
+# Consecutive steps gaining less than ``value_tolerance`` that end an
+# ascent as stalled.
+STALL_STEPS = 10
+
 
 @dataclass
 class AscentResult:
+    """Where an ascent stopped and how it got there.  ``evaluations``
+    counts the objective rows the solver evaluated, ``gradient_evaluations``
+    the gradient calls; ``stop_reason`` is one of ``gradient``, ``stalled``,
+    ``line_search``, ``diverged`` or ``max_iterations``."""
+
     x: np.ndarray
     value: float
     gradient_norm: float
@@ -23,101 +33,152 @@ class AscentResult:
     converged: bool
     diverged: bool = False
     direction: np.ndarray | None = None
+    evaluations: int = 0
+    gradient_evaluations: int = 0
+    stop_reason: str = ""
 
 
-def fd_gradient(f, x: np.ndarray, step_rel: float) -> np.ndarray:
-    """Central differences, all 2d evaluations in one batch.
+def fd_gradient(f, x: np.ndarray, step_rel: float) -> tuple[float, np.ndarray]:
+    """Value and central-difference gradient of a batch objective at x, all
+    2d + 1 evaluations in one batch.
 
     Probes that land outside an open effective domain come back non-finite;
-    those coordinates retry with geometrically smaller steps (the base point
-    is strictly inside, so small enough steps always succeed)."""
+    those coordinates retry with geometrically smaller steps (a base point
+    strictly inside needs only small enough steps; one outside gets a zero
+    gradient)."""
     d = x.size
     h = step_rel * np.maximum(1.0, np.abs(x))
     idx = np.arange(d)
-    vals = None
     for _ in range(8):
-        pts = np.repeat(x[None, :], 2 * d, axis=0)
-        pts[idx, idx] += h
-        pts[d + idx, idx] -= h
+        pts = np.repeat(x[None, :], 2 * d + 1, axis=0)
+        pts[1 + idx, idx] += h
+        pts[1 + d + idx, idx] -= h
         vals = np.asarray(f(pts), dtype=float)
-        bad = ~np.isfinite(vals[:d]) | ~np.isfinite(vals[d:])
+        if not np.isfinite(vals[0]):
+            return float(vals[0]), np.zeros(d)
+        bad = ~np.isfinite(vals[1:d + 1]) | ~np.isfinite(vals[d + 1:])
         if not bad.any():
             break
         h = np.where(bad, h / 64.0, h)
-    diff = vals[:d] - vals[d:]
+    diff = vals[1:d + 1] - vals[d + 1:]
     grad = np.divide(diff, 2.0 * h, out=np.zeros(d), where=np.isfinite(diff))
-    return np.where(np.isfinite(grad), grad, 0.0)
+    return float(vals[0]), np.where(np.isfinite(grad), grad, 0.0)
 
 
-def maximize(f, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 100_000,
-             divergence_bound: float = 1e6, fd_step: float = 1e-6,
-             initial_step: float = 1.0, value_tolerance: float = 0.0,
-             patience: int = 10) -> AscentResult:
-    """Maximize a concave batch objective by steepest ascent.
+def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 100_000,
+             divergence_bound: float = 1e6, value_tolerance: float = 0.0) -> AscentResult:
+    """Maximize a concave batch objective by BFGS.  ``gradient(x)`` gives
+    the objective and its gradient at one point, ``(f(x), (d,))``; the
+    backtracking evaluates ``f`` alone.
 
-    Stops when the finite-difference gradient's sup norm is within tolerance;
-    declares divergence when the iterate's sup norm crosses the bound, the
-    signature of an effective-domain escape.  A positive ``value_tolerance``
-    additionally accepts the point once ``patience`` consecutive steps gain
-    less than it, which is how kinked objectives (whose gradient norm never
-    settles) terminate.
+    Each step tries the full quasi-Newton step and backtracks from it, by
+    quadratic interpolation, until it gains at least 1e-4 of the predicted
+    increase (Armijo), then doubles while the slope along the step stays at
+    0.9 or more of its starting value, so a recession direction is followed
+    exponentially fast.  The inverse Hessian starts as the identity and
+    becomes max(1, s.y / y.y) times it at the first update.  A direction
+    that is not uphill, or a line search that fails along a quasi-Newton
+    direction, restarts from the gradient.  Stops when the gradient's sup
+    norm is within tolerance; declares divergence when the iterate's sup
+    norm crosses the bound or the objective overflows to +inf, the
+    signature of an effective-domain escape.  A positive
+    ``value_tolerance`` also accepts the point once ``STALL_STEPS``
+    consecutive steps gain less than it, which is how kinked objectives
+    (whose gradient norm never settles) terminate.
     """
     x = np.array(x0, dtype=float)
-    fx = float(f(x[None, :])[0])
-    if not np.isfinite(fx):
-        raise DomainError("objective is not finite at the start point")
-    step = initial_step
-    iterations = 0
-    stalled = 0
-    for iterations in range(1, max_iterations + 1):
-        g = fd_gradient(f, x, fd_step)
+    counts = [0, 0]
+
+    def value(z: np.ndarray) -> float:
+        counts[0] += 1
+        return float(f(z[None, :])[0])
+
+    def value_and_gradient(z: np.ndarray) -> tuple[float, np.ndarray]:
+        counts[1] += 1
+        fz, gz = gradient(z)
+        return float(fz), np.asarray(gz, dtype=float)
+
+    def stop(z, fz, g, iterations, reason, direction=None) -> AscentResult:
         gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= gradient_tolerance:
-            return AscentResult(x, fx, gnorm, iterations, converged=True)
-        g_sq = float(g @ g)
-        t = step
-        accepted = None
+        if reason == "max_iterations" and gnorm <= gradient_tolerance:
+            reason = "gradient"
+        if direction is not None:
+            direction = direction / max(float(np.max(np.abs(direction))), 1e-300)
+        return AscentResult(z, fz, gnorm, iterations, converged=reason in ("gradient", "stalled"),
+                            diverged=reason == "diverged", direction=direction,
+                            evaluations=counts[0], gradient_evaluations=counts[1], stop_reason=reason)
+
+    def sufficient(t: float, fc: float) -> bool:
+        # Armijo: at least 1e-4 of the increase the slope predicts
+        return math.isfinite(fc) and fc >= fx + 1e-4 * t * slope
+
+    fx, g = value_and_gradient(x)
+    if not math.isfinite(fx):
+        raise DomainError("objective is not finite at the start point")
+    inverse_hessian = None   # the identity until the first update rescales it
+    stalled = 0
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        if g.size == 0 or np.max(np.abs(g)) <= gradient_tolerance:
+            return stop(x, fx, g, iterations, "gradient")
+        step = g if inverse_hessian is None else inverse_hessian @ g
+        slope = float(g @ step)
+        if not slope > 0.0:
+            # roundoff cost the update its definiteness: restart from the gradient
+            inverse_hessian, step, slope = None, g, float(g @ g)
+        # the full step mostly passes, so its gradient is taken with it
+        t, cand = 1.0, x + step
+        fc, gc = value_and_gradient(cand)
         for _ in range(80):
-            cand = x + t * g
-            fc = float(f(cand[None, :])[0])
-            if np.isposinf(fc):
-                # the objective already overflowed its bound: unbounded above
-                return AscentResult(cand, fx, gnorm, iterations, converged=False,
-                                    diverged=True, direction=g / max(gnorm, 1e-300))
-            if np.isfinite(fc) and fc >= fx + 1e-4 * t * g_sq:
-                accepted = (t, cand, fc)
+            if fc == math.inf:
+                return stop(cand, fx, g, iterations, "diverged", step)
+            if sufficient(t, fc) or np.array_equal(cand, x):
                 break
-            t *= 0.5
-        if accepted is None:
-            # line search hit the noise floor (or a kink); report honestly
-            return AscentResult(x, fx, gnorm, iterations, converged=False)
-        # expand while the sufficient-increase test keeps passing, so
-        # unbounded recession directions are traversed exponentially fast
+            # the maximum of the parabola through fx, slope and fc, kept
+            # within [t / 10, t / 2]; halving where fc is not finite
+            t = min(max(0.5 * slope * t * t / (fx + slope * t - fc), 0.1 * t), 0.5 * t) \
+                if math.isfinite(fc) else 0.5 * t
+            cand = x + t * step
+            fc, gc = value(cand), None
+        if not sufficient(t, fc) or np.array_equal(cand, x):
+            if inverse_hessian is None:
+                # the gradient step hit the noise floor (or a kink)
+                return stop(x, fx, g, iterations, "line_search")
+            inverse_hessian = None
+            continue
+        if gc is None:
+            fc, gc = value_and_gradient(cand)
         for _ in range(70):
-            t, cand, fc = accepted
-            t2 = 2.0 * t
-            cand2 = x + t2 * g
-            fc2 = float(f(cand2[None, :])[0])
-            if np.isposinf(fc2):
-                return AscentResult(cand2, fx, gnorm, iterations, converged=False,
-                                    diverged=True, direction=g / max(gnorm, 1e-300))
-            if np.isfinite(fc2) and fc2 >= fc and fc2 >= fx + 1e-4 * t2 * g_sq:
-                accepted = (t2, cand2, fc2)
-            else:
+            if gc @ step < 0.9 * slope or np.max(np.abs(cand)) > divergence_bound:
                 break
-        step, cand, fc = accepted
+            cand2 = x + 2.0 * t * step
+            fc2, gc2 = value_and_gradient(cand2)
+            if fc2 == math.inf:
+                return stop(cand2, fx, g, iterations, "diverged", step)
+            if not (math.isfinite(fc2) and fc2 >= fc):
+                break
+            t, cand, fc, gc = 2.0 * t, cand2, fc2, gc2
+        s, y = cand - x, g - gc
         gain = fc - fx
-        x, fx = cand, fc
+        x, fx, g = cand, fc, gc
         if np.max(np.abs(x)) > divergence_bound:
-            return AscentResult(x, fx, gnorm, iterations, converged=False,
-                                diverged=True, direction=g / max(gnorm, 1e-300))
+            return stop(x, fx, g, iterations, "diverged", step)
+        sy = float(s @ y)
+        if sy > 1e-12 * np.sqrt(float(s @ s) * float(y @ y)):
+            if inverse_hessian is None:
+                # backtracking shortens a step that is too long in a few
+                # evaluations, but only many updates lengthen one that is
+                # too short: scale the identity up, never down
+                inverse_hessian = np.eye(x.size) * max(1.0, sy / float(y @ y))
+            hy = inverse_hessian @ y
+            rho = 1.0 / sy
+            inverse_hessian = (inverse_hessian - rho * (np.outer(s, hy) + np.outer(hy, s))
+                               + (rho * rho * float(y @ hy) + rho) * np.outer(s, s))
         if value_tolerance > 0.0:
             stalled = stalled + 1 if gain <= value_tolerance * (1.0 + abs(fx)) else 0
-            if stalled >= patience:
-                return AscentResult(x, fx, gnorm, iterations, converged=True)
-    g = fd_gradient(f, x, fd_step)
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    return AscentResult(x, fx, gnorm, iterations, converged=gnorm <= gradient_tolerance)
+            if stalled >= STALL_STEPS:
+                return stop(x, fx, g, iterations, "stalled")
+    return stop(x, fx, g, iterations, "max_iterations")
 
 
 class _Escaped(Exception):
@@ -125,7 +186,7 @@ class _Escaped(Exception):
 
 
 def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
-    """Maximize a concave batch objective with kinks, where steepest ascent
+    """Maximize a concave batch objective with kinks, where gradient ascent
     stalls off the optimum, by Nelder-Mead restarted at its endpoint until a
     run gains nothing (three runs at most).  Each run starts from a simplex
     with edges max(1, |x|_inf): scipy's default edge is 0.00025 at a zero
@@ -133,12 +194,16 @@ def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
     bound reports divergence along its own direction."""
     from scipy.optimize import minimize  # a slow import, paid on first use
 
+    evaluations = [0]
+
     def negated(v: np.ndarray) -> float:
         if np.max(np.abs(v)) > divergence_bound:
             raise _Escaped(v)
+        evaluations[0] += 1
         return -float(f(v[None, :])[0])
 
-    best = AscentResult(np.array(x0, dtype=float), -np.inf, np.nan, 0, converged=False)
+    best = AscentResult(np.array(x0, dtype=float), -np.inf, np.nan, 0, converged=False,
+                        stop_reason="max_iterations")
     for _ in range(3):
         x = best.x
         simplex = x + max(1.0, np.max(np.abs(x))) * np.vstack([np.zeros(x.size), np.eye(x.size)])
@@ -149,11 +214,14 @@ def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
         except _Escaped as escape:
             far = escape.args[0]
             return AscentResult(far, best.value, np.nan, best.iterations, converged=False,
-                                diverged=True, direction=far / np.max(np.abs(far)))
+                                diverged=True, direction=far / np.max(np.abs(far)),
+                                evaluations=evaluations[0], stop_reason="diverged")
         value = -float(res.fun)
         gained = not np.isfinite(best.value) or value > best.value + 1e-13 * (1.0 + abs(best.value))
         if value >= best.value:
             best = AscentResult(res.x, value, np.nan, best.iterations + res.nit, bool(res.success))
+        best.evaluations = evaluations[0]
+        best.stop_reason = "max_iterations" if gained else "stalled"
         if not gained:
             break
     return best

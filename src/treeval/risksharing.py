@@ -21,7 +21,7 @@ import numpy as np
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
 from .families import EntropicParams, entropic_family, entropic_params
-from .optim import eg_minimize, fd_gradient
+from .optim import eg_minimize
 from .tree import CashBalance, Tree
 from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
 
@@ -302,42 +302,33 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     )
 
 
-def _sub_gradient(sub, tree: Tree, xi: int, full_values: np.ndarray, opts) -> np.ndarray:
+def _sub_gradient(sub, tree: Tree, xi: int, full_values: np.ndarray) -> np.ndarray:
     """Gradient of the subsidiary's node-xi valuation in the subtree
-    coordinates; closed form for exponential subsidiaries, central
-    differences otherwise."""
+    coordinates; closed form for exponential subsidiaries (about ten times
+    cheaper than a sweep), the family's reverse sweep otherwise."""
     sub_idx = tree.descendant_indices(xi)
     if isinstance(sub, EntropicParams):
         expo = np.log(sub.reference[sub_idx]) - sub.gamma * full_values[sub_idx]
         expo -= expo.max()
         w = np.exp(expo)
         return w / w.sum()
-    base = full_values.copy()
-
-    def f(batch):
-        rows = np.repeat(base[None, :], batch.shape[0], axis=0)
-        rows[:, sub_idx] = batch
-        return sub.node_values(rows)[:, xi]
-
-    return fd_gradient(f, base[sub_idx], opts.fd_step)
+    return sub.values_and_gradient(full_values, xi)[1][sub_idx]
 
 
-def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str,
-                    opts: DualSolverOptions | None = None, *,
+def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str, *,
                     shadow: np.ndarray | None = None) -> float:
     """Sup-norm defect of gradient proportionality at a node: every
     subsidiary's marginal valuation of its allocated balance must be a
     scalar multiple of the root shadow density, or some pair could still
     trade profitably there.  Small residuals certify that the time-0
     allocation stays optimal at the node."""
-    opts = opts or DEFAULT_OPTIONS
     tree = _common_tree(subs)
     if len(allocation) != len(subs):
         raise ValidationError("one allocated balance per subsidiary")
     xi = tree.node_index(x)
     sub_idx = tree.descendant_indices(xi)
     if shadow is None:
-        root_grad = _sub_gradient(subs[0], tree, tree.root_index, allocation[0].values, opts)
+        root_grad = _sub_gradient(subs[0], tree, tree.root_index, allocation[0].values)
         full = np.zeros(tree.n_nodes)
         full[tree.descendant_indices(tree.root_index)] = root_grad
         shadow = full[sub_idx]
@@ -348,7 +339,7 @@ def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str,
         raise ValidationError("shadow density vanishes on the subtree")
     worst = 0.0
     for sub, piece in zip(subs, allocation):
-        g = _sub_gradient(sub, tree, xi, piece.values, opts)
+        g = _sub_gradient(sub, tree, xi, piece.values)
         b = float(g @ shadow) / denom
         worst = max(worst, float(np.max(np.abs(g - b * shadow))))
     return worst

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .optim import AscentResult, maximize, maximize_nelder_mead
+from .optim import AscentResult, fd_gradient, maximize, maximize_nelder_mead
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
 DEFAULT_AXIOM_TOLERANCE = 1e-9
@@ -34,6 +34,10 @@ DEFAULT_AXIOM_TOLERANCE = 1e-9
 # per-node size of its widest parameter array, which kernels broadcast
 # against the rows (the worst-case distributions x children).
 CHUNK_FLOATS = 1 << 16
+
+# Relative step of the central differences that stand in for the local
+# partials of kernels without a ``grad``.
+PARTIALS_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,15 +63,34 @@ class Kernel:
     ``evaluate(data, k_x, k_children)`` takes per-node parameters ``data``
     (a tuple of arrays, node axis first) and broadcasts them against the
     trailing axes of ``k_x`` (..., b) and ``k_children`` (..., b, m), giving
-    (..., b).  ``dual(data, theta, psi)`` is the closed-form one-step dual
-    at one node, given that node's parameters as a block of one (b = 1), if
-    any.
+    (..., b).  ``grad``, if given, takes the same arguments and gives the
+    local partials (..., b, m + 1) with respect to (own cash, children);
+    ``partials`` falls back to central differences without it.
+    ``dual(data, theta, psi)`` is the closed-form one-step dual at one node,
+    given that node's parameters as a block of one (b = 1), if any.
     """
 
     evaluate: Callable
     descriptor: str = ""
     smooth: bool = True
     dual: Callable | None = None
+    grad: Callable | None = None
+
+    def partials(self, data, k_x, k_children) -> np.ndarray:
+        """Local partials (..., b, m + 1) of the operator with respect to
+        (own cash, children): ``grad`` where the kernel has one, else
+        central differences with relative step ``PARTIALS_STEP``, all
+        2 (m + 1) probes in one evaluation."""
+        if self.grad is not None:
+            return self.grad(data, k_x, k_children)
+        z = np.concatenate([k_x[..., None], k_children], axis=-1)
+        width = z.shape[-1]
+        h = PARTIALS_STEP * np.maximum(1.0, np.abs(z))
+        bump = np.eye(width) * h[..., None, :]                  # (..., b, m + 1, m + 1)
+        probes = z[..., None, :] + np.concatenate([bump, -bump], axis=-2)
+        probes = np.moveaxis(probes, -2, 0)                     # (2 (m + 1), ..., b, m + 1)
+        vals = self.evaluate(data, probes[..., 0], probes[..., 1:])
+        return np.moveaxis(vals[:width] - vals[width:], 0, -1) / (2.0 * h)
 
     def one_step(self, data) -> OneStepValuation:
         """The operator at one node, from that node's parameters as a block
@@ -115,12 +138,18 @@ class Block:
                 for s in range(0, self.nodes.size, step)]
 
 
-def is_probability(q, *, positive: bool = False) -> bool:
-    """Whether q is a vector of nonnegative (with ``positive``, strictly
-    positive) entries summing to 1 within 1e-9.  Both tests are written so
-    that NaN fails them and an infinite entry fails the sum."""
+def probability_rows(q, *, positive: bool = False) -> np.ndarray:
+    """Whether each vector along the last axis of q has nonnegative (with
+    ``positive``, strictly positive) entries summing to 1 within 1e-9.  Both
+    tests are written so that NaN fails them and an infinite entry fails
+    the sum."""
     q = np.asarray(q, dtype=float)
-    return bool((q > 0 if positive else q >= 0).all() and abs(q.sum() - 1.0) <= 1e-9)
+    return (q > 0 if positive else q >= 0).all(axis=-1) & (np.abs(q.sum(axis=-1) - 1.0) <= 1e-9)
+
+
+def is_probability(q, *, positive: bool = False) -> bool:
+    """Whether the vector q is a probability (``probability_rows``)."""
+    return bool(probability_rows(q, positive=positive))
 
 
 def linear_one_step(child_weights) -> OneStepValuation:
@@ -168,6 +197,11 @@ class ValuationFamily:
                 steps[u] = block.kernel.one_step(_take(block.data, slice(j, j + 1)))
         return tuple(steps)
 
+    def _parts(self, block: Block, rows: int):
+        """The block cut so that no temporary holds more than about
+        ``CHUNK_FLOATS`` floats at ``rows`` rows."""
+        return block.parts(max(1, CHUNK_FLOATS // (rows * block.width)))
+
     def node_values(self, values: np.ndarray) -> np.ndarray:
         """Valuation of every node for cash values of shape (..., n_nodes):
         the balance copied (the leaves' values), then one kernel call per
@@ -175,10 +209,37 @@ class ValuationFamily:
         out = np.array(values, dtype=float)
         rows = max(1, out.size // self.tree.n_nodes)
         for block in self.blocks:
-            step = max(1, CHUNK_FLOATS // (rows * block.width))
-            for data, nodes, kids in block.parts(step):
+            for data, nodes, kids in self._parts(block, rows):
                 out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
         return out
+
+    def values_and_gradient(self, values: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node values and the gradient of node xi's value with respect to
+        the cash, for cash values of shape (..., n_nodes).
+
+        The reverse sweep: an adjoint seeded with 1 at xi visits the blocks
+        from the top level down, and each node hands its adjoint times its
+        local partials to its children (the children inside a block are
+        distinct, so one scatter-add per chunk is exact).  A node's gradient
+        is its adjoint times its own-cash partial, a leaf's is its adjoint.
+        Blocks the adjoint has not reached are skipped."""
+        cash = np.asarray(values, dtype=float)
+        out = self.node_values(cash)
+        adjoint = np.zeros_like(out)
+        adjoint[..., xi] = 1.0
+        grad = np.zeros_like(out)
+        rows = max(1, out.size // self.tree.n_nodes)
+        for block in reversed(self.blocks):
+            for data, nodes, kids in self._parts(block, rows):
+                a = adjoint[..., nodes]
+                if not a.any():
+                    continue
+                p = block.kernel.partials(data, cash[..., nodes], out[..., kids])
+                grad[..., nodes] = a * p[..., 0]
+                adjoint[..., kids] += a[..., None] * p[..., 1:]
+        leaves = self.tree.is_leaf
+        grad[..., leaves] = adjoint[..., leaves]
+        return out, grad
 
     def value(self, x: str, balance: CashBalance) -> float:
         if balance.tree is not self.tree:
@@ -237,20 +298,22 @@ def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: s
     row by row, with the deterministic ``solve(u, k_x, k_children)`` behind
     it.  ``problems[u] = (lift, smooth)``; ``lift(k_x, k_children)`` gives the
     batch objective over the search variable and its start.  Smooth sups use
-    steepest ascent with the tolerances of ``opts`` (``DualSolverOptions``),
-    kinked ones restarted Nelder-Mead; a sup that runs away raises a
-    divergence error naming the node, with the direction as certificate."""
+    BFGS on central differences with the tolerances of ``opts``
+    (``DualSolverOptions``), kinked ones restarted Nelder-Mead; a sup that
+    runs away raises a divergence error naming the node, with the direction
+    as certificate."""
 
     def solve(u: int, k_x, k_children):
         lift, smooth = problems[u]
         objective, x0 = lift(k_x, k_children)
         if x0.size == 0:
-            return AscentResult(x0, float(objective(x0[None, :])[0]), 0.0, 0, converged=True)
+            return AscentResult(x0, float(objective(x0[None, :])[0]), 0.0, 0, converged=True,
+                                evaluations=1, stop_reason="gradient")
         if smooth:
-            res = maximize(objective, x0, gradient_tolerance=opts.gradient_tolerance,
+            res = maximize(objective, lambda z: fd_gradient(objective, z, opts.fd_step), x0,
+                           gradient_tolerance=opts.gradient_tolerance,
                            max_iterations=min(opts.max_iterations, 50_000),
-                           divergence_bound=opts.divergence_bound, fd_step=opts.fd_step,
-                           value_tolerance=1e-12)
+                           divergence_bound=opts.divergence_bound, value_tolerance=1e-12)
         else:
             res = maximize_nelder_mead(objective, x0, divergence_bound=opts.divergence_bound)
         if res.diverged:
@@ -278,7 +341,11 @@ def _committed(inner: Kernel) -> Kernel:
         inner_data, cash, base_kids, base = data
         return inner.evaluate(inner_data, k_x + cash, k_children + base_kids) - base
 
-    return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth)
+    def grad(data, k_x, k_children):
+        inner_data, cash, base_kids, _ = data
+        return inner.partials(inner_data, k_x + cash, k_children + base_kids)
+
+    return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth, grad=grad)
 
 
 def committed_family(family: ValuationFamily, commitment: CashBalance) -> ValuationFamily:

@@ -17,17 +17,21 @@ from treeval.dual import (
     dual_density,
     dual_recursion_residual,
     dual_value,
+    dual_value_and_argmax,
     one_step_dual_value,
     primal_from_dual,
     sample_density,
 )
 from treeval.errors import ConvergenceError, DomainError, TreevalError, ValidationError
 from treeval.families import (
+    CRRAUtility,
     entropic_dual,
     entropic_family,
     entropic_one_step,
     entropic_params,
     entropic_value,
+    ui_family,
+    ui_params,
 )
 from treeval.tree import CashBalance
 from treeval.valuation import assemble, linear_one_step
@@ -110,6 +114,27 @@ class TestDualValue:
         t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
         fam = entropic_family(entropic_params(t, gamma=1.0))
         assert dual_value(fam, "u", {"uu": 0.4, "ud": 0.3, "dd": 0.3}) == math.inf
+
+    def test_crra_dual_with_zero_own_mass_reaches_its_limit(self):
+        # with no mass on the root the sup is approached only as the root's
+        # cash grows without bound: the closed form's limit, sum over the
+        # children alone.  The deficit falls like the root partial's square
+        # root, so the default gradient tolerance leaves about 8e-5 (1e-6
+        # would need cash near 1e7, past the divergence bound).
+        t = three_node_tree()
+        fam = ui_family(ui_params(t, CRRAUtility(2.0), 10.0))
+        value, _, res = dual_value_and_argmax(fam, "root", {"up": 0.4, "down": 0.6},
+                                              DualSolverOptions(max_iterations=2000))
+        s = np.sqrt(0.4 * 0.4) + np.sqrt(0.4 * 0.6)
+        limit = 10.0 * (1.0 - s ** 2)
+        assert res.converged and res.stop_reason == "gradient"
+        assert limit - 1e-4 <= value <= limit
+
+    def test_solve_records_its_work(self):
+        t, params, fam = entropic_setup()
+        _, _, res = dual_value_and_argmax(fam, "root", {"root": 0.2, "up": 0.5, "down": 0.3})
+        assert res.stop_reason == "gradient"
+        assert 0 < res.iterations <= res.gradient_evaluations
 
     def test_weak_duality_numeric(self):
         rng = np.random.default_rng(3)

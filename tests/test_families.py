@@ -210,6 +210,25 @@ class TestWorstCase:
         for c in (0.0, 0.5, 2.0):
             assert np.allclose(fam.node_values(c * k), c * base, atol=1e-12)
 
+    @pytest.mark.parametrize("alphas, message", [
+        ({"r": [[0.5, 0.5]], "u": [[0.5, 0.5]]}, "missing child distributions for node 'd'"),
+        ({"r": [[0.5, 0.5]], "u": [[0.5, 0.5]], "d": [[0.2, 0.3, 0.5]]}, "at 'd' has wrong length"),
+        ({"r": [[0.5, 0.5]], "u": [[0.5, 0.5], [0.5]], "d": [[0.5, 0.5]]}, "at 'u' has wrong length"),
+        ({"r": [[0.5, 0.5]], "u": [[0.5, 0.5]], "d": [[0.5, 0.5], [0.6, 0.6]]}, "at 'd' is not a probability"),
+        ({"r": [[0.5, 0.5]], "u": [[np.nan, 1.0]], "d": [[0.5, 0.5]]}, "at 'u' is not a probability"),
+        ({"r": [[0.5, 0.5]], "u": [[0.5, 0.5]], "d": []}, "need at least one distribution at 'd'"),
+    ])
+    def test_each_node_is_checked_with_its_level(self, alphas, message):
+        with pytest.raises(ValidationError, match=message):
+            worst_case_params(binary_tree(2), alphas)
+
+    def test_distributions_are_stored_read_only_per_node(self):
+        t = binary_tree(2)
+        params = worst_case_params(t, {"r": [[0.5, 0.5]], "u": [[0.2, 0.8], [0.7, 0.3]], "d": [[1.0, 0.0]]})
+        assert params.alphas["u"].tolist() == [[0.2, 0.8], [0.7, 0.3]]
+        assert params.alphas["d"].shape == (1, 2)
+        assert not params.alphas["u"].flags.writeable
+
     def test_axiom_suite_passes(self):
         t = trinomial_tree(2)
         alphas = {}

@@ -14,6 +14,7 @@ from treeval.errors import DivergenceError, ValidationError
 from treeval.families import (
     entropic_family,
     entropic_params,
+    entropic_value,
     worst_case_family,
     worst_case_params,
 )
@@ -28,7 +29,7 @@ from treeval.market import (
     market_value,
     synthesize_one_step_prices,
 )
-from treeval.tree import CashBalance
+from treeval.tree import CashBalance, NodeRecord, build_tree
 from treeval.valuation import ValuationFamily, assemble, linear_one_step
 
 
@@ -224,6 +225,46 @@ class TestHedgedFamily:
         with pytest.raises(DivergenceError, match="'root'") as err:
             hedged_family(fam, mkt).value("root", CashBalance.constant(t, 0.0))
         assert err.value.direction is not None
+
+
+def ill_conditioned_two_asset_market():
+    """Trinomial tree of depth 2 with two martingale assets whose moves out
+    of node b are nearly parallel (singular values 2.96 and 2.8e-3), with
+    its gamma and a balance: a hedge that stalled finite-difference steepest
+    ascent short of its optimum."""
+    records = [("r", None, 0.12867992299406716), ("a", "r", 0.12909258381479416),
+               ("aa", "a", 0.08799103568582245), ("ab", "a", 0.05575143143713984),
+               ("ac", "a", 0.02318223173425935), ("b", "r", 0.06945603370145156),
+               ("ba", "b", 0.07298225689842404), ("bb", "b", 0.021966454961716095),
+               ("bc", "b", 0.022455618951984058), ("c", "r", 0.1559540290069111),
+               ("ca", "c", 0.10724055360619299), ("cb", "c", 0.04854692999079098),
+               ("cc", "c", 0.07670091721644627)]
+    prices = [[1.9612792898888831, 3.108045304924694, 3.672796250849772, 2.1935842388105584,
+               3.4462474266542498, 2.0272768092405435, 2.8009596397205874, 2.8215657478940033,
+               0.6898880551480526, 1.4075613501723803, 0.7549475274968014, 2.747210925180077,
+               0.7945178614295234],
+              [1.8465164121628233, 2.4752094088733667, 1.6675852092531296, 1.3888402234969082,
+               4.152197638238803, 3.3121501277437577, 2.250818820948341, 2.2161913082188303,
+               5.154644696331144, 0.5966221265002072, 0.7848611647358621, 0.7825199962406582,
+               0.28695672922725246]]
+    cash = [-0.7858210077254271, 0.38444454928965976, 0.27077359978142157, -0.24697494882461557,
+            0.597046691612211, -0.6119490479859109, -0.21908217240455685, 0.595867772194042,
+            -0.2390492587133528, 0.42651572824890427, 0.22503560833062375, 0.8820019504852037,
+            0.9833534339803927]
+    t = build_tree([NodeRecord(*r) for r in records])
+    mkt = market(t, {name: dict(zip(t.ids, row)) for name, row in zip(("x", "y"), prices)})
+    return t, mkt, 1.140940141481311, CashBalance(t, cash)
+
+
+class TestIllConditionedHedge:
+    def test_converges_to_a_value_its_strategy_reproduces(self):
+        t, mkt, gamma, k = ill_conditioned_two_asset_market()
+        params = entropic_params(t, gamma)
+        res = market_value(entropic_family(params), mkt, t.root, k)
+        assert res.converged
+        hedged = CashBalance(t, k.values + gains(mkt, t.root, res.strategy).values)
+        assert entropic_value(params, t.root, hedged) == pytest.approx(res.value, abs=1e-9)
+        assert res.value >= entropic_value(params, t.root, k)
 
 
 class TestMarketAxioms:

@@ -1,0 +1,93 @@
+import numpy as np
+import pytest
+
+from treeval.errors import DomainError
+from treeval.optim import fd_gradient, maximize
+
+
+def concave_quadratic(seed: int, d: int = 10, condition: float = 1e4):
+    """-(x - c) A (x - c) / 2 with A's eigenvalues spread log-uniformly over
+    [1, condition] in a random basis; the batch objective and its
+    value-and-gradient callable."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    a = basis @ np.diag(np.logspace(0.0, np.log10(condition), d)) @ basis.T
+    c = rng.normal(size=d)
+
+    def f(batch):
+        return -0.5 * np.einsum("bi,ij,bj->b", batch - c, a, batch - c)
+
+    def gradient(x):
+        return float(f(x[None, :])[0]), -a @ (x - c)
+
+    return f, gradient, c
+
+
+class TestMaximize:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_quadratic_within_2d_plus_5_iterations(self, seed):
+        f, gradient, c = concave_quadratic(seed)
+        res = maximize(f, gradient, np.zeros(c.size), gradient_tolerance=1e-8)
+        assert res.converged and res.stop_reason == "gradient"
+        assert res.iterations <= 2 * c.size + 5
+        # the smallest curvature is 1, so the error is at most about the gradient
+        assert np.max(np.abs(res.x - c)) <= 1e-7
+
+    def test_records_its_evaluations(self):
+        f, gradient, c = concave_quadratic(0)
+        rows = [0]
+
+        def counted(batch):
+            rows[0] += batch.shape[0]
+            return f(batch)
+
+        res = maximize(counted, gradient, np.zeros(c.size), gradient_tolerance=1e-8)
+        assert res.evaluations == rows[0]
+        assert res.iterations <= res.gradient_evaluations
+
+    def test_recession_direction_diverges_with_its_certificate(self):
+        weights = np.array([1.0, -2.0, 0.5])
+        res = maximize(lambda b: b @ weights, lambda x: (float(x @ weights), weights), np.zeros(3))
+        assert res.diverged and not res.converged and res.stop_reason == "diverged"
+        assert np.max(np.abs(res.x)) > 1e6
+        assert res.iterations <= 3
+        assert np.allclose(res.direction, weights / 2.0)
+
+    def test_downhill_gradient_stops_at_the_line_search(self):
+        f, gradient, c = concave_quadratic(1, d=3)
+
+        def wrong(x):
+            value, g = gradient(x)
+            return value, -g
+
+        res = maximize(f, wrong, np.zeros(3))
+        assert res.stop_reason == "line_search" and not res.converged
+
+    def test_iteration_cap(self):
+        f, gradient, c = concave_quadratic(2)
+        res = maximize(f, gradient, np.zeros(c.size), max_iterations=3)
+        assert res.stop_reason == "max_iterations" and not res.converged
+        assert res.iterations == 3
+
+    def test_kinked_objective_stalls(self):
+        # the subgradient of -|x| keeps its norm at the maximum, so only the
+        # stall rule can end the ascent
+        def f(batch):
+            return -np.abs(batch[:, 0]) - 0.5 * batch[:, 1] ** 2
+
+        res = maximize(f, lambda x: fd_gradient(f, x, 1e-6), np.array([0.3, 1.0]),
+                       value_tolerance=1e-12, max_iterations=500)
+        assert res.stop_reason in ("stalled", "gradient")
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+
+    def test_non_finite_start_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            maximize(lambda b: np.full(b.shape[0], np.nan), lambda x: (np.nan, np.zeros(1)), np.zeros(1))
+
+    def test_fd_gradient_returns_the_value_with_the_gradient(self):
+        f, gradient, c = concave_quadratic(3, d=4, condition=10.0)
+        x = np.linspace(-1.0, 1.0, 4)
+        value, g = fd_gradient(f, x, 1e-6)
+        exact_value, exact = gradient(x)
+        assert value == exact_value
+        assert np.max(np.abs(g - exact)) <= 1e-6

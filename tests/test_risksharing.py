@@ -286,6 +286,20 @@ class TestStability:
         for node in t.ids:
             assert stability_check(subs, alloc, node) <= 1e-8
 
+    def test_reverse_sweep_agrees_with_the_closed_form(self):
+        # a family is differentiated by its reverse sweep, exponential
+        # parameters in closed form; both see the same allocation
+        rng = np.random.default_rng(9)
+        t = random_tree(rng, max_depth=3)
+        raw = rng.uniform(0.1, 1.0, t.n_nodes)
+        subs = [entropic_params(t, 1.0), entropic_params(t, 2.0, raw / raw.sum())]
+        skewed = [CashBalance(t, rng.uniform(-1.0, 1.0, t.n_nodes)) for _ in subs]
+        families = [entropic_family(s) for s in subs]
+        for node in t.ids:
+            closed = stability_check(subs, skewed, node)
+            swept = stability_check(families, skewed, node)
+            assert swept == pytest.approx(closed, abs=1e-12)
+
     def test_non_optimal_allocation_reports_large_residual(self):
         t, p1, p2 = hetero_pair()
         k = CashBalance.from_mapping(t, {"root": 0.0, "up": 1.0, "down": -1.0})

@@ -190,6 +190,69 @@ class TestLevelSweep:
         assert all((step is None) == bool(t.is_leaf[u]) for u, step in enumerate(fam.one_steps))
 
 
+def _central_differences(fam, k, xi, h=1e-5):
+    """d node_values[..., xi] / dK by central differences, every node at
+    once (h = 1e-5 keeps the bisected indifference prices' 1e-12 noise
+    well under the 1e-6 tolerance)."""
+    bump = np.eye(k.shape[-1]) * h
+    up = fam.node_values(k[..., None, :] + bump)[..., xi]
+    down = fam.node_values(k[..., None, :] - bump)[..., xi]
+    return (up - down) / (2.0 * h)
+
+
+class TestReverseSweep:
+    @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_gradient_matches_central_differences(self, kind, batch):
+        # uniform random cash lies off the kinks of the worst-case families
+        # almost surely, where their subgradient is the gradient
+        rng = np.random.default_rng(10 * len(kind) + len(batch))
+        for _ in range(2 if kind == "hedged" else 4):
+            t = random_tree(rng, max_depth=2 if kind == "hedged" else 3, max_branching=3)
+            fam = SWEPT_FAMILIES[kind](t, rng)
+            k = rng.uniform(-2.0, 2.0, batch + (t.n_nodes,))
+            xi = int(rng.integers(t.n_nodes))
+            values, grad = fam.values_and_gradient(k, xi)
+            assert np.array_equal(values, fam.node_values(k))
+            assert grad.shape == k.shape
+            assert np.max(np.abs(grad - _central_differences(fam, k, xi))) <= 1e-6
+
+    @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
+    def test_gradient_is_a_density_on_the_subtree(self, kind):
+        # monotone, translation invariant and local: the gradient of a node
+        # value is a probability on that node's subtree
+        rng = np.random.default_rng(len(kind))
+        t = random_tree(rng, max_depth=2 if kind == "hedged" else 3, max_branching=3)
+        fam = SWEPT_FAMILIES[kind](t, rng)
+        k = rng.uniform(-2.0, 2.0, (5, t.n_nodes))
+        for xi in range(t.n_nodes):
+            _, grad = fam.values_and_gradient(k, xi)
+            off = np.ones(t.n_nodes, dtype=bool)
+            off[t.descendant_indices(xi)] = False
+            assert np.all(grad[:, off] == 0.0)
+            assert np.all(grad >= -1e-9)
+            assert np.allclose(grad.sum(axis=1), 1.0, atol=1e-8)
+
+    def test_entropic_gradient_is_the_gibbs_density(self):
+        rng = np.random.default_rng(4)
+        t = random_tree(rng, max_depth=3)
+        params = entropic_params(t, 1.4)
+        k = rng.uniform(-2.0, 2.0, t.n_nodes)
+        for xi in range(t.n_nodes):
+            sub = t.descendant_indices(xi)
+            gibbs = params.reference[sub] * np.exp(-params.gamma * k[sub])
+            _, grad = entropic_family(params).values_and_gradient(k, xi)
+            assert np.max(np.abs(grad[sub] - gibbs / gibbs.sum())) <= 1e-13
+
+    def test_stop_branch_partial_is_own_cash(self):
+        t = three_node_tree()
+        fam = worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5], [0.3, 0.7]]}))
+        _, grad = fam.values_and_gradient(np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, -1.0]]), 0)
+        # stopping wins in the first row; the second continues with the
+        # distribution that puts more mass on the loss
+        assert grad.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.3, 0.7]]
+
+
 class TestValueAt:
     def test_leaves_give_back_cash(self):
         t = binary_tree(2)
