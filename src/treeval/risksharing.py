@@ -4,11 +4,11 @@ certainty-equivalent subsidiaries, allocation recovery, the
 gradient-proportionality stability certificate, and the axiom suite for the
 pooled family.
 
-Duals simply add under pooling, so the value is found by simplex descent on
-the summed duals whenever every subsidiary has a smooth dual (the
-exponential family does, in closed form).  Any subsidiaries go through the
-pooled family: a ``ValuationFamily`` assembled from one-step
-sup-convolutions, whose splits also rebuild the allocation.
+Duals add under pooling.  For exponential subsidiaries this makes the
+one-step sup-convolution itself an exponential one-step, so their pooled
+family is one kernel family swept without a solver (``pooled_family``).
+Any other subsidiaries are pooled by one-step sup-convolutions solved
+numerically, whose splits also rebuild the allocation.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
-from .families import EntropicParams, entropic_family, entropic_params
-from .optim import eg_minimize
+from .families import EntropicParams, _entropic_data, _entropic_kernel, entropic_family, entropic_params
 from .tree import CashBalance, Tree
-from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
+from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, kernel_family, sup_family
 
 
-def _common_tree(subs: Sequence) -> Tree:
+def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
     if len(subs) < 1:
         raise ValidationError("need at least one subsidiary")
     for sub in subs:
@@ -35,6 +34,8 @@ def _common_tree(subs: Sequence) -> Tree:
     first = subs[0].tree
     if any(sub.tree is not first for sub in subs[1:]):
         raise ValidationError("subsidiaries must share one tree instance")
+    if any(getattr(b, "tree", None) is not first for b in balances):
+        raise ValidationError("cash balance built on a different tree")
     return first
 
 
@@ -99,7 +100,7 @@ def entropic_allocation(subs: Sequence[EntropicParams], x: str, balance: CashBal
     a share of the cash proportional to the reciprocal risk aversion, a
     belief-disagreement transfer, and a share of the pooling gain.  Sums to
     the pooled balance exactly; zero off the subtree."""
-    tree = _common_tree(subs)
+    tree = _common_tree(subs, [balance])
     xi = tree.node_index(x)
     sub_idx = tree.descendant_indices(xi)
     plan = entropic_share_params(subs, x)
@@ -127,48 +128,6 @@ class SharingResult:
     feasibility_gap: float       # sup-norm of (sum of allocations - balance) on the subtree
     method: str
     converged: bool
-
-
-def _entropic_dual_model(sub: EntropicParams, tree: Tree, xi: int):
-    sub_idx = tree.descendant_indices(xi)
-    tilde = sub.reference[sub_idx] / sub.subtree_reference[xi]
-    gamma = sub.gamma
-
-    def value(lam: np.ndarray) -> float:
-        pos = lam > 0
-        return float(np.sum(lam[pos] * np.log(lam[pos] / tilde[pos])) / gamma)
-
-    def grad(lam: np.ndarray) -> np.ndarray:
-        return (np.log(lam / tilde) + 1.0) / gamma
-
-    def argmax(lam: np.ndarray) -> np.ndarray:
-        # inner maximizer of (valuation - pairing), fixed to mean zero
-        base = -np.log(lam / tilde) / gamma
-        return base
-
-    return value, grad, argmax
-
-
-def _share_dual_route(subs, tree, xi, k_sub, opts) -> tuple[float, np.ndarray, list[np.ndarray], bool]:
-    models = [_entropic_dual_model(s, tree, xi) for s in subs]
-
-    def grad(lam):
-        return k_sub + sum(m[1](lam) for m in models)
-
-    def value(lam):
-        return float(lam @ k_sub) + sum(m[0](lam) for m in models)
-
-    res = eg_minimize(grad, k_sub.size, value_fn=value,
-                      step_constant=opts.step_constant,
-                      tolerance=opts.tolerance,
-                      max_iterations=opts.max_iterations)
-    lam = res.weights
-    bases = [m[2](lam) for m in models]
-    residual = k_sub - sum(bases)
-    weights = np.array([1.0 / s.gamma for s in subs])
-    weights /= weights.sum()
-    pieces = [base + w * residual for base, w in zip(bases, weights)]
-    return res.value, lam, pieces, res.converged
 
 
 def _split(batch: np.ndarray, total: np.ndarray, j: int) -> np.ndarray:
@@ -205,8 +164,24 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     Each subsidiary's share of a child subtree can be shifted by a constant
     that translation invariance passes through its valuation, so the
     sup-convolution over whole allocations is the backward induction of
-    one-step sup-convolutions of the subsidiaries' one-step operators."""
-    _common_tree(subs)
+    one-step sup-convolutions of the subsidiaries' one-step operators.
+
+    Exponential one-steps with risk aversions gamma_j and log-weights
+    log w_j pool to the exponential one-step with Gamma = 1 / sum 1/gamma_j
+    on the log-weights sum (Gamma/gamma_j) log w_j, with no solver.  These
+    are unnormalized: their missing mass is the node's value of pooling.
+    The conjugate sum q (log q - log w') / Gamma is sum KL(q | w_j) / gamma_j,
+    so the duals add.  Any other mix solves each one-step sup numerically."""
+    tree = _common_tree(subs)
+    if all(isinstance(s, EntropicParams) for s in subs):
+        big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs)
+        weighted = [(big_gamma / s.gamma, _entropic_data(s)) for s in subs]
+
+        def data(nodes, kids):
+            return (sum(r * log_w(nodes, kids)[0] for r, log_w in weighted),)
+
+        descriptor = "pooled(" + ", ".join(f"entropic(gamma={s.gamma})" for s in subs) + ")"
+        return kernel_family(tree, _entropic_kernel(big_gamma), data, descriptor=descriptor)
     return _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
 
 
@@ -249,29 +224,35 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     """Best pooled valuation of the balance at a node over all splits among
     the subsidiaries, with the achieving allocation.
 
-    ``method='dual'`` runs simplex descent on the summed duals (exponential
-    subsidiaries only) and recovers the allocation from the inner
-    maximizers; ``method='direct'`` sweeps the pooled family and rebuilds
-    the allocation from its one-step splits.  ``'auto'`` picks the dual
-    route when available.  The allocation always sums to the balance
-    exactly on the subtree; the value achieved by it is reported for
-    verification.
+    ``method='dual'`` (exponential subsidiaries only) sweeps their pooled
+    kernel family once at the balance and at zero, with no solver: the
+    reverse-sweep gradient is the minimizing density of the summed duals,
+    and the allocation is the closed form ``entropic_allocation``.
+    ``method='direct'`` solves every one-step sup-convolution numerically,
+    with the tolerances of ``opts``, and rebuilds the allocation from its
+    one-step splits.  ``'auto'`` picks the dual route when every subsidiary
+    is exponential.  The allocation always sums to the balance exactly on
+    the subtree; the value achieved by it is reported for verification.
     """
+    if method not in ("auto", "dual", "direct"):
+        raise ValidationError(f"unknown method {method!r}; use 'auto', 'dual' or 'direct'")
     opts = opts or DEFAULT_OPTIONS
-    tree = _common_tree(subs)
+    tree = _common_tree(subs, [balance])
     xi = tree.node_index(x)
     sub_idx = tree.descendant_indices(xi)
     k_sub = balance.values[sub_idx]
     all_entropic = all(isinstance(s, EntropicParams) for s in subs)
     if method == "auto":
-        method = "dual" if all_entropic and len(subs) > 1 else "direct"
+        method = "dual" if all_entropic else "direct"
     if method == "dual" and not all_entropic:
         raise ValidationError("the dual route needs exponential-family subsidiaries; use method='direct'")
 
     if method == "dual":
-        value, lam, pieces, converged = _share_dual_route(subs, tree, xi, k_sub, opts)
-        value0, _, _, converged0 = _share_dual_route(subs, tree, xi, np.zeros_like(k_sub), opts)
-        converged = converged and converged0
+        rows = np.stack([balance.values, np.zeros(tree.n_nodes)])
+        swept, grad = pooled_family(subs).values_and_gradient(rows, xi)
+        value, value0 = swept[:, xi]
+        lam, converged = grad[0, sub_idx], True
+        pieces = [piece.values[sub_idx] for piece in entropic_allocation(subs, x, balance)]
     else:
         value, value0, pieces, converged = _share_direct_route(subs, tree, xi, balance.values, opts)
         lam = None
@@ -322,7 +303,7 @@ def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str, *
     scalar multiple of the root shadow density, or some pair could still
     trade profitably there.  Small residuals certify that the time-0
     allocation stays optimal at the node."""
-    tree = _common_tree(subs)
+    tree = _common_tree(subs, allocation)
     if len(allocation) != len(subs):
         raise ValidationError("one allocated balance per subsidiary")
     xi = tree.node_index(x)
@@ -333,7 +314,12 @@ def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str, *
         full[tree.descendant_indices(tree.root_index)] = root_grad
         shadow = full[sub_idx]
     else:
-        shadow = np.asarray(shadow, dtype=float)[sub_idx] if shadow.size == tree.n_nodes else np.asarray(shadow, dtype=float)
+        shadow = np.asarray(shadow, dtype=float)
+        if shadow.shape == (tree.n_nodes,):
+            shadow = shadow[sub_idx]
+        if shadow.shape != sub_idx.shape or not np.isfinite(shadow).all():
+            raise ValidationError(f"shadow density must be {tree.n_nodes} finite numbers, or "
+                                  f"{sub_idx.size} on the subtree of {x!r}")
     denom = float(shadow @ shadow)
     if denom <= 0:
         raise ValidationError("shadow density vanishes on the subtree")
@@ -349,15 +335,12 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
                          tolerance: float | None = None,
                          opts: DualSolverOptions | None = None,
                          cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
-    """Axiom suite for the normalized pooled family: the closed-form
-    aggregate for exponential subsidiaries, otherwise the pooled family
-    committed to the zero balance (whose larger default tolerance reflects
-    the one-step solves)."""
-    if all(isinstance(s, EntropicParams) for s in subs):
-        family = entropic_sharing_family(subs)
-        tol = 1e-8 if tolerance is None else tolerance
-    else:
-        pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
-        family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
-        tol = 1e-5 if tolerance is None else tolerance
+    """Axiom suite for the normalized pooled family: the pooled family
+    committed to the zero balance.  Its default tolerance is 1e-8 for
+    exponential subsidiaries, whose pooled kernel is exact, and 1e-5
+    otherwise, reflecting the one-step solves."""
+    pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
+    exact = all(isinstance(s, EntropicParams) for s in subs)
+    tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

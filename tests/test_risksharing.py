@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeval
 from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
-from treeval.dual import DualSolverOptions, dual_density
-from treeval.errors import ValidationError
+from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_density
+from treeval.errors import TreevalError, ValidationError
 from treeval.families import (
     entropic_dual,
     entropic_family,
@@ -23,6 +32,7 @@ from treeval.risksharing import (
     share_value,
     stability_check,
 )
+from treeval.risksharing import _pooled
 from treeval.tree import CashBalance
 from treeval.valuation import ValuationFamily, check_axioms
 
@@ -185,6 +195,23 @@ class TestShareValue:
         with pytest.raises(ValidationError, match="dual route"):
             share_value([fam, fam], "root", CashBalance.constant(t, 0.0), method="dual")
 
+    def test_unknown_method_is_rejected(self):
+        t, p1, p2 = hetero_pair()
+        with pytest.raises(ValidationError, match="'auto', 'dual' or 'direct'"):
+            share_value([p1, p2], "root", CashBalance.constant(t, 0.0), method="duel")
+
+    def test_dual_route_reads_the_pooled_kernel(self):
+        # the density is the reverse-sweep gradient of the pooled family and
+        # the allocation the closed form, with no solver behind either
+        t, p1, p2 = hetero_pair()
+        k = CashBalance.from_mapping(t, {"root": 0.3, "up": 1.0, "down": -1.0})
+        res = share_value([p1, p2], "root", k, method="dual")
+        grad = pooled_family([p1, p2]).values_and_gradient(k.values, 0)[1]
+        assert res.converged and res.method == "dual"
+        assert [res.argmin_density.values[i] for i in t.ids] == pytest.approx(grad, abs=1e-14)
+        for piece, closed in zip(res.allocation, entropic_allocation([p1, p2], "root", k)):
+            assert np.max(np.abs(piece.values - closed.values)) <= 1e-14
+
 
 def mixed_pair(rng, tree):
     """Entropic subsidiary with a random gamma and a worst-case stopping
@@ -226,6 +253,51 @@ class TestPooledFamily:
         pooled = pooled_family([p1, p2])
         assert isinstance(pooled, ValuationFamily)
         assert isinstance(committed_family(pooled, CashBalance.constant(t, 0.0)), ValuationFamily)
+
+
+class TestEntropicPoolingRule:
+    """Exponential subsidiaries pool node by node to one exponential kernel
+    with Gamma = 1 / sum 1/gamma_j and unnormalized log-weights."""
+
+    def test_node_values_match_the_closed_form_at_every_node(self):
+        # criterion 04's random cases
+        rng = np.random.default_rng(9)
+        for seed in range(8):
+            tree = random_tree(np.random.default_rng(4000 + seed), max_depth=3, max_branching=3)
+            subs = []
+            for _ in range(int(rng.integers(2, 4))):
+                raw = rng.uniform(0.1, 1.0, tree.n_nodes)
+                subs.append(entropic_params(tree, float(rng.uniform(0.5, 2.5)), raw / raw.sum()))
+            k = random_cash(rng, tree, -2.0, 2.0)
+            values = pooled_family(subs).node_values(k.values)
+            aggregate = entropic_sharing_family(subs)
+            for x in tree.ids:
+                expected = aggregate.value(x, k) + entropic_share_params(subs, x).value_of_sharing
+                assert values[tree.node_index(x)] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_the_one_step_sup_route(self, depth):
+        if depth == 1:
+            t, p1, p2 = hetero_pair()
+        else:
+            raw = np.random.default_rng(42).uniform(0.1, 1.0, (2, 7))
+            t = binary_tree(2, weights=raw[0] / raw[0].sum())
+            p1 = entropic_params(t, 0.8)
+            p2 = entropic_params(t, 1.7, raw[1] / raw[1].sum())
+        numeric, _ = _pooled([entropic_family(p1), entropic_family(p2)],
+                             DualSolverOptions(gradient_tolerance=1e-8))
+        rows = np.random.default_rng(depth).uniform(-2.0, 2.0, (3, t.n_nodes))
+        assert np.max(np.abs(pooled_family([p1, p2]).node_values(rows) - numeric.node_values(rows))) <= 1e-6
+
+    def test_duals_add(self):
+        t, p1, p2 = hetero_pair()
+        pooled = pooled_family([p1, p2])
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            lam = sample_density(t, "root", rng)
+            summed = share_dual([lambda d: entropic_dual(p1, "root", d),
+                                 lambda d: entropic_dual(p2, "root", d)], lam)
+            assert dual_value(pooled, "root", lam) == pytest.approx(summed, abs=1e-6)
 
 
 class TestEntropicAllocation:
@@ -300,6 +372,17 @@ class TestStability:
             swept = stability_check(families, skewed, node)
             assert swept == pytest.approx(closed, abs=1e-12)
 
+    def test_shadow_is_validated(self):
+        t, p1, p2 = hetero_pair()
+        k = CashBalance.from_mapping(t, {"root": 0.0, "up": 1.0, "down": -1.0})
+        alloc = entropic_allocation([p1, p2], "root", k)
+        shadow = [0.2, 0.5, 0.3]
+        as_list = stability_check([p1, p2], alloc, "root", shadow=shadow)
+        assert as_list == stability_check([p1, p2], alloc, "root", shadow=np.array(shadow))
+        for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5], [[0.2, 0.5, 0.3]]):
+            with pytest.raises(ValidationError, match="shadow density"):
+                stability_check([p1, p2], alloc, "root", shadow=bad)
+
     def test_non_optimal_allocation_reports_large_residual(self):
         t, p1, p2 = hetero_pair()
         k = CashBalance.from_mapping(t, {"root": 0.0, "up": 1.0, "down": -1.0})
@@ -364,3 +447,90 @@ class TestCommittedFamily:
         wrapped = committed_family(fam, CashBalance.constant(t, 0.0))
         k = np.array([0.3, -1.0, 2.0])
         assert np.allclose(wrapped.node_values(k), fam.node_values(k), atol=1e-15)
+
+
+class TestForeignTree:
+    """A balance built on an equal but distinct tree instance is refused."""
+
+    def setup_method(self):
+        self.t, self.p1, self.p2 = hetero_pair()
+        self.foreign = CashBalance.constant(three_node_tree((0.2, 0.4, 0.4)), 1.0)
+
+    def test_share_value(self):
+        with pytest.raises(ValidationError, match="different tree"):
+            share_value([self.p1, self.p2], "root", self.foreign)
+
+    def test_entropic_allocation(self):
+        with pytest.raises(ValidationError, match="different tree"):
+            entropic_allocation([self.p1, self.p2], "root", self.foreign)
+
+    def test_stability_check(self):
+        own = CashBalance.constant(self.t, 1.0)
+        with pytest.raises(ValidationError, match="different tree"):
+            stability_check([self.p1, self.p2], [own, self.foreign], "root")
+
+
+def _sharing_numbers(res) -> list:
+    return [res.value, res.normalized, res.value_of_sharing, res.achieved_value, res.feasibility_gap,
+            *(a.values for a in res.allocation), list(res.argmin_density.values.values())]
+
+
+@given(tree_seed=st.integers(0, 10_000), cash_seed=st.integers(0, 10_000),
+       log_gammas=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3),
+       log_scale=st.floats(-3.0, 6.0))
+@settings(max_examples=50, deadline=None)
+def test_entropic_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, log_gammas, log_scale):
+    # depth 1-3, gamma in [1e-2, 1e2], cash up to 1e6 in magnitude
+    tree = random_tree(np.random.default_rng(tree_seed), max_depth=3)
+    rng = np.random.default_rng(cash_seed)
+    subs = []
+    for log_gamma in log_gammas:
+        raw = rng.uniform(0.1, 1.0, tree.n_nodes)
+        subs.append(entropic_params(tree, 10.0 ** log_gamma, raw / raw.sum()))
+    balance = CashBalance(tree, 10.0 ** log_scale * rng.uniform(-1.0, 1.0, tree.n_nodes))
+
+    def stability():
+        alloc = entropic_allocation(subs, tree.root, balance)
+        return [stability_check(subs, alloc, node_id) for node_id in tree.ids]
+
+    calls = {
+        "share_value": lambda: _sharing_numbers(share_value(subs, tree.root, balance)),
+        "pooled_family": lambda: [pooled_family(subs).node_values(balance.values)],
+        "entropic_allocation": lambda: [a.values for a in entropic_allocation(subs, tree.root, balance)],
+        "stability_check": stability,
+        "check_sharing_axioms": lambda: [c.worst_residual for c in
+                                         check_sharing_axioms(subs, trials=3, seed=cash_seed).checks],
+    }
+    for name, call in calls.items():
+        try:
+            numbers = call()
+        except TreevalError:
+            continue
+        assert all(np.isfinite(np.asarray(v, dtype=float)).all() for v in numbers), (name, numbers)
+
+
+def test_entropic_paths_never_import_scipy_optimize():
+    # importing scipy.optimize alone roughly triples a process's peak RSS
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from treeval.dual import dual_density, dual_value
+        from treeval.families import entropic_family, entropic_params
+        from treeval.risksharing import check_sharing_axioms, share_value
+        from treeval.tree import CashBalance, NodeRecord, build_tree
+
+        tree = build_tree([NodeRecord("root", None, 0.2), NodeRecord("up", "root", 0.4),
+                           NodeRecord("down", "root", 0.4)])
+        p1 = entropic_params(tree, 1.0)
+        p2 = entropic_params(tree, 1.0, np.array([0.2, 0.6, 0.2]))
+        lam = dual_density(tree, "root", {"root": 0.2, "up": 0.5, "down": 0.3})
+        dual_value(entropic_family(p1), "root", lam)
+        share_value([p1, p2], "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="dual")
+        check_sharing_axioms([p1, p2], trials=5, seed=1)
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = str(Path(treeval.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=False,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
