@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .optim import eg_minimize, fd_gradient, maximize, maximize_nelder_mead
+from .optim import eg_minimize, sup
 from .tree import CashBalance, Tree
 from .valuation import OneStepValuation, is_probability
 
@@ -27,25 +28,25 @@ from .valuation import OneStepValuation, is_probability
 class DualSolverOptions:
     """Knobs for the solvers.
 
-    ``tolerance`` is the duality-gap target of the simplex descent, which
-    takes c/sqrt(k) steps with c = ``step_constant``; the unconstrained
-    ascent uses the gradient tolerance and divergence bound, and the
-    finite-difference step where it differences the objective (one-step
-    duals and one-step sups).
+    ``tolerance`` is the duality-gap target of the simplex descent;
+    ``gradient_tolerance`` is the gradient test of every numeric sup
+    (``optim.sup``: dual solves, one-step duals, one-step hedges and pools);
+    ``max_iterations`` caps each of them.  Tolerances must be finite and
+    positive, the cap an integer of at least 1.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
-    step_constant: float = 1.0
     gradient_tolerance: float = 1e-6
-    fd_step: float = 1e-6
-    divergence_bound: float = 1e6
 
     def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise ValidationError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+        for name in ("tolerance", "gradient_tolerance"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive (got {value!r})")
+        if not (isinstance(self.max_iterations, Integral) and not isinstance(self.max_iterations, bool)
+                and self.max_iterations >= 1):
+            raise ValidationError(f"max_iterations must be an integer >= 1 (got {self.max_iterations!r})")
 
 
 DEFAULT_OPTIONS = DualSolverOptions()
@@ -139,16 +140,14 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
         values, grad = family.values_and_gradient(full, xi)
         return values[xi] - point @ lam_vec, grad[free] - lam_vec
 
-    x0 = np.zeros(free.size) if start is None else np.array(start, dtype=float)
-    res = maximize(objective, gradient, x0,
-                   gradient_tolerance=opts.gradient_tolerance,
-                   max_iterations=opts.max_iterations,
-                   divergence_bound=opts.divergence_bound)
+    x0 = np.zeros(free.size) if start is None else start
+    res = sup(objective, x0, smooth=all(b.kernel.smooth for b in family.blocks),
+              gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations,
+              gradient=gradient)
     if res.diverged:
         return math.inf, None, res
     if not res.converged:
-        raise ConvergenceError(
-            f"dual maximization stalled at gradient norm {res.gradient_norm:.3e}", best=res)
+        raise ConvergenceError(f"dual maximization ({res.method}) stopped on {res.stop_reason}", best=res)
     full = np.zeros(tree.n_nodes)
     full[free] = res.x
     return res.value, CashBalance(tree, full), res
@@ -156,8 +155,8 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
 
 def dual_value(family, x: str, lam, opts: DualSolverOptions | None = None) -> float:
     """sup over cash balances on the subtree of (node value - density . cash),
-    by BFGS on the reverse-sweep gradient; +inf signals a density outside
-    the effective domain."""
+    by ``optim.sup`` on the reverse-sweep gradient; +inf signals a density
+    outside the effective domain."""
     value, _, _ = dual_value_and_argmax(family, x, lam, opts)
     return value
 
@@ -213,7 +212,6 @@ def primal_from_dual(dual_fn, x: str, balance: CashBalance,
             return k_sub + _simplex_fd_grad(lambda v: float(dual_fn(density_of(v))), vec)
 
     res = eg_minimize(grad_of, len(sub), value_fn=value_of,
-                      step_constant=opts.step_constant,
                       tolerance=opts.tolerance,
                       max_iterations=opts.max_iterations)
     density = density_of(res.weights)
@@ -248,22 +246,13 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
                     out[r] = -math.inf
             return out
 
-    res = maximize(objective, lambda z: fd_gradient(objective, z, opts.fd_step), np.zeros(q.size),
-                   gradient_tolerance=opts.gradient_tolerance,
-                   max_iterations=min(opts.max_iterations, 2_000),
-                   divergence_bound=opts.divergence_bound,
-                   value_tolerance=1e-12)
+    res = sup(objective, np.zeros(q.size), smooth=step.smooth,
+              gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations)
     if res.diverged:
         return math.inf
-    # domain walls and kinks can strand the ascent short of the optimum;
-    # restarted simplex search finishes the job at this dimension
-    polished = maximize_nelder_mead(objective, res.x, divergence_bound=opts.divergence_bound)
-    if polished.diverged:
-        return math.inf
-    best = max(res.value, polished.value)
-    if not np.isfinite(best):
+    if not np.isfinite(res.value):
         raise ConvergenceError("one-step dual maximization found no finite value", best=res)
-    return float(best)
+    return res.value
 
 
 def dual_recursion_residual(family, x: str, lam, opts: DualSolverOptions | None = None, *,
@@ -307,7 +296,8 @@ def dual_recursion_residual(family, x: str, lam, opts: DualSolverOptions | None 
     for z, bz in zip(kids, bar):
         child_map = {tree.ids[i]: float(masses[i] / bz) for i in tree.descendant_indices(z)}
         rhs += bz * node_dual(tree.ids[z], child_map)
-    return abs(lhs - rhs)
+    # both sides +inf: the recursion holds in the extended reals
+    return 0.0 if lhs == rhs == math.inf else abs(lhs - rhs)
 
 
 @dataclass
@@ -367,7 +357,6 @@ def check_dual_properties(tree: Tree, x: str, dual_fn, *, trials: int = 50, seed
         worst = max(worst, f(0.5 * (a + b)) - 0.5 * (f(a) + f(b)))
 
     res = eg_minimize(lambda v: _simplex_fd_grad(f, v), len(sub), value_fn=f,
-                      step_constant=opts.step_constant,
                       tolerance=max(opts.tolerance, 1e-10),
                       max_iterations=min(opts.max_iterations, 20_000))
     infimum = float(res.value)

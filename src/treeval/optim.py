@@ -1,8 +1,8 @@
-"""Solvers shared by the valuation, dual and risk-sharing modules: BFGS
-ascent with a backtracking line search and step doubling along recession
-directions, restarted Nelder-Mead for kinked objectives, and
-multiplicative-weights descent on the simplex with c/sqrt(k) steps.
-Objectives evaluate batches: f((B, d)) -> (B,).
+"""Solvers shared by the valuation and dual modules: BFGS ascent with a
+backtracking line search and step doubling along recession directions,
+restarted Nelder-Mead for kinked objectives, ``sup``, the one policy that
+chooses between them, and multiplicative-weights descent on the simplex
+with 1/sqrt(k) steps.  Objectives evaluate batches: f((B, d)) -> (B,).
 """
 
 from __future__ import annotations
@@ -18,13 +18,18 @@ from .errors import DomainError
 # ascent as stalled.
 STALL_STEPS = 10
 
+# Sup norm of an iterate beyond which an ascent declares divergence.
+DIVERGENCE_BOUND = 1e6
+
 
 @dataclass
 class AscentResult:
     """Where an ascent stopped and how it got there.  ``evaluations``
     counts the objective rows the solver evaluated, ``gradient_evaluations``
     the gradient calls; ``stop_reason`` is one of ``gradient``, ``stalled``,
-    ``line_search``, ``diverged`` or ``max_iterations``."""
+    ``line_search``, ``diverged`` or ``max_iterations``; ``method`` names
+    the solvers that ran: ``bfgs``, ``nelder-mead`` or
+    ``bfgs+nelder-mead``."""
 
     x: np.ndarray
     value: float
@@ -36,6 +41,7 @@ class AscentResult:
     evaluations: int = 0
     gradient_evaluations: int = 0
     stop_reason: str = ""
+    method: str = ""
 
 
 def fd_gradient(f, x: np.ndarray, step_rel: float) -> tuple[float, np.ndarray]:
@@ -66,7 +72,7 @@ def fd_gradient(f, x: np.ndarray, step_rel: float) -> tuple[float, np.ndarray]:
 
 
 def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 100_000,
-             divergence_bound: float = 1e6, value_tolerance: float = 0.0) -> AscentResult:
+             value_tolerance: float = 0.0) -> AscentResult:
     """Maximize a concave batch objective by BFGS.  ``gradient(x)`` gives
     the objective and its gradient at one point, ``(f(x), (d,))``; the
     backtracking evaluates ``f`` alone.
@@ -80,7 +86,7 @@ def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iteration
     that is not uphill, or a line search that fails along a quasi-Newton
     direction, restarts from the gradient.  Stops when the gradient's sup
     norm is within tolerance; declares divergence when the iterate's sup
-    norm crosses the bound or the objective overflows to +inf, the
+    norm crosses ``DIVERGENCE_BOUND`` or the objective overflows to +inf, the
     signature of an effective-domain escape.  A positive
     ``value_tolerance`` also accepts the point once ``STALL_STEPS``
     consecutive steps gain less than it, which is how kinked objectives
@@ -105,7 +111,7 @@ def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iteration
         if direction is not None:
             direction = direction / max(float(np.max(np.abs(direction))), 1e-300)
         return AscentResult(z, fz, gnorm, iterations, converged=reason in ("gradient", "stalled"),
-                            diverged=reason == "diverged", direction=direction,
+                            diverged=reason == "diverged", direction=direction, method="bfgs",
                             evaluations=counts[0], gradient_evaluations=counts[1], stop_reason=reason)
 
     def sufficient(t: float, fc: float) -> bool:
@@ -149,7 +155,7 @@ def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iteration
         if gc is None:
             fc, gc = value_and_gradient(cand)
         for _ in range(70):
-            if gc @ step < 0.9 * slope or np.max(np.abs(cand)) > divergence_bound:
+            if gc @ step < 0.9 * slope or np.max(np.abs(cand)) > DIVERGENCE_BOUND:
                 break
             cand2 = x + 2.0 * t * step
             fc2, gc2 = value_and_gradient(cand2)
@@ -161,7 +167,7 @@ def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iteration
         s, y = cand - x, g - gc
         gain = fc - fx
         x, fx, g = cand, fc, gc
-        if np.max(np.abs(x)) > divergence_bound:
+        if np.max(np.abs(x)) > DIVERGENCE_BOUND:
             return stop(x, fx, g, iterations, "diverged", step)
         sy = float(s @ y)
         if sy > 1e-12 * np.sqrt(float(s @ s) * float(y @ y)):
@@ -185,19 +191,19 @@ class _Escaped(Exception):
     pass
 
 
-def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
+def maximize_nelder_mead(f, x0) -> AscentResult:
     """Maximize a concave batch objective with kinks, where gradient ascent
     stalls off the optimum, by Nelder-Mead restarted at its endpoint until a
     run gains nothing (three runs at most).  Each run starts from a simplex
     with edges max(1, |x|_inf): scipy's default edge is 0.00025 at a zero
-    coordinate, too short to leave a kink.  An iterate beyond the divergence
-    bound reports divergence along its own direction."""
+    coordinate, too short to leave a kink.  An iterate beyond
+    ``DIVERGENCE_BOUND`` reports divergence along its own direction."""
     from scipy.optimize import minimize  # a slow import, paid on first use
 
     evaluations = [0]
 
     def negated(v: np.ndarray) -> float:
-        if np.max(np.abs(v)) > divergence_bound:
+        if np.max(np.abs(v)) > DIVERGENCE_BOUND:
             raise _Escaped(v)
         evaluations[0] += 1
         return -float(f(v[None, :])[0])
@@ -215,15 +221,39 @@ def maximize_nelder_mead(f, x0, *, divergence_bound: float) -> AscentResult:
             far = escape.args[0]
             return AscentResult(far, best.value, np.nan, best.iterations, converged=False,
                                 diverged=True, direction=far / np.max(np.abs(far)),
-                                evaluations=evaluations[0], stop_reason="diverged")
+                                evaluations=evaluations[0], stop_reason="diverged", method="nelder-mead")
         value = -float(res.fun)
         gained = not np.isfinite(best.value) or value > best.value + 1e-13 * (1.0 + abs(best.value))
         if value >= best.value:
             best = AscentResult(res.x, value, np.nan, best.iterations + res.nit, bool(res.success))
-        best.evaluations = evaluations[0]
+        best.evaluations, best.method = evaluations[0], "nelder-mead"
         best.stop_reason = "max_iterations" if gained else "stalled"
         if not gained:
             break
+    return best
+
+
+def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
+        gradient=None) -> AscentResult:
+    """The sup of a concave batch objective: the one solver policy.  A smooth
+    objective gets BFGS on ``gradient`` (central differences when None),
+    stalling once its steps gain nothing; unless it ends on the gradient test
+    or diverges, restarted Nelder-Mead goes on from where it stopped and the
+    better result wins.  A kinked objective gets Nelder-Mead from x0."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size == 0:
+        return AscentResult(x0, float(f(x0[None, :])[0]), 0.0, 0, converged=True,
+                            evaluations=1, stop_reason="gradient", method="bfgs")
+    if not smooth:
+        return maximize_nelder_mead(f, x0)
+    ascent = maximize(f, gradient or (lambda z: fd_gradient(f, z, 1e-6)), x0,
+                      gradient_tolerance=gradient_tolerance, max_iterations=max_iterations,
+                      value_tolerance=1e-12)
+    if ascent.stop_reason in ("gradient", "diverged"):
+        return ascent
+    polished = maximize_nelder_mead(f, ascent.x)
+    best = polished if polished.diverged or polished.value >= ascent.value else ascent
+    best.method = "bfgs+nelder-mead"
     return best
 
 
@@ -236,16 +266,16 @@ class SimplexResult:
     converged: bool
 
 
-def eg_minimize(grad_fn, d: int, *, value_fn=None, step_constant: float = 1.0,
-                tolerance: float = 1e-9, max_iterations: int = 100_000,
-                x0: np.ndarray | None = None) -> SimplexResult:
-    """Minimize a convex function over the simplex by exponentiated gradient.
+def eg_minimize(grad_fn, d: int, *, value_fn=None, tolerance: float = 1e-9,
+                max_iterations: int = 100_000) -> SimplexResult:
+    """Minimize a convex function over the simplex by exponentiated gradient
+    with 1/sqrt(k) steps.
 
     ``grad_fn`` may be exact up to an additive constant (the update and the
     duality-gap surrogate are both invariant to constant shifts).  The gap
     ``lam . g - min g`` bounds the suboptimality and is the stopping rule.
     """
-    lam = np.full(d, 1.0 / d) if x0 is None else np.array(x0, dtype=float)
+    lam = np.full(d, 1.0 / d)
     best = lam.copy()
     best_gap = np.inf
     iterations = 0
@@ -259,7 +289,7 @@ def eg_minimize(grad_fn, d: int, *, value_fn=None, step_constant: float = 1.0,
         if gap <= tolerance:
             converged = True
             break
-        eta = step_constant / np.sqrt(iterations)
+        eta = 1.0 / np.sqrt(iterations)
         lam = lam * np.exp(-eta * (g - g.min()))
         lam = np.maximum(lam, 1e-300)
         lam /= lam.sum()

@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .optim import AscentResult, fd_gradient, maximize, maximize_nelder_mead
+from .optim import sup
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
 DEFAULT_AXIOM_TOLERANCE = 1e-9
@@ -297,25 +297,16 @@ def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: s
     """Family whose one-step operator at each internal node u is a sup found
     row by row, with the deterministic ``solve(u, k_x, k_children)`` behind
     it.  ``problems[u] = (lift, smooth)``; ``lift(k_x, k_children)`` gives the
-    batch objective over the search variable and its start.  Smooth sups use
-    BFGS on central differences with the tolerances of ``opts``
-    (``DualSolverOptions``), kinked ones restarted Nelder-Mead; a sup that
-    runs away raises a divergence error naming the node, with the direction
-    as certificate."""
+    batch objective over the search variable and its start.  Each sup goes
+    through ``optim.sup`` with the tolerances of ``opts``
+    (``DualSolverOptions``); a sup that runs away raises a divergence error
+    naming the node, with the direction as certificate."""
 
     def solve(u: int, k_x, k_children):
         lift, smooth = problems[u]
         objective, x0 = lift(k_x, k_children)
-        if x0.size == 0:
-            return AscentResult(x0, float(objective(x0[None, :])[0]), 0.0, 0, converged=True,
-                                evaluations=1, stop_reason="gradient")
-        if smooth:
-            res = maximize(objective, lambda z: fd_gradient(objective, z, opts.fd_step), x0,
-                           gradient_tolerance=opts.gradient_tolerance,
-                           max_iterations=min(opts.max_iterations, 50_000),
-                           divergence_bound=opts.divergence_bound, value_tolerance=1e-12)
-        else:
-            res = maximize_nelder_mead(objective, x0, divergence_bound=opts.divergence_bound)
+        res = sup(objective, x0, smooth=smooth, gradient_tolerance=opts.gradient_tolerance,
+                  max_iterations=opts.max_iterations)
         if res.diverged:
             raise DivergenceError(f"the one-step sup of {descriptor} at {tree.ids[u]!r} is unbounded",
                                   direction=res.direction)

@@ -141,6 +141,25 @@ class TestVerbs:
         assert report["results"]["properties"]["convexity_passed"] is True
         assert report["residuals"]["round_trip_gap"] <= 1e-5
 
+    def test_dual_of_a_worst_case_family(self, files, tmp_path, capsys):
+        # both sides of the recursion are +inf off the family's polytope
+        worst = tmp_path / "worst.json"
+        worst.write_text(json.dumps({"family": "worst", "alphas": {"root": [[0.5, 0.5]]},
+                                     "stopping": False}))
+        code, out, _ = run_cli(["dual", "--tree", files["tree"], "--family", str(worst),
+                                "--trials", "3", "--seed", "7"], capsys)
+        assert code == 0
+        assert "nan" not in out
+        for entry in json.loads(out)["results"]["samples"]:
+            assert entry["numeric"] == "inf" and entry["recursion_residual"] == 0.0
+
+    def test_infinite_tolerance_exits_2(self, files, capsys):
+        code, out, err = run_cli(["dual", "--tree", files["tree"], "--family", files["fam"],
+                                  "--cash", files["cash"], "--tol", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
     def test_share(self, files, capsys):
         code, out, _ = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
                                 "--family", files["fam"], files["fam2"]], capsys)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     binary_tree,
@@ -25,6 +27,7 @@ from treeval.dual import (
 from treeval.errors import ConvergenceError, DomainError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
+    ExponentialUtility,
     entropic_dual,
     entropic_family,
     entropic_one_step,
@@ -32,6 +35,8 @@ from treeval.families import (
     entropic_value,
     ui_family,
     ui_params,
+    worst_case_family,
+    worst_case_params,
 )
 from treeval.tree import CashBalance
 from treeval.valuation import assemble, linear_one_step
@@ -259,6 +264,82 @@ class TestOneStepDual:
             one_step_dual_value(entropic_one_step(params, "root"), 0.5, np.array([0.5, 0.5]))
 
 
+def worst_case_setup(alphas, stopping):
+    t = three_node_tree((0.2, 0.4, 0.4))
+    return worst_case_family(worst_case_params(t, {"root": alphas}, stopping=stopping))
+
+
+def masses(lam):
+    return dict(zip(("root", "up", "down"), lam))
+
+
+class TestKinkedDuals:
+    """The dual of a worst-case family is the indicator of its polytope of
+    densities: 0 inside, +inf outside."""
+
+    @pytest.mark.parametrize("lam, expected", [((0.2, 0.4, 0.4), 0.0), ((0.0, 0.5, 0.5), 0.0),
+                                               ((0.2, 0.5, 0.3), math.inf)])
+    def test_stopping_family(self, lam, expected):
+        # criterion 05's worst-case subsidiary
+        fam = worst_case_setup([[0.5, 0.5]], stopping=True)
+        assert dual_value(fam, "root", masses(lam)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("lam, expected", [((0.0, 0.35, 0.65), 0.0), ((0.1, 0.35, 0.55), math.inf)])
+    def test_family_without_stopping(self, lam, expected):
+        fam = worst_case_setup([[0.5, 0.5], [0.2, 0.8]], stopping=False)
+        assert dual_value(fam, "root", masses(lam)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("lam, expected", [((0.2, 0.4, 0.4), 0.0), ((0.2, 0.5, 0.3), math.inf)])
+    def test_one_step_dual_agrees(self, lam, expected):
+        step = worst_case_setup([[0.5, 0.5]], stopping=True).one_steps[0]
+        assert one_step_dual_value(step, lam[0], np.array(lam[1:])) == pytest.approx(expected, abs=1e-9)
+
+    def test_solves_record_their_method(self):
+        _, _, res = dual_value_and_argmax(entropic_setup()[2], "root", masses((0.2, 0.5, 0.3)))
+        assert res.method == "bfgs"
+        _, _, res = dual_value_and_argmax(worst_case_setup([[0.5, 0.5]], stopping=True), "root",
+                                          masses((0.2, 0.4, 0.4)))
+        assert res.method == "nelder-mead"
+
+
+def contract_family(kind, tree, rng):
+    if kind == "entropic":
+        return entropic_family(entropic_params(tree, float(rng.uniform(0.5, 2.0))))
+    if kind == "exponential":
+        return ui_family(ui_params(tree, ExponentialUtility(float(rng.uniform(0.5, 2.0))), x0=0.0))
+    if kind == "crra":
+        return ui_family(ui_params(tree, CRRAUtility(float(rng.choice([0.5, 2.0, 3.0]))),
+                                   x0=float(rng.uniform(1.0, 10.0))))
+    alphas = {}
+    for i in tree.internal_indices():
+        raw = rng.uniform(0.1, 1.0, (int(rng.integers(1, 3)), len(tree.children_index[i])))
+        alphas[tree.ids[i]] = raw / raw.sum(axis=1, keepdims=True)
+    return worst_case_family(worst_case_params(tree, alphas, stopping=kind == "worst_stopping"))
+
+
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["entropic", "worst", "worst_stopping", "exponential", "crra"]))
+@settings(max_examples=25, deadline=None)
+def test_numeric_duals_are_finite_or_inf_or_raise(seed, kind):
+    # depth 1-2, density floor 0.05
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_depth=2)
+    fam = contract_family(kind, tree, rng)
+    dd = sample_density(tree, tree.root, rng, floor=0.05)
+    r = tree.root_index
+    mass = np.array([dd.values[node_id] for node_id in tree.ids])
+    bar = np.array([mass[tree.descendant_indices(z)].sum() for z in tree.children_index[r]])
+    for call in (lambda: dual_value(fam, tree.root, dd),
+                 lambda: one_step_dual_value(fam.one_steps[r], mass[r], bar),
+                 lambda: dual_recursion_residual(fam, tree.root, dd)):
+        try:
+            value = call()
+        except TreevalError:
+            continue
+        assert isinstance(value, float)
+        assert math.isfinite(value) or value == math.inf
+
+
 class TestDualProperties:
     def test_entropic_dual_passes(self):
         t, params, fam = entropic_setup()
@@ -299,3 +380,18 @@ class TestSolverOptions:
             DualSolverOptions(tolerance=0.0)
         with pytest.raises(ValidationError):
             DualSolverOptions(max_iterations=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance", math.inf), ("tolerance", math.nan), ("tolerance", -1e-9),
+        ("gradient_tolerance", math.inf), ("gradient_tolerance", math.nan),
+        ("gradient_tolerance", -1.0), ("gradient_tolerance", 0.0),
+        ("max_iterations", 2.5), ("max_iterations", 0), ("max_iterations", True),
+        ("max_iterations", "10"),
+    ])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            DualSolverOptions(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        opts = DualSolverOptions(tolerance=np.float64(1e-9), max_iterations=np.int64(10))
+        assert opts.max_iterations == 10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeval.errors import DomainError
-from treeval.optim import fd_gradient, maximize
+from treeval.optim import fd_gradient, maximize, sup
 
 
 def concave_quadratic(seed: int, d: int = 10, condition: float = 1e4):
@@ -91,3 +91,41 @@ class TestMaximize:
         exact_value, exact = gradient(x)
         assert value == exact_value
         assert np.max(np.abs(g - exact)) <= 1e-6
+
+
+def polyhedral(batch):
+    """-max(|x - 1|, 3 |y + 1/2| + x / 5): maximum -1/6 at (5/6, -1/2), on a kink."""
+    return -np.maximum(np.abs(batch[:, 0] - 1.0), 3.0 * np.abs(batch[:, 1] + 0.5) + 0.2 * batch[:, 0])
+
+
+class TestSup:
+    def test_smooth_objective_ends_by_bfgs(self):
+        f, gradient, c = concave_quadratic(0, d=4, condition=10.0)
+        for given in (gradient, None):
+            res = sup(f, np.zeros(c.size), smooth=True, gradient_tolerance=1e-8, max_iterations=1000,
+                      gradient=given)
+            assert res.method == "bfgs" and res.stop_reason == "gradient"
+            assert np.max(np.abs(res.x - c)) <= 1e-6
+
+    def test_kinked_objective_goes_to_nelder_mead(self):
+        res = sup(polyhedral, np.zeros(2), smooth=False, gradient_tolerance=1e-8, max_iterations=1000)
+        assert res.method == "nelder-mead" and res.converged
+        assert res.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
+
+    def test_a_stalled_ascent_is_finished_by_nelder_mead(self):
+        # declared smooth, the kinked objective strands BFGS off the optimum
+        res = sup(polyhedral, np.array([1.0, 2.0]), smooth=True, gradient_tolerance=1e-8,
+                  max_iterations=1000)
+        assert res.method == "bfgs+nelder-mead"
+        assert res.value == pytest.approx(-1.0 / 6.0, abs=1e-9)
+
+    def test_recession_direction_diverges(self):
+        res = sup(lambda b: b[:, 0] - 0.5 * b[:, 1] ** 2, np.zeros(2), smooth=True,
+                  gradient_tolerance=1e-8, max_iterations=1000)
+        assert res.diverged and res.method == "bfgs"
+        assert res.direction == pytest.approx([1.0, 0.0])
+
+    def test_empty_search_costs_one_evaluation(self):
+        res = sup(lambda b: np.full(b.shape[0], 2.5), np.zeros(0), smooth=False,
+                  gradient_tolerance=1e-8, max_iterations=1000)
+        assert res.value == 2.5 and res.evaluations == 1 and res.converged

@@ -510,12 +510,15 @@ def test_entropic_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, 
 
 
 def test_entropic_paths_never_import_scipy_optimize():
-    # importing scipy.optimize alone roughly triples a process's peak RSS
+    # importing scipy.optimize alone roughly triples a process's peak RSS,
+    # so smooth sups must finish without Nelder-Mead
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from treeval.dual import dual_density, dual_value
-        from treeval.families import entropic_family, entropic_params
+        from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value
+        from treeval.families import (CRRAUtility, entropic_family, entropic_one_step, entropic_params,
+                                      ui_one_step, ui_params)
+        from treeval.market import market, market_value
         from treeval.risksharing import check_sharing_axioms, share_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
 
@@ -527,6 +530,17 @@ def test_entropic_paths_never_import_scipy_optimize():
         dual_value(entropic_family(p1), "root", lam)
         share_value([p1, p2], "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="dual")
         check_sharing_axioms([p1, p2], trials=5, seed=1)
+        one_step_dual_value(entropic_one_step(p1, "root"), 0.2, np.array([0.5, 0.3]))
+        # criterion 08's six CRRA one-step duals, drawn as there
+        crra = ui_one_step(ui_params(tree, CRRAUtility(2.0), x0=3.0), "root")
+        rng = np.random.default_rng(3)
+        rng.uniform(-3, 3, (100, 3))
+        for _ in range(6):
+            raw = rng.uniform(0.1, 1.0, 3)
+            lam = raw / raw.sum()
+            one_step_dual_value(crra, lam[0], lam[1:], DualSolverOptions(gradient_tolerance=3e-6))
+        mkt = market(tree, {"s": {"root": 1.0, "up": 2.0, "down": 0.5}})
+        market_value(entropic_family(p1), mkt, "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])))
         print("scipy.optimize" in sys.modules)
     """)
     src = str(Path(treeval.__file__).parents[1])
