@@ -109,6 +109,24 @@ def sample_density(tree: Tree, x: str, rng: np.random.Generator, *,
     return DualDensity(support=x, values={tree.ids[i]: float(w) for i, w in zip(sub, raw)})
 
 
+def _off_domain_rows(fn, rejected):
+    """``fn`` on a batch of cash rows (B, d), with each row an operator
+    rejects as outside its domain (a ``DomainError``, as walled CRRA families
+    raise past the wealth wall) scored -inf, so an ascent backs away from
+    it: the whole batch at once, else row by row.  ``rejected`` is what a
+    rejected batch of one gives."""
+
+    def rows(batch: np.ndarray):
+        try:
+            return fn(batch)
+        except DomainError:
+            if batch.shape[0] == 1:
+                return rejected
+            return np.concatenate([rows(batch[r:r + 1]) for r in range(batch.shape[0])])
+
+    return rows
+
+
 def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = None,
                           start: np.ndarray | None = None):
     """Dual value together with the maximizing cash balance (None when the
@@ -129,21 +147,24 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]
 
-    def objective(batch: np.ndarray) -> np.ndarray:
+    def values(batch: np.ndarray) -> np.ndarray:
         full = np.zeros((batch.shape[0], tree.n_nodes))
         full[:, free] = batch
         return family.node_values(full)[:, xi] - batch @ lam_vec
 
-    def gradient(point: np.ndarray):
+    def value_and_gradient(batch: np.ndarray):
         full = np.zeros(tree.n_nodes)
-        full[free] = point
+        full[free] = batch[0]
         values, grad = family.values_and_gradient(full, xi)
-        return values[xi] - point @ lam_vec, grad[free] - lam_vec
+        return values[xi] - batch[0] @ lam_vec, grad[free] - lam_vec
+
+    objective = _off_domain_rows(values, np.full(1, -math.inf))
+    at_one = _off_domain_rows(value_and_gradient, (-math.inf, np.zeros(free.size)))
 
     x0 = np.zeros(free.size) if start is None else start
     res = sup(objective, x0, smooth=all(b.kernel.smooth for b in family.blocks),
               gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations,
-              gradient=gradient)
+              gradient=lambda point: at_one(point[None]))
     if res.diverged:
         return math.inf, None, res
     if not res.converged:
@@ -232,19 +253,7 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
     if not is_probability(q):
         raise DomainError("one-step dual argument must be a probability over (node, children)")
 
-    def objective(batch: np.ndarray) -> np.ndarray:
-        # cash vectors outside the operator's domain (bounded-wealth
-        # utilities) count as -inf so the line search backs away from them
-        try:
-            return step.evaluate(batch[:, 0], batch[:, 1:]) - batch @ q
-        except DomainError:
-            out = np.empty(batch.shape[0])
-            for r in range(batch.shape[0]):
-                try:
-                    out[r] = float(step.evaluate(batch[r, 0], batch[r, 1:])) - batch[r] @ q
-                except DomainError:
-                    out[r] = -math.inf
-            return out
+    objective = _off_domain_rows(lambda b: step.evaluate(b[:, 0], b[:, 1:]) - b @ q, np.full(1, -math.inf))
 
     res = sup(objective, np.zeros(q.size), smooth=step.smooth,
               gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations)

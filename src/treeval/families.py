@@ -7,13 +7,13 @@ translation-invariance witness that singles out exponential utility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dual import _mass_vector, dual_density
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .tree import CashBalance, Tree
 from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step,
                         probability_rows)
@@ -184,16 +184,183 @@ def entropic_dual(params: EntropicParams, x: str, lam) -> float:
     return float(np.sum(vec[pos] * np.log(vec[pos] / ref[pos])) / params.gamma)
 
 
+# Least bound on |log(w_i / w_j)| in a segment move between two vertices: a
+# split past it leaves the lighter vertex less than e^-700 of the pair's mass.
+SEGMENT_LOGIT_BOUND = 700.0
+
+# Rounds of moves a polytope solve may make before it gives up.
+MAX_POLYTOPE_ROUNDS = 200
+
+
+def _log_mix(log_w: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """log sum_v w_v V_v for log-weights (..., v) and log-vertices
+    (..., v, m), with the maximum subtracted; -inf where no vertex has mass."""
+    a = log_w[..., :, None] + log_v
+    top = a.max(axis=-2)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(a - top[..., None, :]).sum(axis=-2))
+
+
+def _take_vertex(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row ``index`` (...,) of the vertex axis of a (..., v, m)."""
+    a = np.broadcast_to(a, index.shape + a.shape[-2:])
+    return np.take_along_axis(a, index[..., None, None], axis=-2)[..., 0, :]
+
+
+def _pair_move(cost, v, log_v, log_w, i, j) -> np.ndarray:
+    """The log vertex weights after the exact move of mass between vertices
+    i and j that minimizes  sum q (cost + log q)  along their segment.
+
+    The split is solved in u = log(w_i / w_j), on which the segment's slope
+    h(u) = (V_i - V_j) . (cost + log q) increases: safeguarded Newton inside
+    the bracket |u| <= SEGMENT_LOGIT_BOUND + 4 max |cost|, bisecting where a
+    step leaves it.  A coordinate only one of the pair reaches moves h
+    linearly in u, so an exact split lies inside the bracket, however small
+    its lighter mass: working in u and in log q keeps it exact.  For one
+    distribution with stopping h is linear in u and the first Newton step
+    lands on the root."""
+    d = _take_vertex(v, i) - _take_vertex(v, j)
+    log_vi, log_vj = _take_vertex(log_v, i), _take_vertex(log_v, j)
+    lw_i = np.take_along_axis(log_w, i[..., None], axis=-1)[..., 0]
+    lw_j = np.take_along_axis(log_w, j[..., None], axis=-1)[..., 0]
+    rest = log_w.copy()
+    np.put_along_axis(rest, i[..., None], -np.inf, axis=-1)
+    np.put_along_axis(rest, j[..., None], -np.inf, axis=-1)
+    log_rest = _log_mix(rest, log_v)
+    log_pair = np.logaddexp(lw_i, lw_j)[..., None]
+    bound = SEGMENT_LOGIT_BOUND + 4.0 * np.abs(cost).max(axis=-1)
+    u = np.clip(lw_i - lw_j, -bound, bound)
+    # the bracket opens just past the bound, so a step clipped to the bound
+    # is tried once before the bracket closes on it
+    lo, hi = -bound - 1.0, bound + 1.0
+    for _ in range(200):
+        log_si, log_sj = -np.logaddexp(0.0, -u)[..., None], -np.logaddexp(0.0, u)[..., None]
+        log_q = np.logaddexp(log_rest, np.logaddexp(log_pair + log_si + log_vi, log_pair + log_sj + log_vj))
+        h = _reduce_last(np.add, d * (cost + log_q))
+        # capped at e^700, which only coordinates the pair misses reach
+        slope = _reduce_last(np.add, d * d * np.exp(np.minimum(log_pair + log_si + log_sj - log_q, 700.0)))
+        lo, hi = np.where(h < 0, u, lo), np.where(h > 0, u, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = u - np.where(h == 0, 0.0, h / slope)
+        tol = 1e-13 * np.maximum(1.0, np.abs(u))
+        done = np.abs(newton - u) <= tol
+        # a step that leaves the bracket, or none (an underflowed slope): bisect
+        nxt = np.clip(np.where(done | ((newton > lo) & (newton < hi)), newton, 0.5 * (lo + hi)), -bound, bound)
+        done |= np.abs(nxt - u) <= tol
+        u = nxt
+        if done.all():
+            break
+    out = log_w.copy()
+    np.put_along_axis(out, i[..., None], log_pair - np.logaddexp(0.0, -u[..., None]), axis=-1)
+    np.put_along_axis(out, j[..., None], log_pair - np.logaddexp(0.0, u[..., None]), axis=-1)
+    return out
+
+
+def _newton_move(cost, v, log_v, log_w, log_q, g) -> np.ndarray:
+    """The log vertex weights after one damped Newton step on the weights
+    above 1e-30 (the others stay for the pairwise moves): the step solves
+    the quadratic model with Hessian V diag(1/q) V^T (its diagonal raised
+    by 1e-12 of itself for repeated vertices; a ridge scaled to the whole
+    Hessian would let one nearly empty vertex's 1/q freeze the others) on
+    the simplex, is cut to keep 1% of every shrinking weight, and halves
+    until it gains 1e-4 of its slope."""
+    nv = v.shape[-2]
+    # 1 / q capped at e^700: a coordinate with less mass is reached only by
+    # vertices whose weight is as small, which the step leaves alone
+    hessian = np.einsum("...ai,...bi,...i->...ab", v, v, np.exp(np.minimum(-log_q, 700.0)))
+    free = log_w > -69.0
+    eye = np.eye(nv)
+    kkt = np.zeros(hessian.shape[:-2] + (nv + 1, nv + 1))
+    kkt[..., :nv, :nv] = np.where(free[..., :, None] & free[..., None, :], hessian * (1.0 + 1e-12 * eye), eye)
+    kkt[..., :nv, nv] = kkt[..., nv, :nv] = free
+    rhs = np.concatenate([np.where(free, -g, 0.0), np.zeros(g.shape[:-1] + (1,))], axis=-1)
+    d = np.linalg.solve(kkt, rhs[..., None])[..., :nv, 0]
+    w = np.exp(log_w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.minimum(1.0, np.where(free & (d < 0), -0.99 * w / d, np.inf).min(axis=-1))
+    before = _reduce_last(np.add, np.exp(log_q) * (cost + log_q))
+    slope = _reduce_last(np.add, g * d)
+    out, pending = log_w, slope < 0
+    for _ in range(40):
+        if not pending.any():
+            break
+        with np.errstate(divide="ignore"):
+            trial = np.where(free, np.log(w + t[..., None] * d), log_w)
+        trial = trial - _logsumexp(trial)[..., None]
+        log_q = _log_mix(trial, log_v)
+        after = _reduce_last(np.add, np.exp(log_q) * (cost + log_q))
+        # strictly: a step whose gain is below rounding is no step
+        ok = pending & (after < before + 1e-4 * t * slope)
+        out = np.where(ok[..., None], trial, out)
+        pending &= ~ok
+        t = np.where(pending, 0.5 * t, t)
+    return out
+
+
+def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log q* for the minimizer q* of  sum q (cost + log q)  over the convex
+    hull of the vertex rows of v (..., nv, m), batched over the leading axes
+    of cost (..., m).  Every coordinate must carry mass at some vertex.
+
+    The search variable is the vertex weights w, from uniform.  Each round
+    moves mass exactly (``_pair_move``) to the vertex of least slope
+    g_v = V_v . (cost + log q) from the one holding the most of the simplex
+    gap  sum w (g - min g), then, with three or more vertices, takes a
+    Newton step on the weights (``_newton_move``): pairwise moves alone
+    crawl across a thin face, a triangle of nearly collinear distributions
+    taking over 500 of them.  Rounds end once the gap is within 1e-13 of
+    the slopes' scale.  Two vertices take one move."""
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v)
+    log_w = np.full(cost.shape[:-1] + v.shape[-2:-1], -np.log(v.shape[-2]))
+    for _ in range(MAX_POLYTOPE_ROUNDS):
+        log_q = _log_mix(log_w, log_v)
+        g = _reduce_last(np.add, v * (cost + log_q)[..., None, :])
+        excess = np.exp(log_w) * (g - g.min(axis=-1)[..., None])
+        if np.all(_reduce_last(np.add, excess) <= 1e-13 * (1.0 + np.abs(g).max(axis=-1))):
+            return log_q
+        log_w = _pair_move(cost, v, log_v, log_w, np.argmin(g, axis=-1), np.argmax(excess, axis=-1))
+        if v.shape[-2] > 2:
+            log_q = _log_mix(log_w, log_v)
+            g = _reduce_last(np.add, v * (cost + log_q)[..., None, :])
+            log_w = _newton_move(cost, v, log_v, log_w, log_q, g)
+    raise ConvergenceError(f"the pooled one-step left a simplex gap after {MAX_POLYTOPE_ROUNDS} rounds",
+                           best=np.exp(_log_mix(log_w, log_v)))
+
+
+def _entropic_log_argmin(gamma: float, data, k_x, k_children) -> np.ndarray:
+    """log q* of the minimizing density q* of the exponential one-step's
+    conjugate problem  min_q [q . k + sum q (log q - log w) / gamma]: the log
+    Gibbs weights, or over the polytope of ``data[1]``'s vertices when the
+    data carries one."""
+    cost = gamma * _stack_outcomes(k_x, k_children) - data[0]
+    if len(data) == 1:
+        return -cost - _logsumexp(-cost)[..., None]
+    return _polytope_log_argmin(cost, data[1])
+
+
 def _entropic_kernel(gamma: float) -> Kernel:
     """One-step exponential certainty equivalent; data: the log-weights of
-    (own weight, child subtree weights) over the subtree weight."""
+    (own weight, child subtree weights) over the subtree weight.  Data with
+    a second array, the vertices (b, v, m + 1) of a polytope, confine the
+    density of the conjugate problem to the polytope (the pooling rule of a
+    polyhedral subsidiary): the value is then that problem's minimum and the
+    partials its minimizer, found by ``_polytope_log_argmin``."""
 
     def evaluate(data, k_x, k_children):
-        return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
+        if len(data) == 1:
+            return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
+        log_q = _entropic_log_argmin(gamma, data, k_x, k_children)
+        k = _stack_outcomes(k_x, k_children)
+        return _reduce_last(np.add, np.exp(log_q) * (k + (log_q - data[0]) / gamma))
 
     def grad(data, k_x, k_children):
-        # the Gibbs weights of the outcomes
-        return _softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+        # the Gibbs weights of the outcomes; over a polytope, the minimizer
+        # (the envelope theorem)
+        if len(data) == 1:
+            return _softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+        return np.exp(_entropic_log_argmin(gamma, data, k_x, k_children))
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
@@ -302,7 +469,16 @@ def _worst_case_kernel(stopping: bool) -> Kernel:
         stop = np.asarray(k_x, dtype=float) <= _reduce_last(np.minimum, e)
         return np.where(stop[..., None], np.eye(out.shape[-1])[0], out)
 
-    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False, grad=grad)
+    def vertices(data):
+        # (0, alpha_i) for every distribution, after e_0 when stopping is on
+        alphas = data[0]
+        out = np.concatenate([np.zeros_like(alphas[..., :1]), alphas], axis=-1)
+        if not stopping:
+            return out
+        return np.concatenate([np.broadcast_to(np.eye(out.shape[-1])[0], out[:, :1].shape), out], axis=1)
+
+    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False, grad=grad,
+                  vertices=vertices)
 
 
 def _worst_case_data(params: WorstCaseParams):
@@ -401,36 +577,48 @@ def _bisect_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
 class UIParams:
     """Single-period indifference pricing at each node: utility, reference
     wealth, and strictly positive outcome probabilities over the node and
-    its children, checked on construction."""
+    its children, checked on construction with one stacked gather per level
+    group: ``levels`` holds the stacks, one per ``tree.level_groups`` entry,
+    and ``probs`` then maps each node to its read-only row."""
 
     tree: Tree
     utility: object
     x0: float
     probs: Mapping[str, np.ndarray]
+    levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        levels, table = [], {}
         for nodes, _ in self.tree.level_groups:
-            _ui_rows(self, nodes)
+            names = [self.tree.ids[u] for u in nodes.tolist()]
+            rows = _ui_rows(self.tree, self.probs, nodes, names)
+            rows.flags.writeable = False
+            levels.append(rows)
+            table.update(zip(names, rows))
+        object.__setattr__(self, "probs", table)
+        object.__setattr__(self, "levels", tuple(levels))
 
 
-def _ui_rows(params: UIParams, nodes: np.ndarray) -> np.ndarray:
-    """The outcome probabilities of the nodes of one level group, stacked
-    (nodes, m) and checked in one pass: each row covers its node and
-    children, is strictly positive and sums to 1."""
-    tree, probs = params.tree, params.probs
+def _ui_rows(tree: Tree, probs: Mapping, nodes: np.ndarray, names: list[str]) -> np.ndarray:
+    """The outcome probabilities of the nodes of one level group, gathered
+    into one (nodes, m) array and checked in one pass: each row covers its
+    node and children, is strictly positive and sums to 1."""
+    missing = [node_id for node_id in names if node_id not in probs]
+    if missing:
+        raise ValidationError(f"missing outcome probabilities for node {missing[0]!r}")
     m = len(tree.children_index[nodes[0]]) + 1
-    rows = []
-    for u in nodes.tolist():
-        node_id = tree.ids[u]
-        if node_id not in probs:
-            raise ValidationError(f"missing outcome probabilities for node {node_id!r}")
-        rows.append(np.asarray(probs[node_id], dtype=float))
-        if rows[-1].shape != (m,):
-            raise ValidationError(f"outcome probabilities at {node_id!r} must cover the node and its children")
-    p = np.array(rows)
+    try:
+        p = np.array([probs[node_id] for node_id in names], dtype=float)
+    except (TypeError, ValueError):   # ragged, or not numbers
+        p = None
+    if p is None or p.shape != (len(names), m):
+        wrong = next((node_id for node_id in names if np.shape(probs[node_id]) != (m,)), None)
+        if wrong is None:
+            raise ValidationError(f"outcome probabilities at {names[0]!r} and its level must be numbers")
+        raise ValidationError(f"outcome probabilities at {wrong!r} must cover the node and its children")
     bad = ~probability_rows(p, positive=True)
     if bad.any():
-        raise ValidationError(f"outcome probabilities at {tree.ids[nodes[np.argmax(bad)]]!r} "
+        raise ValidationError(f"outcome probabilities at {names[int(np.argmax(bad))]!r} "
                               "must be strictly positive and sum to 1")
     return p
 
@@ -442,22 +630,14 @@ def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float
         raise ValidationError("reference wealth must be finite")
     if isinstance(utility, CRRAUtility) and x0 <= 0:
         raise ValidationError("reference wealth must lie in the CRRA domain (x0 > 0)")
-    table: dict[str, np.ndarray] = {}
     if probs is None:
         if tree.weights is None:
             raise ValidationError("tree carries no weights; pass explicit outcome probabilities")
+        probs = {}
         for nodes, kids in tree.level_groups:
             rows = np.concatenate([tree.weights[nodes, None], tree.subtree_weight[kids]], axis=1)
-            rows /= tree.subtree_weight[nodes, None]
-            rows.flags.writeable = False
-            table.update(zip((tree.ids[u] for u in nodes.tolist()), rows))
-    else:
-        for i in tree.internal_indices():
-            if tree.ids[i] in probs:
-                vec = np.array(probs[tree.ids[i]], dtype=float)
-                vec.flags.writeable = False
-                table[tree.ids[i]] = vec
-    return UIParams(tree=tree, utility=utility, x0=float(x0), probs=table)
+            probs.update(zip((tree.ids[u] for u in nodes.tolist()), rows / tree.subtree_weight[nodes, None]))
+    return UIParams(tree=tree, utility=utility, x0=float(x0), probs=probs)
 
 
 def _ui_kernel(utility, x0: float) -> Kernel:
@@ -491,7 +671,12 @@ def _ui_kernel(utility, x0: float) -> Kernel:
 
 
 def _ui_data(params: UIParams):
-    return lambda nodes, kids: (_ui_rows(params, nodes),)
+    """The checked rows of a level group, or of one node of it."""
+    tree = params.tree
+    group, row = np.empty(tree.n_nodes, dtype=int), np.empty(tree.n_nodes, dtype=int)
+    for g, (nodes, _) in enumerate(tree.level_groups):
+        group[nodes], row[nodes] = g, np.arange(nodes.size)
+    return lambda nodes, kids: (params.levels[group[nodes[0]]][row[nodes]],)
 
 
 def ui_one_step(params: UIParams, x: str) -> OneStepValuation:

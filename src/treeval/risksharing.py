@@ -7,22 +7,29 @@ pooled family.
 Duals add under pooling.  For exponential subsidiaries this makes the
 one-step sup-convolution itself an exponential one-step, so their pooled
 family is one kernel family swept without a solver (``pooled_family``).
-Any other subsidiaries are pooled by one-step sup-convolutions solved
-numerically, whose splits also rebuild the allocation.
+One polyhedral subsidiary (a worst-case family with stopping) adds the
+indicator of its polytope, so pooling it with them is the same kernel with
+its density confined to that polytope, solved exactly in the vertex
+weights; the minimizing density rebuilds the allocation.  Any other mix
+(two polyhedral subsidiaries, CRRA or custom ones, a polytope that leaves a
+coordinate without mass) is pooled by one-step sup-convolutions solved
+numerically through ``optim.sup``, whose splits rebuild the allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
-from .families import EntropicParams, _entropic_data, _entropic_kernel, entropic_family, entropic_params
+from .families import (EntropicParams, _entropic_data, _entropic_kernel, _entropic_log_argmin, entropic_family,
+                       entropic_params)
 from .tree import CashBalance, Tree
-from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, kernel_family, sup_family
+from .valuation import (AxiomReport, Block, ValuationFamily, _take, check_axioms, committed_family, kernel_family,
+                        sup_family)
 
 
 def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
@@ -157,6 +164,40 @@ def _pooled(families: Sequence[ValuationFamily], opts: DualSolverOptions):
     return sup_family(tree, {u: problem(u) for u in tree.internal_indices()}, opts, descriptor=descriptor)
 
 
+def _kernel_pool(subs: Sequence) -> ValuationFamily | None:
+    """The pooled family as one kernel family, where the mix allows it, else
+    None.  The exponential subsidiaries pool to one exponential kernel
+    (Gamma, log w); at most one other subsidiary may join them, a polyhedral
+    one whose polytope gives every coordinate mass, and it confines the
+    kernel's density to that polytope at every node."""
+    tree = subs[0].tree
+    expo = [s for s in subs if isinstance(s, EntropicParams)]
+    others = [s for s in subs if not isinstance(s, EntropicParams)]
+    if not expo or len(others) > 1:
+        return None
+    big_gamma = 1.0 / sum(1.0 / s.gamma for s in expo)
+    weighted = [(big_gamma / s.gamma, _entropic_data(s)) for s in expo]
+
+    def log_w(nodes, kids):
+        return sum(r * data(nodes, kids)[0] for r, data in weighted)
+
+    descriptor = "pooled(" + ", ".join(f"entropic(gamma={s.gamma})" if isinstance(s, EntropicParams)
+                                       else s.descriptor or "custom" for s in subs) + ")"
+    kernel = _entropic_kernel(big_gamma)
+    if not others:
+        return kernel_family(tree, kernel, lambda nodes, kids: (log_w(nodes, kids),), descriptor=descriptor)
+    blocks = others[0].blocks
+    if any(b.kernel.vertices is None for b in blocks):
+        return None
+    polytopes = [b.kernel.vertices(b.data) for b in blocks]
+    if not all((v.max(axis=1) > 0).all() for v in polytopes):
+        # a coordinate no vertex reaches (no stopping): the sup is not attained
+        return None
+    kernel = replace(kernel, dual=None)
+    return ValuationFamily(tree, lambda: [Block(kernel, (log_w(b.nodes, b.kids), v), b.nodes, b.kids)
+                                          for b, v in zip(blocks, polytopes)], descriptor=descriptor)
+
+
 def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> ValuationFamily:
     """The pooled valuations: at every node, the best total of the
     subsidiaries' valuations over splits of the balance.
@@ -166,57 +207,103 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     sup-convolution over whole allocations is the backward induction of
     one-step sup-convolutions of the subsidiaries' one-step operators.
 
-    Exponential one-steps with risk aversions gamma_j and log-weights
-    log w_j pool to the exponential one-step with Gamma = 1 / sum 1/gamma_j
-    on the log-weights sum (Gamma/gamma_j) log w_j, with no solver.  These
-    are unnormalized: their missing mass is the node's value of pooling.
-    The conjugate sum q (log q - log w') / Gamma is sum KL(q | w_j) / gamma_j,
-    so the duals add.  Any other mix solves each one-step sup numerically."""
-    tree = _common_tree(subs)
-    if all(isinstance(s, EntropicParams) for s in subs):
-        big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs)
-        weighted = [(big_gamma / s.gamma, _entropic_data(s)) for s in subs]
+    Duals add under pooling.  Exponential one-steps with risk aversions
+    gamma_j and log-weights log w_j pool to the exponential one-step with
+    Gamma = 1 / sum 1/gamma_j on the log-weights sum (Gamma/gamma_j) log w_j,
+    with no solver: its conjugate sum q (log q - log w') / Gamma is
+    sum KL(q | w_j) / gamma_j.  These log-weights are unnormalized; their
+    missing mass is the node's value of pooling.  A polyhedral one-step
+    (``Kernel.vertices``, the worst-case families) adds the indicator of its
+    polytope P, so pooling one with the exponential ones is
+    min over q in P of [q . k + sum q (log q - log w') / Gamma], a smooth
+    convex problem solved exactly in the vertex weights, batched over the
+    nodes of each level.  Any other mix (two polyhedral subsidiaries, CRRA
+    or custom ones, a polytope that leaves a coordinate without mass) solves
+    each one-step sup numerically with the tolerances of ``opts``."""
+    _common_tree(subs)
+    family = _kernel_pool(subs)
+    if family is None:
+        family = _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
+    return family
 
-        def data(nodes, kids):
-            return (sum(r * log_w(nodes, kids)[0] for r, log_w in weighted),)
 
-        descriptor = "pooled(" + ", ".join(f"entropic(gamma={s.gamma})" for s in subs) + ")"
-        return kernel_family(tree, _entropic_kernel(big_gamma), data, descriptor=descriptor)
-    return _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
-
-
-def _share_direct_route(subs, tree: Tree, xi: int, values: np.ndarray, opts):
+def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
     """Pooled values at the balance and at zero from one sweep, and the
-    allocation rebuilt top-down: a subsidiary's piece of a child subtree is
-    the child's own split shifted by a constant to the value the parent's
-    split promised it there.  The shifts at a node sum to zero."""
+    allocation among j subsidiaries rebuilt top-down from the one-step
+    splits: ``split(level, sel, total)`` gives the pieces (j, b, m + 1) of
+    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``
+    and each piece's one-step value (j, b).  A subsidiary's piece of a
+    child subtree is the child's own split shifted by a constant to the
+    value the parent's split promised it there; the shifts at a node sum
+    to zero."""
+    tree = pooled.tree
+    swept = pooled.node_values(np.stack([values, np.zeros(tree.n_nodes)]))
+    vals = swept[0]
+    inside = np.zeros(tree.n_nodes, dtype=bool)
+    inside[tree.descendant_indices(xi)] = True
+    alloc = np.zeros((j, tree.n_nodes))
+    promised = np.zeros((j, tree.n_nodes))
+    for level in reversed(range(len(pooled.blocks))):   # parents before children
+        block = pooled.blocks[level]
+        sel = inside[block.nodes]
+        if not sel.any():
+            continue
+        nodes, kids = block.nodes[sel], block.kids[sel]
+        pieces, own = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
+        shift = np.where(nodes == xi, own, promised[:, nodes]) - own
+        alloc[:, nodes] = pieces[..., 0] + shift
+        promised[:, kids] = pieces[..., 1:] + shift[..., None]
+    leaves = inside & tree.is_leaf
+    alloc[:, leaves] = promised[:, leaves] if not tree.is_leaf[xi] else values[xi] / j
+    return float(swept[0, xi]), float(swept[1, xi]), list(alloc[:, tree.descendant_indices(xi)])
+
+
+def _share_kernel_route(subs, pooled: ValuationFamily, xi: int, values: np.ndarray):
+    """``_allocate`` over the kernel rule, whose splits come from each
+    node's minimizing density q*, with no solve beyond the kernel's own:
+    exponential subsidiary j takes (log w_j - log q*) / gamma_j, whose
+    one-step value is zero; the polyhedral one, else the last exponential
+    one, takes the remainder."""
+    rest = [i for i, s in enumerate(subs) if not isinstance(s, EntropicParams)]
+    r = rest[0] if rest else len(subs) - 1
+    big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs if isinstance(s, EntropicParams))
+
+    def split(level, sel, total):
+        block = pooled.blocks[level]
+        nodes, kids = block.nodes[sel], block.kids[sel]
+        log_q = _entropic_log_argmin(big_gamma, _take(block.data, sel), total[:, 0], total[:, 1:])
+        steps, pieces = [], np.zeros((len(subs),) + total.shape)
+        for i, sub in enumerate(subs):
+            if isinstance(sub, EntropicParams):
+                log_w = _entropic_data(sub)(nodes, kids)
+                steps.append((_entropic_kernel(sub.gamma), log_w))
+                pieces[i] = (log_w[0] - log_q) / sub.gamma
+            else:
+                steps.append((sub.blocks[level].kernel, _take(sub.blocks[level].data, sel)))
+        pieces[r] = 0.0
+        pieces[r] = total - pieces.sum(axis=0)
+        own = np.array([kernel.evaluate(data, p[:, 0], p[:, 1:]) for (kernel, data), p in zip(steps, pieces)])
+        return pieces, own
+
+    return _allocate(pooled, xi, values, len(subs), split)
+
+
+def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
+    """``_allocate`` over the numeric route, whose one-node blocks split as
+    the sweep's deterministic one-step solves did; also whether every solve
+    converged."""
     families = [_as_family(s) for s in subs]
     pooled, solve = _pooled(families, opts)
-    rows = np.stack([values, np.zeros(tree.n_nodes)])
-    swept = pooled.node_values(rows)
-    j = len(families)
-    allocations = np.zeros((2, j, tree.n_nodes))
-    converged = True
-    for row, vals, alloc in zip(rows, swept, allocations):
-        promised = {}
-        for u in tree.descendant_indices(xi):   # parents before children
-            kids = list(tree.children_index[u])
-            if not kids:
-                alloc[:, u] = promised.get(u, np.full(j, row[u] / j))
-                continue
-            # deterministic: the split the sweep found at this node
-            res = solve(u, row[u], vals[kids])
-            converged = converged and res.converged
-            total = np.concatenate([[row[u]], vals[kids]])
-            pieces = _split(res.x[None, :], total, j)[:, 0]
-            own = np.array([float(f.one_steps[u].evaluate(p[0], p[1:]))
-                            for f, p in zip(families, pieces)])
-            shift = promised.get(u, own) - own
-            alloc[:, u] = pieces[:, 0] + shift
-            for k, c in enumerate(kids):
-                promised[c] = pieces[:, 1 + k] + shift
-    sub_idx = tree.descendant_indices(xi)
-    return float(swept[0, xi]), float(swept[1, xi]), list(allocations[0][:, sub_idx]), converged
+    converged = []
+
+    def split(level, sel, total):
+        u = int(pooled.blocks[level].nodes[0])
+        res = solve(u, total[0, 0], total[0, 1:])
+        converged.append(res.converged)
+        pieces = _split(res.x[None, :], total[0], len(families))
+        return pieces, np.array([f.one_steps[u].evaluate(p[:, 0], p[:, 1:]) for f, p in zip(families, pieces)])
+
+    return *_allocate(pooled, xi, values, len(families), split), all(converged)
 
 
 def share_value(subs: Sequence, x: str, balance: CashBalance,
@@ -228,11 +315,13 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     kernel family once at the balance and at zero, with no solver: the
     reverse-sweep gradient is the minimizing density of the summed duals,
     and the allocation is the closed form ``entropic_allocation``.
-    ``method='direct'`` solves every one-step sup-convolution numerically,
-    with the tolerances of ``opts``, and rebuilds the allocation from its
-    one-step splits.  ``'auto'`` picks the dual route when every subsidiary
-    is exponential.  The allocation always sums to the balance exactly on
-    the subtree; the value achieved by it is reported for verification.
+    ``method='direct'`` rebuilds the allocation from the one-step splits:
+    where ``pooled_family`` is a kernel rule, from each node's minimizing
+    density, with no solver; otherwise from one-step sup-convolutions solved
+    numerically.  ``opts`` tunes only that numeric route; neither kernel
+    rule reads it.  ``'auto'`` picks the dual route when every subsidiary is
+    exponential.  The allocation always sums to the balance on the subtree;
+    the value achieved by it is reported for verification.
     """
     if method not in ("auto", "dual", "direct"):
         raise ValidationError(f"unknown method {method!r}; use 'auto', 'dual' or 'direct'")
@@ -254,8 +343,11 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
         lam, converged = grad[0, sub_idx], True
         pieces = [piece.values[sub_idx] for piece in entropic_allocation(subs, x, balance)]
     else:
-        value, value0, pieces, converged = _share_direct_route(subs, tree, xi, balance.values, opts)
-        lam = None
+        pooled, lam, converged = _kernel_pool(subs), None, True
+        if pooled is not None:
+            value, value0, pieces = _share_kernel_route(subs, pooled, xi, balance.values)
+        else:
+            value, value0, pieces, converged = _share_direct_route(subs, xi, balance.values, opts)
 
     allocation = []
     achieved = 0.0
@@ -336,11 +428,14 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
                          opts: DualSolverOptions | None = None,
                          cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
     """Axiom suite for the normalized pooled family: the pooled family
-    committed to the zero balance.  Its default tolerance is 1e-8 for
-    exponential subsidiaries, whose pooled kernel is exact, and 1e-5
-    otherwise, reflecting the one-step solves."""
-    pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    committed to the zero balance.  Its default tolerance is 1e-8 where the
+    pooled family is a kernel rule, which is exact, and 1e-5 on the numeric
+    route, reflecting the one-step solves."""
+    _common_tree(subs)
+    pooled = _kernel_pool(subs)
+    exact = pooled is not None
+    if not exact:
+        pooled = _pooled([_as_family(s) for s in subs], opts or DualSolverOptions(gradient_tolerance=1e-7))[0]
     family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
-    exact = all(isinstance(s, EntropicParams) for s in subs)
     tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

@@ -68,6 +68,9 @@ class Kernel:
     ``partials`` falls back to central differences without it.
     ``dual(data, theta, psi)`` is the closed-form one-step dual at one node,
     given that node's parameters as a block of one (b = 1), if any.
+    ``vertices(data)``, for a polyhedral one-step (the minimum of linear
+    functionals of (own cash, children)), gives the vertices (b, v, m + 1)
+    of its dual domain: the operator is the minimum of ``q . k`` over them.
     """
 
     evaluate: Callable
@@ -75,6 +78,7 @@ class Kernel:
     smooth: bool = True
     dual: Callable | None = None
     grad: Callable | None = None
+    vertices: Callable | None = None
 
     def partials(self, data, k_x, k_children) -> np.ndarray:
         """Local partials (..., b, m + 1) of the operator with respect to

@@ -28,6 +28,7 @@ from treeval.errors import ConvergenceError, DomainError, TreevalError, Validati
 from treeval.families import (
     CRRAUtility,
     ExponentialUtility,
+    crra_ui_dual,
     entropic_dual,
     entropic_family,
     entropic_one_step,
@@ -134,6 +135,16 @@ class TestDualValue:
         limit = 10.0 * (1.0 - s ** 2)
         assert res.converged and res.stop_reason == "gradient"
         assert limit - 1e-4 <= value <= limit
+
+    def test_walled_crra_ascent_backs_away_from_the_wealth_wall(self):
+        # with R < 1 the ascent probes cash past the wall, where the family
+        # has no indifference price: those balances count as -inf
+        t = three_node_tree((0.2, 0.4, 0.4))
+        params = ui_params(t, CRRAUtility(0.5), 5.0)
+        lam = {"root": 0.3, "up": 0.05, "down": 0.65}
+        closed = crra_ui_dual(params, "root", [0.3, 0.05, 0.65])
+        assert dual_value(ui_family(params), "root", lam) == pytest.approx(closed, abs=1e-9)
+        assert dual_recursion_residual(ui_family(params), "root", lam, use_closed_forms=False) <= 1e-9
 
     def test_solve_records_its_work(self):
         t, params, fam = entropic_setup()

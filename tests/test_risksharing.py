@@ -10,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeval
+from treeval import optim, risksharing
 from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
 from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_density
 from treeval.errors import TreevalError, ValidationError
 from treeval.families import (
+    CRRAUtility,
     entropic_dual,
     entropic_family,
     entropic_params,
     entropic_value,
+    ui_family,
+    ui_params,
     worst_case_family,
     worst_case_params,
 )
@@ -140,6 +144,7 @@ class TestShareValue:
             b = share_value([p1, p2], "root", k,
                             DualSolverOptions(gradient_tolerance=1e-8), method="direct")
             assert a.value == pytest.approx(b.value, abs=1e-6)
+            assert b.feasibility_gap <= 1e-12 and abs(b.achieved_value - b.value) <= 1e-12
 
     def test_value_independence_via_added_duals(self):
         # recovering the primal from the summed subsidiary duals agrees with
@@ -253,6 +258,80 @@ class TestPooledFamily:
         pooled = pooled_family([p1, p2])
         assert isinstance(pooled, ValuationFamily)
         assert isinstance(committed_family(pooled, CashBalance.constant(t, 0.0)), ValuationFamily)
+
+
+def worst_subsidiary(rng, tree, distributions, stopping=True):
+    """Worst-case subsidiary with the given number of random distributions
+    a node: with stopping, a polytope of distributions + 1 vertices."""
+    alpha = {tree.ids[u]: rng.dirichlet(np.full(len(tree.children_index[u]), 2.0), distributions).tolist()
+             for u in tree.internal_indices()}
+    return worst_case_family(worst_case_params(tree, alpha, stopping=stopping))
+
+
+class TestPolytopePoolingRule:
+    """Exponential subsidiaries pooled with one worst-case subsidiary: one
+    kernel family minimizing the pooled entropic conjugate over the
+    worst-case polytope, with the numeric route and the global search as
+    oracles."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("distributions", [1, 2])
+    def test_matches_the_numeric_route_and_the_global_search(self, depth, distributions):
+        rng = np.random.default_rng(10 * depth + distributions)
+        raw = rng.uniform(0.1, 1.0, 2 ** (depth + 1) - 1)
+        t = binary_tree(depth, weights=raw / raw.sum())
+        ent = entropic_params(t, float(rng.uniform(0.5, 2.0)))
+        wc = worst_subsidiary(rng, t, distributions)
+        pooled = pooled_family([ent, wc])
+        numeric, _ = _pooled([entropic_family(ent), wc], DualSolverOptions(gradient_tolerance=1e-8))
+        rows = rng.uniform(-2.0, 2.0, (3, t.n_nodes))
+        assert np.max(np.abs(pooled.node_values(rows) - numeric.node_values(rows))) <= 1e-6
+        k = random_cash(rng, t, -2.0, 2.0)
+        assert pooled.value(t.root, k) >= global_pool_value([entropic_family(ent), wc], t.root, k) - 1e-9
+
+    @pytest.mark.parametrize("exponential", [2, 3])
+    def test_several_exponential_subsidiaries_with_one_worst_case(self, exponential):
+        rng = np.random.default_rng(exponential)
+        raw = rng.uniform(0.1, 1.0, 7)
+        t = binary_tree(2, weights=raw / raw.sum())
+        subs = []
+        for _ in range(exponential):
+            ref = rng.uniform(0.1, 1.0, t.n_nodes)
+            subs.append(entropic_params(t, float(rng.uniform(0.5, 2.0)), ref / ref.sum()))
+        subs.insert(1, worst_subsidiary(rng, t, 2))
+        numeric, _ = _pooled([entropic_family(s) if i != 1 else s for i, s in enumerate(subs)],
+                             DualSolverOptions(gradient_tolerance=1e-8))
+        rows = rng.uniform(-2.0, 2.0, (2, t.n_nodes))
+        assert np.max(np.abs(pooled_family(subs).node_values(rows) - numeric.node_values(rows))) <= 1e-6
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, t.root, k, method="direct")
+        assert res.value == pytest.approx(pooled_family(subs).value(t.root, k), abs=1e-12)
+        assert res.feasibility_gap <= 1e-12
+        assert abs(res.achieved_value - res.value) <= 1e-12
+
+    def test_pools_without_a_numeric_sup(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numeric sup ran on a kernel-rule path")
+
+        monkeypatch.setattr(risksharing, "sup_family", refuse)
+        monkeypatch.setattr(optim, "maximize_nelder_mead", refuse)
+        rng = np.random.default_rng(4)
+        t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
+        subs = [entropic_params(t, 1.3), worst_subsidiary(rng, t, 2)]
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, "u", k, method="direct")
+        assert res.converged and res.feasibility_gap <= 1e-12
+        assert check_sharing_axioms(subs, trials=5, seed=3).all_passed
+
+    def test_other_mixes_keep_the_numeric_route(self):
+        t = three_node_tree()
+        ent = entropic_params(t, 1.0)
+        stop = worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5]]}, stopping=True))
+        no_stop = worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5]]}, stopping=False))
+        crra = ui_family(ui_params(t, CRRAUtility(2.0), 5.0))
+        for subs in ([ent, no_stop], [ent, stop, stop], [ent, crra], [stop]):
+            assert risksharing._kernel_pool(subs) is None
+        assert risksharing._kernel_pool([ent, stop]) is not None
 
 
 class TestEntropicPoolingRule:
@@ -509,15 +588,58 @@ def test_entropic_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, 
         assert all(np.isfinite(np.asarray(v, dtype=float)).all() for v in numbers), (name, numbers)
 
 
+@given(tree_seed=st.integers(0, 10_000), cash_seed=st.integers(0, 10_000),
+       log_gammas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+       distributions=st.integers(1, 3), stopping=st.sampled_from([True, True, True, False]),
+       log_scale=st.floats(-3.0, 6.0))
+@settings(max_examples=20, deadline=None)
+def test_mixed_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, log_gammas, distributions,
+                                                       stopping, log_scale):
+    # exponential subsidiaries with one worst-case subsidiary: depth 1-3,
+    # gamma in [1e-2, 1e2], cash up to 1e6 in magnitude.  With stopping the
+    # polytope rule pools them; without it each one-step is a Nelder-Mead
+    # search, seconds a tree, so that quarter of the draws keeps one
+    # exponential subsidiary, binary trees and one axiom trial
+    tree = random_tree(np.random.default_rng(tree_seed), max_depth=3, max_branching=3 if stopping else 2)
+    rng = np.random.default_rng(cash_seed)
+    subs = []
+    for log_gamma in log_gammas if stopping else log_gammas[:1]:
+        raw = rng.uniform(0.1, 1.0, tree.n_nodes)
+        subs.append(entropic_params(tree, 10.0 ** log_gamma, raw / raw.sum()))
+    alphas = {tree.ids[u]: rng.dirichlet(np.ones(len(tree.children_index[u])), distributions)
+              for u in tree.internal_indices()}
+    subs.append(worst_case_family(worst_case_params(tree, alphas, stopping=stopping)))
+    balance = CashBalance(tree, 10.0 ** log_scale * rng.uniform(-1.0, 1.0, tree.n_nodes))
+
+    def sharing():
+        res = share_value(subs, tree.root, balance, method="direct")
+        return [res.value, res.normalized, res.value_of_sharing, res.achieved_value, res.feasibility_gap,
+                *(a.values for a in res.allocation)]
+
+    calls = {
+        "share_value": sharing,
+        "pooled_family": lambda: [pooled_family(subs).node_values(balance.values)],
+        "check_sharing_axioms": lambda: [c.worst_residual for c in check_sharing_axioms(
+            subs, trials=2 if stopping else 1, seed=cash_seed).checks],
+    }
+    for name, call in calls.items():
+        try:
+            numbers = call()
+        except TreevalError:
+            continue
+        assert all(np.isfinite(np.asarray(v, dtype=float)).all() for v in numbers), (name, numbers)
+
+
 def test_entropic_paths_never_import_scipy_optimize():
     # importing scipy.optimize alone roughly triples a process's peak RSS,
-    # so smooth sups must finish without Nelder-Mead
+    # so smooth sups must finish without Nelder-Mead, and pooling by a
+    # kernel rule must run none
     script = textwrap.dedent("""
         import sys
         import numpy as np
         from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value
         from treeval.families import (CRRAUtility, entropic_family, entropic_one_step, entropic_params,
-                                      ui_one_step, ui_params)
+                                      ui_one_step, ui_params, worst_case_family, worst_case_params)
         from treeval.market import market, market_value
         from treeval.risksharing import check_sharing_axioms, share_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
@@ -530,6 +652,10 @@ def test_entropic_paths_never_import_scipy_optimize():
         dual_value(entropic_family(p1), "root", lam)
         share_value([p1, p2], "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="dual")
         check_sharing_axioms([p1, p2], trials=5, seed=1)
+        # criterion 05's mixed pair, pooled by the polytope rule
+        wc = worst_case_family(worst_case_params(tree, {"root": [[0.5, 0.5]]}, stopping=True))
+        share_value([p1, wc], "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="direct")
+        check_sharing_axioms([p1, wc], trials=25, seed=22, cash_range=(-2.0, 2.0))
         one_step_dual_value(entropic_one_step(p1, "root"), 0.2, np.array([0.5, 0.3]))
         # criterion 08's six CRRA one-step duals, drawn as there
         crra = ui_one_step(ui_params(tree, CRRAUtility(2.0), x0=3.0), "root")

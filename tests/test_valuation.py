@@ -24,6 +24,7 @@ from treeval.families import (
     worst_case_params,
 )
 from treeval.market import hedged_family, market
+from treeval.risksharing import pooled_family
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
     OneStepValuation,
@@ -116,6 +117,9 @@ SWEPT_FAMILIES = {
     "committed_linear": lambda t, rng: committed_family(linear_family(t), random_cash(rng, t)),
     "linear": lambda t, rng: linear_family(t),
     "hedged": _hedged,
+    # an exponential subsidiary pooled with a worst-case one: the polytope rule
+    "pooled_worst": lambda t, rng: pooled_family([entropic_params(t, float(rng.uniform(0.3, 2.0))),
+                                                  _worst(t, rng, True)]),
 }
 
 
