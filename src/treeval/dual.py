@@ -30,7 +30,8 @@ class DualSolverOptions:
 
     ``tolerance`` is the duality-gap target of the simplex descent;
     ``gradient_tolerance`` is the gradient test of every numeric sup
-    (``optim.sup``: dual solves, one-step duals, one-step hedges and pools);
+    (``optim.sup``: dual solves, one-step duals and pools; ``optim.sup_rows``:
+    one-step hedges);
     ``max_iterations`` caps each of them.  Tolerances must be finite and
     positive, the cap an integer of at least 1.
     """

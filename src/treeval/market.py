@@ -3,9 +3,15 @@ of a cash balance against the market, the axiom suite for the hedged
 valuations, and state-price-density extraction from one-step linear pricing
 weights.
 
-The hedged valuations are a ``ValuationFamily`` assembled from one-step
-hedges, a sup over the positions held at each node; the optimal strategy
-is read off the same one-step solves.
+The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
+over the positions held at each node, built block for block from the
+family's level blocks: each hedged block solves all its nodes and rows at
+once by damped Newton in the positions (``optim.sup_rows``), and leaves
+the rows Newton does not finish, and every row of a kinked kernel, to the
+per-row ``optim.sup``.  Its partials are the inner partials at the optimal
+positions (the envelope theorem), so reverse sweeps through hedged nodes
+are exact.  ``market_value`` reads the optimal strategy off the same pass
+that gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
@@ -22,9 +28,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
+from .optim import sup_rows
 from .tree import CashBalance, Tree, stop_index
-from .valuation import AxiomReport, ValuationFamily, check_axioms, committed_family, sup_family
+from .valuation import AxiomReport, Block, Kernel, ValuationFamily, _take, check_axioms, committed_family
 
 
 @dataclass(frozen=True)
@@ -201,23 +208,79 @@ class MarketValueResult:
     converged: bool
 
 
-def _hedged(family, mkt: Market, opts: DualSolverOptions):
-    if family.tree is not mkt.tree:
-        raise ValidationError("family and market must share one tree instance")
+def _moves(mkt: Market, block: Block) -> np.ndarray:
+    """Price moves (nodes, children, assets) from each node of a block to
+    its children."""
+    return np.moveaxis(mkt.prices[:, block.kids] - mkt.prices[:, block.nodes, None], 0, -1)
 
-    def problem(u: int):
-        step, kids = family.one_steps[u], list(mkt.tree.children_index[u])
-        moves = (mkt.prices[:, kids] - mkt.prices[:, [u]]).T   # (children, assets)
 
-        def lift(k_x, k_children):
-            def objective(batch: np.ndarray) -> np.ndarray:
-                return step.evaluate(np.full(batch.shape[0], k_x), k_children + batch @ moves.T)
-            return objective, np.zeros(moves.shape[1])
+def _lift(inner: Kernel, inner_data, moves: np.ndarray, k_x, k_children):
+    """The one-step hedges of a block as functions of the positions theta
+    (..., b, assets): the inner kernel's value at the children's values
+    plus the gains, and its gradient in theta, the children's partials
+    times the moves."""
 
-        return lift, step.smooth
+    own = {np.shape(k_x): k_x}   # own cash broadcast to each shape of positions asked for
 
-    return sup_family(mkt.tree, {u: problem(u) for u in mkt.tree.internal_indices()}, opts,
-                      descriptor=f"hedged({family.descriptor or 'custom'})")
+    def shifted(theta):
+        kids = k_children + (moves * theta[..., None, :]).sum(axis=-1)
+        if kids.shape[:-1] not in own:
+            own[kids.shape[:-1]] = np.broadcast_to(k_x, kids.shape[:-1])
+        return own[kids.shape[:-1]], kids
+
+    def value(theta):
+        return inner.evaluate(inner_data, *shifted(theta))
+
+    def gradient(theta):
+        return (inner.partials(inner_data, *shifted(theta))[..., 1:, None] * moves).sum(axis=-2)
+
+    return value, gradient, shifted
+
+
+def _hedge(inner: Kernel, data, k_x, k_children, tree: Tree, opts: DualSolverOptions):
+    """Values, positions and convergence flags of the one-step hedges
+    ``sup_theta inner(k_x, k_children + dS theta)`` of a block, every row
+    at once through ``optim.sup_rows``.  data: (inner data, moves, nodes).
+    A hedge that runs away raises a divergence error naming its node, with
+    the direction as certificate."""
+    inner_data, moves, nodes = data
+    b, m, d = moves.shape
+    lead = np.shape(k_x)
+    k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
+    value, gradient, _ = _lift(inner, inner_data, moves, k_x, k_children)
+
+    def row(i: int):
+        r, j = divmod(i, b)
+        f, grad, _ = _lift(inner, _take(inner_data, slice(j, j + 1)), moves[j:j + 1],
+                           k_x[r, j:j + 1], k_children[r, j:j + 1])
+        return (lambda batch: f(batch[:, None, :])[:, 0],
+                lambda z: (float(f(z[None, None, :])[0, 0]), grad(z[None, None, :])[0, 0]))
+
+    theta, values, fallback = sup_rows(value, gradient, np.zeros((k_x.shape[0], b, d)), smooth=inner.smooth,
+                                       gradient_tolerance=opts.gradient_tolerance,
+                                       max_iterations=opts.max_iterations, row=row)
+    converged = np.ones(values.shape, dtype=bool)
+    for i, res in fallback.items():
+        if res.diverged:
+            raise DivergenceError(f"the one-step hedge of {inner.descriptor or 'custom'} at "
+                                  f"{tree.ids[nodes[i % b]]!r} is unbounded", direction=res.direction)
+        converged.flat[i] = res.converged
+    return values.reshape(lead), theta.reshape(lead + (d,)), converged.reshape(lead)
+
+
+def _hedged_kernel(inner: Kernel, tree: Tree, opts: DualSolverOptions) -> Kernel:
+    """``inner`` hedged: data (inner data, moves, nodes).  Its partials are
+    the inner partials at the optimal positions (the envelope theorem)."""
+
+    def evaluate(data, k_x, k_children):
+        return _hedge(inner, data, k_x, k_children, tree, opts)[0]
+
+    def grad(data, k_x, k_children):
+        theta = _hedge(inner, data, k_x, k_children, tree, opts)[1]
+        _, _, shifted = _lift(inner, data[0], data[1], k_x, k_children)
+        return inner.partials(data[0], *shifted(theta))
+
+    return Kernel(evaluate, f"hedged({inner.descriptor})", inner.smooth, grad=grad)
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -228,10 +291,21 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     gains, which translation invariance passes through the child's
     valuation, so the sup over whole strategies is the backward induction
     of one-step hedges ``sup_theta step_u(a, v + dS_u theta)``, dS_u the
-    children's prices minus u's.  A one-step hedge that runs away raises a
-    divergence error naming its node, with the arbitrage direction as
-    certificate: the market admits arbitrage relative to the family."""
-    return _hedged(family, mkt, opts or DEFAULT_OPTIONS)[0]
+    children's prices minus u's.  Each level block of the family becomes
+    one hedged block, all its nodes and rows solved at once by
+    ``optim.sup_rows``: damped Newton in theta on the exact gradient, with
+    the rows it does not finish, and every row of a kinked kernel, left to
+    ``optim.sup`` one by one.  The partials are the inner partials at the
+    optimal positions, so reverse sweeps are exact.  A one-step hedge that
+    runs away raises a divergence error naming its node, with the arbitrage
+    direction as certificate: the market admits arbitrage relative to the
+    family."""
+    if family.tree is not mkt.tree:
+        raise ValidationError("family and market must share one tree instance")
+    opts = opts or DEFAULT_OPTIONS
+    return ValuationFamily(mkt.tree, lambda: [
+        Block(_hedged_kernel(b.kernel, mkt.tree, opts), (b.data, _moves(mkt, b), b.nodes), b.nodes, b.kids)
+        for b in family.blocks], descriptor=f"hedged({family.descriptor or 'custom'})")
 
 
 def market_value(family, mkt: Market, x: str, balance: CashBalance,
@@ -245,20 +319,22 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
         raise ValidationError("family, market and balance must share one tree instance")
     tree = mkt.tree
     xi = tree.node_index(x)
-    hedged, solve = _hedged(family, mkt, opts)
-    rows = np.stack([balance.values, np.zeros(tree.n_nodes)])
-    swept = hedged.node_values(rows)
-    # the one-step solves are deterministic: re-solved on the swept child
-    # values they return the positions the sweep used
+    # one pass over the hedged blocks, keeping the positions of the
+    # balance's row and the convergence of both rows
+    swept = np.stack([balance.values, np.zeros(tree.n_nodes)])
+    positions = np.zeros((tree.n_nodes, len(mkt.asset_names)))
+    converged = np.ones(tree.n_nodes, dtype=bool)
+    for b in family.blocks:
+        values, theta, ok = _hedge(b.kernel, (b.data, _moves(mkt, b), b.nodes),
+                                   swept[:, b.nodes], swept[:, b.kids], tree, opts)
+        swept[:, b.nodes], positions[b.nodes], converged[b.nodes] = values, theta[0], ok.all(axis=0)
     decisions = _decision_nodes(tree, xi)
-    solved = [[solve(u, row[u], vals[list(tree.children_index[u])]) for u in decisions]
-              for row, vals in zip(rows, swept)]
     return MarketValueResult(
         value=float(swept[0, xi]),
         normalized=float(swept[0, xi] - swept[1, xi]),
         access_value=float(swept[1, xi]),
-        strategy=Strategy({tree.ids[u]: res.x.copy() for u, res in zip(decisions, solved[0])}),
-        converged=all(res.converged for row in solved for res in row),
+        strategy=Strategy({tree.ids[u]: positions[u].copy() for u in decisions}),
+        converged=bool(converged[decisions].all()),
     )
 
 

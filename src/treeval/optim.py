@@ -1,8 +1,10 @@
-"""Solvers shared by the valuation and dual modules: BFGS ascent with a
-backtracking line search and step doubling along recession directions,
-restarted Nelder-Mead for kinked objectives, ``sup``, the one policy that
-chooses between them, and multiplicative-weights descent on the simplex
-with 1/sqrt(k) steps.  Objectives evaluate batches: f((B, d)) -> (B,).
+"""Solvers shared by the valuation, dual and market modules: BFGS ascent
+with a backtracking line search and step doubling along recession
+directions, restarted Nelder-Mead for kinked objectives, ``sup``, the one
+policy that chooses between them, ``sup_rows``, the same policy for many
+independent sups at once (a batched damped Newton stage first), and
+multiplicative-weights descent on the simplex with 1/sqrt(k) steps.
+Objectives evaluate batches: f((B, d)) -> (B,).
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ STALL_STEPS = 10
 
 # Sup norm of an iterate beyond which an ascent declares divergence.
 DIVERGENCE_BOUND = 1e6
+
+# Steps of the batched Newton stage, and halvings of one step, before a
+# row is left to ``sup``.
+NEWTON_STEPS = 20
+NEWTON_HALVINGS = 30
+
+# Relative step of the forward differences of the gradient that give the
+# batched Newton stage its Hessian.
+HESSIAN_STEP = 1e-7
 
 
 @dataclass
@@ -255,6 +266,96 @@ def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
     best = polished if polished.diverged or polished.value >= ascent.value else ascent
     best.method = "bfgs+nelder-mead"
     return best
+
+
+def newton_ascent(value, gradient, x0, *, gradient_tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton on a batch of independent smooth concave objectives,
+    one per leading index of x0 (..., d).  ``value(x)`` gives (...) and
+    ``gradient(x)`` (k, ..., d) for a stack of k points per row.
+
+    The Hessian is a forward difference of the gradient, d more points in
+    the same call.  A step is halved, row by row, wherever the value falls
+    or is not finite (an effective-domain wall).  A row stops on the
+    gradient test; one whose Hessian is not negative definite, whose step
+    leaves ``DIVERGENCE_BOUND`` or still falls after ``NEWTON_HALVINGS``
+    halvings, or that is still going after ``NEWTON_STEPS`` steps is left
+    where it stands.  Returns the iterates, their values and the mask of
+    rows that met the gradient test."""
+    shape = np.shape(x0)
+    x = np.array(x0, dtype=float).reshape(-1, shape[-1])   # (rows, d)
+    n, d = x.shape
+    basis = np.concatenate([np.zeros((1, 1, d)), np.eye(d)[:, None, :]])   # x, then x + h_j e_j
+    fx = np.asarray(value(x.reshape(shape)), dtype=float).reshape(n)
+    done, running = np.zeros(n, dtype=bool), np.isfinite(fx)
+    for step_count in range(NEWTON_STEPS + 1):
+        h = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
+        gs = np.reshape(gradient((x + basis * h).reshape((d + 1,) + shape)), (d + 1, n, d))
+        g = gs[0]
+        met = running & (np.abs(g).max(axis=1) <= gradient_tolerance)
+        done |= met
+        running &= ~met
+        if step_count == NEWTON_STEPS or not running.any():
+            break
+        # [row, j, i]: dg_i / dx_j, of which eigh reads the lower triangle
+        hessian = ((gs[1:] - g) / h.T[:, :, None]).transpose(1, 0, 2)
+        if d == 1:
+            # a number, definite where negative (NaN is not); a third of
+            # the cost of eigh on a batch this small
+            running &= hessian[:, 0, 0] < 0.0
+            step = -g / np.where(running, hessian[:, 0, 0], -np.inf)[:, None]
+        else:
+            finite = np.isfinite(hessian).all(axis=(1, 2))
+            hessian[~finite] = -np.eye(d)
+            w, v = np.linalg.eigh(hessian)
+            running &= finite & (w[:, -1] < 0.0)
+            w[~running] = -np.inf
+            # -H^-1 g in H's eigenbasis (zero where the row stopped),
+            # written out so that a row's arithmetic does not depend on
+            # the batch around it
+            step = -(v * ((v * g[:, :, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
+        # a step beyond DIVERGENCE_BOUND stops its row where it stands
+        running &= np.abs(x + step).max(axis=1) <= DIVERGENCE_BOUND
+        pending = running.copy()
+        for _ in range(NEWTON_HALVINGS):
+            cand = x + step
+            fc = np.asarray(value(cand.reshape(shape)), dtype=float).reshape(n)
+            rose = pending & (fc >= fx) & np.isfinite(fc)
+            np.copyto(x, cand, where=rose[:, None])
+            np.copyto(fx, fc, where=rose)
+            pending &= ~rose
+            if not pending.any():
+                break
+            step[~pending] = 0.0
+            step *= 0.5
+        running &= ~pending
+    return x.reshape(shape), fx.reshape(shape[:-1]), done.reshape(shape[:-1])
+
+
+def sup_rows(value, gradient, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
+             row) -> tuple[np.ndarray, np.ndarray, dict[int, AscentResult]]:
+    """The sups of a batch of independent concave objectives, one per
+    leading index of x0 (..., d): the policy of ``sup`` for many rows at
+    once.  ``value`` and ``gradient`` evaluate every row (as
+    ``newton_ascent`` takes them); ``row(i)`` gives the batch objective
+    and the ``(value, gradient)`` callable of the row with flat index i.
+
+    Smooth rows take ``newton_ascent``.  The rows it leaves unfinished, and
+    every row of a kinked objective, go to ``sup`` one by one from where
+    the batch stopped.  Returns the maximizers, the sups, and the ``sup``
+    result of each row that went there, by flat index."""
+    x = np.array(x0, dtype=float)
+    if smooth:
+        x, fx, done = newton_ascent(value, gradient, x, gradient_tolerance=gradient_tolerance)
+    else:
+        fx, done = np.empty(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=bool)
+    flat_x, flat_fx = x.reshape(-1, x.shape[-1]), fx.reshape(-1)
+    fallback = {}
+    for i in np.flatnonzero(~done).tolist():
+        f, grad = row(i)
+        fallback[i] = res = sup(f, flat_x[i], smooth=smooth, gradient_tolerance=gradient_tolerance,
+                                max_iterations=max_iterations, gradient=grad)
+        flat_x[i], flat_fx[i] = res.x, res.value
+    return x, fx, fallback
 
 
 @dataclass

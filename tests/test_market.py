@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeval
+from treeval import optim
 from helpers import (
     binary_tree,
     global_hedge_value,
@@ -10,7 +20,7 @@ from helpers import (
     trinomial_tree,
 )
 from treeval.dual import DualSolverOptions
-from treeval.errors import DivergenceError, ValidationError
+from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
     entropic_family,
     entropic_params,
@@ -226,6 +236,76 @@ class TestHedgedFamily:
             hedged_family(fam, mkt).value("root", CashBalance.constant(t, 0.0))
         assert err.value.direction is not None
 
+    def test_divergence_off_the_root_comes_from_the_per_row_fallback(self, monkeypatch):
+        # both of u's children are priced above u, an arbitrage; d's moves
+        # are a martingale under its weights.  An entropic family this close
+        # to risk neutrality values the arbitrage at about -log(weight)/gamma,
+        # so Newton's first step at u leaves the divergence bound, and the
+        # per-row ascent it hands the row to runs away
+        t = binary_tree(2)
+        mkt = market(t, {"s": {"r": 1.0, "u": 2.0, "d": 0.5, "uu": 3.0, "ud": 2.5,
+                               "du": 0.75, "dd": 0.25}})
+        fam = entropic_family(entropic_params(t, 1e-6))
+        fallback = []
+        sup = optim.sup
+
+        def recorded(*args, **kwargs):
+            fallback.append(sup(*args, **kwargs))
+            return fallback[-1]
+
+        monkeypatch.setattr(optim, "sup", recorded)
+        with pytest.raises(DivergenceError, match="at 'u'") as err:
+            market_value(fam, mkt, "r", CashBalance.constant(t, 0.0))
+        assert err.value.direction is not None and err.value.direction[0] > 0
+        assert fallback and all(res.diverged for res in fallback)
+
+    @pytest.mark.parametrize("kind", ["lattice3", "two_asset", "custom"])
+    def test_blocks_match_the_inner_family(self, kind):
+        t, mkt = {"lattice3": lambda: lattice_market(3), "two_asset": two_asset_market,
+                  "custom": binomial_market}[kind]()
+        fam = (assemble(t, {"root": linear_one_step([0.2, 0.8])}) if kind == "custom"
+               else entropic_family(entropic_params(t, 1.0)))
+        hedged = hedged_family(fam, mkt)
+        assert len(hedged.blocks) == len(fam.blocks)
+        for outer, inner in zip(hedged.blocks, fam.blocks):
+            assert np.array_equal(outer.nodes, inner.nodes) and np.array_equal(outer.kids, inner.kids)
+            assert outer.kernel.descriptor == f"hedged({inner.kernel.descriptor})"
+
+
+def martingale_market(rng, tree, n_assets):
+    """Random positive prices that are martingales under a random strictly
+    positive transition law, so the market admits no arbitrage."""
+    prices = np.zeros((n_assets, tree.n_nodes))
+    prices[:, tree.root_index] = rng.uniform(0.5, 2.0, n_assets)
+    for u in tree.preorder.tolist():
+        kids = list(tree.children_index[u])
+        if kids:
+            q = rng.dirichlet(np.full(len(kids), 4.0))
+            raw = np.exp(rng.normal(0.0, 0.5, (n_assets, len(kids))))
+            prices[:, kids] = prices[:, [u]] * raw / (raw @ q)[:, None]
+    return market(tree, {f"a{j}": dict(zip(tree.ids, row)) for j, row in enumerate(prices)})
+
+
+class TestEnvelopePartials:
+    @pytest.mark.parametrize("n_assets", [1, 2])
+    def test_hedged_gradient_is_the_inner_gradient_at_the_hedged_balance(self, n_assets):
+        # envelope theorem: the optimal positions do not move the value to
+        # first order, so the hedged node's gradient is the inner family's
+        # at the balance plus the optimal gains
+        rng = np.random.default_rng(40 + n_assets)
+        for _ in range(6):
+            t = random_tree(rng, max_depth=3, max_branching=3)
+            mkt = martingale_market(rng, t, n_assets)
+            fam = entropic_family(entropic_params(t, float(rng.uniform(0.5, 2.0))))
+            k = random_cash(rng, t, -1.0, 1.0)
+            xi = int(rng.choice(list(t.internal_indices())))
+            res = market_value(fam, mkt, t.ids[xi], k)
+            assert res.converged
+            hedged = k.values + gains(mkt, t.ids[xi], res.strategy).values
+            values, grad = hedged_family(fam, mkt).values_and_gradient(k.values, xi)
+            assert values[xi] == pytest.approx(res.value, abs=1e-12)
+            assert np.max(np.abs(grad - fam.values_and_gradient(hedged, xi)[1])) <= 1e-9
+
 
 def ill_conditioned_two_asset_market():
     """Trinomial tree of depth 2 with two martingale assets whose moves out
@@ -265,6 +345,64 @@ class TestIllConditionedHedge:
         hedged = CashBalance(t, k.values + gains(mkt, t.root, res.strategy).values)
         assert entropic_value(params, t.root, hedged) == pytest.approx(res.value, abs=1e-9)
         assert res.value >= entropic_value(params, t.root, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_market_value_is_reproduced_by_its_strategy_or_raises(data):
+    # random trees, prices (arbitrage allowed) and cash: every call raises a
+    # TreevalError or returns finite numbers whose strategy's gains give
+    # back the value, which is no lower than the unhedged value
+    t = random_tree(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), max_depth=3,
+                    max_branching=3)
+    n_assets = data.draw(st.integers(1, 2))
+    prices = data.draw(st.lists(st.floats(0.25, 4.0), min_size=n_assets * t.n_nodes,
+                                max_size=n_assets * t.n_nodes))
+    cash = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=t.n_nodes, max_size=t.n_nodes))
+    gamma = data.draw(st.floats(0.2, 3.0))
+    x = t.ids[data.draw(st.integers(0, t.n_nodes - 1))]
+    mkt = market(t, {f"a{j}": dict(zip(t.ids, prices[j * t.n_nodes:(j + 1) * t.n_nodes]))
+                     for j in range(n_assets)})
+    fam = entropic_family(entropic_params(t, gamma))
+    k = CashBalance(t, np.array(cash))
+    try:
+        res = market_value(fam, mkt, x, k)
+    except TreevalError:
+        return
+    assert np.isfinite([res.value, res.normalized, res.access_value]).all()
+    assert all(np.isfinite(v).all() for v in res.strategy.holdings.values())
+    hedged = CashBalance(t, k.values + gains(mkt, x, res.strategy).values)
+    assert abs(fam.value(x, hedged) - res.value) <= 1e-9
+    assert res.value >= fam.value(x, k)
+
+
+def test_hedging_never_imports_scipy_optimize():
+    # importing scipy.optimize alone roughly triples a process's peak RSS,
+    # so well-posed smooth hedges must finish in the batched Newton stage or
+    # the per-row BFGS, never in Nelder-Mead
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from treeval.families import entropic_family, entropic_params
+        from treeval.market import check_market_axioms, market, market_value
+        from treeval.tree import CashBalance, NodeRecord, build_tree
+
+        ids = ["r", "u", "d"] + [a + b for a in ("u", "d") for b in "ud"]
+        ids += [a + b for a in ids[3:] for b in "ud"]
+        tree = build_tree([NodeRecord(i, None if i == "r" else (i[:-1] or "r"), 1.0 / len(ids))
+                           for i in ids])
+        mkt = market(tree, {"s": {i: 2.0 ** i.count("u") * 0.5 ** i.count("d") for i in ids}})
+        family = entropic_family(entropic_params(tree, 1.0))
+        cash = CashBalance(tree, np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_nodes))
+        market_value(family, mkt, "r", cash)
+        assert check_market_axioms(family, mkt, trials=1, seed=3, cash_range=(-2.0, 2.0)).all_passed
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = str(Path(treeval.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=False,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 class TestMarketAxioms:

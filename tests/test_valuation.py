@@ -129,8 +129,8 @@ class TestLevelSweep:
     def test_matches_the_per_node_loop(self, kind, batch):
         rng = np.random.default_rng(len(kind) + len(batch))
         tol = 1e-12 if kind.startswith("ui") else 1e-13
-        for _ in range(3 if kind == "hedged" else 6):
-            t = random_tree(rng, max_depth=2 if kind == "hedged" else 4, max_branching=3)
+        for _ in range(6):
+            t = random_tree(rng, max_depth=4, max_branching=3)
             fam = SWEPT_FAMILIES[kind](t, rng)
             k = rng.uniform(-2.0, 2.0, batch + (t.n_nodes,))
             got = fam.node_values(k)
@@ -211,8 +211,8 @@ class TestReverseSweep:
         # uniform random cash lies off the kinks of the worst-case families
         # almost surely, where their subgradient is the gradient
         rng = np.random.default_rng(10 * len(kind) + len(batch))
-        for _ in range(2 if kind == "hedged" else 4):
-            t = random_tree(rng, max_depth=2 if kind == "hedged" else 3, max_branching=3)
+        for _ in range(4):
+            t = random_tree(rng, max_depth=3, max_branching=3)
             fam = SWEPT_FAMILIES[kind](t, rng)
             k = rng.uniform(-2.0, 2.0, batch + (t.n_nodes,))
             xi = int(rng.integers(t.n_nodes))
@@ -226,7 +226,7 @@ class TestReverseSweep:
         # monotone, translation invariant and local: the gradient of a node
         # value is a probability on that node's subtree
         rng = np.random.default_rng(len(kind))
-        t = random_tree(rng, max_depth=2 if kind == "hedged" else 3, max_branching=3)
+        t = random_tree(rng, max_depth=3, max_branching=3)
         fam = SWEPT_FAMILIES[kind](t, rng)
         k = rng.uniform(-2.0, 2.0, (5, t.n_nodes))
         for xi in range(t.n_nodes):
