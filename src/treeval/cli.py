@@ -227,8 +227,7 @@ def run(args) -> tuple[dict, int]:
         loaded = [load_family(p, tree) for p in paths]
         inputs["families"] = [digest(p) for p in paths]
         node = _node_or_root(args, tree)
-        subs = ([lf.entropic for lf in loaded] if all(lf.entropic is not None for lf in loaded)
-                else [lf.family for lf in loaded])
+        subs = [lf.family if lf.entropic is None else lf.entropic for lf in loaded]
         res = share_value(subs, node, balance, _options(args))
         results["node"] = node
         results["value"] = res.value

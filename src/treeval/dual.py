@@ -30,8 +30,8 @@ class DualSolverOptions:
 
     ``tolerance`` is the duality-gap target of the simplex descent;
     ``gradient_tolerance`` is the gradient test of every numeric sup
-    (``optim.sup``: dual solves, one-step duals and pools; ``optim.sup_rows``:
-    one-step hedges);
+    (``optim.sup``: dual solves and one-step duals; ``optim.sup_rows``:
+    one-step hedges and numeric one-step pools);
     ``max_iterations`` caps each of them.  Tolerances must be finite and
     positive, the cap an integer of at least 1.
     """
@@ -346,6 +346,8 @@ def check_dual_properties(tree: Tree, x: str, dual_fn, *, trials: int = 50, seed
     """Sample the simplex over the subtree at x and check midpoint convexity,
     locate the infimum (nonnegative for any valuation dual; zero exactly for
     normalized ones), and confirm rejection of non-probability arguments."""
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     opts = opts or DEFAULT_OPTIONS
     rng = np.random.default_rng(seed)
     xi = tree.node_index(x)

@@ -6,12 +6,13 @@ weights.
 The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
 over the positions held at each node, built block for block from the
 family's level blocks: each hedged block solves all its nodes and rows at
-once by damped Newton in the positions (``optim.sup_rows``), and leaves
-the rows Newton does not finish, and every row of a kinked kernel, to the
-per-row ``optim.sup``.  Its partials are the inner partials at the optimal
-positions (the envelope theorem), so reverse sweeps through hedged nodes
-are exact.  ``market_value`` reads the optimal strategy off the same pass
-that gives the values.
+once by damped Newton in the positions, and leaves the rows Newton does
+not finish, and every row of a kinked kernel, to the per-row
+``optim.sup`` (``valuation._one_step_sups``, which also solves the
+numerically pooled families of ``risksharing``).  Its partials are the
+inner partials at the optimal positions (the envelope theorem), so reverse
+sweeps through hedged nodes are exact.  ``market_value`` reads the
+optimal strategy off the same pass that gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
@@ -23,15 +24,16 @@ then exact linear-algebra identities, verified by ``check_gains_axioms``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
-from .errors import DivergenceError, ValidationError
-from .optim import sup_rows
+from .errors import ValidationError
 from .tree import CashBalance, Tree, stop_index
-from .valuation import AxiomReport, Block, Kernel, ValuationFamily, _take, check_axioms, committed_family
+from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _one_step_sups, _sup_kernel, check_axioms,
+                        committed_family, sample_stop_masks)
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,8 @@ def check_gains_axioms(mkt: Market, x: str, trials: int, seed: int, *,
     combination, masks to the gains set of each later start node, and splits
     into a stopped part plus an independent restart.  All three are linear
     identities of the realization and must hold to roundoff."""
-    from .valuation import sample_stop_masks
-
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     tree = mkt.tree
     xi = tree.node_index(x)
     mat, decisions = _gains_matrix(mkt, xi)
@@ -214,12 +216,11 @@ def _moves(mkt: Market, block: Block) -> np.ndarray:
     return np.moveaxis(mkt.prices[:, block.kids] - mkt.prices[:, block.nodes, None], 0, -1)
 
 
-def _lift(inner: Kernel, inner_data, moves: np.ndarray, k_x, k_children):
-    """The one-step hedges of a block as functions of the positions theta
-    (..., b, assets): the inner kernel's value at the children's values
-    plus the gains, and its gradient in theta, the children's partials
-    times the moves."""
-
+def _lift(inner: Kernel, data, k_x, k_children):
+    """The one-step hedges of a block, data (inner data, moves), as a lift
+    in the positions theta (``valuation._one_step_sups``): the gradient is
+    the children's partials times the moves, the start 0."""
+    inner_data, moves = data
     own = {np.shape(k_x): k_x}   # own cash broadcast to each shape of positions asked for
 
     def shifted(theta):
@@ -228,59 +229,21 @@ def _lift(inner: Kernel, inner_data, moves: np.ndarray, k_x, k_children):
             own[kids.shape[:-1]] = np.broadcast_to(k_x, kids.shape[:-1])
         return own[kids.shape[:-1]], kids
 
+    def partials(theta):
+        return inner.partials(inner_data, *shifted(theta))
+
     def value(theta):
         return inner.evaluate(inner_data, *shifted(theta))
 
     def gradient(theta):
-        return (inner.partials(inner_data, *shifted(theta))[..., 1:, None] * moves).sum(axis=-2)
+        return (partials(theta)[..., 1:, None] * moves).sum(axis=-2)
 
-    return value, gradient, shifted
-
-
-def _hedge(inner: Kernel, data, k_x, k_children, tree: Tree, opts: DualSolverOptions):
-    """Values, positions and convergence flags of the one-step hedges
-    ``sup_theta inner(k_x, k_children + dS theta)`` of a block, every row
-    at once through ``optim.sup_rows``.  data: (inner data, moves, nodes).
-    A hedge that runs away raises a divergence error naming its node, with
-    the direction as certificate."""
-    inner_data, moves, nodes = data
-    b, m, d = moves.shape
-    lead = np.shape(k_x)
-    k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
-    value, gradient, _ = _lift(inner, inner_data, moves, k_x, k_children)
-
-    def row(i: int):
-        r, j = divmod(i, b)
-        f, grad, _ = _lift(inner, _take(inner_data, slice(j, j + 1)), moves[j:j + 1],
-                           k_x[r, j:j + 1], k_children[r, j:j + 1])
-        return (lambda batch: f(batch[:, None, :])[:, 0],
-                lambda z: (float(f(z[None, None, :])[0, 0]), grad(z[None, None, :])[0, 0]))
-
-    theta, values, fallback = sup_rows(value, gradient, np.zeros((k_x.shape[0], b, d)), smooth=inner.smooth,
-                                       gradient_tolerance=opts.gradient_tolerance,
-                                       max_iterations=opts.max_iterations, row=row)
-    converged = np.ones(values.shape, dtype=bool)
-    for i, res in fallback.items():
-        if res.diverged:
-            raise DivergenceError(f"the one-step hedge of {inner.descriptor or 'custom'} at "
-                                  f"{tree.ids[nodes[i % b]]!r} is unbounded", direction=res.direction)
-        converged.flat[i] = res.converged
-    return values.reshape(lead), theta.reshape(lead + (d,)), converged.reshape(lead)
+    return value, gradient, partials, np.zeros(np.shape(k_x) + moves.shape[-1:])
 
 
-def _hedged_kernel(inner: Kernel, tree: Tree, opts: DualSolverOptions) -> Kernel:
-    """``inner`` hedged: data (inner data, moves, nodes).  Its partials are
-    the inner partials at the optimal positions (the envelope theorem)."""
-
-    def evaluate(data, k_x, k_children):
-        return _hedge(inner, data, k_x, k_children, tree, opts)[0]
-
-    def grad(data, k_x, k_children):
-        theta = _hedge(inner, data, k_x, k_children, tree, opts)[1]
-        _, _, shifted = _lift(inner, data[0], data[1], k_x, k_children)
-        return inner.partials(data[0], *shifted(theta))
-
-    return Kernel(evaluate, f"hedged({inner.descriptor})", inner.smooth, grad=grad)
+def _hedge(inner: Kernel):
+    """The lift, descriptor and smoothness of ``inner`` hedged."""
+    return partial(_lift, inner), f"hedged({inner.descriptor})", inner.smooth
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -304,7 +267,7 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS
     return ValuationFamily(mkt.tree, lambda: [
-        Block(_hedged_kernel(b.kernel, mkt.tree, opts), (b.data, _moves(mkt, b), b.nodes), b.nodes, b.kids)
+        Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((b.data, _moves(mkt, b)), b.nodes), b.nodes, b.kids)
         for b in family.blocks], descriptor=f"hedged({family.descriptor or 'custom'})")
 
 
@@ -325,8 +288,8 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     positions = np.zeros((tree.n_nodes, len(mkt.asset_names)))
     converged = np.ones(tree.n_nodes, dtype=bool)
     for b in family.blocks:
-        values, theta, ok = _hedge(b.kernel, (b.data, _moves(mkt, b), b.nodes),
-                                   swept[:, b.nodes], swept[:, b.kids], tree, opts)
+        values, theta, ok = _one_step_sups(*_hedge(b.kernel), tree, opts, ((b.data, _moves(mkt, b)), b.nodes),
+                                           swept[:, b.nodes], swept[:, b.kids])
         swept[:, b.nodes], positions[b.nodes], converged[b.nodes] = values, theta[0], ok.all(axis=0)
     decisions = _decision_nodes(tree, xi)
     return MarketValueResult(

@@ -13,7 +13,8 @@ its density confined to that polytope, solved exactly in the vertex
 weights; the minimizing density rebuilds the allocation.  Any other mix
 (two polyhedral subsidiaries, CRRA or custom ones, a polytope that leaves a
 coordinate without mass) is pooled by one-step sup-convolutions solved
-numerically through ``optim.sup``, whose splits rebuild the allocation.
+numerically a block at a time, as ``market``'s one-step hedges are, whose
+maximizing splits rebuild the allocation.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .errors import ValidationError
 from .families import (EntropicParams, _entropic_data, _entropic_kernel, _entropic_log_argmin, entropic_family,
                        entropic_params)
 from .tree import CashBalance, Tree
-from .valuation import (AxiomReport, Block, ValuationFamily, _take, check_axioms, committed_family, kernel_family,
-                        sup_family)
+from .valuation import (AxiomReport, Block, ValuationFamily, _one_step_sups, _sup_kernel, _take, check_axioms,
+                        committed_family, kernel_family)
 
 
 def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
@@ -137,31 +138,67 @@ class SharingResult:
     converged: bool
 
 
-def _split(batch: np.ndarray, total: np.ndarray, j: int) -> np.ndarray:
-    """Stacked pieces (B, (j-1) m) of the first j-1 subsidiaries -> all j
-    pieces (j, B, m); the last takes the remainder of ``total``."""
-    head = batch.reshape(batch.shape[0], j - 1, total.size).transpose(1, 0, 2)
-    return np.concatenate([head, (total - head.sum(axis=0))[None]])
+def _pieces(z, k_x, k_children, j: int) -> np.ndarray:
+    """The j pieces (j, ..., m + 1) of the totals that z (..., (j - 1) m)
+    describes: the first j - 1 with no own cash, the last the remainder."""
+    head = np.moveaxis(z.reshape(z.shape[:-1] + (j - 1, k_children.shape[-1])), -2, 0)
+    rest = k_children - head.sum(axis=0)
+    own = np.zeros((j,) + rest.shape[:-1])
+    own[-1] = k_x
+    return np.concatenate([own[..., None], np.concatenate([head, rest[None]])], axis=-1)
 
 
-def _pooled(families: Sequence[ValuationFamily], opts: DualSolverOptions):
-    tree, j = families[0].tree, len(families)
+def _pool(blocks):
+    """The lift, descriptor and smoothness of the one-step pools of the
+    subsidiaries' blocks of the same nodes (``valuation._one_step_sups``),
+    on their data.  The search variable is the children of the first j - 1
+    pieces (``_pieces``), whose own cash is pinned at 0: translation
+    invariance makes the objective flat along each piece's constant shift,
+    which would leave the Hessian singular."""
+    kernels = [b.kernel for b in blocks]
+    j = len(kernels)
 
-    def problem(u: int):
-        steps = [f.one_steps[u] for f in families]
+    def lift(data, k_x, k_children):
+        def each(z):
+            return zip(kernels, data, _pieces(z, k_x, k_children, j))
 
-        def lift(k_x, k_children):
-            total = np.concatenate([[k_x], k_children])
+        def value(z):
+            return sum(kernel.evaluate(d, p[..., 0], p[..., 1:]) for kernel, d, p in each(z))
 
-            def objective(batch: np.ndarray) -> np.ndarray:
-                pieces = _split(batch, total, j)
-                return sum(step.evaluate(p[:, 0], p[:, 1:]) for step, p in zip(steps, pieces))
-            return objective, np.tile(total / j, j - 1)
+        def gradient(z):
+            partials = [kernel.partials(d, p[..., 0], p[..., 1:])[..., 1:] for kernel, d, p in each(z)]
+            return np.concatenate([p - partials[-1] for p in partials[:-1]], axis=-1)
 
-        return lift, all(step.smooth for step in steps)
+        def partials(z):
+            last = _pieces(z, k_x, k_children, j)[-1]
+            return kernels[-1].partials(data[-1], last[..., 0], last[..., 1:])
 
-    descriptor = "pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")"
-    return sup_family(tree, {u: problem(u) for u in tree.internal_indices()}, opts, descriptor=descriptor)
+        # the even split, each piece shifted to no own cash
+        return value, gradient, partials, np.tile((k_children - k_x[..., None]) / j, j - 1)
+
+    descriptor = "pooled(" + ", ".join(kernel.descriptor or "custom" for kernel in kernels) + ")"
+    return lift, descriptor, all(kernel.smooth for kernel in kernels)
+
+
+def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
+    """The subsidiaries' blocks level by level: as they stand where they
+    hold the same nodes, else cut to one node each, deepest first."""
+    layouts = [f.blocks for f in families]
+    nodes = [[b.nodes.tolist() for b in blocks] for blocks in layouts]
+    if any(other != nodes[0] for other in nodes[1:]):
+        time = families[0].tree.time
+        layouts = [sorted((Block(b.kernel, *part) for b in blocks for part in b.parts(1)),
+                          key=lambda c: (-time[c.nodes[0]], c.nodes[0])) for blocks in layouts]
+    return list(zip(*layouts))
+
+
+def _pooled(families: Sequence[ValuationFamily], opts: DualSolverOptions) -> ValuationFamily:
+    """The pooled family with a block of one-step sups per ``_layout`` level."""
+    tree = families[0].tree
+    return ValuationFamily(tree, lambda: [
+        Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), blocks[0].nodes),
+              blocks[0].nodes, blocks[0].kids) for blocks in _layout(families)],
+        descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
 
 
 def _kernel_pool(subs: Sequence) -> ValuationFamily | None:
@@ -218,25 +255,25 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     min over q in P of [q . k + sum q (log q - log w') / Gamma], a smooth
     convex problem solved exactly in the vertex weights, batched over the
     nodes of each level.  Any other mix (two polyhedral subsidiaries, CRRA
-    or custom ones, a polytope that leaves a coordinate without mass) solves
-    each one-step sup numerically with the tolerances of ``opts``."""
+    or custom ones, a polytope that leaves a coordinate without mass) has
+    one block per level block of its subsidiaries (per node where their
+    blocks differ), whose one-step sups are solved together with the
+    tolerances of ``opts``; its partials are the last subsidiary's at its
+    share (the envelope theorem)."""
     _common_tree(subs)
-    family = _kernel_pool(subs)
-    if family is None:
-        family = _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
-    return family
+    return _kernel_pool(subs) or _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)
 
 
-def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
+def _allocate(pooled: ValuationFamily, layout, xi: int, values: np.ndarray, split):
     """Pooled values at the balance and at zero from one sweep, and the
-    allocation among j subsidiaries rebuilt top-down from the one-step
+    allocation among the subsidiaries rebuilt top-down from the one-step
     splits: ``split(level, sel, total)`` gives the pieces (j, b, m + 1) of
-    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``
-    and each piece's one-step value (j, b).  A subsidiary's piece of a
-    child subtree is the child's own split shifted by a constant to the
-    value the parent's split promised it there; the shifts at a node sum
-    to zero."""
-    tree = pooled.tree
+    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``,
+    which each subsidiary's block ``layout[level]`` values.  A subsidiary's
+    piece of a child subtree is the child's own split shifted by a constant
+    to the value the parent's split promised it there; the shifts at a node
+    sum to zero."""
+    tree, j = pooled.tree, len(layout[0])
     swept = pooled.node_values(np.stack([values, np.zeros(tree.n_nodes)]))
     vals = swept[0]
     inside = np.zeros(tree.n_nodes, dtype=bool)
@@ -249,7 +286,9 @@ def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, spli
         if not sel.any():
             continue
         nodes, kids = block.nodes[sel], block.kids[sel]
-        pieces, own = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
+        pieces = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
+        own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:])
+                        for b, p in zip(layout[level], pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own
         alloc[:, nodes] = pieces[..., 0] + shift
         promised[:, kids] = pieces[..., 1:] + shift[..., None]
@@ -258,52 +297,40 @@ def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, spli
     return float(swept[0, xi]), float(swept[1, xi]), list(alloc[:, tree.descendant_indices(xi)])
 
 
-def _share_kernel_route(subs, pooled: ValuationFamily, xi: int, values: np.ndarray):
-    """``_allocate`` over the kernel rule, whose splits come from each
-    node's minimizing density q*, with no solve beyond the kernel's own:
-    exponential subsidiary j takes (log w_j - log q*) / gamma_j, whose
-    one-step value is zero; the polyhedral one, else the last exponential
-    one, takes the remainder."""
-    rest = [i for i, s in enumerate(subs) if not isinstance(s, EntropicParams)]
-    r = rest[0] if rest else len(subs) - 1
-    big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs if isinstance(s, EntropicParams))
-
-    def split(level, sel, total):
-        block = pooled.blocks[level]
-        nodes, kids = block.nodes[sel], block.kids[sel]
-        log_q = _entropic_log_argmin(big_gamma, _take(block.data, sel), total[:, 0], total[:, 1:])
-        steps, pieces = [], np.zeros((len(subs),) + total.shape)
-        for i, sub in enumerate(subs):
-            if isinstance(sub, EntropicParams):
-                log_w = _entropic_data(sub)(nodes, kids)
-                steps.append((_entropic_kernel(sub.gamma), log_w))
-                pieces[i] = (log_w[0] - log_q) / sub.gamma
-            else:
-                steps.append((sub.blocks[level].kernel, _take(sub.blocks[level].data, sel)))
-        pieces[r] = 0.0
-        pieces[r] = total - pieces.sum(axis=0)
-        own = np.array([kernel.evaluate(data, p[:, 0], p[:, 1:]) for (kernel, data), p in zip(steps, pieces)])
-        return pieces, own
-
-    return _allocate(pooled, xi, values, len(subs), split)
-
-
 def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
-    """``_allocate`` over the numeric route, whose one-node blocks split as
-    the sweep's deterministic one-step solves did; also whether every solve
-    converged."""
+    """``_allocate`` over the splits of ``pooled_family``, and whether every
+    solve converged.  A kernel rule splits by each node's minimizing density
+    q*: exponential subsidiary j takes (log w_j - log q*) / gamma_j, the
+    polyhedral one, else the last exponential one, the remainder.  The
+    numeric pool splits as one block solve per level finds."""
     families = [_as_family(s) for s in subs]
-    pooled, solve = _pooled(families, opts)
-    converged = []
+    tree, layout, converged = families[0].tree, _layout(families), []
+    pooled = _kernel_pool(subs)
+    if pooled is not None:
+        rest = [i for i, s in enumerate(subs) if not isinstance(s, EntropicParams)]
+        r = rest[0] if rest else len(subs) - 1
+        big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs if isinstance(s, EntropicParams))
 
-    def split(level, sel, total):
-        u = int(pooled.blocks[level].nodes[0])
-        res = solve(u, total[0, 0], total[0, 1:])
-        converged.append(res.converged)
-        pieces = _split(res.x[None, :], total[0], len(families))
-        return pieces, np.array([f.one_steps[u].evaluate(p[:, 0], p[:, 1:]) for f, p in zip(families, pieces)])
+        def split(level, sel, total):
+            log_q = _entropic_log_argmin(big_gamma, _take(pooled.blocks[level].data, sel), total[:, 0], total[:, 1:])
+            pieces = np.zeros((len(subs),) + total.shape)
+            for i, (sub, block) in enumerate(zip(subs, layout[level])):
+                if isinstance(sub, EntropicParams):
+                    pieces[i] = (_take(block.data, sel)[0] - log_q) / sub.gamma
+            pieces[r] = 0.0
+            pieces[r] = total - pieces.sum(axis=0)
+            return pieces
+    else:
+        pooled = _pooled(families, opts)
 
-    return *_allocate(pooled, xi, values, len(families), split), all(converged)
+        def split(level, sel, total):
+            blocks = layout[level]
+            data = (tuple(_take(b.data, sel) for b in blocks), blocks[0].nodes[sel])
+            _, z, ok = _one_step_sups(*_pool(blocks), tree, opts, data, total[:, 0], total[:, 1:])
+            converged.append(ok.all())
+            return _pieces(z, total[:, 0], total[:, 1:], len(blocks))
+
+    return *_allocate(pooled, layout, xi, values, split), all(converged)
 
 
 def share_value(subs: Sequence, x: str, balance: CashBalance,
@@ -317,11 +344,12 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     and the allocation is the closed form ``entropic_allocation``.
     ``method='direct'`` rebuilds the allocation from the one-step splits:
     where ``pooled_family`` is a kernel rule, from each node's minimizing
-    density, with no solver; otherwise from one-step sup-convolutions solved
-    numerically.  ``opts`` tunes only that numeric route; neither kernel
-    rule reads it.  ``'auto'`` picks the dual route when every subsidiary is
-    exponential.  The allocation always sums to the balance on the subtree;
-    the value achieved by it is reported for verification.
+    density, with no solver; otherwise from the maximizing splits of the
+    numeric pool, one block solve per level.  ``opts`` tunes only that
+    numeric route; neither kernel rule reads it.  ``'auto'`` picks the dual
+    route when every subsidiary is exponential.  The allocation always sums
+    to the balance on the subtree; the value achieved by it is reported for
+    verification.
     """
     if method not in ("auto", "dual", "direct"):
         raise ValidationError(f"unknown method {method!r}; use 'auto', 'dual' or 'direct'")
@@ -340,14 +368,11 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
         rows = np.stack([balance.values, np.zeros(tree.n_nodes)])
         swept, grad = pooled_family(subs).values_and_gradient(rows, xi)
         value, value0 = swept[:, xi]
-        lam, converged = grad[0, sub_idx], True
-        pieces = [piece.values[sub_idx] for piece in entropic_allocation(subs, x, balance)]
+        density = DualDensity(support=x, values={tree.ids[i]: float(w) for i, w in zip(sub_idx, grad[0, sub_idx])})
+        pieces, converged = [piece.values[sub_idx] for piece in entropic_allocation(subs, x, balance)], True
     else:
-        pooled, lam, converged = _kernel_pool(subs), None, True
-        if pooled is not None:
-            value, value0, pieces = _share_kernel_route(subs, pooled, xi, balance.values)
-        else:
-            value, value0, pieces, converged = _share_direct_route(subs, xi, balance.values, opts)
+        density = None
+        value, value0, pieces, converged = _share_direct_route(subs, xi, balance.values, opts)
 
     allocation = []
     achieved = 0.0
@@ -358,10 +383,6 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
         achieved += float(_as_family(sub).node_values(full)[xi])
     feasibility = float(np.max(np.abs(sum(p for p in pieces) - k_sub)))
 
-    density = None
-    if lam is not None:
-        density = DualDensity(support=x, values={
-            tree.ids[i]: float(w) for i, w in zip(sub_idx, lam)})
     return SharingResult(
         value=float(value),
         normalized=float(value - value0),
@@ -431,11 +452,8 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
     committed to the zero balance.  Its default tolerance is 1e-8 where the
     pooled family is a kernel rule, which is exact, and 1e-5 on the numeric
     route, reflecting the one-step solves."""
-    _common_tree(subs)
-    pooled = _kernel_pool(subs)
-    exact = pooled is not None
-    if not exact:
-        pooled = _pooled([_as_family(s) for s in subs], opts or DualSolverOptions(gradient_tolerance=1e-7))[0]
+    pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    exact = _kernel_pool(subs) is not None
     family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
     tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

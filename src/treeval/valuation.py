@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .optim import sup
+from .optim import sup_rows
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
 DEFAULT_AXIOM_TOLERANCE = 1e-9
@@ -297,35 +297,51 @@ def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) ->
     return ValuationFamily(tree, lambda: blocks, **kwargs)
 
 
-def sup_family(tree: Tree, problems: Mapping[int, tuple], opts, *, descriptor: str):
-    """Family whose one-step operator at each internal node u is a sup found
-    row by row, with the deterministic ``solve(u, k_x, k_children)`` behind
-    it.  ``problems[u] = (lift, smooth)``; ``lift(k_x, k_children)`` gives the
-    batch objective over the search variable and its start.  Each sup goes
-    through ``optim.sup`` with the tolerances of ``opts``
-    (``DualSolverOptions``); a sup that runs away raises a divergence error
-    naming the node, with the direction as certificate."""
+def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, k_x, k_children):
+    """Values, maximizers and convergence flags of the one-step sups of a
+    block, all rows and nodes at once through ``optim.sup_rows`` with the
+    tolerances of ``opts``; data: (lift data, nodes).  ``lift(lift data,
+    k_x (r, b), k_children (r, b, m))`` gives the objective and its gradient
+    in the search variable (..., r, b, d), the partials in (own cash,
+    children) at a fixed search point, and the start, all broadcasting over
+    leading axes.  A sup that runs away raises a divergence error naming
+    its node, with the direction."""
+    lift_data, nodes = data
+    lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
+    k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
+    value, gradient, _, z0 = lift(lift_data, k_x, k_children)
+    if z0.shape[-1] == 0:   # nothing to choose, as in a pool of one subsidiary
+        return value(z0).reshape(lead + (b,)), z0.reshape(lead + (b, 0)), np.ones(lead + (b,), dtype=bool)
 
-    def solve(u: int, k_x, k_children):
-        lift, smooth = problems[u]
-        objective, x0 = lift(k_x, k_children)
-        res = sup(objective, x0, smooth=smooth, gradient_tolerance=opts.gradient_tolerance,
-                  max_iterations=opts.max_iterations)
+    def row(i: int):
+        r, j = divmod(i, b)
+        f, grad, _, _ = lift(_take(lift_data, slice(j, j + 1)), k_x[r, j:j + 1], k_children[r, j:j + 1])
+        return (lambda batch: f(batch[:, None, :])[:, 0],
+                lambda z: (float(f(z[None, None, :])[0, 0]), grad(z[None, None, :])[0, 0]))
+
+    z, values, fallback = sup_rows(value, gradient, z0, smooth=smooth, gradient_tolerance=opts.gradient_tolerance,
+                                   max_iterations=opts.max_iterations, row=row)
+    converged = np.ones(values.shape, dtype=bool)
+    for i, res in fallback.items():
         if res.diverged:
-            raise DivergenceError(f"the one-step sup of {descriptor} at {tree.ids[u]!r} is unbounded",
+            raise DivergenceError(f"the one-step sup of {descriptor} at {tree.ids[nodes[i % b]]!r} is unbounded",
                                   direction=res.direction)
-        return res
+        converged.flat[i] = res.converged
+    return values.reshape(lead + (b,)), z.reshape(lead + z0.shape[1:]), converged.reshape(lead + (b,))
 
-    def one_step(u: int) -> OneStepValuation:
-        def evaluate(k_x, k_children):
-            k_children = np.asarray(k_children, dtype=float)
-            k_x = np.broadcast_to(np.asarray(k_x, dtype=float), k_children.shape[:-1])
-            rows = zip(k_x.reshape(-1), k_children.reshape(-1, k_children.shape[-1]))
-            return np.array([solve(u, a, v).value for a, v in rows]).reshape(k_x.shape)
 
-        return OneStepValuation(evaluate, descriptor=descriptor, smooth=problems[u][1])
+def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel:
+    """The kernel of ``_one_step_sups``, whose partials are the lift's at
+    the maximizer (the envelope theorem)."""
+    solve = partial(_one_step_sups, lift, descriptor, smooth, tree, opts)
 
-    return assemble(tree, {tree.ids[u]: one_step(u) for u in problems}, descriptor=descriptor), solve
+    def evaluate(data, k_x, k_children):
+        return solve(data, k_x, k_children)[0]
+
+    def grad(data, k_x, k_children):
+        return lift(data[0], k_x, k_children)[2](solve(data, k_x, k_children)[1])
+
+    return Kernel(evaluate, descriptor, smooth, grad=grad)
 
 
 def _committed(inner: Kernel) -> Kernel:

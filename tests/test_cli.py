@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from treeval import optim
 from treeval.cli import main, render_report
 from treeval.errors import ValidationError
 from treeval.io import load_cash, load_family, load_prices, load_tree_document
+from treeval.risksharing import share_value
 
 TREE = {
     "nodes": [
@@ -171,6 +173,26 @@ class TestVerbs:
         total = sum(res["allocation"][0][n] + res["allocation"][1][n] for n in CASH)
         assert total == pytest.approx(sum(CASH.values()), abs=1e-8)
         assert max(report["residuals"]["stability"].values()) <= 1e-6
+
+    def test_share_of_an_entropic_and_a_worst_case_file_runs_no_numeric_sup(self, files, tmp_path, capsys,
+                                                                           monkeypatch):
+        # the polytope pooling rule covers the pair once the entropic file
+        # goes in as its parameters
+        worst = tmp_path / "worst.json"
+        worst.write_text(json.dumps({"family": "worst", "alphas": {"root": [[0.3, 0.7]]}, "stopping": True}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numeric sup ran")
+
+        monkeypatch.setattr(optim, "sup", refuse)
+        monkeypatch.setattr(optim, "newton_ascent", refuse)
+        code, out, _ = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
+                                "--family", files["fam"], str(worst)], capsys)
+        assert code == 0
+        tree = load_tree_document(files["tree"]).tree
+        subs = [load_family(files["fam"], tree).entropic, load_family(str(worst), tree).family]
+        expected = share_value(subs, "root", load_cash(files["cash"], tree))
+        assert json.loads(out)["results"]["value"] == expected.value
 
     def test_share_needs_two_families(self, files, capsys):
         code, _, err = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],

@@ -384,6 +384,12 @@ class TestDualProperties:
         assert not report.convexity_passed
         assert report.worst_convexity_residual > 1e-3
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_validated(self, trials):
+        t, params, _ = entropic_setup()
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            check_dual_properties(t, "root", lambda dd: entropic_dual(params, "root", dd), trials=trials)
+
 
 class TestSolverOptions:
     def test_validation(self):

@@ -123,6 +123,12 @@ class TestGainsAxioms:
                 report = check_gains_axioms(mkt, t.ids[i], trials=30, seed=seed)
                 assert report.all_passed, (t.ids[i], report.as_dict())
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_validated(self, trials):
+        _, mkt = depth2_market()
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            check_gains_axioms(mkt, "r", trials=trials, seed=0)
+
 
 class TestMarketValue:
     def test_constant_prices_change_nothing(self):

@@ -13,11 +13,12 @@ import treeval
 from treeval import optim, risksharing
 from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
 from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_density
-from treeval.errors import TreevalError, ValidationError
+from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
     entropic_dual,
     entropic_family,
+    entropic_one_step,
     entropic_params,
     entropic_value,
     ui_family,
@@ -38,7 +39,7 @@ from treeval.risksharing import (
 )
 from treeval.risksharing import _pooled
 from treeval.tree import CashBalance
-from treeval.valuation import ValuationFamily, check_axioms
+from treeval.valuation import ValuationFamily, assemble, check_axioms, linear_one_step
 
 TIGHT = DualSolverOptions(tolerance=1e-11)
 
@@ -283,7 +284,7 @@ class TestPolytopePoolingRule:
         ent = entropic_params(t, float(rng.uniform(0.5, 2.0)))
         wc = worst_subsidiary(rng, t, distributions)
         pooled = pooled_family([ent, wc])
-        numeric, _ = _pooled([entropic_family(ent), wc], DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = _pooled([entropic_family(ent), wc], DualSolverOptions(gradient_tolerance=1e-8))
         rows = rng.uniform(-2.0, 2.0, (3, t.n_nodes))
         assert np.max(np.abs(pooled.node_values(rows) - numeric.node_values(rows))) <= 1e-6
         k = random_cash(rng, t, -2.0, 2.0)
@@ -299,8 +300,8 @@ class TestPolytopePoolingRule:
             ref = rng.uniform(0.1, 1.0, t.n_nodes)
             subs.append(entropic_params(t, float(rng.uniform(0.5, 2.0)), ref / ref.sum()))
         subs.insert(1, worst_subsidiary(rng, t, 2))
-        numeric, _ = _pooled([entropic_family(s) if i != 1 else s for i, s in enumerate(subs)],
-                             DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = _pooled([entropic_family(s) if i != 1 else s for i, s in enumerate(subs)],
+                          DualSolverOptions(gradient_tolerance=1e-8))
         rows = rng.uniform(-2.0, 2.0, (2, t.n_nodes))
         assert np.max(np.abs(pooled_family(subs).node_values(rows) - numeric.node_values(rows))) <= 1e-6
         k = random_cash(rng, t, -2.0, 2.0)
@@ -313,7 +314,8 @@ class TestPolytopePoolingRule:
         def refuse(*args, **kwargs):
             raise AssertionError("a numeric sup ran on a kernel-rule path")
 
-        monkeypatch.setattr(risksharing, "sup_family", refuse)
+        monkeypatch.setattr(optim, "sup", refuse)
+        monkeypatch.setattr(optim, "newton_ascent", refuse)
         monkeypatch.setattr(optim, "maximize_nelder_mead", refuse)
         rng = np.random.default_rng(4)
         t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
@@ -332,6 +334,88 @@ class TestPolytopePoolingRule:
         for subs in ([ent, no_stop], [ent, stop, stop], [ent, crra], [stop]):
             assert risksharing._kernel_pool(subs) is None
         assert risksharing._kernel_pool([ent, stop]) is not None
+
+
+def crra_pair(rng, tree):
+    """An exponential subsidiary with a random gamma and a CRRA indifference
+    subsidiary: a mix no kernel rule covers."""
+    return [entropic_params(tree, float(rng.uniform(0.5, 2.0))), ui_family(ui_params(tree, CRRAUtility(2.0), 5.0))]
+
+
+class TestNumericPool:
+    """Mixes no kernel rule covers: one block of one-step sups per level
+    block of the subsidiaries, batched by damped Newton."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matches_the_global_search_and_passes_the_axioms(self, depth):
+        rng = np.random.default_rng(80 + depth)
+        raw = rng.uniform(0.1, 1.0, 2 ** (depth + 1) - 1)
+        t = binary_tree(depth, weights=raw / raw.sum())
+        subs = crra_pair(rng, t)
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, t.root, k, DualSolverOptions(gradient_tolerance=1e-8), method="direct")
+        assert res.converged and res.feasibility_gap <= 1e-12
+        assert abs(res.achieved_value - res.value) <= 1e-12
+        assert res.value == pytest.approx(global_pool_value([entropic_family(subs[0]), subs[1]], t.root, k),
+                                          abs=1e-8)
+        report = check_sharing_axioms(subs, trials=2, seed=depth)
+        assert report.all_passed, report.as_dict()
+
+    def test_blocks_match_the_subsidiaries_and_carry_the_envelope(self):
+        t = binary_tree(2)
+        subs = crra_pair(np.random.default_rng(1), t)
+        pooled = pooled_family(subs)
+        assert len(pooled.blocks) == len(subs[1].blocks)
+        for outer, inner in zip(pooled.blocks, subs[1].blocks):
+            assert np.array_equal(outer.nodes, inner.nodes) and np.array_equal(outer.kids, inner.kids)
+            assert outer.kernel.grad is not None
+            assert outer.kernel.descriptor == f"pooled(entropic(gamma={subs[0].gamma}), {inner.kernel.descriptor})"
+
+    def test_pooled_gradient_is_each_subsidiary_gradient_at_its_share(self):
+        # first-order optimality of the split: every subsidiary's marginal
+        # valuation of its share is the pooled one
+        rng = np.random.default_rng(7)
+        raw = rng.uniform(0.1, 1.0, 7)
+        t = binary_tree(2, weights=raw / raw.sum())
+        subs = crra_pair(rng, t)
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, t.root, k, method="direct")
+        grad = pooled_family(subs).values_and_gradient(k.values, t.root_index)[1]
+        for fam, piece in zip([entropic_family(subs[0]), subs[1]], res.allocation):
+            assert np.max(np.abs(fam.values_and_gradient(piece.values, t.root_index)[1] - grad)) <= 1e-6
+
+    def test_a_custom_subsidiary_pools_over_one_node_blocks(self):
+        # an assemble-built family has a block per node, the exponential one
+        # a block per level: the pool cuts both to one node a block
+        rng = np.random.default_rng(5)
+        raw = rng.uniform(0.1, 1.0, (2, 7))
+        t = binary_tree(2, weights=raw[0] / raw[0].sum())
+        p1, p2 = entropic_params(t, 0.8), entropic_params(t, 1.7, raw[1] / raw[1].sum())
+        custom = assemble(t, {t.ids[u]: entropic_one_step(p2, t.ids[u]) for u in t.internal_indices()})
+        pooled = pooled_family([p1, custom])
+        assert [b.nodes.tolist() for b in pooled.blocks] == [[t.node_index(x)] for x in ("u", "d", "r")]
+        k = random_cash(rng, t, -2.0, 2.0)
+        value = pooled.value(t.root, k)
+        assert value == pytest.approx(global_pool_value([entropic_family(p1), custom], t.root, k), abs=1e-8)
+        assert value == pytest.approx(pooled_family([p1, p2]).value(t.root, k), abs=1e-8)
+
+    def test_one_subsidiary_pools_to_itself(self):
+        t = binary_tree(2)
+        crra = crra_pair(np.random.default_rng(2), t)[1]
+        k = random_cash(np.random.default_rng(3), t, -2.0, 2.0)
+        assert np.array_equal(pooled_family([crra]).node_values(k.values), crra.node_values(k.values))
+        res = share_value([crra], "u", k)
+        assert res.value == crra.value("u", k) and res.feasibility_gap == 0.0
+
+    def test_divergence_names_its_node(self):
+        # linear subsidiaries that disagree at 'u' trade without bound there
+        t = binary_tree(2)
+        steps = {t.ids[u]: linear_one_step([0.5, 0.5]) for u in t.internal_indices()}
+        a = assemble(t, steps)
+        b = assemble(t, {**steps, "u": linear_one_step([0.2, 0.8])})
+        with pytest.raises(DivergenceError, match="at 'u'") as err:
+            pooled_family([a, b]).value("r", CashBalance.constant(t, 0.0))
+        assert err.value.direction is not None
 
 
 class TestEntropicPoolingRule:
@@ -363,8 +447,8 @@ class TestEntropicPoolingRule:
             t = binary_tree(2, weights=raw[0] / raw[0].sum())
             p1 = entropic_params(t, 0.8)
             p2 = entropic_params(t, 1.7, raw[1] / raw[1].sum())
-        numeric, _ = _pooled([entropic_family(p1), entropic_family(p2)],
-                             DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = _pooled([entropic_family(p1), entropic_family(p2)],
+                          DualSolverOptions(gradient_tolerance=1e-8))
         rows = np.random.default_rng(depth).uniform(-2.0, 2.0, (3, t.n_nodes))
         assert np.max(np.abs(pooled_family([p1, p2]).node_values(rows) - numeric.node_values(rows))) <= 1e-6
 

@@ -120,6 +120,10 @@ SWEPT_FAMILIES = {
     # an exponential subsidiary pooled with a worst-case one: the polytope rule
     "pooled_worst": lambda t, rng: pooled_family([entropic_params(t, float(rng.uniform(0.3, 2.0))),
                                                   _worst(t, rng, True)]),
+    # an exponential subsidiary pooled with a CRRA one: the numeric pool
+    "pooled_crra": lambda t, rng: pooled_family([entropic_params(t, float(rng.uniform(0.3, 2.0))),
+                                                 ui_family(ui_params(t, CRRAUtility(float(rng.uniform(1.5, 4.0))),
+                                                                     20.0))]),
 }
 
 
