@@ -11,7 +11,7 @@ not finish, and every row of a kinked kernel, to the per-row
 ``optim.sup`` (``valuation._one_step_sups``, which also solves the
 numerically pooled families of ``risksharing``).  Its partials are the
 inner partials at the optimal positions (the envelope theorem), so reverse
-sweeps through hedged nodes are exact.  ``market_value`` reads the
+sweeps through hedged nodes of a smooth kernel are exact.  ``market_value`` reads the
 optimal strategy off the same pass that gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
@@ -259,10 +259,10 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     ``optim.sup_rows``: damped Newton in theta on the exact gradient, with
     the rows it does not finish, and every row of a kinked kernel, left to
     ``optim.sup`` one by one.  The partials are the inner partials at the
-    optimal positions, so reverse sweeps are exact.  A one-step hedge that
-    runs away raises a divergence error naming its node, with the arbitrage
-    direction as certificate: the market admits arbitrage relative to the
-    family."""
+    optimal positions, central differences for a kinked kernel.  A one-step
+    hedge that runs away raises a divergence error naming its node, with
+    the arbitrage direction as certificate: the market admits arbitrage
+    relative to the family."""
     if family.tree is not mkt.tree:
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS

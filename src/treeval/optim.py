@@ -344,6 +344,8 @@ def sup_rows(value, gradient, x0, *, smooth: bool, gradient_tolerance: float, ma
     the batch stopped.  Returns the maximizers, the sups, and the ``sup``
     result of each row that went there, by flat index."""
     x = np.array(x0, dtype=float)
+    if x.shape[-1] == 0:   # nothing to choose: every row is at its sup
+        return x, np.asarray(value(x), dtype=float), {}
     if smooth:
         x, fx, done = newton_ascent(value, gradient, x, gradient_tolerance=gradient_tolerance)
     else:

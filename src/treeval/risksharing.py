@@ -13,8 +13,7 @@ its density confined to that polytope, solved exactly in the vertex
 weights; the minimizing density rebuilds the allocation.  Any other mix
 (two polyhedral subsidiaries, CRRA or custom ones, a polytope that leaves a
 coordinate without mass) is pooled by one-step sup-convolutions solved
-numerically a block at a time, as ``market``'s one-step hedges are, whose
-maximizing splits rebuild the allocation.
+numerically a level block at a time, whose splits rebuild the allocation.
 """
 
 from __future__ import annotations
@@ -142,10 +141,9 @@ def _pieces(z, k_x, k_children, j: int) -> np.ndarray:
     """The j pieces (j, ..., m + 1) of the totals that z (..., (j - 1) m)
     describes: the first j - 1 with no own cash, the last the remainder."""
     head = np.moveaxis(z.reshape(z.shape[:-1] + (j - 1, k_children.shape[-1])), -2, 0)
-    rest = k_children - head.sum(axis=0)
-    own = np.zeros((j,) + rest.shape[:-1])
-    own[-1] = k_x
-    return np.concatenate([own[..., None], np.concatenate([head, rest[None]])], axis=-1)
+    own = np.zeros((j,) + head.shape[1:-1] + (1,))
+    own[-1] = k_x[..., None]
+    return np.concatenate([own, np.concatenate([head, (k_children - head.sum(axis=0))[None]])], axis=-1)
 
 
 def _pool(blocks):
@@ -184,21 +182,19 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
     """The subsidiaries' blocks level by level: as they stand where they
     hold the same nodes, else cut to one node each, deepest first."""
     layouts = [f.blocks for f in families]
-    nodes = [[b.nodes.tolist() for b in blocks] for blocks in layouts]
-    if any(other != nodes[0] for other in nodes[1:]):
+    if len({tuple(tuple(b.nodes.tolist()) for b in blocks) for blocks in layouts}) > 1:
         time = families[0].tree.time
         layouts = [sorted((Block(b.kernel, *part) for b in blocks for part in b.parts(1)),
                           key=lambda c: (-time[c.nodes[0]], c.nodes[0])) for blocks in layouts]
     return list(zip(*layouts))
 
 
-def _pooled(families: Sequence[ValuationFamily], opts: DualSolverOptions) -> ValuationFamily:
-    """The pooled family with a block of one-step sups per ``_layout`` level."""
-    tree = families[0].tree
+def _pooled(layout, tree: Tree, opts: DualSolverOptions, descriptor: str = "") -> ValuationFamily:
+    """The pooled family with a block of one-step sups per level of the
+    subsidiaries' ``_layout``."""
     return ValuationFamily(tree, lambda: [
         Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), blocks[0].nodes),
-              blocks[0].nodes, blocks[0].kids) for blocks in _layout(families)],
-        descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
+              blocks[0].nodes, blocks[0].kids) for blocks in layout], descriptor=descriptor)
 
 
 def _kernel_pool(subs: Sequence) -> ValuationFamily | None:
@@ -256,24 +252,25 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     convex problem solved exactly in the vertex weights, batched over the
     nodes of each level.  Any other mix (two polyhedral subsidiaries, CRRA
     or custom ones, a polytope that leaves a coordinate without mass) has
-    one block per level block of its subsidiaries (per node where their
-    blocks differ), whose one-step sups are solved together with the
-    tolerances of ``opts``; its partials are the last subsidiary's at its
-    share (the envelope theorem)."""
-    _common_tree(subs)
-    return _kernel_pool(subs) or _pooled([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)
+    one block of one-step sups per level block of its subsidiaries (per
+    node where their blocks differ), solved with the tolerances of
+    ``opts``; where all are smooth its partials are the last subsidiary's
+    at its share (the envelope theorem)."""
+    tree, families = _common_tree(subs), [_as_family(s) for s in subs]
+    return _kernel_pool(subs) or _pooled(_layout(families), tree, opts or DEFAULT_OPTIONS,
+                                         "pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
 
 
-def _allocate(pooled: ValuationFamily, layout, xi: int, values: np.ndarray, split):
+def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
     """Pooled values at the balance and at zero from one sweep, and the
-    allocation among the subsidiaries rebuilt top-down from the one-step
+    allocation among j subsidiaries rebuilt top-down from the one-step
     splits: ``split(level, sel, total)`` gives the pieces (j, b, m + 1) of
-    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``,
-    which each subsidiary's block ``layout[level]`` values.  A subsidiary's
-    piece of a child subtree is the child's own split shifted by a constant
-    to the value the parent's split promised it there; the shifts at a node
-    sum to zero."""
-    tree, j = pooled.tree, len(layout[0])
+    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``
+    and each subsidiary's (kernel, data) there.  A subsidiary's piece of a
+    child subtree is the child's own split shifted by a constant to the
+    value the parent's split promised it there; the shifts at a node sum
+    to zero."""
+    tree = pooled.tree
     swept = pooled.node_values(np.stack([values, np.zeros(tree.n_nodes)]))
     vals = swept[0]
     inside = np.zeros(tree.n_nodes, dtype=bool)
@@ -286,9 +283,8 @@ def _allocate(pooled: ValuationFamily, layout, xi: int, values: np.ndarray, spli
         if not sel.any():
             continue
         nodes, kids = block.nodes[sel], block.kids[sel]
-        pieces = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
-        own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:])
-                        for b, p in zip(layout[level], pieces)])
+        pieces, steps = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
+        own = np.array([kernel.evaluate(data, p[:, 0], p[:, 1:]) for (kernel, data), p in zip(steps, pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own
         alloc[:, nodes] = pieces[..., 0] + shift
         promised[:, kids] = pieces[..., 1:] + shift[..., None]
@@ -300,37 +296,41 @@ def _allocate(pooled: ValuationFamily, layout, xi: int, values: np.ndarray, spli
 def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
     """``_allocate`` over the splits of ``pooled_family``, and whether every
     solve converged.  A kernel rule splits by each node's minimizing density
-    q*: exponential subsidiary j takes (log w_j - log q*) / gamma_j, the
-    polyhedral one, else the last exponential one, the remainder.  The
-    numeric pool splits as one block solve per level finds."""
-    families = [_as_family(s) for s in subs]
-    tree, layout, converged = families[0].tree, _layout(families), []
-    pooled = _kernel_pool(subs)
+    q*, with no solve beyond the kernel's own: exponential subsidiary j takes
+    (log w_j - log q*) / gamma_j, whose one-step value is zero; the
+    polyhedral one, else the last exponential one, takes the remainder.
+    The numeric pool splits as one block solve per level finds."""
+    pooled, converged = _kernel_pool(subs), []
     if pooled is not None:
         rest = [i for i, s in enumerate(subs) if not isinstance(s, EntropicParams)]
         r = rest[0] if rest else len(subs) - 1
         big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs if isinstance(s, EntropicParams))
 
         def split(level, sel, total):
-            log_q = _entropic_log_argmin(big_gamma, _take(pooled.blocks[level].data, sel), total[:, 0], total[:, 1:])
-            pieces = np.zeros((len(subs),) + total.shape)
-            for i, (sub, block) in enumerate(zip(subs, layout[level])):
+            block = pooled.blocks[level]
+            nodes, kids = block.nodes[sel], block.kids[sel]
+            log_q = _entropic_log_argmin(big_gamma, _take(block.data, sel), total[:, 0], total[:, 1:])
+            steps, pieces = [], np.zeros((len(subs),) + total.shape)
+            for i, sub in enumerate(subs):
                 if isinstance(sub, EntropicParams):
-                    pieces[i] = (_take(block.data, sel)[0] - log_q) / sub.gamma
-            pieces[r] = 0.0
-            pieces[r] = total - pieces.sum(axis=0)
-            return pieces
+                    log_w = _entropic_data(sub)(nodes, kids)
+                    steps.append((_entropic_kernel(sub.gamma), log_w))
+                    pieces[i] = (log_w[0] - log_q) / sub.gamma
+                else:
+                    steps.append((sub.blocks[level].kernel, _take(sub.blocks[level].data, sel)))
+            pieces[r] += total - pieces.sum(axis=0)
+            return pieces, steps
     else:
-        pooled = _pooled(families, opts)
+        tree, layout = subs[0].tree, _layout([_as_family(s) for s in subs])
+        pooled = _pooled(layout, tree, opts)
 
         def split(level, sel, total):
-            blocks = layout[level]
-            data = (tuple(_take(b.data, sel) for b in blocks), blocks[0].nodes[sel])
+            blocks, data = layout[level], _take(pooled.blocks[level].data, sel)
             _, z, ok = _one_step_sups(*_pool(blocks), tree, opts, data, total[:, 0], total[:, 1:])
             converged.append(ok.all())
-            return _pieces(z, total[:, 0], total[:, 1:], len(blocks))
+            return _pieces(z, total[:, 0], total[:, 1:], len(blocks)), [(b.kernel, d) for b, d in zip(blocks, data[0])]
 
-    return *_allocate(pooled, layout, xi, values, split), all(converged)
+    return *_allocate(pooled, xi, values, len(subs), split), all(converged)
 
 
 def share_value(subs: Sequence, x: str, balance: CashBalance,

@@ -310,8 +310,6 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
     lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
     k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
     value, gradient, _, z0 = lift(lift_data, k_x, k_children)
-    if z0.shape[-1] == 0:   # nothing to choose, as in a pool of one subsidiary
-        return value(z0).reshape(lead + (b,)), z0.reshape(lead + (b, 0)), np.ones(lead + (b,), dtype=bool)
 
     def row(i: int):
         r, j = divmod(i, b)
@@ -331,8 +329,9 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
 
 
 def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel:
-    """The kernel of ``_one_step_sups``, whose partials are the lift's at
-    the maximizer (the envelope theorem)."""
+    """The kernel of ``_one_step_sups``: its partials are the lift's at the
+    maximizer (the envelope theorem) where the objective is smooth, central
+    differences where it is kinked, as a kink's partials need not be the sup's."""
     solve = partial(_one_step_sups, lift, descriptor, smooth, tree, opts)
 
     def evaluate(data, k_x, k_children):
@@ -341,7 +340,7 @@ def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel
     def grad(data, k_x, k_children):
         return lift(data[0], k_x, k_children)[2](solve(data, k_x, k_children)[1])
 
-    return Kernel(evaluate, descriptor, smooth, grad=grad)
+    return Kernel(evaluate, descriptor, smooth, grad=grad if smooth else None)
 
 
 def _committed(inner: Kernel) -> Kernel:

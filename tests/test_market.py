@@ -312,6 +312,18 @@ class TestEnvelopePartials:
             assert values[xi] == pytest.approx(res.value, abs=1e-12)
             assert np.max(np.abs(grad - fam.values_and_gradient(hedged, xi)[1])) <= 1e-9
 
+    @pytest.mark.parametrize("stopping", [False, True])
+    def test_a_kinked_hedge_differences_its_partials(self, stopping):
+        # a worst-case hedge stops where two distributions tie, and the
+        # inner partials there are one of them; the hedged value prices
+        # the children by the one martingale measure between them, (.5, .5)
+        t = three_node_tree((0.2, 0.4, 0.4))
+        wc = worst_case_family(worst_case_params(t, {"root": [[0.3, 0.7], [0.7, 0.3]]}, stopping=stopping))
+        hedged = hedged_family(wc, market(t, {"s": {"root": 1.0, "up": 1.2, "down": 0.8}}))
+        assert hedged.blocks[0].kernel.grad is None
+        grad = hedged.values_and_gradient(np.array([0.1, 0.3, -0.4]), t.root_index)[1]
+        assert grad == pytest.approx([0.0, 0.5, 0.5], abs=1e-6)
+
 
 def ill_conditioned_two_asset_market():
     """Trinomial tree of depth 2 with two martingale assets whose moves out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeval.errors import DomainError
-from treeval.optim import fd_gradient, maximize, sup
+from treeval.optim import fd_gradient, maximize, sup, sup_rows
 
 
 def concave_quadratic(seed: int, d: int = 10, condition: float = 1e4):
@@ -129,3 +129,15 @@ class TestSup:
         res = sup(lambda b: np.full(b.shape[0], 2.5), np.zeros(0), smooth=False,
                   gradient_tolerance=1e-8, max_iterations=1000)
         assert res.value == 2.5 and res.evaluations == 1 and res.converged
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_empty_batch_search_is_one_evaluation_with_no_fallback(self, smooth):
+        def refuse(*args):
+            raise AssertionError("an empty search needs no gradient and no row")
+
+        calls = []
+        value = lambda z: calls.append(z.shape) or np.arange(6.0).reshape(z.shape[:-1])
+        x, fx, fallback = sup_rows(value, refuse, np.zeros((2, 3, 0)), smooth=smooth, gradient_tolerance=1e-8,
+                                   max_iterations=1000, row=refuse)
+        assert calls == [(2, 3, 0)] and x.shape == (2, 3, 0) and fallback == {}
+        assert np.array_equal(fx, np.arange(6.0).reshape(2, 3))

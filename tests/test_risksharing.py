@@ -37,11 +37,17 @@ from treeval.risksharing import (
     share_value,
     stability_check,
 )
-from treeval.risksharing import _pooled
+from treeval.risksharing import _layout, _pooled
 from treeval.tree import CashBalance
 from treeval.valuation import ValuationFamily, assemble, check_axioms, linear_one_step
 
 TIGHT = DualSolverOptions(tolerance=1e-11)
+
+
+def numeric_pool(families, opts):
+    """The pool of the families by one-step sups, even where a kernel rule
+    covers their mix: the oracle of the kernel rules."""
+    return _pooled(_layout(families), families[0].tree, opts)
 
 
 def hetero_pair():
@@ -284,7 +290,7 @@ class TestPolytopePoolingRule:
         ent = entropic_params(t, float(rng.uniform(0.5, 2.0)))
         wc = worst_subsidiary(rng, t, distributions)
         pooled = pooled_family([ent, wc])
-        numeric = _pooled([entropic_family(ent), wc], DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = numeric_pool([entropic_family(ent), wc], DualSolverOptions(gradient_tolerance=1e-8))
         rows = rng.uniform(-2.0, 2.0, (3, t.n_nodes))
         assert np.max(np.abs(pooled.node_values(rows) - numeric.node_values(rows))) <= 1e-6
         k = random_cash(rng, t, -2.0, 2.0)
@@ -300,8 +306,8 @@ class TestPolytopePoolingRule:
             ref = rng.uniform(0.1, 1.0, t.n_nodes)
             subs.append(entropic_params(t, float(rng.uniform(0.5, 2.0)), ref / ref.sum()))
         subs.insert(1, worst_subsidiary(rng, t, 2))
-        numeric = _pooled([entropic_family(s) if i != 1 else s for i, s in enumerate(subs)],
-                          DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = numeric_pool([entropic_family(s) if i != 1 else s for i, s in enumerate(subs)],
+                               DualSolverOptions(gradient_tolerance=1e-8))
         rows = rng.uniform(-2.0, 2.0, (2, t.n_nodes))
         assert np.max(np.abs(pooled_family(subs).node_values(rows) - numeric.node_values(rows))) <= 1e-6
         k = random_cash(rng, t, -2.0, 2.0)
@@ -334,6 +340,12 @@ class TestPolytopePoolingRule:
         for subs in ([ent, no_stop], [ent, stop, stop], [ent, crra], [stop]):
             assert risksharing._kernel_pool(subs) is None
         assert risksharing._kernel_pool([ent, stop]) is not None
+
+
+def central_differences(fam, k, xi, h=1e-5):
+    """d node_values[xi] / dK by central differences, every node at once."""
+    bump = np.eye(k.shape[-1]) * h
+    return (fam.node_values(k + bump)[:, xi] - fam.node_values(k - bump)[:, xi]) / (2.0 * h)
 
 
 def crra_pair(rng, tree):
@@ -399,6 +411,22 @@ class TestNumericPool:
         assert value == pytest.approx(global_pool_value([entropic_family(p1), custom], t.root, k), abs=1e-8)
         assert value == pytest.approx(pooled_family([p1, p2]).value(t.root, k), abs=1e-8)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_kinked_mix_differences_its_partials(self, order):
+        # a worst-case subsidiary without stopping ends its share at a kink,
+        # where its partials are one vertex, not the gradient of the pooled
+        # value, which is smooth: the pool's partials are central
+        # differences, in either order
+        rng = np.random.default_rng(12)
+        raw = rng.uniform(0.1, 1.0, 7)
+        t = binary_tree(2, weights=raw / raw.sum())
+        subs = [entropic_params(t, float(rng.uniform(0.5, 2.0))), worst_subsidiary(rng, t, 2, stopping=False)]
+        pooled = pooled_family(subs[::order])
+        assert all(b.kernel.grad is None for b in pooled.blocks)
+        k = random_cash(rng, t, -2.0, 2.0).values
+        grad = pooled.values_and_gradient(k, t.root_index)[1]
+        assert np.max(np.abs(grad - central_differences(pooled, k, t.root_index))) <= 1e-6
+
     def test_one_subsidiary_pools_to_itself(self):
         t = binary_tree(2)
         crra = crra_pair(np.random.default_rng(2), t)[1]
@@ -447,8 +475,8 @@ class TestEntropicPoolingRule:
             t = binary_tree(2, weights=raw[0] / raw[0].sum())
             p1 = entropic_params(t, 0.8)
             p2 = entropic_params(t, 1.7, raw[1] / raw[1].sum())
-        numeric = _pooled([entropic_family(p1), entropic_family(p2)],
-                          DualSolverOptions(gradient_tolerance=1e-8))
+        numeric = numeric_pool([entropic_family(p1), entropic_family(p2)],
+                               DualSolverOptions(gradient_tolerance=1e-8))
         rows = np.random.default_rng(depth).uniform(-2.0, 2.0, (3, t.n_nodes))
         assert np.max(np.abs(pooled_family([p1, p2]).node_values(rows) - numeric.node_values(rows))) <= 1e-6
 
