@@ -61,6 +61,15 @@ def _softmax(a: np.ndarray) -> np.ndarray:
     return w / _reduce_last(np.add, w)[..., None]
 
 
+def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_logsumexp(a)`` and ``_softmax(a)``, equal to theirs, from one set
+    of exponentials."""
+    m = _reduce_last(np.maximum, a)
+    w = np.exp(a - m[..., None])
+    total = _reduce_last(np.add, w)
+    return m + np.log(total), w / total[..., None]
+
+
 # ---------------------------------------------------------------------------
 # utilities
 
@@ -87,6 +96,11 @@ class ExponentialUtility:
     def log_marginal(self, w):
         """log u'(w)."""
         return np.log(self.gamma) - self.gamma * np.asarray(w, dtype=float)
+
+    def value_and_marginal(self, w):
+        """u(w) and u'(w) from one exponential."""
+        e = np.exp(-self.gamma * np.asarray(w, dtype=float))
+        return -e, self.gamma * e
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,12 @@ class CRRAUtility:
     def log_marginal(self, w):
         """log u'(w) for w > 0."""
         return -self.R * np.log(np.asarray(w, dtype=float))
+
+    def value_and_marginal(self, w):
+        """u(w) and u'(w) from one power, for w > 0 (unchecked)."""
+        w = np.asarray(w, dtype=float)
+        t = w ** (1.0 - self.R)
+        return t / (1.0 - self.R), t / w
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +284,8 @@ def _newton_move(cost, v, log_v, log_w, log_q, g) -> np.ndarray:
     by 1e-12 of itself for repeated vertices; a ridge scaled to the whole
     Hessian would let one nearly empty vertex's 1/q freeze the others) on
     the simplex, is cut to keep 1% of every shrinking weight, and halves
-    until it gains 1e-4 of its slope."""
+    until it gains 1e-4 of its slope, or until the gain its slope predicts
+    is below rounding, where it is not taken."""
     nv = v.shape[-2]
     # 1 / q capped at e^700: a coordinate with less mass is reached only by
     # vertices whose weight is as small, which the step leaves alone
@@ -283,6 +304,8 @@ def _newton_move(cost, v, log_v, log_w, log_q, g) -> np.ndarray:
     slope = _reduce_last(np.add, g * d)
     out, pending = log_w, slope < 0
     for _ in range(40):
+        # a step whose predicted gain is below rounding is not tried
+        pending &= t * np.abs(slope) > 1e-15 * (1.0 + np.abs(before))
         if not pending.any():
             break
         with np.errstate(divide="ignore"):
@@ -351,16 +374,17 @@ def _entropic_kernel(gamma: float) -> Kernel:
     def evaluate(data, k_x, k_children):
         if len(data) == 1:
             return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
-        log_q = _entropic_log_argmin(gamma, data, k_x, k_children)
-        k = _stack_outcomes(k_x, k_children)
-        return _reduce_last(np.add, np.exp(log_q) * (k + (log_q - data[0]) / gamma))
+        return grad(data, k_x, k_children)[0]
 
     def grad(data, k_x, k_children):
-        # the Gibbs weights of the outcomes; over a polytope, the minimizer
-        # (the envelope theorem)
+        # the Gibbs weights of the outcomes, from the exponentials of the
+        # value; over a polytope, the minimizer (the envelope theorem)
         if len(data) == 1:
-            return _softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
-        return np.exp(_entropic_log_argmin(gamma, data, k_x, k_children))
+            lse, weights = _logsumexp_softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+            return lse / -gamma, weights
+        log_q = _entropic_log_argmin(gamma, data, k_x, k_children)
+        q = np.exp(log_q)
+        return _reduce_last(np.add, q * (_stack_outcomes(k_x, k_children) + (log_q - data[0]) / gamma)), q
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
@@ -461,13 +485,14 @@ def _worst_case_kernel(stopping: bool) -> Kernel:
 
     def grad(data, k_x, k_children):
         e = expectations(data, k_children)
+        worst = _reduce_last(np.minimum, e)
         stacked = np.broadcast_to(data[0], e.shape + data[0].shape[-1:])
         alpha = np.take_along_axis(stacked, np.argmin(e, axis=-1)[..., None, None], axis=-2)[..., 0, :]
         out = np.concatenate([np.zeros_like(alpha[..., :1]), alpha], axis=-1)
         if not stopping:
-            return out
-        stop = np.asarray(k_x, dtype=float) <= _reduce_last(np.minimum, e)
-        return np.where(stop[..., None], np.eye(out.shape[-1])[0], out)
+            return worst, out
+        k_x = np.asarray(k_x, dtype=float)
+        return np.minimum(k_x, worst), np.where((k_x <= worst)[..., None], np.eye(out.shape[-1])[0], out)
 
     def vertices(data):
         # (0, alpha_i) for every distribution, after e_0 when stopping is on
@@ -513,13 +538,14 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     """The sure payment making the agent indifferent to the outcome vector:
     the b solving  u(x0) = sum_y p_y u(x0 + k_y - b).
 
-    Solved by bisection to 1e-12 on [min k, max k], intersected for
-    bounded-wealth utilities with the wealth wall b < x0 + min k (the root
-    always lies between the extreme outcomes, and for R > 1 the utility side
-    drops to -inf at the wall, so a root always exists there; for R < 1 a
-    root can fail to exist and that raises a domain error naming the
-    outcomes).  The price is monotone in each outcome and shifts one-for-one
-    with constants.  Broadcasts over a leading batch axis of ``outcomes``.
+    Solved by safeguarded Newton to rounding (``_newton_price``) inside
+    [min k, max k], intersected for bounded-wealth utilities with the wealth
+    wall b < x0 + min k (the root always lies between the extreme outcomes,
+    and for R > 1 the utility side drops to -inf at the wall, so a root
+    always exists there; for R < 1 a root can fail to exist and that raises
+    a domain error naming the outcomes).  The price is monotone in each
+    outcome and shifts one-for-one with constants.  Broadcasts over a
+    leading batch axis of ``outcomes``.
     """
     p = np.asarray(probs, dtype=float)
     if not is_probability(p, positive=True):
@@ -527,14 +553,27 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     k = np.asarray(outcomes, dtype=float)
     if k.shape[-1] != p.shape[0]:
         raise ValidationError("outcomes and probabilities differ in length")
-    return _bisect_price(utility, x0, p, k)
+    return _newton_price(utility, x0, p, k)
 
 
-def _bisect_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Bisection core of ``indifference_price`` for validated probabilities
+# Iterations of an indifference price before it stops: Newton takes a few,
+# and as many halvings take a bracket of width 1e18 within the tolerance.
+PRICE_ITERATIONS = 100
+
+
+def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Newton core of ``indifference_price`` for validated probabilities
     ``p`` that broadcast against the outcomes ``k`` along the trailing axes.
-    Each entry stops halving once its own bracket is within 1e-12, so its
-    price does not depend on the other entries of the batch."""
+
+    g(b) = sum p u(x0 + k - b) - u(x0) is concave and decreasing in b, with
+    g'(b) = -sum p u'.  Newton starts at the smaller of the mean outcome
+    (where g <= 0 by Jensen, so the iterates fall monotonically onto the
+    root) and the wealth wall, and keeps a bracket lo <= root <= hi; where a
+    step leaves the bracket, or g is not finite (at or past the wall), the
+    iterate bisects it.  An entry stops at an exact root, once its own
+    Newton step is within 1e-12 (1 + |x0| + |b|), which it takes, or once
+    its bracket is that narrow, so its price does not depend on the other
+    entries of the batch."""
     lo = np.array(_reduce_last(np.minimum, k), dtype=float)
     hi = np.array(_reduce_last(np.maximum, k), dtype=float)
     target = float(utility.value(x0))
@@ -554,23 +593,34 @@ def _bisect_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
                 raise DomainError(
                     f"no indifference price with positive wealth at x0={x0}: {bad.tolist()}")
 
-    for _ in range(220):
-        wide = hi - lo > 1e-12
-        if not wide.any():
-            break
-        mid = 0.5 * (lo + hi)
-        wealth = x0 + k - mid[..., None]
+    price = np.clip(_reduce_last(np.add, p * k), lo, hi)
+    done = np.zeros(price.shape, dtype=bool)
+    for _ in range(PRICE_ITERATIONS):
+        wealth = x0 + k - price[..., None]
         if crra:
             valid = _reduce_last(np.minimum, wealth) > 0
-            g = np.where(valid,
-                         _reduce_last(np.add, p * utility.value(np.where(wealth > 0, wealth, 1.0))),
-                         -np.inf)
+            u, du = utility.value_and_marginal(wealth if valid.all() else np.where(wealth > 0, wealth, 1.0))
+            g = np.where(valid, _reduce_last(np.add, p * u) - target, -np.inf)
         else:
-            g = _reduce_last(np.add, p * utility.value(wealth))
-        go_up = g >= target
-        lo = np.where(wide & go_up, mid, lo)
-        hi = np.where(wide & ~go_up, mid, hi)
-    return 0.5 * (lo + hi)
+            u, du = utility.value_and_marginal(wealth)
+            g = _reduce_last(np.add, p * u) - target
+        lo, hi = np.where(g > 0, price, lo), np.where(g < 0, price, hi)
+        slope = _reduce_last(np.add, p * du)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = price + g / slope
+        tol = 1e-12 * (1.0 + abs(x0) + np.abs(price))
+        # an exact root, or a step within tolerance (unless the slope
+        # overflowed, which makes every step small), is taken before the
+        # bracket test, which an iterate at the root would fail; the step
+        # is kept inside the bracket, which closes onto the price of
+        # outcomes that are all equal
+        converged = (g == 0) | ((np.abs(newton - price) <= tol) & (slope < np.inf))
+        step = np.where(converged | ((newton > lo) & (newton < hi)), newton, 0.5 * (lo + hi))
+        price = np.where(done, price, np.clip(step, lo, hi))
+        done |= converged | (hi - lo <= tol)
+        if done.all():
+            break
+    return price
 
 
 @dataclass(frozen=True)
@@ -645,13 +695,13 @@ def _ui_kernel(utility, x0: float) -> Kernel:
     outcome probabilities of each node, checked by ``_ui_rows``."""
 
     def evaluate(data, k_x, k_children):
-        return _bisect_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
+        return _newton_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
 
     def grad(data, k_x, k_children):
         # implicit function theorem: p_y u'(w_y) / sum p u'(w), w at the price
         k = _stack_outcomes(k_x, k_children)
-        wealth = x0 + k - _bisect_price(utility, x0, data[0], k)[..., None]
-        return _softmax(np.log(data[0]) + utility.log_marginal(wealth))
+        price = _newton_price(utility, x0, data[0], k)
+        return price, _softmax(np.log(data[0]) + utility.log_marginal(x0 + k - price[..., None]))
 
     dual = None
     if isinstance(utility, CRRAUtility):

@@ -64,8 +64,10 @@ class Kernel:
     (a tuple of arrays, node axis first) and broadcasts them against the
     trailing axes of ``k_x`` (..., b) and ``k_children`` (..., b, m), giving
     (..., b).  ``grad``, if given, takes the same arguments and gives the
-    local partials (..., b, m + 1) with respect to (own cash, children);
-    ``partials`` falls back to central differences without it.
+    values (..., b), equal to ``evaluate``'s, together with the exact local
+    partials (..., b, m + 1) with respect to (own cash, children), from the
+    one solve or one set of exponentials both need; without it the partials
+    are central differences.
     ``dual(data, theta, psi)`` is the closed-form one-step dual at one node,
     given that node's parameters as a block of one (b = 1), if any.
     ``vertices(data)``, for a polyhedral one-step (the minimum of linear
@@ -80,13 +82,21 @@ class Kernel:
     grad: Callable | None = None
     vertices: Callable | None = None
 
+    def evaluate_with_partials(self, data, k_x, k_children) -> tuple[np.ndarray, np.ndarray]:
+        """Values (..., b) and local partials (..., b, m + 1) from one call:
+        ``grad`` where the kernel has one, else ``evaluate`` followed by
+        ``partials``."""
+        if self.grad is not None:
+            return self.grad(data, k_x, k_children)
+        return self.evaluate(data, k_x, k_children), self.partials(data, k_x, k_children)
+
     def partials(self, data, k_x, k_children) -> np.ndarray:
         """Local partials (..., b, m + 1) of the operator with respect to
-        (own cash, children): ``grad`` where the kernel has one, else
+        (own cash, children): ``grad``'s where the kernel has one, else
         central differences with relative step ``PARTIALS_STEP``, all
         2 (m + 1) probes in one evaluation."""
         if self.grad is not None:
-            return self.grad(data, k_x, k_children)
+            return self.grad(data, k_x, k_children)[1]
         z = np.concatenate([k_x[..., None], k_children], axis=-1)
         width = z.shape[-1]
         h = PARTIALS_STEP * np.maximum(1.0, np.abs(z))
@@ -221,26 +231,35 @@ class ValuationFamily:
         """Node values and the gradient of node xi's value with respect to
         the cash, for cash values of shape (..., n_nodes).
 
-        The reverse sweep: an adjoint seeded with 1 at xi visits the blocks
-        from the top level down, and each node hands its adjoint times its
-        local partials to its children (the children inside a block are
-        distinct, so one scatter-add per chunk is exact).  A node's gradient
-        is its adjoint times its own-cash partial, a leaf's is its adjoint.
-        Blocks the adjoint has not reached are skipped."""
-        cash = np.asarray(values, dtype=float)
-        out = self.node_values(cash)
+        One forward sweep, in the chunks of ``node_values``, keeps the local
+        partials of every chunk that holds a node of xi's subtree, from the
+        same kernel call as its values (``Kernel.evaluate_with_partials``);
+        the chunks above xi are only evaluated.  Then the reverse sweep,
+        which calls no kernel: an adjoint seeded with 1 at xi visits the
+        kept chunks from the top level down, and each node hands its adjoint
+        times its local partials to its children (the children inside a
+        chunk are distinct, so one scatter-add per chunk is exact).  A
+        node's gradient is its adjoint times its own-cash partial, a leaf's
+        is its adjoint."""
+        out = np.array(values, dtype=float)
+        rows = max(1, out.size // self.tree.n_nodes)
+        inside = np.zeros(self.tree.n_nodes, dtype=bool)
+        inside[self.tree.descendant_indices(xi)] = True
+        kept = []
+        for block in self.blocks:
+            for data, nodes, kids in self._parts(block, rows):
+                if inside[nodes].any():
+                    out[..., nodes], p = block.kernel.evaluate_with_partials(data, out[..., nodes], out[..., kids])
+                    kept.append((nodes, kids, p))
+                else:
+                    out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
         adjoint = np.zeros_like(out)
         adjoint[..., xi] = 1.0
         grad = np.zeros_like(out)
-        rows = max(1, out.size // self.tree.n_nodes)
-        for block in reversed(self.blocks):
-            for data, nodes, kids in self._parts(block, rows):
-                a = adjoint[..., nodes]
-                if not a.any():
-                    continue
-                p = block.kernel.partials(data, cash[..., nodes], out[..., kids])
-                grad[..., nodes] = a * p[..., 0]
-                adjoint[..., kids] += a[..., None] * p[..., 1:]
+        for nodes, kids, p in reversed(kept):
+            a = adjoint[..., nodes]
+            grad[..., nodes] = a * p[..., 0]
+            adjoint[..., kids] += a[..., None] * p[..., 1:]
         leaves = self.tree.is_leaf
         grad[..., leaves] = adjoint[..., leaves]
         return out, grad
@@ -330,15 +349,17 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
 
 def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel:
     """The kernel of ``_one_step_sups``: its partials are the lift's at the
-    maximizer (the envelope theorem) where the objective is smooth, central
-    differences where it is kinked, as a kink's partials need not be the sup's."""
+    maximizer (the envelope theorem), from the solve that gave the values,
+    where the objective is smooth; central differences where it is kinked,
+    as a kink's partials need not be the sup's."""
     solve = partial(_one_step_sups, lift, descriptor, smooth, tree, opts)
 
     def evaluate(data, k_x, k_children):
         return solve(data, k_x, k_children)[0]
 
     def grad(data, k_x, k_children):
-        return lift(data[0], k_x, k_children)[2](solve(data, k_x, k_children)[1])
+        values, z, _ = solve(data, k_x, k_children)
+        return values, lift(data[0], k_x, k_children)[2](z)
 
     return Kernel(evaluate, descriptor, smooth, grad=grad if smooth else None)
 
@@ -352,8 +373,9 @@ def _committed(inner: Kernel) -> Kernel:
         return inner.evaluate(inner_data, k_x + cash, k_children + base_kids) - base
 
     def grad(data, k_x, k_children):
-        inner_data, cash, base_kids, _ = data
-        return inner.partials(inner_data, k_x + cash, k_children + base_kids)
+        inner_data, cash, base_kids, base = data
+        values, partials = inner.evaluate_with_partials(inner_data, k_x + cash, k_children + base_kids)
+        return values - base, partials
 
     return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth, grad=grad)
 
@@ -477,8 +499,10 @@ def check_axioms(family, trials: int, seed: int, *,
     the pasting identity for sampled stopping times.  The stopping-time
     dispatch identity is structural (valuations along a stopping time call
     the node operators) and is asserted as such.  The balances of all trials
-    go through one batched sweep per axiom, so the sweep count does not grow
-    with ``trials``.
+    and axioms go through three sweeps: one of the drawn balances and the
+    zero balance, one of the pasted and perturbed balances built from the
+    first's values, and the ``value_at`` dispatch; the sweep count does not
+    grow with ``trials``.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -495,12 +519,10 @@ def check_axioms(family, trials: int, seed: int, *,
     local_nodes = rng.integers(0, n, trials)
     local_noise = rng.uniform(-1.0, 1.0, (trials, n))
 
-    pi_a = family.node_values(cash_a)
-    pi_b = family.node_values(cash_b)
-    pi_mid = family.node_values(0.5 * (cash_a + cash_b))
-    pi_drop = family.node_values(cash_a - drop)
-    pi_shift = family.node_values(cash_a + shift)
-    pi_zero = family.node_values(np.zeros(n))
+    swept = family.node_values(np.concatenate([cash_a, cash_b, 0.5 * (cash_a + cash_b), cash_a - drop,
+                                               cash_a + shift, np.zeros((1, n))]))
+    pi_a, pi_b, pi_mid, pi_drop, pi_shift = swept[:-1].reshape(5, trials, n)
+    pi_zero = swept[-1]
 
     checks: list[AxiomCheck] = []
 
@@ -537,23 +559,26 @@ def check_axioms(family, trials: int, seed: int, *,
     add("Z", np.abs(pi_zero)[None, :], lambda w: {"node": tree.ids[w[1]]})
 
     # pasting: exchanging the continuation after sigma for its valuation is
-    # invisible at every node with no strict ancestor in sigma
+    # invisible at every node with no strict ancestor in sigma; locality:
+    # perturbing the balance off a node's subtree leaves the whole
+    # subtree's valuations untouched.  Both balances need pi_a, and go
+    # through the second sweep together.
     at = stop_index(tree, members)
     pasted = np.where(at >= 0, np.take_along_axis(pi_a, np.maximum(at, 0), axis=1), cash_a)
+    inside = stop_index(tree, local_nodes[:, None] == np.arange(n)) >= 0
+    perturbed = np.where(inside, cash_a, cash_a + local_noise)
+    pi_pasted, pi_perturbed = family.node_values(np.concatenate([pasted, perturbed])).reshape(2, trials, n)
+
     parent = tree.parent_index
     before = (parent < 0) | (at[:, parent] < 0)
-    dc_res = np.where(before, np.abs(family.node_values(pasted) - pi_a), 0.0)
+    dc_res = np.where(before, np.abs(pi_pasted - pi_a), 0.0)
     add("DC", dc_res, lambda w: {
         "node": tree.ids[w[1]],
         "sigma": _graph_ids(tree, members[w[0]]),
         "cash": _cash_witness(tree, cash_a[w[0]]),
     })
 
-    # locality: perturbing the balance off a node's subtree leaves the
-    # whole subtree's valuations untouched
-    inside = stop_index(tree, local_nodes[:, None] == np.arange(n)) >= 0
-    perturbed = np.where(inside, cash_a, cash_a + local_noise)
-    loc_res = np.where(inside, np.abs(family.node_values(perturbed) - pi_a), 0.0)
+    loc_res = np.where(inside, np.abs(pi_perturbed - pi_a), 0.0)
     add("L", loc_res, lambda w: {
         "node": tree.ids[w[1]],
         "cash": _cash_witness(tree, cash_a[w[0]]),

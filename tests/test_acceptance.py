@@ -273,8 +273,8 @@ def test_criterion_08_indifference_pricing():
         raw = rng.uniform(0.1, 1.0, 3)
         lam = raw / raw.sum()
         closed = crra_one_period_dual(2.0, 3.0, crra_params.probs["root"], lam)
-        # the operator itself is bisection-solved to 1e-12, which floors the
-        # reachable finite-difference gradient norm near 1e-6
+        # the one-step dual's ascent runs on central differences of the
+        # solved price, so its gradient tolerance stays loose
         numeric = one_step_dual_value(step, lam[0], lam[1:],
                                       DualSolverOptions(gradient_tolerance=3e-6))
         worst_dual = max(worst_dual, abs(closed - numeric))

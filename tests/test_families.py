@@ -31,6 +31,7 @@ from treeval.families import (
     worst_case_one_step,
     worst_case_params,
 )
+from treeval.families import _entropic_kernel, _softmax, _ui_kernel
 from treeval.tree import CashBalance
 from treeval.valuation import check_axioms
 
@@ -282,6 +283,58 @@ class TestIndifferencePrice:
         # indifference can be unachievable
         with pytest.raises(DomainError, match="no indifference price"):
             indifference_price(CRRAUtility(0.5), 1.0, [0.5, 0.5], [-5.0, 5.0])
+        with pytest.raises(DomainError, match=r"\[-5.0, 5.0\]"):
+            indifference_price(CRRAUtility(0.5), 1.0, [0.5, 0.5], [[0.1, 0.2], [-5.0, 5.0]])
+
+    @pytest.mark.parametrize("utility, x0", [(CRRAUtility(2.0), 5.0), (CRRAUtility(0.5), 3.0),
+                                             (ExponentialUtility(0.7), 1.0)])
+    def test_equal_outcomes_price_to_themselves_exactly(self, utility, x0):
+        # the start, the mean, is the root: it is taken, not bisected away
+        for p in ([0.5, 0.5], [1 / 3] * 3, [0.1, 0.2, 0.3, 0.4]):
+            for c in (-1.7, 0.0, 0.3, 2.5):
+                assert float(indifference_price(utility, x0, p, [c] * len(p))) == c
+
+    @pytest.mark.parametrize("utility, x0", [(CRRAUtility(2.0), 5.0), (CRRAUtility(4.0), 2.0),
+                                             (CRRAUtility(0.5), 3.0), (ExponentialUtility(1.3), 0.0)])
+    def test_prices_solve_the_indifference_equation_to_rounding(self, utility, x0):
+        rng = np.random.default_rng(17)
+        p = np.array([0.2, 0.3, 0.1, 0.4])
+        k = rng.uniform(-1.5, 1.5, (300, 4))
+        b = indifference_price(utility, x0, p, k)
+        assert np.all((k.min(axis=1) <= b) & (b <= k.max(axis=1)))
+        residual = (p * utility.value(x0 + k - b[:, None])).sum(axis=1) - utility.value(x0)
+        assert np.max(np.abs(residual)) <= 1e-14 * abs(float(utility.value(x0)))
+
+    def test_a_batch_entry_prices_as_it_does_alone(self):
+        # each entry stops on its own step, so its price does not depend
+        # on the batch around it
+        rng = np.random.default_rng(21)
+        u, p = CRRAUtility(2.5), np.array([0.2, 0.3, 0.5])
+        k = rng.uniform(-3.0, 3.0, (200, 3))
+        k[::7] = k[::7, :1]
+        batch = indifference_price(u, 4.0, p, k)
+        assert [float(indifference_price(u, 4.0, p, row)) for row in k] == batch.tolist()
+
+    def test_a_mean_past_the_wealth_wall(self):
+        # the mean, 19.55, lies far past the wall x0 + min k = 0.1: Newton
+        # starts at the wall, where the utility side is -inf, and bisects
+        u, x0, p, k = CRRAUtility(2.0), 1.0, np.array([0.5, 0.5]), np.array([-0.9, 40.0])
+        b = float(indifference_price(u, x0, p, k))
+        assert -0.9 <= b < x0 - 0.9
+        assert abs(p @ u.value(x0 + k - b) - u.value(x0)) <= 1e-15
+
+    def test_the_kernel_gives_the_price_and_its_partials_from_one_solve(self):
+        # implicit function theorem: p_y u'(w_y) / sum p u'(w) at the price
+        rng = np.random.default_rng(8)
+        u, x0 = CRRAUtility(3.0), 4.0
+        kernel = _ui_kernel(u, x0)
+        data = (rng.dirichlet(np.ones(3), 5),)
+        k_x, k_children = rng.uniform(-1.0, 1.0, (7, 5)), rng.uniform(-1.0, 1.0, (7, 5, 2))
+        values, partials = kernel.evaluate_with_partials(data, k_x, k_children)
+        assert np.array_equal(values, kernel.evaluate(data, k_x, k_children))
+        k = np.concatenate([k_x[..., None], k_children], axis=-1)
+        marginal = data[0] * (x0 + k - values[..., None]) ** -u.R
+        assert np.max(np.abs(partials - marginal / marginal.sum(axis=-1, keepdims=True))) <= 1e-15
 
     def test_ui_family_axioms_small_stakes(self):
         t = trinomial_tree(2)
@@ -290,6 +343,24 @@ class TestIndifferencePrice:
         # pasting is the axiom utility indifference breaks; everything else holds
         for name in ("C", "M", "TI", "Z", "L"):
             assert report.check(name).passed, (name, report.check(name).worst_residual)
+
+
+class TestEntropicKernel:
+    @pytest.mark.parametrize("rows", [7, 256])
+    def test_fused_partials_are_the_softmax(self, rows):
+        # one set of exponentials gives both: the values are evaluate's and
+        # the partials _softmax's, bit for bit (256 rows take the looped
+        # reductions of level-sized arrays)
+        rng = np.random.default_rng(rows)
+        gamma = 1.3
+        kernel = _entropic_kernel(gamma)
+        data = (np.log(rng.dirichlet(np.ones(4), 5)),)
+        k_x, k_children = rng.uniform(-3.0, 3.0, (rows, 5)), rng.uniform(-3.0, 3.0, (rows, 5, 3))
+        values, partials = kernel.evaluate_with_partials(data, k_x, k_children)
+        assert np.array_equal(values, kernel.evaluate(data, k_x, k_children))
+        assert np.array_equal(partials, _softmax(data[0] - gamma * np.concatenate([k_x[..., None], k_children],
+                                                                                  axis=-1)))
+        assert np.array_equal(partials, kernel.partials(data, k_x, k_children))
 
 
 class TestCRRADual:

@@ -744,14 +744,14 @@ def test_mixed_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, log
 
 def test_entropic_paths_never_import_scipy_optimize():
     # importing scipy.optimize alone roughly triples a process's peak RSS,
-    # so smooth sups must finish without Nelder-Mead, and pooling by a
-    # kernel rule must run none
+    # so smooth sups, CRRA pools among them, must finish without
+    # Nelder-Mead, and pooling by a kernel rule must run none
     script = textwrap.dedent("""
         import sys
         import numpy as np
         from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value
         from treeval.families import (CRRAUtility, entropic_family, entropic_one_step, entropic_params,
-                                      ui_one_step, ui_params, worst_case_family, worst_case_params)
+                                      ui_family, ui_one_step, ui_params, worst_case_family, worst_case_params)
         from treeval.market import market, market_value
         from treeval.risksharing import check_sharing_axioms, share_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
@@ -779,6 +779,12 @@ def test_entropic_paths_never_import_scipy_optimize():
             one_step_dual_value(crra, lam[0], lam[1:], DualSolverOptions(gradient_tolerance=3e-6))
         mkt = market(tree, {"s": {"root": 1.0, "up": 2.0, "down": 0.5}})
         market_value(entropic_family(p1), mkt, "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])))
+        # a CRRA subsidiary's Newton prices carry no noise that would leave
+        # a row of the numeric pool to BFGS and Nelder-Mead
+        ids = ["r", "u", "d", "uu", "ud", "du", "dd"]
+        binary = build_tree([NodeRecord(i, None if i == "r" else (i[:-1] or "r"), 1.0 / 7) for i in ids])
+        crra_pool = [entropic_params(binary, 1.0), ui_family(ui_params(binary, CRRAUtility(2.0), 5.0))]
+        assert check_sharing_axioms(crra_pool, trials=2, seed=1).all_passed
         print("scipy.optimize" in sys.modules)
     """)
     src = str(Path(treeval.__file__).parents[1])

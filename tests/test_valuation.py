@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import treeval.families
+import treeval.valuation
 from helpers import (
     binary_tree,
     per_node_values,
@@ -200,15 +202,86 @@ class TestLevelSweep:
 
 def _central_differences(fam, k, xi, h=1e-5):
     """d node_values[..., xi] / dK by central differences, every node at
-    once (h = 1e-5 keeps the bisected indifference prices' 1e-12 noise
-    well under the 1e-6 tolerance)."""
+    once (h = 1e-5 keeps the noise of the numeric one-step solves well
+    under the 1e-6 tolerance)."""
     bump = np.eye(k.shape[-1]) * h
     up = fam.node_values(k[..., None, :] + bump)[..., xi]
     down = fam.node_values(k[..., None, :] - bump)[..., xi]
     return (up - down) / (2.0 * h)
 
 
+def _two_pass_gradient(fam, k, xi):
+    """The reverse sweep as two passes: node values first, then every
+    block's partials asked of its kernel again, at those values."""
+    out = fam.node_values(k)
+    adjoint, grad = np.zeros_like(out), np.zeros_like(out)
+    adjoint[..., xi] = 1.0
+    rows = max(1, out.size // fam.tree.n_nodes)
+    for block in reversed(fam.blocks):
+        for data, nodes, kids in fam._parts(block, rows):
+            a = adjoint[..., nodes]
+            p = block.kernel.partials(data, k[..., nodes], out[..., kids])
+            grad[..., nodes] = a * p[..., 0]
+            adjoint[..., kids] += a[..., None] * p[..., 1:]
+    grad[..., fam.tree.is_leaf] = adjoint[..., fam.tree.is_leaf]
+    return grad
+
+
+def _lattice(depth):
+    """Criterion 10's binary lattice: one asset that doubles or halves."""
+    t = binary_tree(depth)
+    mkt = market(t, {"s": {x: 2.0 ** x.count("u") * 0.5 ** x.count("d") for x in t.ids}})
+    return t, mkt
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from here on."""
+    calls, inner = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestReverseSweep:
+    @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
+    def test_one_pass_matches_asking_the_kernels_again(self, kind):
+        # the partials kept from the forward sweep are those a second pass
+        # of Kernel.partials at the swept values gives
+        rng = np.random.default_rng(30 + len(kind))
+        t = random_tree(rng, max_depth=3, max_branching=3)
+        fam = SWEPT_FAMILIES[kind](t, rng)
+        k = rng.uniform(-2.0, 2.0, (3, t.n_nodes))
+        for xi in {t.root_index, *rng.integers(t.n_nodes, size=3).tolist()}:
+            values, grad = fam.values_and_gradient(k, xi)
+            assert np.array_equal(values, fam.node_values(k))
+            assert np.max(np.abs(grad - _two_pass_gradient(fam, k, xi))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["hedged", "polytope"])
+    @pytest.mark.parametrize("x", ["r", "u", "ud"])
+    def test_solves_each_block_chunk_once(self, monkeypatch, kind, x):
+        # a hedge's Newton solve, or a polytope pool's vertex-weight solve,
+        # gives the values and the partials of its chunk together: a
+        # reverse sweep solves no more than a forward one
+        rng = np.random.default_rng(9)
+        t, mkt = _lattice(3)
+        if kind == "hedged":
+            calls = _counted(monkeypatch, treeval.valuation, "_one_step_sups")
+            fam = hedged_family(entropic_family(entropic_params(t, 1.0)), mkt)
+        else:
+            calls = _counted(monkeypatch, treeval.families, "_polytope_log_argmin")
+            fam = pooled_family([entropic_params(t, 1.0), _worst(t, rng, True)])
+        k = rng.uniform(-1.0, 1.0, (8, t.n_nodes))
+        fam.node_values(k)
+        forward = len(calls)
+        assert forward == len(fam.blocks)
+        del calls[:]
+        fam.values_and_gradient(k, t.node_index(x))
+        assert len(calls) == forward
+
     @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
     @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
     def test_gradient_matches_central_differences(self, kind, batch):
