@@ -607,7 +607,7 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
         lo, hi = np.where(g > 0, price, lo), np.where(g < 0, price, hi)
         slope = _reduce_last(np.add, p * du)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = price + g / slope
+            newton = np.where(g == 0, price, price + g / slope)
         tol = 1e-12 * (1.0 + abs(x0) + np.abs(price))
         # an exact root, or a step within tolerance (unless the slope
         # overflowed, which makes every step small), is taken before the

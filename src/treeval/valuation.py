@@ -248,18 +248,17 @@ class ValuationFamily:
         kept = []
         for block in self.blocks:
             for data, nodes, kids in self._parts(block, rows):
-                if inside[nodes].any():
+                if np.count_nonzero(inside[nodes]):
                     out[..., nodes], p = block.kernel.evaluate_with_partials(data, out[..., nodes], out[..., kids])
                     kept.append((nodes, kids, p))
                 else:
                     out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
-        adjoint = np.zeros_like(out)
+        adjoint, grad = np.zeros(out.shape), np.zeros(out.shape)
         adjoint[..., xi] = 1.0
-        grad = np.zeros_like(out)
         for nodes, kids, p in reversed(kept):
-            a = adjoint[..., nodes]
-            grad[..., nodes] = a * p[..., 0]
-            adjoint[..., kids] += a[..., None] * p[..., 1:]
+            flow = adjoint[..., nodes, None] * p
+            grad[..., nodes] = flow[..., 0]
+            adjoint[..., kids] += flow[..., 1:]
         leaves = self.tree.is_leaf
         grad[..., leaves] = adjoint[..., leaves]
         return out, grad
