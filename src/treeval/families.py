@@ -595,31 +595,32 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
 
     price = np.clip(_reduce_last(np.add, p * k), lo, hi)
     done = np.zeros(price.shape, dtype=bool)
-    for _ in range(PRICE_ITERATIONS):
-        wealth = x0 + k - price[..., None]
-        if crra:
-            valid = _reduce_last(np.minimum, wealth) > 0
-            u, du = utility.value_and_marginal(wealth if valid.all() else np.where(wealth > 0, wealth, 1.0))
-            g = np.where(valid, _reduce_last(np.add, p * u) - target, -np.inf)
-        else:
-            u, du = utility.value_and_marginal(wealth)
-            g = _reduce_last(np.add, p * u) - target
-        lo, hi = np.where(g > 0, price, lo), np.where(g < 0, price, hi)
-        slope = _reduce_last(np.add, p * du)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = np.where(g == 0, price, price + g / slope)
-        tol = 1e-12 * (1.0 + abs(x0) + np.abs(price))
-        # an exact root, or a step within tolerance (unless the slope
-        # overflowed, which makes every step small), is taken before the
-        # bracket test, which an iterate at the root would fail; the step
-        # is kept inside the bracket, which closes onto the price of
-        # outcomes that are all equal
-        converged = (g == 0) | ((np.abs(newton - price) <= tol) & (slope < np.inf))
-        step = np.where(converged | ((newton > lo) & (newton < hi)), newton, 0.5 * (lo + hi))
-        price = np.where(done, price, np.clip(step, lo, hi))
-        done |= converged | (hi - lo <= tol)
-        if done.all():
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(PRICE_ITERATIONS):
+            wealth = x0 + k - price[..., None]
+            if crra:
+                valid = _reduce_last(np.minimum, wealth) > 0
+                u, du = utility.value_and_marginal(wealth if valid.all() else np.where(wealth > 0, wealth, 1.0))
+                g = np.where(valid, _reduce_last(np.add, p * u) - target, -np.inf)
+            else:
+                u, du = utility.value_and_marginal(wealth)
+                g = _reduce_last(np.add, p * u) - target
+            lo, hi = np.where(g > 0, price, lo), np.where(g < 0, price, hi)
+            slope = _reduce_last(np.add, p * du)
+            exact = g == 0
+            newton = np.where(exact, price, price + g / slope)
+            tol = 1e-12 * (1.0 + abs(x0) + np.abs(price))
+            # an exact root, or a step within tolerance (unless the slope
+            # overflowed, which makes every step small), is taken before
+            # the bracket test, which an iterate at the root would fail; the
+            # step is kept inside the bracket, which closes onto the price
+            # of outcomes that are all equal
+            converged = exact | ((np.abs(newton - price) <= tol) & (slope < np.inf))
+            step = np.where(converged | ((newton > lo) & (newton < hi)), newton, 0.5 * (lo + hi))
+            price = np.where(done, price, np.minimum(np.maximum(step, lo), hi))
+            done |= converged | (hi - lo <= tol)
+            if done.all():
+                break
     return price
 
 
