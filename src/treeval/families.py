@@ -576,6 +576,10 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
     entries of the batch."""
     lo = np.array(_reduce_last(np.minimum, k), dtype=float)
     hi = np.array(_reduce_last(np.maximum, k), dtype=float)
+    if isinstance(utility, ExponentialUtility):
+        # the price does not depend on x0, and u(x0) underflows to 0 once
+        # gamma x0 passes about 745
+        x0 = 0.0
     target = float(utility.value(x0))
     crra = isinstance(utility, CRRAUtility)
     if crra:

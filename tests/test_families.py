@@ -305,6 +305,12 @@ class TestIndifferencePrice:
         residual = (p * utility.value(x0 + k - b[:, None])).sum(axis=1) - utility.value(x0)
         assert np.max(np.abs(residual)) <= 1e-14 * abs(float(utility.value(x0)))
 
+    def test_exponential_prices_do_not_depend_on_the_reference_wealth(self):
+        # u(800) underflows to 0; the price is x0-free, -log E exp(-k)
+        for x0 in (0.0, 800.0, -800.0):
+            b = float(indifference_price(ExponentialUtility(1.0), x0, [0.5, 0.5], [0.0, 1.0]))
+            assert b == pytest.approx(-np.log(0.5 + 0.5 * np.exp(-1.0)), abs=1e-15)
+
     def test_a_batch_entry_prices_as_it_does_alone(self):
         # each entry stops on its own step, so its price does not depend
         # on the batch around it
