@@ -6,7 +6,9 @@ The dual of a node operator is the sup over cash balances of value minus the
 pairing with a density; it is finite only on probability densities over the
 node's subtree.  Densities that are not probabilities are rejected up front;
 probability densities with mass off the subtree make the sup run away, which
-the ascent reports as divergence and this module converts to +inf.
+the ascent reports as divergence and this module converts to +inf.  Smooth
+families take the batched Newton stage of ``optim`` first, one reverse
+sweep per trial point.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
-from .optim import eg_minimize, sup
+from .optim import AscentResult, eg_minimize, newton_ascent, sup
 from .tree import CashBalance, Tree
 from .valuation import OneStepValuation, is_probability
 
@@ -30,9 +32,12 @@ class DualSolverOptions:
 
     ``tolerance`` is the duality-gap target of the simplex descent;
     ``gradient_tolerance`` is the gradient test of every numeric sup
-    (``optim.sup``: dual solves and one-step duals; ``optim.sup_rows``:
-    one-step hedges and numeric one-step pools);
-    ``max_iterations`` caps each of them.  Tolerances must be finite and
+    (dual solves: the Newton stage, which must meet it in every free
+    coordinate, then ``optim.sup``; one-step duals: ``optim.sup``;
+    one-step hedges and numeric one-step pools: ``optim.sup_rows``);
+    ``max_iterations`` caps each BFGS ascent and simplex descent (the
+    Newton stage has its own caps, ``optim.NEWTON_STEPS`` and
+    ``optim.NEWTON_HALVINGS``).  Tolerances must be finite and
     positive, the cap an integer of at least 1.
     """
 
@@ -110,19 +115,18 @@ def sample_density(tree: Tree, x: str, rng: np.random.Generator, *,
     return DualDensity(support=x, values={tree.ids[i]: float(w) for i, w in zip(sub, raw)})
 
 
-def _off_domain_rows(fn, rejected):
+def _off_domain_rows(fn):
     """``fn`` on a batch of cash rows (B, d), with each row an operator
     rejects as outside its domain (a ``DomainError``, as walled CRRA families
     raise past the wealth wall) scored -inf, so an ascent backs away from
-    it: the whole batch at once, else row by row.  ``rejected`` is what a
-    rejected batch of one gives."""
+    it: the whole batch at once, else row by row."""
 
     def rows(batch: np.ndarray):
         try:
             return fn(batch)
         except DomainError:
             if batch.shape[0] == 1:
-                return rejected
+                return np.full(1, -math.inf)
             return np.concatenate([rows(batch[r:r + 1]) for r in range(batch.shape[0])])
 
     return rows
@@ -131,8 +135,23 @@ def _off_domain_rows(fn, rejected):
 def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = None,
                           start: np.ndarray | None = None):
     """Dual value together with the maximizing cash balance (None when the
-    sup is +inf).  The extra return feeds envelope gradients to the simplex
-    descent; ``dual_value`` is the plain interface."""
+    sup is +inf) and the solver's result.  The extra returns feed envelope
+    gradients to the simplex descent; ``dual_value`` is the plain
+    interface.
+
+    The search runs over the free coordinates, the node's subtree (in
+    preorder) and then the nodes off it that carry mass, from ``start``
+    (one finite number for each) or zero.  A smooth family takes
+    ``optim.newton_ascent`` first, one reverse sweep per trial point, with
+    the node's own cash held at its start: translation invariance makes
+    the objective flat along the subtree's constant shift.  Its point is
+    taken only where the whole gradient meets the gradient test, held
+    coordinate included, which assumes no translation invariance.  Other
+    solves, and every kinked family, go to ``optim.sup`` over all free
+    coordinates from the start.  Not from Newton's last point: a sup
+    approached only as the node's own cash grows (a CRRA density with no
+    mass on the node) leaves the children near the divergence bound, and
+    BFGS from there crosses it."""
     opts = opts or DEFAULT_OPTIONS
     tree = family.tree
     xi = tree.node_index(x)
@@ -147,32 +166,55 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
 
     free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]
+    if start is None:
+        x0 = np.zeros(free.size)
+    else:
+        x0 = np.array(start, dtype=float)
+        if x0.shape != (free.size,) or not np.isfinite(x0).all():
+            raise ValidationError(f"start must be {free.size} finite numbers, one per free coordinate "
+                                  f"(got shape {x0.shape})")
 
-    def values(batch: np.ndarray) -> np.ndarray:
+    def cash(batch: np.ndarray) -> np.ndarray:
         full = np.zeros((batch.shape[0], tree.n_nodes))
         full[:, free] = batch
-        return family.node_values(full)[:, xi] - batch @ lam_vec
+        return full
 
-    def value_and_gradient(batch: np.ndarray):
-        full = np.zeros(tree.n_nodes)
-        full[free] = batch[0]
-        values, grad = family.values_and_gradient(full, xi)
-        return values[xi] - batch[0] @ lam_vec, grad[free] - lam_vec
+    def values(batch: np.ndarray) -> np.ndarray:
+        return family.node_values(cash(batch))[:, xi] - batch @ lam_vec
 
-    objective = _off_domain_rows(values, np.full(1, -math.inf))
-    at_one = _off_domain_rows(value_and_gradient, (-math.inf, np.zeros(free.size)))
+    def values_and_gradients(batch: np.ndarray):
+        try:
+            swept, grad = family.values_and_gradient(cash(batch), xi)
+        except DomainError:   # a walled family's point past its wall: the stack scores -inf
+            return np.full(batch.shape[0], -math.inf), np.zeros(batch.shape)
+        return swept[:, xi] - batch @ lam_vec, grad[:, free] - lam_vec
 
-    x0 = np.zeros(free.size) if start is None else start
-    res = sup(objective, x0, smooth=all(b.kernel.smooth for b in family.blocks),
-              gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations,
-              gradient=lambda point: at_one(point[None]))
+    def value_and_gradient(point: np.ndarray):
+        fz, gz = values_and_gradients(point[None])
+        return float(fz[0]), gz[0]
+
+    smooth = all(b.kernel.smooth for b in family.blocks)
+    newton = None
+    if smooth and free.size > 1:
+        # free[0] is the node itself
+        newton = newton_ascent(values_and_gradients, x0, gradient_tolerance=opts.gradient_tolerance, held=1)
+    if newton is not None and newton.converged:
+        res = AscentResult(newton.x, float(newton.value), float(newton.gradient_norm), int(newton.iterations),
+                           converged=True, gradient_evaluations=newton.gradient_evaluations,
+                           stop_reason="gradient", method="newton")
+    else:
+        res = sup(_off_domain_rows(values), x0, smooth=smooth,
+                  gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations,
+                  gradient=value_and_gradient)
+        if newton is not None:
+            res.method = f"newton+{res.method}"
+            res.iterations += int(newton.iterations)
+            res.gradient_evaluations += newton.gradient_evaluations
     if res.diverged:
         return math.inf, None, res
     if not res.converged:
         raise ConvergenceError(f"dual maximization ({res.method}) stopped on {res.stop_reason}", best=res)
-    full = np.zeros(tree.n_nodes)
-    full[free] = res.x
-    return res.value, CashBalance(tree, full), res
+    return res.value, CashBalance(tree, cash(res.x[None])[0]), res
 
 
 def dual_value(family, x: str, lam, opts: DualSolverOptions | None = None) -> float:
@@ -254,7 +296,7 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
     if not is_probability(q):
         raise DomainError("one-step dual argument must be a probability over (node, children)")
 
-    objective = _off_domain_rows(lambda b: step.evaluate(b[:, 0], b[:, 1:]) - b @ q, np.full(1, -math.inf))
+    objective = _off_domain_rows(lambda b: step.evaluate(b[:, 0], b[:, 1:]) - b @ q)
 
     res = sup(objective, np.zeros(q.size), smooth=step.smooth,
               gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations)

@@ -538,14 +538,16 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     """The sure payment making the agent indifferent to the outcome vector:
     the b solving  u(x0) = sum_y p_y u(x0 + k_y - b).
 
-    Solved by safeguarded Newton to rounding (``_newton_price``) inside
-    [min k, max k], intersected for bounded-wealth utilities with the wealth
-    wall b < x0 + min k (the root always lies between the extreme outcomes,
-    and for R > 1 the utility side drops to -inf at the wall, so a root
-    always exists there; for R < 1 a root can fail to exist and that raises
-    a domain error naming the outcomes).  The price is monotone in each
-    outcome and shifts one-for-one with constants.  Broadcasts over a
-    leading batch axis of ``outcomes``.
+    Exponential utility has the closed form -log sum p exp(-gamma k) / gamma;
+    other utilities are solved by safeguarded Newton to rounding
+    (``_newton_price``) inside [min k, max k], intersected for
+    bounded-wealth utilities with the wealth wall b < x0 + min k (the root
+    always lies between the extreme outcomes, and for R > 1 the utility
+    side drops to -inf at the wall, so a root always exists there; for
+    R < 1 a root can fail to exist and that raises a domain error naming
+    the outcomes).  The price is monotone in each outcome and shifts
+    one-for-one with constants.  Broadcasts over a leading batch axis of
+    ``outcomes``.
     """
     p = np.asarray(probs, dtype=float)
     if not is_probability(p, positive=True):
@@ -563,7 +565,8 @@ PRICE_ITERATIONS = 100
 
 def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Newton core of ``indifference_price`` for validated probabilities
-    ``p`` that broadcast against the outcomes ``k`` along the trailing axes.
+    ``p`` that broadcast against the outcomes ``k`` along the trailing axes
+    (the closed form for exponential utility).
 
     g(b) = sum p u(x0 + k - b) - u(x0) is concave and decreasing in b, with
     g'(b) = -sum p u'.  Newton starts at the smaller of the mean outcome
@@ -574,12 +577,16 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
     Newton step is within 1e-12 (1 + |x0| + |b|), which it takes, or once
     its bracket is that narrow, so its price does not depend on the other
     entries of the batch."""
+    if isinstance(utility, ExponentialUtility):
+        # the certainty equivalent -log E exp(-gamma k) / gamma, whatever x0,
+        # measured from the least outcome so that equal outcomes price to
+        # themselves exactly.  Newton from a mean far above it gains only
+        # about 1/gamma a step and stopped short after PRICE_ITERATIONS.
+        low = _reduce_last(np.minimum, k)
+        tail = _reduce_last(np.add, p * np.exp(-utility.gamma * (k - low[..., None])))
+        return low - np.log(tail / _reduce_last(np.add, p)) / utility.gamma
     lo = np.array(_reduce_last(np.minimum, k), dtype=float)
     hi = np.array(_reduce_last(np.maximum, k), dtype=float)
-    if isinstance(utility, ExponentialUtility):
-        # the price does not depend on x0, and u(x0) underflows to 0 once
-        # gamma x0 passes about 745
-        x0 = 0.0
     target = float(utility.value(x0))
     crra = isinstance(utility, CRRAUtility)
     if crra:

@@ -6,7 +6,8 @@ weights.
 The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
 over the positions held at each node, built block for block from the
 family's level blocks: each hedged block solves all its nodes and rows at
-once by damped Newton in the positions, and leaves the rows Newton does
+once by damped Newton in the positions (one inner kernel call for the
+values and partials of each trial point), and leaves the rows Newton does
 not finish, and every row of a kinked kernel, to the per-row
 ``optim.sup`` (``valuation._one_step_sups``, which also solves the
 numerically pooled families of ``risksharing``).  Its partials are the
@@ -219,7 +220,8 @@ def _moves(mkt: Market, block: Block) -> np.ndarray:
 def _lift(inner: Kernel, data, k_x, k_children):
     """The one-step hedges of a block, data (inner data, moves), as a lift
     in the positions theta (``valuation._one_step_sups``): the gradient is
-    the children's partials times the moves, the start 0."""
+    the children's partials times the moves, from the inner kernel's one
+    call for its values and partials; the start is 0."""
     inner_data, moves = data
     own = {np.shape(k_x): k_x}   # own cash broadcast to each shape of positions asked for
 
@@ -235,10 +237,11 @@ def _lift(inner: Kernel, data, k_x, k_children):
     def value(theta):
         return inner.evaluate(inner_data, *shifted(theta))
 
-    def gradient(theta):
-        return (partials(theta)[..., 1:, None] * moves).sum(axis=-2)
+    def value_and_gradient(theta):
+        values, p = inner.evaluate_with_partials(inner_data, *shifted(theta))
+        return values, (p[..., 1:, None] * moves).sum(axis=-2)
 
-    return value, gradient, partials, np.zeros(np.shape(k_x) + moves.shape[-1:])
+    return value, value_and_gradient, partials, np.zeros(np.shape(k_x) + moves.shape[-1:])
 
 
 def _hedge(inner: Kernel):
@@ -256,10 +259,12 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     of one-step hedges ``sup_theta step_u(a, v + dS_u theta)``, dS_u the
     children's prices minus u's.  Each level block of the family becomes
     one hedged block, all its nodes and rows solved at once by
-    ``optim.sup_rows``: damped Newton in theta on the exact gradient, with
-    the rows it does not finish, and every row of a kinked kernel, left to
-    ``optim.sup`` one by one.  The partials are the inner partials at the
-    optimal positions, central differences for a kinked kernel.  A one-step
+    ``optim.sup_rows``: damped Newton in theta on the exact gradient, each
+    trial point and its Hessian stencil one ``evaluate_with_partials`` call
+    of the inner kernel, with the rows it does not finish, and every row
+    of a kinked kernel, left to ``optim.sup`` one by one.  The partials are
+    the inner partials at the optimal positions, central differences for a
+    kinked kernel.  A one-step
     hedge that runs away raises a divergence error naming its node, with
     the arbitrage direction as certificate: the market admits arbitrage
     relative to the family."""

@@ -1,10 +1,13 @@
 """Solvers shared by the valuation, dual and market modules: BFGS ascent
 with a backtracking line search and step doubling along recession
 directions, restarted Nelder-Mead for kinked objectives, ``sup``, the one
-policy that chooses between them, ``sup_rows``, the same policy for many
-independent sups at once (a batched damped Newton stage first), and
-multiplicative-weights descent on the simplex with 1/sqrt(k) steps.
-Objectives evaluate batches: f((B, d)) -> (B,).
+policy that chooses between them, ``newton_ascent``, damped Newton on a
+batch of smooth sups with one value-and-gradient call per trial point,
+``sup_rows``, the policy of ``sup`` for many independent sups at once
+(that Newton stage first), and multiplicative-weights descent on the
+simplex with 1/sqrt(k) steps.  Objectives evaluate batches:
+f((B, d)) -> (B,).  Dual solves run the Newton stage first too, and go on
+to ``sup`` where it does not finish.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ HESSIAN_STEP = 1e-7
 class AscentResult:
     """Where an ascent stopped and how it got there.  ``evaluations``
     counts the objective rows the solver evaluated, ``gradient_evaluations``
-    the gradient calls; ``stop_reason`` is one of ``gradient``, ``stalled``,
-    ``line_search``, ``diverged`` or ``max_iterations``; ``method`` names
-    the solvers that ran: ``bfgs``, ``nelder-mead`` or
-    ``bfgs+nelder-mead``."""
+    the gradient calls (Newton's value-and-gradient calls among them);
+    ``stop_reason`` is one of ``gradient``, ``stalled``, ``line_search``,
+    ``diverged`` or ``max_iterations``; ``method`` names the solvers that
+    ran, joined by ``+`` in order: ``newton``, ``bfgs`` and
+    ``nelder-mead``, as in ``newton+bfgs``."""
 
     x: np.ndarray
     value: float
@@ -268,76 +272,101 @@ def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
     return best
 
 
-def newton_ascent(value, gradient, x0, *, gradient_tolerance: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: int = 0) -> AscentResult:
     """Damped Newton on a batch of independent smooth concave objectives,
-    one per leading index of x0 (..., d).  ``value(x)`` gives (...) and
-    ``gradient(x)`` (k, ..., d) for a stack of k points per row.
+    one per leading index of x0 (..., d).  ``value_and_gradient(points)``
+    gives the values (k, ...) and the gradients (k, ..., d) of a stack of k
+    points per row.
 
-    The Hessian is a forward difference of the gradient, d more points in
-    the same call.  A step is halved, row by row, wherever the value falls
-    or is not finite (an effective-domain wall).  A row stops on the
-    gradient test; one whose Hessian is not negative definite, whose step
-    leaves ``DIVERGENCE_BOUND`` or still falls after ``NEWTON_HALVINGS``
-    halvings, or that is still going after ``NEWTON_STEPS`` steps is left
-    where it stands.  Returns the iterates, their values and the mask of
-    rows that met the gradient test."""
+    Every trial point (the start, each step and each halving of one) is
+    one call, together with its Hessian stencil: the forward differences
+    of the gradient along each searched coordinate.  An accepted step thus
+    carries the next iterate's gradient and Hessian.  The first ``held``
+    coordinates stay at their start values, but the gradient test reads
+    them too, so a row finishes only where its whole gradient vanishes.  A
+    step is halved, row by row, wherever the value falls or is not finite
+    (an effective-domain wall).  A row stops on the gradient test; one
+    whose Hessian is not negative definite, whose step leaves
+    ``DIVERGENCE_BOUND`` or still falls after ``NEWTON_HALVINGS`` halvings,
+    or that is still going after ``NEWTON_STEPS`` steps is left where it
+    stands.  Returns an ``AscentResult`` whose ``x``, ``value``,
+    ``gradient_norm``, ``iterations`` (accepted steps) and ``converged``
+    (the gradient test met) hold one entry per row, and whose
+    ``gradient_evaluations`` counts the calls."""
     shape = np.shape(x0)
     x = np.array(x0, dtype=float).reshape(-1, shape[-1])   # (rows, d)
     n, d = x.shape
-    basis = np.concatenate([np.zeros((1, 1, d)), np.eye(d)[:, None, :]])   # x, then x + h_j e_j
-    fx = np.asarray(value(x.reshape(shape)), dtype=float).reshape(n)
-    done, running = np.zeros(n, dtype=bool), np.isfinite(fx)
+    basis = np.concatenate([np.zeros((1, 1, d)), np.eye(d)[held:, None, :]])   # x, then x + h_j e_j
+    calls = 0
+
+    def trial(points):
+        # values (rows,), gradients (1 + d - held, rows, d) and steps h (rows, d)
+        nonlocal calls
+        calls += 1
+        h = HESSIAN_STEP * np.maximum(1.0, np.abs(points))
+        fs, gs = value_and_gradient((points + basis * h).reshape(basis.shape[:1] + shape))
+        return np.array(fs, dtype=float).reshape(-1, n)[0], np.array(gs, dtype=float).reshape(-1, n, d), h
+
+    fx, gs, h = trial(x)
+    done, running, steps = np.zeros(n, dtype=bool), np.isfinite(fx), np.zeros(n, dtype=int)
     for step_count in range(NEWTON_STEPS + 1):
-        h = HESSIAN_STEP * np.maximum(1.0, np.abs(x))
-        gs = np.reshape(gradient((x + basis * h).reshape((d + 1,) + shape)), (d + 1, n, d))
         g = gs[0]
         met = running & (np.abs(g).max(axis=1) <= gradient_tolerance)
         done |= met
         running &= ~met
         if step_count == NEWTON_STEPS or not running.any():
             break
-        # [row, j, i]: dg_i / dx_j, of which eigh reads the lower triangle
-        hessian = ((gs[1:] - g) / h.T[:, :, None]).transpose(1, 0, 2)
-        if d == 1:
+        # [row, j, i]: dg_i / dx_j over the searched coordinates, of which
+        # eigh reads the lower triangle
+        hessian = ((gs[1:, :, held:] - g[:, held:]) / h[:, held:].T[:, :, None]).transpose(1, 0, 2)
+        step = np.zeros((n, d))
+        if d - held == 1:
             # a number, definite where negative (NaN is not); a third of
             # the cost of eigh on a batch this small
             running &= hessian[:, 0, 0] < 0.0
-            step = -g / np.where(running, hessian[:, 0, 0], -np.inf)[:, None]
+            step[:, held:] = -g[:, held:] / np.where(running, hessian[:, 0, 0], -np.inf)[:, None]
         else:
             finite = np.isfinite(hessian).all(axis=(1, 2))
-            hessian[~finite] = -np.eye(d)
+            hessian[~finite] = -np.eye(d - held)
             w, v = np.linalg.eigh(hessian)
             running &= finite & (w[:, -1] < 0.0)
             w[~running] = -np.inf
             # -H^-1 g in H's eigenbasis (zero where the row stopped),
             # written out so that a row's arithmetic does not depend on
             # the batch around it
-            step = -(v * ((v * g[:, :, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
+            step[:, held:] = -(v * ((v * g[:, held:, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
+        cand = x + step
         # a step beyond DIVERGENCE_BOUND stops its row where it stands
-        running &= np.abs(x + step).max(axis=1) <= DIVERGENCE_BOUND
+        running &= np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND
         pending = running.copy()
         for _ in range(NEWTON_HALVINGS):
-            cand = x + step
-            fc = np.asarray(value(cand.reshape(shape)), dtype=float).reshape(n)
+            fc, gc, hc = trial(cand)
             rose = pending & (fc >= fx) & np.isfinite(fc)
             np.copyto(x, cand, where=rose[:, None])
             np.copyto(fx, fc, where=rose)
+            np.copyto(gs, gc, where=rose[:, None])
+            np.copyto(h, hc, where=rose[:, None])
+            steps += rose
             pending &= ~rose
             if not pending.any():
                 break
             step[~pending] = 0.0
             step *= 0.5
+            cand = x + step
         running &= ~pending
-    return x.reshape(shape), fx.reshape(shape[:-1]), done.reshape(shape[:-1])
+    lead = shape[:-1]
+    return AscentResult(x.reshape(shape), fx.reshape(lead), np.abs(gs[0]).max(axis=1).reshape(lead),
+                        steps.reshape(lead), done.reshape(lead), gradient_evaluations=calls, method="newton")
 
 
-def sup_rows(value, gradient, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
+def sup_rows(value, value_and_gradient, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
              row) -> tuple[np.ndarray, np.ndarray, dict[int, AscentResult]]:
     """The sups of a batch of independent concave objectives, one per
     leading index of x0 (..., d): the policy of ``sup`` for many rows at
-    once.  ``value`` and ``gradient`` evaluate every row (as
-    ``newton_ascent`` takes them); ``row(i)`` gives the batch objective
-    and the ``(value, gradient)`` callable of the row with flat index i.
+    once.  ``value`` evaluates every row (a zero-width search is one call
+    of it) and ``value_and_gradient`` every row at a stack of points (as
+    ``newton_ascent`` takes it); ``row(i)`` gives the batch objective and
+    the ``(value, gradient)`` callable of the row with flat index i.
 
     Smooth rows take ``newton_ascent``.  The rows it leaves unfinished, and
     every row of a kinked objective, go to ``sup`` one by one from where
@@ -347,7 +376,8 @@ def sup_rows(value, gradient, x0, *, smooth: bool, gradient_tolerance: float, ma
     if x.shape[-1] == 0:   # nothing to choose: every row is at its sup
         return x, np.asarray(value(x), dtype=float), {}
     if smooth:
-        x, fx, done = newton_ascent(value, gradient, x, gradient_tolerance=gradient_tolerance)
+        newton = newton_ascent(value_and_gradient, x, gradient_tolerance=gradient_tolerance)
+        x, fx, done = newton.x, newton.value, newton.converged
     else:
         fx, done = np.empty(x.shape[:-1]), np.zeros(x.shape[:-1], dtype=bool)
     flat_x, flat_fx = x.reshape(-1, x.shape[-1]), fx.reshape(-1)
@@ -362,11 +392,15 @@ def sup_rows(value, gradient, x0, *, smooth: bool, gradient_tolerance: float, ma
 
 @dataclass
 class SimplexResult:
+    """Where a simplex descent stopped: ``stop_reason`` is ``gap`` (the
+    duality gap met the tolerance) or ``max_iterations``."""
+
     weights: np.ndarray
     value: float | None
     gap: float
     iterations: int
     converged: bool
+    stop_reason: str = ""
 
 
 def eg_minimize(grad_fn, d: int, *, value_fn=None, tolerance: float = 1e-9,
@@ -397,4 +431,4 @@ def eg_minimize(grad_fn, d: int, *, value_fn=None, tolerance: float = 1e-9,
         lam = np.maximum(lam, 1e-300)
         lam /= lam.sum()
     value = float(value_fn(best)) if value_fn is not None else None
-    return SimplexResult(best, value, best_gap, iterations, converged)
+    return SimplexResult(best, value, best_gap, iterations, converged, "gap" if converged else "max_iterations")

@@ -163,16 +163,18 @@ def _pool(blocks):
         def value(z):
             return sum(kernel.evaluate(d, p[..., 0], p[..., 1:]) for kernel, d, p in each(z))
 
-        def gradient(z):
-            partials = [kernel.partials(d, p[..., 0], p[..., 1:])[..., 1:] for kernel, d, p in each(z)]
-            return np.concatenate([p - partials[-1] for p in partials[:-1]], axis=-1)
+        def value_and_gradient(z):
+            values, partials = zip(*(kernel.evaluate_with_partials(d, p[..., 0], p[..., 1:])
+                                     for kernel, d, p in each(z)))
+            return sum(values), np.concatenate([p[..., 1:] - partials[-1][..., 1:] for p in partials[:-1]],
+                                               axis=-1)
 
         def partials(z):
             last = _pieces(z, k_x, k_children, j)[-1]
             return kernels[-1].partials(data[-1], last[..., 0], last[..., 1:])
 
         # the even split, each piece shifted to no own cash
-        return value, gradient, partials, np.tile((k_children - k_x[..., None]) / j, j - 1)
+        return value, value_and_gradient, partials, np.tile((k_children - k_x[..., None]) / j, j - 1)
 
     descriptor = "pooled(" + ", ".join(kernel.descriptor or "custom" for kernel in kernels) + ")"
     return lift, descriptor, all(kernel.smooth for kernel in kernels)

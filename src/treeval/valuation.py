@@ -319,24 +319,29 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
     """Values, maximizers and convergence flags of the one-step sups of a
     block, all rows and nodes at once through ``optim.sup_rows`` with the
     tolerances of ``opts``; data: (lift data, nodes).  ``lift(lift data,
-    k_x (r, b), k_children (r, b, m))`` gives the objective and its gradient
-    in the search variable (..., r, b, d), the partials in (own cash,
-    children) at a fixed search point, and the start, all broadcasting over
-    leading axes.  A sup that runs away raises a divergence error naming
-    its node, with the direction."""
+    k_x (r, b), k_children (r, b, m))`` gives the objective in the search
+    variable (..., r, b, d), its value and gradient from one call, the
+    partials in (own cash, children) at a fixed search point, and the
+    start, all broadcasting over leading axes.  A sup that runs away raises
+    a divergence error naming its node, with the direction."""
     lift_data, nodes = data
     lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
     k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
-    value, gradient, _, z0 = lift(lift_data, k_x, k_children)
+    value, value_and_gradient, _, z0 = lift(lift_data, k_x, k_children)
 
     def row(i: int):
         r, j = divmod(i, b)
-        f, grad, _, _ = lift(_take(lift_data, slice(j, j + 1)), k_x[r, j:j + 1], k_children[r, j:j + 1])
-        return (lambda batch: f(batch[:, None, :])[:, 0],
-                lambda z: (float(f(z[None, None, :])[0, 0]), grad(z[None, None, :])[0, 0]))
+        f, fg, _, _ = lift(_take(lift_data, slice(j, j + 1)), k_x[r, j:j + 1], k_children[r, j:j + 1])
 
-    z, values, fallback = sup_rows(value, gradient, z0, smooth=smooth, gradient_tolerance=opts.gradient_tolerance,
-                                   max_iterations=opts.max_iterations, row=row)
+        def at(z):
+            fz, gz = fg(z[None, None, :])
+            return float(fz[0, 0]), gz[0, 0]
+
+        return lambda batch: f(batch[:, None, :])[:, 0], at
+
+    z, values, fallback = sup_rows(value, value_and_gradient, z0, smooth=smooth,
+                                   gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations,
+                                   row=row)
     converged = np.ones(values.shape, dtype=bool)
     for i, res in fallback.items():
         if res.diverged:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeval.dual
 from helpers import (
     binary_tree,
     numeric_dual_closure,
@@ -40,7 +41,7 @@ from treeval.families import (
     worst_case_params,
 )
 from treeval.tree import CashBalance
-from treeval.valuation import assemble, linear_one_step
+from treeval.valuation import OneStepValuation, assemble, linear_one_step
 
 THREE_NODE_DUAL = 0.02526715392157057  # 0.5 log(5/4) + 0.3 log(3/4)
 
@@ -151,6 +152,55 @@ class TestDualValue:
         _, _, res = dual_value_and_argmax(fam, "root", {"root": 0.2, "up": 0.5, "down": 0.3})
         assert res.stop_reason == "gradient"
         assert 0 < res.iterations <= res.gradient_evaluations
+
+    @pytest.mark.parametrize("start", [np.zeros(2), np.zeros((1, 3)), np.array([0.0, math.nan, 0.0])])
+    def test_start_must_be_one_finite_number_per_free_coordinate(self, start):
+        t, params, fam = entropic_setup()
+        with pytest.raises(ValidationError, match="start"):
+            dual_value_and_argmax(fam, "root", {"root": 0.2, "up": 0.5, "down": 0.3}, start=start)
+
+    @pytest.mark.parametrize("lam", [(0.2, 0.5, 0.3), (0.6, 0.2, 0.2)])
+    def test_newton_point_must_meet_the_whole_gradient(self, lam):
+        # half an entropic one-step is smooth and concave but not translation
+        # invariant: a constant c added to the cash moves the value by c / 2,
+        # so the dual runs off to +inf along -(1, 1, 1).  With the root's
+        # cash pinned, Newton can still find a stationary point in the
+        # children (at (0.6, 0.2, 0.2), where half the softmax matches the
+        # children's masses); the root's partial, 0.1 - 0.6, rejects it.
+        t, params, _ = entropic_setup()
+        step = entropic_one_step(params, "root")
+        fam = assemble(t, {"root": OneStepValuation(lambda k_x, k_c: 0.5 * step.evaluate(k_x, k_c), "half")})
+        value, argmax, res = dual_value_and_argmax(fam, "root", masses(lam))
+        assert value == math.inf and argmax is None
+        assert res.method == "newton+bfgs" and res.diverged
+
+    def test_newton_route_sweeps_once_per_trial_point(self, monkeypatch):
+        # each trial point and its Hessian stencil (one point per free
+        # coordinate but the pinned own cash) is one reverse sweep; no
+        # forward-only sweep runs
+        rng = np.random.default_rng(5)
+        t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
+        params = entropic_params(t, 1.3)
+        fam = entropic_family(params)
+        lam = sample_density(t, "r", rng)
+        sweeps, trials = [], []
+        sweep, newton = fam.values_and_gradient, treeval.dual.newton_ascent
+
+        def refuse(*args):
+            raise AssertionError("a forward-only sweep ran")
+
+        def counted(value_and_gradient, x0, **kwargs):
+            return newton(lambda points: trials.append(points.shape) or value_and_gradient(points), x0, **kwargs)
+
+        monkeypatch.setattr(fam, "values_and_gradient", lambda values, xi: sweeps.append(values.shape)
+                            or sweep(values, xi))
+        monkeypatch.setattr(fam, "node_values", refuse)
+        monkeypatch.setattr(treeval.dual, "newton_ascent", counted)
+        value, _, res = dual_value_and_argmax(fam, "r", lam)
+        assert res.method == "newton" and res.converged
+        assert len(sweeps) == len(trials) == res.gradient_evaluations > res.iterations > 0
+        assert set(sweeps) == {(t.n_nodes, t.n_nodes)}
+        assert value == pytest.approx(entropic_dual(params, "r", lam.values), abs=1e-9)
 
     def test_weak_duality_numeric(self):
         rng = np.random.default_rng(3)
@@ -307,7 +357,13 @@ class TestKinkedDuals:
 
     def test_solves_record_their_method(self):
         _, _, res = dual_value_and_argmax(entropic_setup()[2], "root", masses((0.2, 0.5, 0.3)))
-        assert res.method == "bfgs"
+        assert res.method == "newton" and res.stop_reason == "gradient"
+        # mass off the subtree: Newton stops at once, and BFGS finds the ray
+        t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
+        _, _, res = dual_value_and_argmax(entropic_family(entropic_params(t, 1.0)), "u",
+                                          {"uu": 0.4, "ud": 0.3, "dd": 0.3})
+        assert res.method == "newton+bfgs" and res.diverged
+        assert res.gradient_evaluations > res.iterations > 0
         _, _, res = dual_value_and_argmax(worst_case_setup([[0.5, 0.5]], stopping=True), "root",
                                           masses((0.2, 0.4, 0.4)))
         assert res.method == "nelder-mead"

@@ -294,6 +294,14 @@ class TestIndifferencePrice:
             for c in (-1.7, 0.0, 0.3, 2.5):
                 assert float(indifference_price(utility, x0, p, [c] * len(p))) == c
 
+    def test_exponential_price_of_widely_spread_outcomes(self):
+        # Newton from the mean, 640 here, gains only about 1/gamma a step on
+        # the exponential: 100 steps stopped near 307
+        p, k = np.array([0.3, 0.4, 0.3]), np.array([0.0, 1812.0, 27.0])
+        expected = -np.log(np.sum(p * np.exp(-1.662 * k))) / 1.662
+        price = float(indifference_price(ExponentialUtility(1.662), 0.0, p, k))
+        assert price == pytest.approx(expected, abs=1e-14)
+
     @pytest.mark.parametrize("utility, x0", [(CRRAUtility(2.0), 5.0), (CRRAUtility(4.0), 2.0),
                                              (CRRAUtility(0.5), 3.0), (ExponentialUtility(1.3), 0.0)])
     def test_prices_solve_the_indifference_equation_to_rounding(self, utility, x0):

@@ -22,9 +22,13 @@ from helpers import (
 from treeval.dual import DualSolverOptions
 from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
+    CRRAUtility,
+    ExponentialUtility,
     entropic_family,
     entropic_params,
     entropic_value,
+    ui_family,
+    ui_params,
     worst_case_family,
     worst_case_params,
 )
@@ -392,6 +396,51 @@ def test_market_value_is_reproduced_by_its_strategy_or_raises(data):
     hedged = CashBalance(t, k.values + gains(mkt, x, res.strategy).values)
     assert abs(fam.value(x, hedged) - res.value) <= 1e-9
     assert res.value >= fam.value(x, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_market_value_of_other_families_is_finite_or_raises(data):
+    # random one-asset binomial lattices of depth 1 or 2, whose price moves
+    # by the same factors out of every node, on either side of 1 or not;
+    # CRRA and exponential indifference, and worst-case families with and
+    # without stopping: every call raises a TreevalError or returns finite
+    # numbers
+    depth = data.draw(st.integers(1, 2))
+    n = 2 ** (depth + 1) - 1
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    t = binary_tree(depth, weights=weights / weights.sum())
+    up, down = data.draw(st.floats(0.5, 2.5)), data.draw(st.floats(0.4, 1.6))
+    mkt = market(t, {"s": {x: up ** x.count("u") * down ** x.count("d") for x in t.ids}})
+    k = CashBalance(t, np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))))
+    x = t.ids[data.draw(st.integers(0, n - 1))]
+    gamma = data.draw(st.floats(0.3, 2.0))
+    kind = data.draw(st.sampled_from(["crra", "exponential", "worst", "worst_stopping"]))
+    if kind == "crra":
+        fam = ui_family(ui_params(t, CRRAUtility(data.draw(st.sampled_from([0.5, 2.0, 3.0]))),
+                                  data.draw(st.floats(0.5, 10.0))))
+    elif kind == "exponential":
+        fam = ui_family(ui_params(t, ExponentialUtility(gamma), data.draw(st.floats(-5.0, 5.0))))
+    else:
+        alphas = {t.ids[i]: [[a, 1.0 - a] for a in data.draw(st.lists(st.floats(0.05, 0.95), min_size=1,
+                                                                       max_size=2))]
+                  for i in t.internal_indices()}
+        fam = worst_case_family(worst_case_params(t, alphas, stopping=kind == "worst_stopping"))
+    try:
+        res = market_value(fam, mkt, x, k)
+    except TreevalError:
+        return
+    assert np.isfinite([res.value, res.normalized, res.access_value]).all()
+    assert all(np.isfinite(v).all() for v in res.strategy.holdings.values())
+    if kind == "exponential" and down < 1.0 < up:
+        # exponential indifference is the entropic valuation at the same
+        # gamma.  With a martingale measure out of every node each hedge's
+        # sup is attained, and both solves reach it to rounding; without
+        # one it is approached only as the position grows, and where each
+        # solve stops on its gradient test sets the last digits.
+        ent = market_value(entropic_family(entropic_params(t, gamma)), mkt, x, k)
+        assert abs(res.value - ent.value) <= 1e-12
+        assert abs(res.access_value - ent.access_value) <= 1e-12
 
 
 def test_hedging_never_imports_scipy_optimize():

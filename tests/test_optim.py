@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treeval.errors import DomainError
-from treeval.optim import fd_gradient, maximize, sup, sup_rows
+from treeval.optim import eg_minimize, fd_gradient, maximize, newton_ascent, sup, sup_rows
 
 
 def concave_quadratic(seed: int, d: int = 10, condition: float = 1e4):
@@ -141,3 +141,55 @@ class TestSup:
                                    max_iterations=1000, row=refuse)
         assert calls == [(2, 3, 0)] and x.shape == (2, 3, 0) and fallback == {}
         assert np.array_equal(fx, np.arange(6.0).reshape(2, 3))
+
+
+def shifted_quadratic(slope: float):
+    """A smooth concave objective of (x0, x1, x2) and its value-and-gradient
+    callable for stacks of points: -((x1 - x0 - 1)^2 + (x2 - x0 + 2)^2) / 2
+    - slope x0.  With slope 0 it is flat along (1, 1, 1), so its maxima form
+    a line; otherwise it has none."""
+    calls = []
+
+    def value_and_gradient(points):
+        calls.append(points.shape)
+        a, b = points[..., 1] - points[..., 0] - 1.0, points[..., 2] - points[..., 0] + 2.0
+        grad = np.stack([a + b - slope, -a, -b], axis=-1)
+        return -0.5 * (a * a + b * b) - slope * points[..., 0], grad
+
+    return value_and_gradient, calls
+
+
+class TestNewtonAscent:
+    def test_a_held_coordinate_stays_and_the_rest_finish(self):
+        value_and_gradient, calls = shifted_quadratic(0.0)
+        res = newton_ascent(value_and_gradient, np.array([[0.5, 0.0, 0.0], [-1.0, 3.0, 2.0]]),
+                            gradient_tolerance=1e-10, held=1)
+        assert res.converged.all() and res.method == "newton"
+        assert np.array_equal(res.x[:, 0], [0.5, -1.0])
+        assert np.allclose(res.x[:, 1:], [[1.5, -1.5], [0.0, -3.0]], atol=1e-8)
+        assert np.all(res.gradient_norm <= 1e-10) and np.all(res.value >= -1e-18)
+
+    def test_one_call_per_trial_point_with_its_stencil(self):
+        # a quadratic takes one step: the start and the step, each with its
+        # two stencil points for the two searched coordinates
+        value_and_gradient, calls = shifted_quadratic(0.0)
+        res = newton_ascent(value_and_gradient, np.zeros(3), gradient_tolerance=1e-8, held=1)
+        assert res.converged and res.iterations == 1
+        assert calls == [(3, 3), (3, 3)] and res.gradient_evaluations == 2
+
+    def test_the_held_coordinate_is_part_of_the_gradient_test(self):
+        # the search coordinates settle, but the held one keeps a slope of -1:
+        # no maximum, so the row does not finish
+        value_and_gradient, _ = shifted_quadratic(1.0)
+        res = newton_ascent(value_and_gradient, np.zeros(3), gradient_tolerance=1e-8, held=1)
+        assert not res.converged and res.gradient_norm == pytest.approx(1.0)
+        assert res.x[0] == 0.0 and np.allclose(res.x[1:], [1.0, -2.0])
+
+
+class TestSimplexDescent:
+    def test_records_its_stop_reason(self):
+        target = np.array([0.2, 0.3, 0.5])
+        res = eg_minimize(lambda lam: lam - target, 3, tolerance=1e-9)
+        assert res.converged and res.stop_reason == "gap"
+        res = eg_minimize(lambda lam: lam - target, 3, tolerance=1e-9, max_iterations=2)
+        assert not res.converged and res.stop_reason == "max_iterations" and res.iterations == 2

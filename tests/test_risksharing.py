@@ -749,7 +749,7 @@ def test_entropic_paths_never_import_scipy_optimize():
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value
+        from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value, sample_density
         from treeval.families import (CRRAUtility, entropic_family, entropic_one_step, entropic_params,
                                       ui_family, ui_one_step, ui_params, worst_case_family, worst_case_params)
         from treeval.market import market, market_value
@@ -785,6 +785,9 @@ def test_entropic_paths_never_import_scipy_optimize():
         binary = build_tree([NodeRecord(i, None if i == "r" else (i[:-1] or "r"), 1.0 / 7) for i in ids])
         crra_pool = [entropic_params(binary, 1.0), ui_family(ui_params(binary, CRRAUtility(2.0), 5.0))]
         assert check_sharing_axioms(crra_pool, trials=2, seed=1).all_passed
+        # entropic dual solves finish in the Newton stage
+        for x in ("r", "u", "d"):
+            dual_value(entropic_family(entropic_params(binary, 1.3)), x, sample_density(binary, x, rng))
         print("scipy.optimize" in sys.modules)
     """)
     src = str(Path(treeval.__file__).parents[1])

@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import treeval.families
+import treeval.optim
 import treeval.valuation
 from helpers import (
     binary_tree,
@@ -29,6 +31,7 @@ from treeval.market import hedged_family, market
 from treeval.risksharing import pooled_family
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
+    Block,
     OneStepValuation,
     ValuationFamily,
     assemble,
@@ -281,6 +284,49 @@ class TestReverseSweep:
         del calls[:]
         fam.values_and_gradient(k, t.node_index(x))
         assert len(calls) == forward
+
+    @pytest.mark.parametrize("kind", ["hedged", "pooled_crra"])
+    def test_newton_makes_one_inner_call_per_trial_point(self, monkeypatch, kind):
+        # every trial point of the batched Newton stage, with its Hessian
+        # stencil, is one evaluate_with_partials of each inner kernel (one
+        # for a hedge, one per subsidiary for a pool), and no evaluate
+        t, mkt = _lattice(3)
+        counts = {"newton": False, "trials": 0, "evaluate": 0, "grad": 0}
+
+        def counted(fn, name):
+            def call(*args):
+                counts[name] += counts["newton"]
+                return fn(*args)
+            return call
+
+        def counting(family):
+            return ValuationFamily(t, lambda: [
+                Block(replace(b.kernel, evaluate=counted(b.kernel.evaluate, "evaluate"),
+                              grad=counted(b.kernel.grad, "grad")), b.data, b.nodes, b.kids)
+                for b in family.blocks])
+
+        newton = treeval.optim.newton_ascent
+
+        def stage(value_and_gradient, x0, **kwargs):
+            def trial(points):
+                counts["trials"] += 1
+                return value_and_gradient(points)
+
+            counts["newton"] = True
+            try:
+                return newton(trial, x0, **kwargs)
+            finally:
+                counts["newton"] = False
+
+        monkeypatch.setattr(treeval.optim, "newton_ascent", stage)
+        if kind == "hedged":
+            fam, pieces = hedged_family(counting(entropic_family(entropic_params(t, 1.0))), mkt), 1
+        else:
+            fam, pieces = pooled_family([counting(entropic_family(entropic_params(t, 1.0))),
+                                         counting(ui_family(ui_params(t, CRRAUtility(2.0), 5.0)))]), 2
+        fam.node_values(np.random.default_rng(9).uniform(-1.0, 1.0, (8, t.n_nodes)))
+        assert counts["trials"] > 0 and counts["evaluate"] == 0
+        assert counts["grad"] == pieces * counts["trials"]
 
     @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
     @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
