@@ -93,15 +93,6 @@ class ExponentialUtility:
             raise DomainError("exponential utility takes values in (-inf, 0)")
         return -np.log(-v) / self.gamma
 
-    def log_marginal(self, w):
-        """log u'(w)."""
-        return np.log(self.gamma) - self.gamma * np.asarray(w, dtype=float)
-
-    def value_and_marginal(self, w):
-        """u(w) and u'(w) from one exponential."""
-        e = np.exp(-self.gamma * np.asarray(w, dtype=float))
-        return -e, self.gamma * e
-
 
 @dataclass(frozen=True)
 class CRRAUtility:
@@ -364,12 +355,13 @@ def _entropic_log_argmin(gamma: float, data, k_x, k_children) -> np.ndarray:
 
 
 def _entropic_kernel(gamma: float) -> Kernel:
-    """One-step exponential certainty equivalent; data: the log-weights of
-    (own weight, child subtree weights) over the subtree weight.  Data with
-    a second array, the vertices (b, v, m + 1) of a polytope, confine the
-    density of the conjugate problem to the polytope (the pooling rule of a
-    polyhedral subsidiary): the value is then that problem's minimum and the
-    partials its minimizer, found by ``_polytope_log_argmin``."""
+    """One-step exponential certainty equivalent, stating its ``gamma``;
+    data: the log-weights of (own weight, child subtree weights) over the
+    subtree weight, or of any positive weights.  Data with a second array,
+    the vertices (b, v, m + 1) of a polytope, confine the density of the
+    conjugate problem to the polytope (the pooling rule of a polyhedral
+    subsidiary): the value is then that problem's minimum and the partials
+    its minimizer, found by ``_polytope_log_argmin``."""
 
     def evaluate(data, k_x, k_children):
         if len(data) == 1:
@@ -393,7 +385,7 @@ def _entropic_kernel(gamma: float) -> Kernel:
         pos = q > 0
         return float(np.sum(q[pos] * (np.log(q[pos]) - data[0][0, pos])) / gamma)
 
-    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad)
+    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad, gamma=gamma)
 
 
 def _entropic_data(params: EntropicParams):
@@ -534,21 +526,26 @@ def worst_case_family(params: WorstCaseParams) -> ValuationFamily:
 # utility-indifference family
 
 
+def _check_utility(utility) -> None:
+    if not isinstance(utility, (CRRAUtility, ExponentialUtility)):
+        raise ValidationError(f"utility must be a CRRAUtility or an ExponentialUtility, not {type(utility).__name__}")
+
+
 def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     """The sure payment making the agent indifferent to the outcome vector:
     the b solving  u(x0) = sum_y p_y u(x0 + k_y - b).
 
     Exponential utility has the closed form -log sum p exp(-gamma k) / gamma;
-    other utilities are solved by safeguarded Newton to rounding
-    (``_newton_price``) inside [min k, max k], intersected for
-    bounded-wealth utilities with the wealth wall b < x0 + min k (the root
-    always lies between the extreme outcomes, and for R > 1 the utility
-    side drops to -inf at the wall, so a root always exists there; for
-    R < 1 a root can fail to exist and that raises a domain error naming
-    the outcomes).  The price is monotone in each outcome and shifts
-    one-for-one with constants.  Broadcasts over a leading batch axis of
-    ``outcomes``.
+    CRRA utilities are solved by safeguarded Newton to rounding
+    (``_newton_price``) inside [min k, max k] intersected with the wealth
+    wall b < x0 + min k (the root always lies between the extreme outcomes,
+    and for R > 1 the utility side drops to -inf at the wall, so a root
+    always exists there; for R < 1 a root can fail to exist and that raises
+    a domain error naming the outcomes).  The price is monotone in each
+    outcome and shifts one-for-one with constants.  Broadcasts over a
+    leading batch axis of ``outcomes``.
     """
+    _check_utility(utility)
     p = np.asarray(probs, dtype=float)
     if not is_probability(p, positive=True):
         raise ValidationError("outcome probabilities must be strictly positive and sum to 1")
@@ -564,9 +561,9 @@ PRICE_ITERATIONS = 100
 
 
 def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Newton core of ``indifference_price`` for validated probabilities
-    ``p`` that broadcast against the outcomes ``k`` along the trailing axes
-    (the closed form for exponential utility).
+    """Core of ``indifference_price`` for validated probabilities ``p`` that
+    broadcast against the outcomes ``k`` along the trailing axes: the closed
+    form for exponential utility, Newton for CRRA.
 
     g(b) = sum p u(x0 + k - b) - u(x0) is concave and decreasing in b, with
     g'(b) = -sum p u'.  Newton starts at the smaller of the mean outcome
@@ -586,36 +583,27 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
         tail = _reduce_last(np.add, p * np.exp(-utility.gamma * (k - low[..., None])))
         return low - np.log(tail / _reduce_last(np.add, p)) / utility.gamma
     lo = np.array(_reduce_last(np.minimum, k), dtype=float)
-    hi = np.array(_reduce_last(np.maximum, k), dtype=float)
+    hi = np.minimum(_reduce_last(np.maximum, k), x0 + lo)
     target = float(utility.value(x0))
-    crra = isinstance(utility, CRRAUtility)
-    if crra:
-        hi = np.minimum(hi, x0 + lo)
-        if utility.R < 1.0:
-            # u(0+) = 0 here, so the utility side stays bounded at the wall
-            # and indifference can be unachievable with nonnegative wealth
-            wall_wealth = k - lo[..., None]
-            g_wall = np.sum(p * np.where(wall_wealth > 0,
-                                         utility.value(np.maximum(wall_wealth, 1e-300)), 0.0),
-                            axis=-1)
-            if np.any(g_wall > target):
-                flat = k.reshape(-1, k.shape[-1])
-                bad = flat[int(np.argmax(np.asarray(g_wall > target).reshape(-1)))]
-                raise DomainError(
-                    f"no indifference price with positive wealth at x0={x0}: {bad.tolist()}")
+    if utility.R < 1.0:
+        # u(0+) = 0 here, so the utility side stays bounded at the wall and
+        # indifference can be unachievable with nonnegative wealth
+        wall_wealth = k - lo[..., None]
+        g_wall = np.sum(p * np.where(wall_wealth > 0, utility.value(np.maximum(wall_wealth, 1e-300)), 0.0),
+                        axis=-1)
+        if np.any(g_wall > target):
+            flat = k.reshape(-1, k.shape[-1])
+            bad = flat[int(np.argmax(np.asarray(g_wall > target).reshape(-1)))]
+            raise DomainError(f"no indifference price with positive wealth at x0={x0}: {bad.tolist()}")
 
     price = np.clip(_reduce_last(np.add, p * k), lo, hi)
     done = np.zeros(price.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(PRICE_ITERATIONS):
             wealth = x0 + k - price[..., None]
-            if crra:
-                valid = _reduce_last(np.minimum, wealth) > 0
-                u, du = utility.value_and_marginal(wealth if valid.all() else np.where(wealth > 0, wealth, 1.0))
-                g = np.where(valid, _reduce_last(np.add, p * u) - target, -np.inf)
-            else:
-                u, du = utility.value_and_marginal(wealth)
-                g = _reduce_last(np.add, p * u) - target
+            valid = _reduce_last(np.minimum, wealth) > 0
+            u, du = utility.value_and_marginal(wealth if valid.all() else np.where(wealth > 0, wealth, 1.0))
+            g = np.where(valid, _reduce_last(np.add, p * u) - target, -np.inf)
             lo, hi = np.where(g > 0, price, lo), np.where(g < 0, price, hi)
             slope = _reduce_last(np.add, p * du)
             exact = g == 0
@@ -637,11 +625,12 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class UIParams:
-    """Single-period indifference pricing at each node: utility, reference
-    wealth, and strictly positive outcome probabilities over the node and
-    its children, checked on construction with one stacked gather per level
-    group: ``levels`` holds the stacks, one per ``tree.level_groups`` entry,
-    and ``probs`` then maps each node to its read-only row."""
+    """Single-period indifference pricing at each node: a CRRA or
+    exponential utility, reference wealth, and strictly positive outcome
+    probabilities over the node and its children, checked on construction
+    with one stacked gather per level group: ``levels`` holds the stacks,
+    one per ``tree.level_groups`` entry, and ``probs`` then maps each node
+    to its read-only row."""
 
     tree: Tree
     utility: object
@@ -650,6 +639,7 @@ class UIParams:
     levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_utility(self.utility)
         levels, table = [], {}
         for nodes, _ in self.tree.level_groups:
             names = [self.tree.ids[u] for u in nodes.tolist()]
@@ -702,9 +692,9 @@ def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float
     return UIParams(tree=tree, utility=utility, x0=float(x0), probs=probs)
 
 
-def _ui_kernel(utility, x0: float) -> Kernel:
-    """Indifference price of the (node, children) outcome vector; data: the
-    outcome probabilities of each node, checked by ``_ui_rows``."""
+def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
+    """CRRA indifference price of the (node, children) outcome vector; data:
+    the outcome probabilities of each node, checked by ``_ui_rows``."""
 
     def evaluate(data, k_x, k_children):
         return _newton_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
@@ -715,42 +705,38 @@ def _ui_kernel(utility, x0: float) -> Kernel:
         price = _newton_price(utility, x0, data[0], k)
         return price, _softmax(np.log(data[0]) + utility.log_marginal(x0 + k - price[..., None]))
 
-    dual = None
-    if isinstance(utility, CRRAUtility):
-        def dual(data, theta, psi):
-            q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-            return crra_one_period_dual(utility.R, x0, data[0][0], q)
-
-    elif isinstance(utility, ExponentialUtility):
-        def dual(data, theta, psi):
-            q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-            if not is_probability(q):
-                raise DomainError("one-step dual argument must be a probability")
-            pos = q > 0
-            return float(np.sum(q[pos] * np.log(q[pos] / data[0][0, pos])) / utility.gamma)
+    def dual(data, theta, psi):
+        q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
+        return crra_one_period_dual(utility.R, x0, data[0][0], q)
 
     return Kernel(evaluate, f"ui({type(utility).__name__}, x0={x0})", dual=dual, grad=grad)
 
 
-def _ui_data(params: UIParams):
-    """The checked rows of a level group, or of one node of it."""
+def _ui_step(params: UIParams):
+    """The kernel and data of the indifference one-steps, on the checked
+    rows of a level group or of one node of it: for exponential utility the
+    exponential one-step on their logarithms, which is its price whatever
+    x0, else the CRRA price on the rows."""
     tree = params.tree
     group, row = np.empty(tree.n_nodes, dtype=int), np.empty(tree.n_nodes, dtype=int)
     for g, (nodes, _) in enumerate(tree.level_groups):
         group[nodes], row[nodes] = g, np.arange(nodes.size)
-    return lambda nodes, kids: (params.levels[group[nodes[0]]][row[nodes]],)
+    if isinstance(params.utility, ExponentialUtility):
+        kernel, levels = _entropic_kernel(params.utility.gamma), tuple(np.log(rows) for rows in params.levels)
+    else:
+        kernel, levels = _ui_kernel(params.utility, params.x0), params.levels
+    return kernel, lambda nodes, kids: (levels[group[nodes[0]]][row[nodes]],)
 
 
 def ui_one_step(params: UIParams, x: str) -> OneStepValuation:
     """Indifference price of the (node, children) outcome vector.  Exactly
     translation invariant and monotone by construction; concave for concave
     utilities."""
-    return kernel_step(params.tree, _ui_kernel(params.utility, params.x0), _ui_data(params), x)
+    return kernel_step(params.tree, *_ui_step(params), x)
 
 
 def ui_family(params: UIParams) -> ValuationFamily:
-    return kernel_family(params.tree, _ui_kernel(params.utility, params.x0), _ui_data(params),
-                         descriptor=f"ui({type(params.utility).__name__})")
+    return kernel_family(params.tree, *_ui_step(params), descriptor=f"ui({type(params.utility).__name__})")
 
 
 def crra_one_period_dual(R: float, x0: float, probs, lam) -> float:

@@ -4,16 +4,17 @@ certainty-equivalent subsidiaries, allocation recovery, the
 gradient-proportionality stability certificate, and the axiom suite for the
 pooled family.
 
-Duals add under pooling.  For exponential subsidiaries this makes the
-one-step sup-convolution itself an exponential one-step, so their pooled
-family is one kernel family swept without a solver (``pooled_family``).
-One polyhedral subsidiary (a worst-case family with stopping) adds the
-indicator of its polytope, so pooling it with them is the same kernel with
-its density confined to that polytope, solved exactly in the vertex
-weights; the minimizing density rebuilds the allocation.  Any other mix
-(two polyhedral subsidiaries, CRRA or custom ones, a polytope that leaves a
-coordinate without mass) is pooled by one-step sup-convolutions solved
-numerically a level block at a time, whose splits rebuild the allocation.
+Duals add under pooling, and ``pooled_family`` reads the rule of each level
+block off the subsidiaries' one-step kernels there.  Exponential one-steps
+(``Kernel.gamma``: entropic families, exponential utility, earlier pools of
+them) pool to one exponential one-step, swept without a solver.  One
+polyhedral one-step beside them (``Kernel.vertices``: a worst-case family
+with stopping) adds the indicator of its polytope, so the block is the same
+kernel with its density confined to that polytope, solved exactly in the
+vertex weights; the minimizing density rebuilds the allocation.  Any other
+block (two polyhedral one-steps, CRRA or custom ones, a polytope that
+leaves a coordinate without mass) is pooled by one-step sup-convolutions
+solved numerically, whose splits rebuild the allocation.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
-from .families import (EntropicParams, _entropic_data, _entropic_kernel, _entropic_log_argmin, entropic_family,
-                       entropic_params)
+from .families import EntropicParams, _entropic_kernel, _entropic_log_argmin, entropic_family, entropic_params
 from .tree import CashBalance, Tree
 from .valuation import (AxiomReport, Block, ValuationFamily, _one_step_sups, _sup_kernel, _take, check_axioms,
-                        committed_family, kernel_family)
+                        committed_family)
 
 
 def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
@@ -191,46 +191,44 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
     return list(zip(*layouts))
 
 
-def _pooled(layout, tree: Tree, opts: DualSolverOptions, descriptor: str = "") -> ValuationFamily:
-    """The pooled family with a block of one-step sups per level of the
-    subsidiaries' ``_layout``."""
-    return ValuationFamily(tree, lambda: [
-        Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), blocks[0].nodes),
-              blocks[0].nodes, blocks[0].kids) for blocks in layout], descriptor=descriptor)
-
-
-def _kernel_pool(subs: Sequence) -> ValuationFamily | None:
-    """The pooled family as one kernel family, where the mix allows it, else
-    None.  The exponential subsidiaries pool to one exponential kernel
-    (Gamma, log w); at most one other subsidiary may join them, a polyhedral
-    one whose polytope gives every coordinate mass, and it confines the
-    kernel's density to that polytope at every node."""
-    tree = subs[0].tree
-    expo = [s for s in subs if isinstance(s, EntropicParams)]
-    others = [s for s in subs if not isinstance(s, EntropicParams)]
-    if not expo or len(others) > 1:
+def _rule(blocks: tuple[Block, ...]):
+    """(Gamma, r) where a kernel rule pools the blocks of one level, else
+    None: the exponential one-steps pool with Gamma = 1 / sum 1/gamma_j, and
+    at most one other block may join them, a polyhedral one whose polytope
+    gives every coordinate mass.  The split's remainder goes to block r:
+    that one, else the last."""
+    rest = [i for i, b in enumerate(blocks) if b.kernel.gamma is None]
+    if len(rest) == len(blocks) or len(rest) > 1:
         return None
-    big_gamma = 1.0 / sum(1.0 / s.gamma for s in expo)
-    weighted = [(big_gamma / s.gamma, _entropic_data(s)) for s in expo]
+    if rest:
+        other = blocks[rest[0]]
+        if other.kernel.vertices is None or not (other.kernel.vertices(other.data).max(axis=-2) > 0).all():
+            # a coordinate no vertex reaches (no stopping): the sup is not attained
+            return None
+    return 1.0 / sum(1.0 / b.kernel.gamma for b in blocks if b.kernel.gamma is not None), (rest or [-1])[0]
 
-    def log_w(nodes, kids):
-        return sum(r * data(nodes, kids)[0] for r, data in weighted)
 
-    descriptor = "pooled(" + ", ".join(f"entropic(gamma={s.gamma})" if isinstance(s, EntropicParams)
-                                       else s.descriptor or "custom" for s in subs) + ")"
-    kernel = _entropic_kernel(big_gamma)
-    if not others:
-        return kernel_family(tree, kernel, lambda nodes, kids: (log_w(nodes, kids),), descriptor=descriptor)
-    blocks = others[0].blocks
-    if any(b.kernel.vertices is None for b in blocks):
-        return None
-    polytopes = [b.kernel.vertices(b.data) for b in blocks]
-    if not all((v.max(axis=1) > 0).all() for v in polytopes):
-        # a coordinate no vertex reaches (no stopping): the sup is not attained
-        return None
-    kernel = replace(kernel, dual=None)
-    return ValuationFamily(tree, lambda: [Block(kernel, (log_w(b.nodes, b.kids), v), b.nodes, b.kids)
-                                          for b, v in zip(blocks, polytopes)], descriptor=descriptor)
+def _sup_block(blocks: tuple[Block, ...], tree: Tree, opts: DualSolverOptions) -> Block:
+    """The block of one-step sups that pools the blocks of one level."""
+    nodes, kids = blocks[0].nodes, blocks[0].kids
+    return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
+
+
+def _pooled_block(blocks: tuple[Block, ...], tree: Tree, opts: DualSolverOptions) -> Block:
+    """The pool of the blocks of one level: by ``_rule`` the exponential
+    kernel on log w' = sum (Gamma/gamma_j) log w_j, its density confined to
+    the polytope of the polyhedral block if there is one, else
+    ``_sup_block``."""
+    rule = _rule(blocks)
+    if rule is None:
+        return _sup_block(blocks, tree, opts)
+    big_gamma, r = rule
+    nodes, kids, kernel = blocks[0].nodes, blocks[0].kids, _entropic_kernel(big_gamma)
+    log_w = sum(big_gamma / b.kernel.gamma * b.data[0] for b in blocks if b.kernel.gamma is not None)
+    if blocks[r].kernel.gamma is not None:
+        return Block(kernel, (log_w,), nodes, kids)
+    return Block(replace(kernel, dual=None, gamma=None), (log_w, blocks[r].kernel.vertices(blocks[r].data)),
+                 nodes, kids)
 
 
 def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -240,9 +238,11 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     Each subsidiary's share of a child subtree can be shifted by a constant
     that translation invariance passes through its valuation, so the
     sup-convolution over whole allocations is the backward induction of
-    one-step sup-convolutions of the subsidiaries' one-step operators.
+    one-step sup-convolutions of the subsidiaries' one-step operators, one
+    block per level block of their ``_layout``.
 
-    Duals add under pooling.  Exponential one-steps with risk aversions
+    Duals add under pooling, so each block takes its rule from the kernels
+    there (``_pooled_block``).  Exponential one-steps with risk aversions
     gamma_j and log-weights log w_j pool to the exponential one-step with
     Gamma = 1 / sum 1/gamma_j on the log-weights sum (Gamma/gamma_j) log w_j,
     with no solver: its conjugate sum q (log q - log w') / Gamma is
@@ -252,15 +252,14 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     polytope P, so pooling one with the exponential ones is
     min over q in P of [q . k + sum q (log q - log w') / Gamma], a smooth
     convex problem solved exactly in the vertex weights, batched over the
-    nodes of each level.  Any other mix (two polyhedral subsidiaries, CRRA
-    or custom ones, a polytope that leaves a coordinate without mass) has
-    one block of one-step sups per level block of its subsidiaries (per
-    node where their blocks differ), solved with the tolerances of
-    ``opts``; where all are smooth its partials are the last subsidiary's
-    at its share (the envelope theorem)."""
-    tree, families = _common_tree(subs), [_as_family(s) for s in subs]
-    return _kernel_pool(subs) or _pooled(_layout(families), tree, opts or DEFAULT_OPTIONS,
-                                         "pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
+    nodes of the block.  Any other block (two polyhedral one-steps, CRRA or
+    custom ones, a polytope that leaves a coordinate without mass) is a
+    block of one-step sups, solved with the tolerances of ``opts``; where
+    all are smooth its partials are the last subsidiary's at its share (the
+    envelope theorem)."""
+    tree, families, opts = _common_tree(subs), [_as_family(s) for s in subs], opts or DEFAULT_OPTIONS
+    return ValuationFamily(tree, lambda: [_pooled_block(blocks, tree, opts) for blocks in _layout(families)],
+                           descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
 
 
 def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
@@ -297,40 +296,27 @@ def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, spli
 
 def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
     """``_allocate`` over the splits of ``pooled_family``, and whether every
-    solve converged.  A kernel rule splits by each node's minimizing density
-    q*, with no solve beyond the kernel's own: exponential subsidiary j takes
-    (log w_j - log q*) / gamma_j, whose one-step value is zero; the
-    polyhedral one, else the last exponential one, takes the remainder.
-    The numeric pool splits as one block solve per level finds."""
-    pooled, converged = _kernel_pool(subs), []
-    if pooled is not None:
-        rest = [i for i, s in enumerate(subs) if not isinstance(s, EntropicParams)]
-        r = rest[0] if rest else len(subs) - 1
-        big_gamma = 1.0 / sum(1.0 / s.gamma for s in subs if isinstance(s, EntropicParams))
+    solve converged.  A rule block splits by each node's minimizing density
+    q*, with no solve beyond the kernel's own: exponential subsidiary j
+    takes (log w_j - log q*) / gamma_j, whose one-step value is zero, and
+    block r of ``_rule`` the remainder.  A block of one-step sups splits as
+    its block solve finds."""
+    families = [_as_family(s) for s in subs]
+    tree, layout, converged = families[0].tree, _layout(families), []
+    pooled = pooled_family(families, opts)
 
-        def split(level, sel, total):
-            block = pooled.blocks[level]
-            nodes, kids = block.nodes[sel], block.kids[sel]
-            log_q = _entropic_log_argmin(big_gamma, _take(block.data, sel), total[:, 0], total[:, 1:])
-            steps, pieces = [], np.zeros((len(subs),) + total.shape)
-            for i, sub in enumerate(subs):
-                if isinstance(sub, EntropicParams):
-                    log_w = _entropic_data(sub)(nodes, kids)
-                    steps.append((_entropic_kernel(sub.gamma), log_w))
-                    pieces[i] = (log_w[0] - log_q) / sub.gamma
-                else:
-                    steps.append((sub.blocks[level].kernel, _take(sub.blocks[level].data, sel)))
-            pieces[r] += total - pieces.sum(axis=0)
-            return pieces, steps
-    else:
-        tree, layout = subs[0].tree, _layout([_as_family(s) for s in subs])
-        pooled = _pooled(layout, tree, opts)
-
-        def split(level, sel, total):
-            blocks, data = layout[level], _take(pooled.blocks[level].data, sel)
+    def split(level, sel, total):
+        blocks, data = layout[level], _take(pooled.blocks[level].data, sel)
+        steps, rule = [(b.kernel, _take(b.data, sel)) for b in blocks], _rule(blocks)
+        if rule is None:
             _, z, ok = _one_step_sups(*_pool(blocks), tree, opts, data, total[:, 0], total[:, 1:])
             converged.append(ok.all())
-            return _pieces(z, total[:, 0], total[:, 1:], len(blocks)), [(b.kernel, d) for b, d in zip(blocks, data[0])]
+            return _pieces(z, total[:, 0], total[:, 1:], len(blocks)), steps
+        log_q = _entropic_log_argmin(rule[0], data, total[:, 0], total[:, 1:])
+        pieces = np.array([(d[0] - log_q) / kernel.gamma if kernel.gamma is not None else np.zeros(total.shape)
+                           for kernel, d in steps])
+        pieces[rule[1]] += total - pieces.sum(axis=0)
+        return pieces, steps
 
     return *_allocate(pooled, xi, values, len(subs), split), all(converged)
 
@@ -345,13 +331,13 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     reverse-sweep gradient is the minimizing density of the summed duals,
     and the allocation is the closed form ``entropic_allocation``.
     ``method='direct'`` rebuilds the allocation from the one-step splits:
-    where ``pooled_family`` is a kernel rule, from each node's minimizing
-    density, with no solver; otherwise from the maximizing splits of the
-    numeric pool, one block solve per level.  ``opts`` tunes only that
-    numeric route; neither kernel rule reads it.  ``'auto'`` picks the dual
-    route when every subsidiary is exponential.  The allocation always sums
-    to the balance on the subtree; the value achieved by it is reported for
-    verification.
+    in a level block that ``pooled_family`` pools by a kernel rule, from
+    each node's minimizing density, with no solver; in a block of one-step
+    sups, from their maximizing splits, one block solve.  ``opts`` tunes
+    only those blocks; neither kernel rule reads it.  ``'auto'`` picks the
+    dual route when every subsidiary is ``EntropicParams``.  The allocation
+    always sums to the balance on the subtree; the value achieved by it is
+    reported for verification.
     """
     if method not in ("auto", "dual", "direct"):
         raise ValidationError(f"unknown method {method!r}; use 'auto', 'dual' or 'direct'")
@@ -451,11 +437,12 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
                          opts: DualSolverOptions | None = None,
                          cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
     """Axiom suite for the normalized pooled family: the pooled family
-    committed to the zero balance.  Its default tolerance is 1e-8 where the
-    pooled family is a kernel rule, which is exact, and 1e-5 on the numeric
-    route, reflecting the one-step solves."""
-    pooled = pooled_family(subs, opts or DualSolverOptions(gradient_tolerance=1e-7))
-    exact = _kernel_pool(subs) is not None
+    committed to the zero balance.  Its default tolerance is 1e-8 where a
+    kernel rule pools every level block, which is exact, and 1e-5 where
+    some block is one of one-step sups, reflecting their solves."""
+    families = [_as_family(s) for s in subs]
+    pooled = pooled_family(families, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    exact = all(_rule(blocks) is not None for blocks in _layout(families))
     family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
     tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

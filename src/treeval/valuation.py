@@ -73,6 +73,9 @@ class Kernel:
     ``vertices(data)``, for a polyhedral one-step (the minimum of linear
     functionals of (own cash, children)), gives the vertices (b, v, m + 1)
     of its dual domain: the operator is the minimum of ``q . k`` over them.
+    ``gamma``, for an exponential one-step, is its risk aversion, with
+    ``data[0]`` the log-weights log w of (own cash, children), unnormalized:
+    the operator is ``-log sum w exp(-gamma k) / gamma``.
     """
 
     evaluate: Callable
@@ -81,6 +84,7 @@ class Kernel:
     dual: Callable | None = None
     grad: Callable | None = None
     vertices: Callable | None = None
+    gamma: float | None = None
 
     def evaluate_with_partials(self, data, k_x, k_children) -> tuple[np.ndarray, np.ndarray]:
         """Values (..., b) and local partials (..., b, m + 1) from one call:

@@ -194,6 +194,33 @@ class TestVerbs:
         expected = share_value(subs, "root", load_cash(files["cash"], tree))
         assert json.loads(out)["results"]["value"] == expected.value
 
+    def test_share_of_a_ui_exponential_and_a_worst_case_file_runs_no_numeric_sup(self, files, tmp_path, capsys,
+                                                                              monkeypatch):
+        # exponential utility's one-steps are the exponential kernel, so the
+        # polytope pooling rule covers the pair, and prices it as the
+        # entropic file with the same gamma
+        ui = tmp_path / "ui.json"
+        ui.write_text(json.dumps({"family": "ui", "utility": "exponential", "gamma": 1.0, "x0": 2.0}))
+        worst = tmp_path / "worst.json"
+        worst.write_text(json.dumps({"family": "worst", "alphas": {"root": [[0.3, 0.7]]}, "stopping": True}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numeric sup ran")
+
+        monkeypatch.setattr(optim, "sup", refuse)
+        monkeypatch.setattr(optim, "newton_ascent", refuse)
+        monkeypatch.setattr(optim, "maximize_nelder_mead", refuse)
+        code, out, _ = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
+                                "--family", str(ui), str(worst)], capsys)
+        assert code == 0
+        report = json.loads(out)
+        tree = load_tree_document(files["tree"]).tree
+        subs = [load_family(files["fam"], tree).entropic, load_family(str(worst), tree).family]
+        expected = share_value(subs, "root", load_cash(files["cash"], tree))
+        assert report["results"]["value"] == pytest.approx(expected.value, abs=1e-14)
+        assert report["residuals"]["feasibility_gap"] <= 1e-12
+        assert report["residuals"]["achieved_value_gap"] <= 1e-12
+
     def test_share_needs_two_families(self, files, capsys):
         code, _, err = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
                                 "--family", files["fam"]], capsys)

@@ -472,6 +472,15 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match="x0"):
             ui_params(t, CRRAUtility(2.0), x0=-1.0)
 
+    @pytest.mark.parametrize("utility", ["log", None, 2.0])
+    def test_ui_params_need_a_supported_utility(self, utility):
+        with pytest.raises(ValidationError, match="utility must be"):
+            ui_params(three_node_tree(), utility, 1.0)
+
+    def test_indifference_price_needs_a_supported_utility(self):
+        with pytest.raises(ValidationError, match="utility must be"):
+            indifference_price(None, 1.0, [0.5, 0.5], [0.0, 1.0])
+
     @pytest.mark.parametrize("probs", [
         {"root": np.array([0.5, 0.7, 0.1])},
         {"root": np.array([np.nan, 0.5, 0.5])},

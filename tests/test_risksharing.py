@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeval
-from treeval import optim, risksharing
+from treeval import optim
 from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
 from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_density
 from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
+    ExponentialUtility,
     entropic_dual,
     entropic_family,
     entropic_one_step,
@@ -37,7 +38,7 @@ from treeval.risksharing import (
     share_value,
     stability_check,
 )
-from treeval.risksharing import _layout, _pooled
+from treeval.risksharing import _layout, _rule, _sup_block
 from treeval.tree import CashBalance
 from treeval.valuation import ValuationFamily, assemble, check_axioms, linear_one_step
 
@@ -45,9 +46,10 @@ TIGHT = DualSolverOptions(tolerance=1e-11)
 
 
 def numeric_pool(families, opts):
-    """The pool of the families by one-step sups, even where a kernel rule
-    covers their mix: the oracle of the kernel rules."""
-    return _pooled(_layout(families), families[0].tree, opts)
+    """The pool of the families by one-step sups at every level, even where
+    a kernel rule covers the level: the oracle of the kernel rules."""
+    tree = families[0].tree
+    return ValuationFamily(tree, lambda: [_sup_block(blocks, tree, opts) for blocks in _layout(families)])
 
 
 def hetero_pair():
@@ -275,6 +277,16 @@ def worst_subsidiary(rng, tree, distributions, stopping=True):
     return worst_case_family(worst_case_params(tree, alpha, stopping=stopping))
 
 
+def exponential_subsidiary(kind, tree, gamma):
+    """An exponential subsidiary on the tree's weights, as its parameters,
+    its entropic family, or an exponential-utility indifference family."""
+    if kind == "params":
+        return entropic_params(tree, gamma)
+    if kind == "entropic_family":
+        return entropic_family(entropic_params(tree, gamma))
+    return ui_family(ui_params(tree, ExponentialUtility(gamma), 2.0))
+
+
 class TestPolytopePoolingRule:
     """Exponential subsidiaries pooled with one worst-case subsidiary: one
     kernel family minimizing the pooled entropic conjugate over the
@@ -317,19 +329,77 @@ class TestPolytopePoolingRule:
         assert abs(res.achieved_value - res.value) <= 1e-12
 
     def test_pools_without_a_numeric_sup(self, monkeypatch):
+        # the rule is read off the kernels, whatever type the exponential
+        # subsidiary comes as, with a worst-case subsidiary or another
+        # exponential one
         def refuse(*args, **kwargs):
             raise AssertionError("a numeric sup ran on a kernel-rule path")
 
         monkeypatch.setattr(optim, "sup", refuse)
         monkeypatch.setattr(optim, "newton_ascent", refuse)
         monkeypatch.setattr(optim, "maximize_nelder_mead", refuse)
-        rng = np.random.default_rng(4)
         t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
-        subs = [entropic_params(t, 1.3), worst_subsidiary(rng, t, 2)]
+        for kind in ("params", "entropic_family", "ui_exponential"):
+            for with_worst in (True, False):
+                rng = np.random.default_rng(4)
+                subs = [exponential_subsidiary(kind, t, 1.3),
+                        worst_subsidiary(rng, t, 2) if with_worst else exponential_subsidiary(kind, t, 0.6)]
+                k = random_cash(rng, t, -2.0, 2.0)
+                res = share_value(subs, "u", k, method="direct")
+                assert res.converged and res.feasibility_gap <= 1e-12
+                assert abs(res.achieved_value - res.value) <= 1e-12
+                assert check_sharing_axioms(subs, trials=5, seed=3).all_passed
+
+    @pytest.mark.parametrize("with_worst", [True, False])
+    def test_entropic_families_pool_as_their_parameters_bit_for_bit(self, with_worst):
+        rng = np.random.default_rng(6)
+        t = random_tree(np.random.default_rng(61), max_depth=3, max_branching=3)
+        subs = []
+        for gamma in (0.7, 1.9, 1.2):
+            raw = rng.uniform(0.1, 1.0, t.n_nodes)
+            subs.append(entropic_params(t, gamma, raw / raw.sum()))
+        extra = [worst_subsidiary(rng, t, 2)] if with_worst else []
+        params, families = subs + extra, [entropic_family(s) for s in subs] + extra
+        rows = rng.uniform(-2.0, 2.0, (4, t.n_nodes))
+        assert np.array_equal(pooled_family(families).node_values(rows), pooled_family(params).node_values(rows))
         k = random_cash(rng, t, -2.0, 2.0)
-        res = share_value(subs, "u", k, method="direct")
+        a = share_value(params, t.root, k, method="direct")
+        b = share_value(families, t.root, k, method="direct")
+        assert [a.value, a.value_of_sharing, a.achieved_value] == [b.value, b.value_of_sharing, b.achieved_value]
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a.allocation, b.allocation))
+
+    def test_exponential_utility_pools_as_the_entropic_family(self):
+        rng = np.random.default_rng(8)
+        t = random_tree(np.random.default_rng(62), max_depth=3, max_branching=3)
+        worst = worst_subsidiary(rng, t, 2)
+        rows = rng.uniform(-2.0, 2.0, (4, t.n_nodes))
+        ui = pooled_family([exponential_subsidiary("ui_exponential", t, 1.3), worst]).node_values(rows)
+        ent = pooled_family([entropic_params(t, 1.3), worst]).node_values(rows)
+        assert np.array_equal(ui, ent)
+
+    def test_a_family_built_level_by_level_pools_each_level_by_its_own_rule(self):
+        # a worst-case family with stopping below the root and without it at
+        # the root: the polytope rule pools the lower level, and one-step
+        # sups the root, where the polytope leaves own cash without mass
+        rng = np.random.default_rng(31)
+        raw = rng.uniform(0.1, 1.0, 7)
+        t = binary_tree(2, weights=raw / raw.sum())
+        alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 2).tolist() for u in t.internal_indices()}
+        below = worst_case_family(worst_case_params(t, alpha, stopping=True)).blocks[0]
+        top = worst_case_family(worst_case_params(t, alpha, stopping=False)).blocks[1]
+        mixed = ValuationFamily(t, lambda: [below, top])
+        ent = entropic_family(entropic_params(t, float(rng.uniform(0.5, 2.0))))
+        assert [_rule(blocks) is not None for blocks in _layout([ent, mixed])] == [True, False]
+        pooled = pooled_family([ent, mixed])
+        numeric = numeric_pool([ent, mixed], DualSolverOptions(gradient_tolerance=1e-8))
+        rows = rng.uniform(-2.0, 2.0, (3, t.n_nodes))
+        assert np.max(np.abs(pooled.node_values(rows) - numeric.node_values(rows))) <= 1e-6
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value([ent, mixed], t.root, k, method="direct")
+        assert res.value == pytest.approx(pooled.value(t.root, k), abs=1e-12)
+        assert res.value >= global_pool_value([ent, mixed], t.root, k) - 1e-9
         assert res.converged and res.feasibility_gap <= 1e-12
-        assert check_sharing_axioms(subs, trials=5, seed=3).all_passed
+        assert abs(res.achieved_value - res.value) <= 1e-12
 
     def test_other_mixes_keep_the_numeric_route(self):
         t = three_node_tree()
@@ -337,9 +407,13 @@ class TestPolytopePoolingRule:
         stop = worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5]]}, stopping=True))
         no_stop = worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5]]}, stopping=False))
         crra = ui_family(ui_params(t, CRRAUtility(2.0), 5.0))
+
+        def rules(subs):
+            return [_rule(blocks) for blocks in _layout([entropic_family(ent) if s is ent else s for s in subs])]
+
         for subs in ([ent, no_stop], [ent, stop, stop], [ent, crra], [stop]):
-            assert risksharing._kernel_pool(subs) is None
-        assert risksharing._kernel_pool([ent, stop]) is not None
+            assert rules(subs) == [None]
+        assert None not in rules([ent, stop])
 
 
 def central_differences(fam, k, xi, h=1e-5):
@@ -742,6 +816,30 @@ def test_mixed_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, log
         assert all(np.isfinite(np.asarray(v, dtype=float)).all() for v in numbers), (name, numbers)
 
 
+@given(tree_seed=st.integers(0, 10_000), cash_seed=st.integers(0, 10_000), stopping=st.booleans(),
+       R=st.sampled_from([0.5, 2.0, 4.0]), log_x0=st.floats(-1.0, 2.0), log_scale=st.floats(-3.0, 6.0),
+       worst_first=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stability_check_on_non_entropic_subsidiaries_is_finite_or_raises(tree_seed, cash_seed, stopping, R,
+                                                                          log_x0, log_scale, worst_first):
+    # a worst-case and a CRRA subsidiary, either one giving the shadow
+    # density, on random small trees with allocations up to 1e6 in magnitude
+    tree = random_tree(np.random.default_rng(tree_seed), max_depth=2)
+    rng = np.random.default_rng(cash_seed)
+    alphas = {tree.ids[u]: rng.dirichlet(np.ones(len(tree.children_index[u])), 2) for u in tree.internal_indices()}
+    subs = [worst_case_family(worst_case_params(tree, alphas, stopping=stopping)),
+            ui_family(ui_params(tree, CRRAUtility(R), 10.0 ** log_x0))]
+    if not worst_first:
+        subs.reverse()
+    allocation = [CashBalance(tree, 10.0 ** log_scale * rng.uniform(-1.0, 1.0, tree.n_nodes)) for _ in subs]
+    for node_id in tree.ids:
+        try:
+            residual = stability_check(subs, allocation, node_id)
+        except TreevalError:
+            continue
+        assert np.isfinite(residual), (node_id, residual)
+
+
 def test_entropic_paths_never_import_scipy_optimize():
     # importing scipy.optimize alone roughly triples a process's peak RSS,
     # so smooth sups, CRRA pools among them, must finish without
@@ -750,8 +848,9 @@ def test_entropic_paths_never_import_scipy_optimize():
         import sys
         import numpy as np
         from treeval.dual import DualSolverOptions, dual_density, dual_value, one_step_dual_value, sample_density
-        from treeval.families import (CRRAUtility, entropic_family, entropic_one_step, entropic_params,
-                                      ui_family, ui_one_step, ui_params, worst_case_family, worst_case_params)
+        from treeval.families import (CRRAUtility, ExponentialUtility, entropic_family, entropic_one_step,
+                                      entropic_params, ui_family, ui_one_step, ui_params, worst_case_family,
+                                      worst_case_params)
         from treeval.market import market, market_value
         from treeval.risksharing import check_sharing_axioms, share_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
@@ -768,6 +867,13 @@ def test_entropic_paths_never_import_scipy_optimize():
         wc = worst_case_family(worst_case_params(tree, {"root": [[0.5, 0.5]]}, stopping=True))
         share_value([p1, wc], "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="direct")
         check_sharing_axioms([p1, wc], trials=25, seed=22, cash_range=(-2.0, 2.0))
+        # exponential subsidiaries given as families, or as exponential
+        # utility, pool by the same rules, with a worst-case family or not
+        ui_exp = ui_family(ui_params(tree, ExponentialUtility(1.0), 2.0))
+        for subs in ([entropic_family(p1), entropic_family(p2)], [entropic_family(p1), wc],
+                     [ui_exp, entropic_family(p2)], [ui_exp, wc]):
+            share_value(subs, "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="direct")
+            check_sharing_axioms(subs, trials=5, seed=2)
         one_step_dual_value(entropic_one_step(p1, "root"), 0.2, np.array([0.5, 0.3]))
         # criterion 08's six CRRA one-step duals, drawn as there
         crra = ui_one_step(ui_params(tree, CRRAUtility(2.0), x0=3.0), "root")
