@@ -192,43 +192,47 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
 
 
 def _rule(blocks: tuple[Block, ...]):
-    """(Gamma, r) where a kernel rule pools the blocks of one level, else
-    None: the exponential one-steps pool with Gamma = 1 / sum 1/gamma_j, and
-    at most one other block may join them, a polyhedral one whose polytope
-    gives every coordinate mass.  The split's remainder goes to block r:
-    that one, else the last."""
+    """(Gamma, r, vertices) where a kernel rule pools the blocks of one
+    level, else None: the exponential one-steps pool with
+    Gamma = 1 / sum 1/gamma_j, and at most one other block may join them, a
+    polyhedral one whose polytope (its vertices) gives every coordinate
+    mass.  The split's remainder goes to block r: that one, else the last
+    (and vertices is None)."""
     rest = [i for i, b in enumerate(blocks) if b.kernel.gamma is None]
     if len(rest) == len(blocks) or len(rest) > 1:
         return None
-    if rest:
-        other = blocks[rest[0]]
-        if other.kernel.vertices is None or not (other.kernel.vertices(other.data).max(axis=-2) > 0).all():
-            # a coordinate no vertex reaches (no stopping): the sup is not attained
-            return None
-    return 1.0 / sum(1.0 / b.kernel.gamma for b in blocks if b.kernel.gamma is not None), (rest or [-1])[0]
+    big_gamma = 1.0 / sum(1.0 / b.kernel.gamma for b in blocks if b.kernel.gamma is not None)
+    if not rest:
+        return big_gamma, -1, None
+    other = blocks[rest[0]]
+    v = None if other.kernel.vertices is None else other.kernel.vertices(other.data)
+    # a coordinate no vertex reaches (no stopping): the sup is not attained
+    return (big_gamma, rest[0], v) if v is not None and (v.max(axis=-2) > 0).all() else None
 
 
-def _sup_block(blocks: tuple[Block, ...], tree: Tree, opts: DualSolverOptions) -> Block:
-    """The block of one-step sups that pools the blocks of one level."""
+def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverOptions) -> Block:
+    """The pool of the blocks of one level under their ``_rule``: the
+    exponential kernel on log w' = sum (Gamma/gamma_j) log w_j, its density
+    confined to the polytope of the polyhedral block if there is one;
+    without a rule, a block of one-step sups."""
     nodes, kids = blocks[0].nodes, blocks[0].kids
-    return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
-
-
-def _pooled_block(blocks: tuple[Block, ...], tree: Tree, opts: DualSolverOptions) -> Block:
-    """The pool of the blocks of one level: by ``_rule`` the exponential
-    kernel on log w' = sum (Gamma/gamma_j) log w_j, its density confined to
-    the polytope of the polyhedral block if there is one, else
-    ``_sup_block``."""
-    rule = _rule(blocks)
     if rule is None:
-        return _sup_block(blocks, tree, opts)
-    big_gamma, r = rule
-    nodes, kids, kernel = blocks[0].nodes, blocks[0].kids, _entropic_kernel(big_gamma)
+        return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
+    big_gamma, _, v = rule
+    kernel = _entropic_kernel(big_gamma)
     log_w = sum(big_gamma / b.kernel.gamma * b.data[0] for b in blocks if b.kernel.gamma is not None)
-    if blocks[r].kernel.gamma is not None:
+    if v is None:
         return Block(kernel, (log_w,), nodes, kids)
-    return Block(replace(kernel, dual=None, gamma=None), (log_w, blocks[r].kernel.vertices(blocks[r].data)),
-                 nodes, kids)
+    return Block(replace(kernel, dual=None, gamma=None), (log_w, v), nodes, kids)
+
+
+def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):
+    """The pooled family of ``pooled_family`` and the (blocks, ``_rule``) of
+    each of its levels, one per level of the subsidiaries' ``_layout``."""
+    tree, levels = families[0].tree, [(blocks, _rule(blocks)) for blocks in _layout(families)]
+    pooled = ValuationFamily(tree, lambda: [_pooled_block(*level, tree, opts) for level in levels],
+                             descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
+    return pooled, levels
 
 
 def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -242,7 +246,7 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     block per level block of their ``_layout``.
 
     Duals add under pooling, so each block takes its rule from the kernels
-    there (``_pooled_block``).  Exponential one-steps with risk aversions
+    there (``_rule``).  Exponential one-steps with risk aversions
     gamma_j and log-weights log w_j pool to the exponential one-step with
     Gamma = 1 / sum 1/gamma_j on the log-weights sum (Gamma/gamma_j) log w_j,
     with no solver: its conjugate sum q (log q - log w') / Gamma is
@@ -257,9 +261,8 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     block of one-step sups, solved with the tolerances of ``opts``; where
     all are smooth its partials are the last subsidiary's at its share (the
     envelope theorem)."""
-    tree, families, opts = _common_tree(subs), [_as_family(s) for s in subs], opts or DEFAULT_OPTIONS
-    return ValuationFamily(tree, lambda: [_pooled_block(blocks, tree, opts) for blocks in _layout(families)],
-                           descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
+    _common_tree(subs)
+    return _pool_levels([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
 
 
 def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
@@ -301,15 +304,13 @@ def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
     takes (log w_j - log q*) / gamma_j, whose one-step value is zero, and
     block r of ``_rule`` the remainder.  A block of one-step sups splits as
     its block solve finds."""
-    families = [_as_family(s) for s in subs]
-    tree, layout, converged = families[0].tree, _layout(families), []
-    pooled = pooled_family(families, opts)
+    (pooled, levels), converged = _pool_levels([_as_family(s) for s in subs], opts), []
 
     def split(level, sel, total):
-        blocks, data = layout[level], _take(pooled.blocks[level].data, sel)
-        steps, rule = [(b.kernel, _take(b.data, sel)) for b in blocks], _rule(blocks)
+        (blocks, rule), data = levels[level], _take(pooled.blocks[level].data, sel)
+        steps = [(b.kernel, _take(b.data, sel)) for b in blocks]
         if rule is None:
-            _, z, ok = _one_step_sups(*_pool(blocks), tree, opts, data, total[:, 0], total[:, 1:])
+            _, z, ok = _one_step_sups(*_pool(blocks), pooled.tree, opts, data, total[:, 0], total[:, 1:])
             converged.append(ok.all())
             return _pieces(z, total[:, 0], total[:, 1:], len(blocks)), steps
         log_q = _entropic_log_argmin(rule[0], data, total[:, 0], total[:, 1:])
@@ -440,9 +441,9 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
     committed to the zero balance.  Its default tolerance is 1e-8 where a
     kernel rule pools every level block, which is exact, and 1e-5 where
     some block is one of one-step sups, reflecting their solves."""
-    families = [_as_family(s) for s in subs]
-    pooled = pooled_family(families, opts or DualSolverOptions(gradient_tolerance=1e-7))
-    exact = all(_rule(blocks) is not None for blocks in _layout(families))
+    _common_tree(subs)
+    pooled, levels = _pool_levels([_as_family(s) for s in subs], opts or DualSolverOptions(gradient_tolerance=1e-7))
+    exact = all(rule is not None for _, rule in levels)
     family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
     tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)
     return check_axioms(family, trials, seed, tolerance=tol, cash_range=cash_range)

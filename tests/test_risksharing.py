@@ -38,7 +38,7 @@ from treeval.risksharing import (
     share_value,
     stability_check,
 )
-from treeval.risksharing import _layout, _rule, _sup_block
+from treeval.risksharing import _layout, _pooled_block, _rule
 from treeval.tree import CashBalance
 from treeval.valuation import ValuationFamily, assemble, check_axioms, linear_one_step
 
@@ -49,7 +49,7 @@ def numeric_pool(families, opts):
     """The pool of the families by one-step sups at every level, even where
     a kernel rule covers the level: the oracle of the kernel rules."""
     tree = families[0].tree
-    return ValuationFamily(tree, lambda: [_sup_block(blocks, tree, opts) for blocks in _layout(families)])
+    return ValuationFamily(tree, lambda: [_pooled_block(blocks, None, tree, opts) for blocks in _layout(families)])
 
 
 def hetero_pair():
