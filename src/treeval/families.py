@@ -354,6 +354,11 @@ def _entropic_log_argmin(gamma: float, data, k_x, k_children) -> np.ndarray:
     return _polytope_log_argmin(cost, data[1])
 
 
+def _entropic_conjugate(gamma: float, data, k_x, k_children, log_q) -> np.ndarray:
+    """The conjugate objective q . k + sum q (log q - log w) / gamma at q = exp(log_q)."""
+    return _reduce_last(np.add, np.exp(log_q) * (_stack_outcomes(k_x, k_children) + (log_q - data[0]) / gamma))
+
+
 def _entropic_kernel(gamma: float) -> Kernel:
     """One-step exponential certainty equivalent, stating its ``gamma``;
     data: the log-weights of (own weight, child subtree weights) over the
@@ -375,8 +380,7 @@ def _entropic_kernel(gamma: float) -> Kernel:
             lse, weights = _logsumexp_softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
             return lse / -gamma, weights
         log_q = _entropic_log_argmin(gamma, data, k_x, k_children)
-        q = np.exp(log_q)
-        return _reduce_last(np.add, q * (_stack_outcomes(k_x, k_children) + (log_q - data[0]) / gamma)), q
+        return _entropic_conjugate(gamma, data, k_x, k_children, log_q), np.exp(log_q)
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
@@ -703,7 +707,8 @@ def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
         # implicit function theorem: p_y u'(w_y) / sum p u'(w), w at the price
         k = _stack_outcomes(k_x, k_children)
         price = _newton_price(utility, x0, data[0], k)
-        return price, _softmax(np.log(data[0]) + utility.log_marginal(x0 + k - price[..., None]))
+        wealth = np.maximum(x0 + k - price[..., None], np.finfo(float).tiny)   # at the wall: the one-hot limit
+        return price, _softmax(np.log(data[0]) + utility.log_marginal(wealth))
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])

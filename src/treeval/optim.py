@@ -372,7 +372,7 @@ def sup_rows(value, value_and_gradient, x0, *, smooth: bool, gradient_tolerance:
     every row of a kinked objective, go to ``sup`` one by one from where
     the batch stopped.  Returns the maximizers, the sups, and the ``sup``
     result of each row that went there, by flat index."""
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="C")   # so that flat_x below is a view of x
     if x.shape[-1] == 0:   # nothing to choose: every row is at its sup
         return x, np.asarray(value(x), dtype=float), {}
     if smooth:

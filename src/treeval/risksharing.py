@@ -26,7 +26,8 @@ import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
-from .families import EntropicParams, _entropic_kernel, _entropic_log_argmin, entropic_family, entropic_params
+from .families import (EntropicParams, _entropic_conjugate, _entropic_kernel, _entropic_log_argmin, entropic_family,
+                       entropic_params)
 from .tree import CashBalance, Tree
 from .valuation import (AxiomReport, Block, ValuationFamily, _one_step_sups, _sup_kernel, _take, check_axioms,
                         committed_family)
@@ -265,61 +266,53 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     return _pool_levels([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
 
 
-def _allocate(pooled: ValuationFamily, xi: int, values: np.ndarray, j: int, split):
-    """Pooled values at the balance and at zero from one sweep, and the
-    allocation among j subsidiaries rebuilt top-down from the one-step
-    splits: ``split(level, sel, total)`` gives the pieces (j, b, m + 1) of
-    the totals (b, m + 1) of the nodes ``pooled.blocks[level].nodes[sel]``
-    and each subsidiary's (kernel, data) there.  A subsidiary's piece of a
-    child subtree is the child's own split shifted by a constant to the
+def _share_direct_route(families: Sequence[ValuationFamily], xi: int, values: np.ndarray, opts):
+    """Pooled values at the balance and at zero, the allocation on the
+    subtree at xi, and whether every solve there converged: one bottom-up
+    pass solves each level of ``_pool_levels`` once on both rows and keeps
+    row 0's splits.  A rule level splits by its minimizing density q*:
+    exponential subsidiary j takes (log w_j - log q*) / gamma_j, whose
+    one-step value is zero, and block r of ``_rule`` the remainder (over a
+    polytope, the value is the conjugate at q*).  A level of one-step sups
+    splits as its block solve finds.  Then top-down, a subsidiary's piece of
+    a child subtree is the child's own split shifted by a constant to the
     value the parent's split promised it there; the shifts at a node sum
     to zero."""
-    tree = pooled.tree
-    swept = pooled.node_values(np.stack([values, np.zeros(tree.n_nodes)]))
-    vals = swept[0]
+    (pooled, levels), tree, j = _pool_levels(families, opts), families[0].tree, len(families)
+    swept = np.stack([values, np.zeros(tree.n_nodes)])
     inside = np.zeros(tree.n_nodes, dtype=bool)
     inside[tree.descendant_indices(xi)] = True
-    alloc = np.zeros((j, tree.n_nodes))
-    promised = np.zeros((j, tree.n_nodes))
-    for level in reversed(range(len(pooled.blocks))):   # parents before children
-        block = pooled.blocks[level]
+    splits, converged = [], True
+    for (blocks, rule), block in zip(levels, pooled.blocks):
+        k_x, k_children = swept[:, block.nodes], swept[:, block.kids]
+        if rule is None:
+            out, z, ok = _one_step_sups(*_pool(blocks), tree, opts, block.data, k_x, k_children)
+            pieces = _pieces(z[0], k_x[0], k_children[0], j)
+            converged &= bool(ok[:, inside[block.nodes]].all())
+        else:
+            big_gamma, r, v = rule
+            total = np.concatenate([k_x[0, :, None], k_children[0]], axis=-1)
+            log_q = _entropic_log_argmin(big_gamma, block.data, k_x, k_children)
+            out = (block.kernel.evaluate(block.data, k_x, k_children) if v is None
+                   else _entropic_conjugate(big_gamma, block.data, k_x, k_children, log_q))
+            pieces = np.array([(b.data[0] - log_q[0]) / b.kernel.gamma if b.kernel.gamma is not None
+                               else np.zeros(total.shape) for b in blocks])
+            pieces[r] += total - pieces.sum(axis=0)
+        swept[:, block.nodes] = out
+        splits.append(pieces)
+    alloc, promised = np.zeros((2, j, tree.n_nodes))
+    for (blocks, _), block, pieces in reversed(list(zip(levels, pooled.blocks, splits))):   # parents first
         sel = inside[block.nodes]
         if not sel.any():
             continue
-        nodes, kids = block.nodes[sel], block.kids[sel]
-        pieces, steps = split(level, sel, np.concatenate([values[nodes, None], vals[kids]], axis=1))
-        own = np.array([kernel.evaluate(data, p[:, 0], p[:, 1:]) for (kernel, data), p in zip(steps, pieces)])
+        nodes, kids, pieces = block.nodes[sel], block.kids[sel], pieces[:, sel]
+        own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:]) for b, p in zip(blocks, pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own
         alloc[:, nodes] = pieces[..., 0] + shift
         promised[:, kids] = pieces[..., 1:] + shift[..., None]
     leaves = inside & tree.is_leaf
     alloc[:, leaves] = promised[:, leaves] if not tree.is_leaf[xi] else values[xi] / j
-    return float(swept[0, xi]), float(swept[1, xi]), list(alloc[:, tree.descendant_indices(xi)])
-
-
-def _share_direct_route(subs, xi: int, values: np.ndarray, opts):
-    """``_allocate`` over the splits of ``pooled_family``, and whether every
-    solve converged.  A rule block splits by each node's minimizing density
-    q*, with no solve beyond the kernel's own: exponential subsidiary j
-    takes (log w_j - log q*) / gamma_j, whose one-step value is zero, and
-    block r of ``_rule`` the remainder.  A block of one-step sups splits as
-    its block solve finds."""
-    (pooled, levels), converged = _pool_levels([_as_family(s) for s in subs], opts), []
-
-    def split(level, sel, total):
-        (blocks, rule), data = levels[level], _take(pooled.blocks[level].data, sel)
-        steps = [(b.kernel, _take(b.data, sel)) for b in blocks]
-        if rule is None:
-            _, z, ok = _one_step_sups(*_pool(blocks), pooled.tree, opts, data, total[:, 0], total[:, 1:])
-            converged.append(ok.all())
-            return _pieces(z, total[:, 0], total[:, 1:], len(blocks)), steps
-        log_q = _entropic_log_argmin(rule[0], data, total[:, 0], total[:, 1:])
-        pieces = np.array([(d[0] - log_q) / kernel.gamma if kernel.gamma is not None else np.zeros(total.shape)
-                           for kernel, d in steps])
-        pieces[rule[1]] += total - pieces.sum(axis=0)
-        return pieces, steps
-
-    return *_allocate(pooled, xi, values, len(subs), split), all(converged)
+    return float(swept[0, xi]), float(swept[1, xi]), list(alloc[:, tree.descendant_indices(xi)]), converged
 
 
 def share_value(subs: Sequence, x: str, balance: CashBalance,
@@ -331,15 +324,15 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     kernel family once at the balance and at zero, with no solver: the
     reverse-sweep gradient is the minimizing density of the summed duals,
     and the allocation is the closed form ``entropic_allocation``.
-    ``method='direct'`` rebuilds the allocation from the one-step splits:
-    in a level block that ``pooled_family`` pools by a kernel rule, from
-    each node's minimizing density, with no solver; in a block of one-step
-    sups, from their maximizing splits, one block solve.  ``opts`` tunes
-    only those blocks; neither kernel rule reads it.  ``'auto'`` picks the
-    dual route when every subsidiary is ``EntropicParams``.  The allocation
-    always sums to the balance on the subtree; the value achieved by it is
-    reported for verification.
-    """
+    ``method='direct'`` is one pass over the levels of ``pooled_family`` at
+    the balance and at zero that solves each level once and keeps its
+    splits: a kernel-rule level's from each node's minimizing density, with
+    no solver, a level of one-step sups' from its block solve; the
+    allocation is rebuilt from them top-down.  ``opts`` tunes only the
+    one-step sups; neither kernel rule reads it.  ``'auto'`` picks the dual
+    route when every subsidiary is ``EntropicParams``.  The allocation
+    always sums to the balance on the subtree; the value it achieves is
+    reported for verification."""
     if method not in ("auto", "dual", "direct"):
         raise ValidationError(f"unknown method {method!r}; use 'auto', 'dual' or 'direct'")
     opts = opts or DEFAULT_OPTIONS
@@ -353,23 +346,24 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     if method == "dual" and not all_entropic:
         raise ValidationError("the dual route needs exponential-family subsidiaries; use method='direct'")
 
+    families = [_as_family(s) for s in subs]
     if method == "dual":
         rows = np.stack([balance.values, np.zeros(tree.n_nodes)])
-        swept, grad = pooled_family(subs).values_and_gradient(rows, xi)
+        swept, grad = _pool_levels(families, opts)[0].values_and_gradient(rows, xi)
         value, value0 = swept[:, xi]
         density = DualDensity(support=x, values={tree.ids[i]: float(w) for i, w in zip(sub_idx, grad[0, sub_idx])})
         pieces, converged = [piece.values[sub_idx] for piece in entropic_allocation(subs, x, balance)], True
     else:
         density = None
-        value, value0, pieces, converged = _share_direct_route(subs, xi, balance.values, opts)
+        value, value0, pieces, converged = _share_direct_route(families, xi, balance.values, opts)
 
     allocation = []
     achieved = 0.0
-    for sub, piece in zip(subs, pieces):
+    for family, piece in zip(families, pieces):
         full = np.zeros(tree.n_nodes)
         full[sub_idx] = piece
         allocation.append(CashBalance(tree, full))
-        achieved += float(_as_family(sub).node_values(full)[xi])
+        achieved += float(family.node_values(full)[xi])
     feasibility = float(np.max(np.abs(sum(p for p in pieces) - k_sub)))
 
     return SharingResult(

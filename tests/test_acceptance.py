@@ -4,9 +4,11 @@ All tolerances are fixed here, not calibrated."""
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from helpers import (
     three_node_tree,
     worst_stopping_bruteforce,
 )
+import treeval
 from treeval.dual import (
     DualSolverOptions,
     dual_recursion_residual,
@@ -378,11 +381,13 @@ def test_criterion_12_cli_determinism(tmp_path):
         "counterexample": ["counterexample", "--tree", str(tree_file),
                            "--trials", "500", "--seed", "1"],
     }
+    # pytest puts src on its own import path only; the child needs it too
+    env = {**os.environ, "PYTHONPATH": str(Path(treeval.__file__).parents[1])}
     for verb, argv in commands.items():
         outputs = []
         for _ in range(2):
             proc = subprocess.run([sys.executable, "-m", "treeval.cli", *argv],
-                                  capture_output=True, check=False)
+                                  capture_output=True, check=False, env=env)
             assert proc.returncode == 0, f"{verb}: rc={proc.returncode} err={proc.stderr!r}"
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"{verb} output differs between runs"

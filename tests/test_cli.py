@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treeval
 from treeval import optim
 from treeval.cli import main, render_report
 from treeval.errors import ValidationError
@@ -324,10 +327,12 @@ class TestDeterminism:
             ["check", "--tree", files["tree"], "--family", files["fam"], "--trials", "50", "--seed", "9"],
             ["counterexample", "--tree", files["tree"], "--trials", "300", "--seed", "2"],
         ]
+        # pytest puts src on its own import path only; the child needs it too
+        env = {**os.environ, "PYTHONPATH": str(Path(treeval.__file__).parents[1])}
         for argv in commands:
             runs = [
                 subprocess.run([sys.executable, "-m", "treeval.cli", *argv],
-                               capture_output=True, check=False)
+                               capture_output=True, check=False, env=env)
                 for _ in range(2)
             ]
             assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr

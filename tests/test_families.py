@@ -350,6 +350,17 @@ class TestIndifferencePrice:
         marginal = data[0] * (x0 + k - values[..., None]) ** -u.R
         assert np.max(np.abs(partials - marginal / marginal.sum(axis=-1, keepdims=True))) <= 1e-15
 
+    @pytest.mark.parametrize("big", [1e15, 1e16])
+    def test_partials_at_the_wealth_wall_are_the_one_hot_limit(self, big):
+        # at 1e16 the price lands on the wall (zero wealth at the own cash,
+        # where u' is infinite); the partials are the limit 1e15 approaches
+        kernel = _ui_kernel(CRRAUtility(2.0), 1.0)
+        with np.errstate(invalid="raise"):
+            values, partials = kernel.evaluate_with_partials((np.array([[0.3, 0.3, 0.4]]),), np.array([-big]),
+                                                             np.array([[big, big / 2]]))
+        assert abs(values[0] + big) <= 1.0
+        assert np.max(np.abs(partials - [[1.0, 0.0, 0.0]])) <= 1e-30
+
     def test_ui_family_axioms_small_stakes(self):
         t = trinomial_tree(2)
         fam = ui_family(ui_params(t, CRRAUtility(2.0), x0=6.0))

@@ -142,6 +142,22 @@ class TestSup:
         assert calls == [(2, 3, 0)] and x.shape == (2, 3, 0) and fallback == {}
         assert np.array_equal(fx, np.arange(6.0).reshape(2, 3))
 
+    def test_fallback_maximizers_reach_a_start_that_is_not_c_ordered(self):
+        # a start gathered by fancy indexing, as swept[:, kids] gives, or
+        # transposed: every kinked row is solved by the fallback, and the
+        # rows must return its maximizers, not their start
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 3, 2))
+
+        def row(i):
+            return (lambda batch: -np.abs(batch - c.reshape(-1, 2)[i]).sum(axis=-1)), None
+
+        for start in (np.zeros((2, 2, 3)).transpose(0, 2, 1), np.zeros((2, 7))[:, np.array([[0, 1], [2, 3], [4, 5]])]):
+            assert not start.flags.c_contiguous
+            x, fx, fallback = sup_rows(None, None, start, smooth=False, gradient_tolerance=1e-8,
+                                       max_iterations=1000, row=row)
+            assert sorted(fallback) == list(range(6))
+            assert np.max(np.abs(fx)) <= 1e-9 and np.max(np.abs(x - c)) <= 1e-9
+
 
 def shifted_quadratic(slope: float):
     """A smooth concave objective of (x0, x1, x2) and its value-and-gradient

@@ -509,6 +509,23 @@ class TestNumericPool:
         res = share_value([crra], "u", k)
         assert res.value == crra.value("u", k) and res.feasibility_gap == 0.0
 
+    @pytest.mark.parametrize("kind", ["kinked", "smooth"])
+    def test_direct_route_allocates_exactly_on_numeric_levels(self, kind):
+        # the splits come from the two-row solve that gives the values, the
+        # kinked ones from its Nelder-Mead fallback
+        rng = np.random.default_rng(21)
+        t = binary_tree(2)
+        other = (worst_subsidiary(rng, t, 2, stopping=False) if kind == "kinked"
+                 else ui_family(ui_params(t, CRRAUtility(2.0), 5.0)))
+        subs = [entropic_params(t, float(rng.uniform(0.5, 2.0))), other]
+        assert [_rule(blocks) for blocks in _layout([entropic_family(subs[0]), other])] == [None, None]
+        k = random_cash(rng, t, -2.0, 2.0)
+        for x in (t.root, "u"):
+            res = share_value(subs, x, k, method="direct")
+            assert res.converged and res.feasibility_gap <= 1e-12
+            assert abs(res.achieved_value - res.value) <= 1e-12
+            assert res.value == pytest.approx(pooled_family(subs).value(x, k), abs=1e-12)
+
     def test_divergence_names_its_node(self):
         # linear subsidiaries that disagree at 'u' trade without bound there
         t = binary_tree(2)
@@ -518,6 +535,49 @@ class TestNumericPool:
         with pytest.raises(DivergenceError, match="at 'u'") as err:
             pooled_family([a, b]).value("r", CashBalance.constant(t, 0.0))
         assert err.value.direction is not None
+
+
+class TestDirectRouteSolves:
+    """``share_value(method='direct')`` solves each pooled level once, for
+    its values and its split together."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {"sups": 0, "polytope": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counted(treeval.valuation, "_one_step_sups", "sups")
+        counted(treeval.risksharing, "_one_step_sups", "sups")
+        counted(treeval.families, "_polytope_log_argmin", "polytope")
+        return calls
+
+    @pytest.mark.parametrize("kind", ["polytope", "sups", "both"])
+    def test_each_pooled_level_is_solved_once(self, monkeypatch, kind):
+        rng = np.random.default_rng(33)
+        t = binary_tree(2)
+        alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 2).tolist() for u in t.internal_indices()}
+        stop = worst_case_family(worst_case_params(t, alpha, stopping=True))
+        other = {"polytope": stop, "sups": ui_family(ui_params(t, CRRAUtility(2.0), 5.0)),
+                 # the polytope rule below the root, one-step sups at the root
+                 "both": ValuationFamily(t, lambda: [stop.blocks[0], worst_case_family(
+                     worst_case_params(t, alpha, stopping=False)).blocks[1]])}[kind]
+        subs = [entropic_params(t, 0.8), other]
+        k = random_cash(rng, t, -2.0, 2.0)
+        calls = self.count(monkeypatch)
+        for x in (t.root, "u"):
+            before = dict(calls)
+            share_value(subs, x, k, method="direct")
+            solved = {key: calls[key] - before[key] for key in calls}
+            assert solved == {"polytope": {"polytope": 2, "sups": 0, "both": 1}[kind],
+                              "sups": {"polytope": 0, "sups": 2, "both": 1}[kind]}
 
 
 class TestEntropicPoolingRule:
