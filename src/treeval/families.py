@@ -28,19 +28,20 @@ def _stack_outcomes(k_x, k_children) -> np.ndarray:
 
 
 def _level_sized(a: np.ndarray) -> bool:
-    """Whether a reduction over the short last axis of ``a`` runs faster as
-    one whole-array ufunc call per position along that axis than as one
-    ``ufunc.reduce``, which spends about 20 ns on every outer entry.  The
-    loop wins once the outer entries outnumber about 32 times the axis
-    length, for axes of up to 16 (numpy 2.4 on a 2-vCPU Xeon, sums: 256 x 4
+    """Whether a reduction over the last axis of ``a`` runs as one ufunc
+    call per position along it rather than one ``ufunc.reduce``: always for
+    8 or more positions, which ``np.add.reduce`` sums in an order set by the
+    memory layout and so by the batch; else where that is faster, once the
+    outer entries outnumber about 32 times the axis length, as ``reduce``
+    spends about 20 ns on each (numpy 2.4 on a 2-vCPU Xeon, sums: 256 x 4
     entries took 8.0 us as a reduce and 5.1 us as a loop, 64 x 4 entries
-    3.2 us and 4.5 us, 64 x 8 entries 3.4 us and 8.4 us)."""
+    3.2 us and 4.5 us)."""
     m = a.shape[-1]
-    return m <= 16 and a.size > 32 * m * m
+    return m >= 8 or a.size > 32 * m * m
 
 
 def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` over the last axis, looped for level-sized arrays."""
+    """``ufunc.reduce`` over the last axis, looped where ``_level_sized``."""
     if not _level_sized(a):
         return ufunc.reduce(a, axis=-1)
     out = a[..., 0].copy()

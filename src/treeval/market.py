@@ -5,15 +5,17 @@ weights.
 
 The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
 over the positions held at each node, built block for block from the
-family's level blocks: each hedged block solves all its nodes and rows at
-once by damped Newton in the positions (one inner kernel call for the
-values and partials of each trial point), and leaves the rows Newton does
-not finish, and every row of a kinked kernel, to the per-row
-``optim.sup`` (``valuation._one_step_sups``, which also solves the
-numerically pooled families of ``risksharing``).  Its partials are the
-inner partials at the optimal positions (the envelope theorem), so reverse
-sweeps through hedged nodes of a smooth kernel are exact.  ``market_value`` reads the
-optimal strategy off the same pass that gives the values.
+family's level blocks (``_hedged_block``).  An exponential block in a
+complete one-step market with a strictly positive martingale measure q is
+the exponential kernel on (own cash, q . children), with no solve.  Any
+other block solves all its nodes and rows at once by damped Newton in the
+positions, and leaves the rows Newton does not finish, and every row of a
+kinked kernel, to the per-row ``optim.sup`` (``valuation._one_step_sups``,
+which also solves the numerically pooled families of ``risksharing``).
+Its partials are the inner partials at the optimal positions (the envelope
+theorem), so reverse sweeps through hedged nodes of a smooth kernel are
+exact.  ``market_value`` reads the optimal strategy off the same pass that
+gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
@@ -34,7 +36,7 @@ from .dual import DEFAULT_OPTIONS, DualSolverOptions
 from .errors import ValidationError
 from .tree import CashBalance, Tree, stop_index
 from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _one_step_sups, _sup_kernel, check_axioms,
-                        committed_family, sample_stop_masks)
+                        committed_family, probability_rows, sample_stop_masks)
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,52 @@ def _hedge(inner: Kernel):
     return partial(_lift, inner), f"hedged({inner.descriptor})", inner.smooth
 
 
+def _martingale(inner: Kernel) -> Kernel:
+    """``inner``, an exponential one-step, hedged where the one-step market
+    is complete with martingale measure q: the best positions make the
+    children's Gibbs weights q, so the hedge is ``inner`` on (own cash,
+    q . children), with partials (p_0, (1 - p_0) q); data: the log-weights
+    (b, 2) of those outcomes, (L_0, sum q (L - log q)), and q (b, m)."""
+
+    def evaluate(data, k_x, k_children):
+        log_w, q = data
+        return inner.evaluate((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
+
+    def grad(data, k_x, k_children):
+        log_w, q = data
+        values, p = inner.evaluate_with_partials((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
+        return values, np.concatenate([p[..., :1], p[..., 1:] * q], axis=-1)
+
+    return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad)
+
+
+def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> tuple[Block, np.ndarray | None, np.ndarray]:
+    """The hedge of the family's level block b, the inverses (b, m, m) of
+    M = [1 | dS] where the martingale rule takes it (else None), and
+    whether each node's sup is attained.  The rule takes an exponential
+    kernel (``Kernel.gamma``) where each node has one child more than there
+    are assets and q, the first row of M^-1, is a strictly positive
+    probability, the unique martingale measure (``_martingale``).  Other
+    blocks are one-step sups; where q has a nonpositive entry, an arbitrage
+    lifts the exponential one-step towards its own-cash bound unattained."""
+    moves = _moves(mkt, b)
+    attained = np.ones(b.nodes.size, dtype=bool)
+    if b.kernel.gamma is not None and moves.shape[-2] == moves.shape[-1] + 1:
+        mat, flat = np.concatenate([np.ones(moves.shape[:-1] + (1,)), moves], axis=-1), False
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:   # moves that span fewer directions than there are assets
+            flat = np.linalg.det(mat) == 0
+            inv = np.linalg.inv(np.where(flat[:, None, None], np.eye(mat.shape[-1]), mat))   # q = e_0 there
+        q, log_w = inv[:, 0], b.data[0]
+        if probability_rows(q, positive=True).all():
+            data = (np.stack([log_w[:, 0], (q * (log_w[:, 1:] - np.log(q))).sum(axis=-1)], axis=-1), q)
+            return Block(_martingale(b.kernel), data, b.nodes, b.kids), inv, attained
+        attained = (q > 0).all(axis=-1) | flat
+    return (Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((b.data, moves), b.nodes), b.nodes, b.kids),
+            None, attained)
+
+
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
     """Best hedged valuations: at every node, the valuation of the balance
     plus the best trading gains from that node on.
@@ -258,22 +306,23 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     valuation, so the sup over whole strategies is the backward induction
     of one-step hedges ``sup_theta step_u(a, v + dS_u theta)``, dS_u the
     children's prices minus u's.  Each level block of the family becomes
-    one hedged block, all its nodes and rows solved at once by
-    ``optim.sup_rows``: damped Newton in theta on the exact gradient, each
-    trial point and its Hessian stencil one ``evaluate_with_partials`` call
-    of the inner kernel, with the rows it does not finish, and every row
-    of a kinked kernel, left to ``optim.sup`` one by one.  The partials are
-    the inner partials at the optimal positions, central differences for a
-    kinked kernel.  A one-step
+    one hedged block (``_hedged_block``): the exponential kernel on (own
+    cash, q . v) for an exponential block in a complete one-step market
+    with a strictly positive martingale measure q, else all its nodes and
+    rows solved at once by ``optim.sup_rows``: damped Newton in theta on
+    the exact gradient, each trial point and its Hessian stencil one
+    ``evaluate_with_partials`` call of the inner kernel, with the rows it
+    does not finish, and every row of a kinked kernel, left to
+    ``optim.sup`` one by one.  The partials are the inner partials at the
+    optimal positions, central differences for a kinked kernel.  A one-step
     hedge that runs away raises a divergence error naming its node, with
     the arbitrage direction as certificate: the market admits arbitrage
     relative to the family."""
     if family.tree is not mkt.tree:
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS
-    return ValuationFamily(mkt.tree, lambda: [
-        Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((b.data, _moves(mkt, b)), b.nodes), b.nodes, b.kids)
-        for b in family.blocks], descriptor=f"hedged({family.descriptor or 'custom'})")
+    return ValuationFamily(mkt.tree, lambda: [_hedged_block(b, mkt, opts)[0] for b in family.blocks],
+                           descriptor=f"hedged({family.descriptor or 'custom'})")
 
 
 def market_value(family, mkt: Market, x: str, balance: CashBalance,
@@ -281,7 +330,7 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     """Best valuation of the balance over all trading overlays from x, its
     normalization, the access value (the same optimization at zero cash),
     and the optimal strategy.  Unbounded hedging raises a divergence error
-    whose direction certifies the arbitrage."""
+    whose direction certifies the arbitrage; an unattained sup is unconverged."""
     opts = opts or DEFAULT_OPTIONS
     if balance.tree is not mkt.tree or family.tree is not mkt.tree:
         raise ValidationError("family, market and balance must share one tree instance")
@@ -293,9 +342,19 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     positions = np.zeros((tree.n_nodes, len(mkt.asset_names)))
     converged = np.ones(tree.n_nodes, dtype=bool)
     for b in family.blocks:
-        values, theta, ok = _one_step_sups(*_hedge(b.kernel), tree, opts, ((b.data, _moves(mkt, b)), b.nodes),
-                                           swept[:, b.nodes], swept[:, b.kids])
-        swept[:, b.nodes], positions[b.nodes], converged[b.nodes] = values, theta[0], ok.all(axis=0)
+        block, inv, attained = _hedged_block(b, mkt, opts)
+        k_x, k_children = swept[:, b.nodes], swept[:, b.kids]
+        if inv is None:
+            values, theta, ok = _one_step_sups(*_hedge(b.kernel), tree, opts, block.data, k_x, k_children)
+            theta, ok = theta[0], ok.all(axis=0) & attained
+        else:
+            # (0, theta) = M^-1 y makes the children's Gibbs weights q
+            gamma, q = b.kernel.gamma, inv[:, 0]
+            a = b.data[0][:, 1:] - gamma * k_children[0] - np.log(q)
+            y = (a - (q * a).sum(axis=-1, keepdims=True)) / gamma
+            values, ok = block.kernel.evaluate(block.data, k_x, k_children), True
+            theta = (inv[:, 1:] @ y[..., None])[..., 0]
+        swept[:, b.nodes], positions[b.nodes], converged[b.nodes] = values, theta, ok
     decisions = _decision_nodes(tree, xi)
     return MarketValueResult(
         value=float(swept[0, xi]),

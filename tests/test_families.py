@@ -32,7 +32,7 @@ from treeval.families import (
     worst_case_params,
 )
 from treeval.families import _entropic_kernel, _softmax, _ui_kernel
-from treeval.tree import CashBalance
+from treeval.tree import CashBalance, NodeRecord, build_tree
 from treeval.valuation import check_axioms
 
 # direct evaluation of the closed forms on the 3-node reference case,
@@ -386,6 +386,15 @@ class TestEntropicKernel:
         assert np.array_equal(partials, _softmax(data[0] - gamma * np.concatenate([k_x[..., None], k_children],
                                                                                   axis=-1)))
         assert np.array_equal(partials, kernel.partials(data, k_x, k_children))
+
+    def test_a_wide_node_values_a_row_as_it_does_alone(self):
+        # nine children and the own cash make ten outcomes, an axis whose
+        # sums numpy rounds by memory layout; the reductions loop over it,
+        # so a batch of rows gives each row's own values bit for bit
+        t = build_tree([NodeRecord("r", None, 0.1)] + [NodeRecord(f"c{i}", "r", 0.1) for i in range(9)])
+        fam = entropic_family(entropic_params(t, 1.3))
+        k = np.random.default_rng(0).uniform(-3.0, 3.0, (300, t.n_nodes))
+        assert np.array_equal(fam.node_values(k), np.array([fam.node_values(row) for row in k]))
 
 
 class TestCRRADual:

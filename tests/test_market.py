@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeval
-from treeval import optim
+from treeval import optim, valuation
 from helpers import (
     binary_tree,
     global_hedge_value,
@@ -43,8 +43,9 @@ from treeval.market import (
     market_value,
     synthesize_one_step_prices,
 )
+from treeval.market import _hedge, _moves
 from treeval.tree import CashBalance, NodeRecord, build_tree
-from treeval.valuation import ValuationFamily, assemble, linear_one_step
+from treeval.valuation import Block, ValuationFamily, _sup_kernel, assemble, linear_one_step
 
 
 def golden_max(f, lo, hi, iters=200):
@@ -205,7 +206,8 @@ def lattice_market(depth):
 
 def two_asset_market():
     """Trinomial tree of depth 1 with two assets whose price moves span no
-    arbitrage: an incomplete market."""
+    arbitrage: three children and two independent assets make a complete
+    market, with martingale measure q of about (0.38, 0.14, 0.48)."""
     t = trinomial_tree(1)
     return t, market(t, {"x": {"r": 1.0, "a": 1.5, "b": 1.0, "c": 0.6},
                          "y": {"r": 1.0, "a": 0.8, "b": 1.2, "c": 1.1}})
@@ -435,7 +437,7 @@ def test_market_value_of_other_families_is_finite_or_raises(data):
     if kind == "exponential" and down < 1.0 < up:
         # exponential indifference is the entropic valuation at the same
         # gamma.  With a martingale measure out of every node each hedge's
-        # sup is attained, and both solves reach it to rounding; without
+        # sup is attained, and both take it by the martingale rule; without
         # one it is approached only as the position grows, and where each
         # solve stops on its gradient test sets the last digits.
         ent = market_value(entropic_family(entropic_params(t, gamma)), mkt, x, k)
@@ -445,12 +447,14 @@ def test_market_value_of_other_families_is_finite_or_raises(data):
 
 def test_hedging_never_imports_scipy_optimize():
     # importing scipy.optimize alone roughly triples a process's peak RSS,
-    # so well-posed smooth hedges must finish in the batched Newton stage or
-    # the per-row BFGS, never in Nelder-Mead
+    # so well-posed smooth hedges must finish by the martingale rule, in the
+    # batched Newton stage or in the per-row BFGS, never in Nelder-Mead.
+    # The lattice's exponential hedges take the rule, its CRRA hedges the
+    # Newton stage
     script = textwrap.dedent("""
         import sys
         import numpy as np
-        from treeval.families import entropic_family, entropic_params
+        from treeval.families import CRRAUtility, entropic_family, entropic_params, ui_family, ui_params
         from treeval.market import check_market_axioms, market, market_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
 
@@ -461,8 +465,9 @@ def test_hedging_never_imports_scipy_optimize():
         mkt = market(tree, {"s": {i: 2.0 ** i.count("u") * 0.5 ** i.count("d") for i in ids}})
         family = entropic_family(entropic_params(tree, 1.0))
         cash = CashBalance(tree, np.random.default_rng(0).uniform(-1.0, 1.0, tree.n_nodes))
-        market_value(family, mkt, "r", cash)
-        assert check_market_axioms(family, mkt, trials=1, seed=3, cash_range=(-2.0, 2.0)).all_passed
+        for family in (family, ui_family(ui_params(tree, CRRAUtility(2.0), 5.0))):
+            assert market_value(family, mkt, "r", cash).converged
+            assert check_market_axioms(family, mkt, trials=1, seed=3, cash_range=(-2.0, 2.0)).all_passed
         print("scipy.optimize" in sys.modules)
     """)
     src = str(Path(treeval.__file__).parents[1])
@@ -470,6 +475,123 @@ def test_hedging_never_imports_scipy_optimize():
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def numeric_hedge(family, mkt, opts):
+    """The hedge of the family by one-step sups at every level, even where
+    the martingale rule covers the level: the oracle of the rule."""
+    return ValuationFamily(mkt.tree, lambda: [
+        Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((b.data, _moves(mkt, b)), b.nodes), b.nodes, b.kids)
+        for b in family.blocks])
+
+
+def counted_sups(monkeypatch):
+    """The calls of ``valuation._one_step_sups`` from here on, from hedged
+    blocks built after this call and from ``market_value``."""
+    calls, inner = [], valuation._one_step_sups
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(valuation, "_one_step_sups", counted)
+    monkeypatch.setattr(sys.modules["treeval.market"], "_one_step_sups", counted)
+    return calls
+
+
+def rule_case(kind):
+    """(tree, market, family, balance) of a complete market with a strictly
+    positive martingale measure out of every node, and an exponential
+    family."""
+    if kind == "ill_conditioned":
+        t, mkt, gamma, k = ill_conditioned_two_asset_market()
+        return t, mkt, entropic_family(entropic_params(t, gamma)), k
+    t, mkt = {"lattice2": lambda: lattice_market(2), "lattice3": lambda: lattice_market(3),
+              "two_asset": two_asset_market, "ui_exponential": lambda: lattice_market(3)}[kind]()
+    fam = (ui_family(ui_params(t, ExponentialUtility(0.7), 2.0)) if kind == "ui_exponential"
+           else entropic_family(entropic_params(t, 1.0)))
+    return t, mkt, fam, random_cash(np.random.default_rng(t.n_nodes), t, -1.0, 1.0)
+
+
+class TestMartingaleRule:
+    @pytest.mark.parametrize("kind", ["lattice2", "lattice3", "two_asset", "ill_conditioned", "ui_exponential"])
+    def test_matches_the_numeric_hedge_with_no_sup(self, monkeypatch, kind):
+        t, mkt, fam, k = rule_case(kind)
+        opts = DualSolverOptions(gradient_tolerance=1e-11)
+        calls = counted_sups(monkeypatch)
+        hedged = hedged_family(fam, mkt, opts)
+        rows = np.random.default_rng(3).uniform(-2.0, 2.0, (4, t.n_nodes))
+        values = hedged.node_values(rows)
+        res = market_value(fam, mkt, t.root, k, opts)
+        assert calls == []
+        assert np.max(np.abs(values - numeric_hedge(fam, mkt, opts).node_values(rows))) <= 1e-12
+        assert len(calls) == len(fam.blocks)
+        assert res.converged
+        assert res.value == pytest.approx(hedged.value(t.root, k), abs=1e-12)
+        assert res.access_value == pytest.approx(hedged.value(t.root, CashBalance.constant(t, 0.0)), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lattice2", "lattice3", "two_asset", "ill_conditioned", "ui_exponential"])
+    def test_gradient_and_strategies(self, kind):
+        # the partials (p_0, (1 - p_0) q) against central differences of the
+        # values, and the positions of every start node against the value
+        # their gains give
+        t, mkt, fam, k = rule_case(kind)
+        hedged = hedged_family(fam, mkt)
+        h = 1e-6
+        bump = np.eye(t.n_nodes) * h
+        for x in t.ids:
+            xi = t.node_index(x)
+            grad = hedged.values_and_gradient(k.values, xi)[1]
+            fd = (hedged.node_values(k.values + bump)[:, xi] - hedged.node_values(k.values - bump)[:, xi]) / (2 * h)
+            assert np.max(np.abs(grad - fd)) <= 1e-8
+            res = market_value(fam, mkt, x, k)
+            assert res.converged
+            hedged_balance = CashBalance(t, k.values + gains(mkt, x, res.strategy).values)
+            assert fam.value(x, hedged_balance) == pytest.approx(res.value, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["trinomial", "arbitrage", "crra", "worst_case"])
+    def test_declined_blocks_take_the_one_step_sups(self, monkeypatch, kind):
+        # a one-asset trinomial market is incomplete; the arbitrage lattice
+        # has no martingale measure out of any node; CRRA and worst-case
+        # kernels are not exponential
+        if kind == "trinomial":
+            t = trinomial_tree(1)
+            mkt = market(t, {"s": {"r": 1.0, "a": 1.5, "b": 1.0, "c": 0.6}})
+        elif kind == "arbitrage":
+            t = binary_tree(2)
+            mkt = market(t, {"s": {x: 2.016 ** x.count("u") * 1.015 ** x.count("d") for x in t.ids}})
+        else:
+            t, mkt = lattice_market(2)
+        if kind == "crra":
+            fam = ui_family(ui_params(t, CRRAUtility(2.0), 5.0))
+        elif kind == "worst_case":
+            fam = worst_case_family(worst_case_params(t, {t.ids[i]: [[0.3, 0.7], [0.6, 0.4]]
+                                                          for i in t.internal_indices()}))
+        else:
+            fam = entropic_family(entropic_params(t, 0.5))
+        calls = counted_sups(monkeypatch)
+        hedged = hedged_family(fam, mkt)
+        hedged.node_values(np.zeros(t.n_nodes))
+        assert len(calls) == len(fam.blocks)
+        assert all(b.kernel.descriptor == f"hedged({b_in.kernel.descriptor})"
+                   for b, b_in in zip(hedged.blocks, fam.blocks))
+
+    @pytest.mark.parametrize("flat_sibling", [False, True])
+    def test_a_sup_the_positions_only_approach_is_not_converged(self, flat_sibling):
+        # both children of u are priced above it, an arbitrage that the
+        # exponential one-step values ever closer to its own-cash bound
+        # log 3 / gamma as the position grows: no position attains the sup,
+        # so the numeric hedge stops short of it, unconverged.  So it is
+        # where u's level block also holds d with a flat asset, whose M is
+        # singular
+        t = binary_tree(2)
+        prices = {x: 2.016 ** x.count("u") * 1.015 ** x.count("d") for x in t.ids}
+        if flat_sibling:
+            prices.update(du=prices["d"], dd=prices["d"])
+        res = market_value(entropic_family(entropic_params(t, 0.413)), market(t, {"s": prices}), "u",
+                           CashBalance.constant(t, 0.0))
+        assert not res.converged
+        assert res.value < np.log(3.0) / 0.413
 
 
 class TestMarketAxioms:

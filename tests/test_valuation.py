@@ -268,12 +268,13 @@ class TestReverseSweep:
     def test_solves_each_block_chunk_once(self, monkeypatch, kind, x):
         # a hedge's Newton solve, or a polytope pool's vertex-weight solve,
         # gives the values and the partials of its chunk together: a
-        # reverse sweep solves no more than a forward one
+        # reverse sweep solves no more than a forward one.  The hedge is a
+        # CRRA one, as the lattice's exponential hedges take no solve
         rng = np.random.default_rng(9)
         t, mkt = _lattice(3)
         if kind == "hedged":
             calls = _counted(monkeypatch, treeval.valuation, "_one_step_sups")
-            fam = hedged_family(entropic_family(entropic_params(t, 1.0)), mkt)
+            fam = hedged_family(ui_family(ui_params(t, CRRAUtility(2.0), 5.0)), mkt)
         else:
             calls = _counted(monkeypatch, treeval.families, "_polytope_log_argmin")
             fam = pooled_family([entropic_params(t, 1.0), _worst(t, rng, True)])
@@ -289,7 +290,9 @@ class TestReverseSweep:
     def test_newton_makes_one_inner_call_per_trial_point(self, monkeypatch, kind):
         # every trial point of the batched Newton stage, with its Hessian
         # stencil, is one evaluate_with_partials of each inner kernel (one
-        # for a hedge, one per subsidiary for a pool), and no evaluate
+        # for a hedge, one per subsidiary for a pool), and no evaluate.  The
+        # hedge is a CRRA one, as the lattice's exponential hedges take no
+        # Newton stage
         t, mkt = _lattice(3)
         counts = {"newton": False, "trials": 0, "evaluate": 0, "grad": 0}
 
@@ -320,7 +323,7 @@ class TestReverseSweep:
 
         monkeypatch.setattr(treeval.optim, "newton_ascent", stage)
         if kind == "hedged":
-            fam, pieces = hedged_family(counting(entropic_family(entropic_params(t, 1.0))), mkt), 1
+            fam, pieces = hedged_family(counting(ui_family(ui_params(t, CRRAUtility(2.0), 5.0))), mkt), 1
         else:
             fam, pieces = pooled_family([counting(entropic_family(entropic_params(t, 1.0))),
                                          counting(ui_family(ui_params(t, CRRAUtility(2.0), 5.0)))]), 2
