@@ -229,9 +229,10 @@ def _pair_move(cost, v, log_v, log_w, i, j) -> np.ndarray:
     the bracket |u| <= SEGMENT_LOGIT_BOUND + 4 max |cost|, bisecting where a
     step leaves it.  A coordinate only one of the pair reaches moves h
     linearly in u, so an exact split lies inside the bracket, however small
-    its lighter mass: working in u and in log q keeps it exact.  For one
-    distribution with stopping h is linear in u and the first Newton step
-    lands on the root."""
+    its lighter mass: working in u and in log q keeps it exact.  Only
+    vertices whose supports overlap come here; the closed form of
+    ``_disjoint_log_argmin`` solves the others, one distribution with
+    stopping among them."""
     d = _take_vertex(v, i) - _take_vertex(v, j)
     log_vi, log_vj = _take_vertex(log_v, i), _take_vertex(log_v, j)
     lw_i = np.take_along_axis(log_w, i[..., None], axis=-1)[..., 0]
@@ -313,21 +314,16 @@ def _newton_move(cost, v, log_v, log_w, log_q, g) -> np.ndarray:
     return out
 
 
-def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log q* for the minimizer q* of  sum q (cost + log q)  over the convex
-    hull of the vertex rows of v (..., nv, m), batched over the leading axes
-    of cost (..., m).  Every coordinate must carry mass at some vertex.
-
-    The search variable is the vertex weights w, from uniform.  Each round
-    moves mass exactly (``_pair_move``) to the vertex of least slope
+def _polytope_rounds(cost, v, log_v) -> np.ndarray:
+    """log q* over the hull of vertices whose supports overlap, by rounds of
+    moves on the vertex weights w, from uniform.  Each round moves mass
+    exactly (``_pair_move``) to the vertex of least slope
     g_v = V_v . (cost + log q) from the one holding the most of the simplex
     gap  sum w (g - min g), then, with three or more vertices, takes a
     Newton step on the weights (``_newton_move``): pairwise moves alone
     crawl across a thin face, a triangle of nearly collinear distributions
     taking over 500 of them.  Rounds end once the gap is within 1e-13 of
-    the slopes' scale.  Two vertices take one move."""
-    with np.errstate(divide="ignore"):
-        log_v = np.log(v)
+    the slopes' scale."""
     log_w = np.full(cost.shape[:-1] + v.shape[-2:-1], -np.log(v.shape[-2]))
     for _ in range(MAX_POLYTOPE_ROUNDS):
         log_q = _log_mix(log_w, log_v)
@@ -342,6 +338,53 @@ def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
             log_w = _newton_move(cost, v, log_v, log_w, log_q, g)
     raise ConvergenceError(f"the pooled one-step left a simplex gap after {MAX_POLYTOPE_ROUNDS} rounds",
                            best=np.exp(_log_mix(log_w, log_v)))
+
+
+def _disjoint_log_argmin(cost, v, log_v, repeat) -> np.ndarray:
+    """log q* over the hull of vertices whose supports are disjoint, once
+    the vertices flagged ``repeat`` are dropped: q = sum t_v V_v makes the
+    objective sum t_v (C_v + log t_v), C_v = sum over supp V_v of
+    V_vc (cost_c + log V_vc), so log t = -C - logsumexp(-C), and each
+    coordinate's log q is its one vertex's log t_v + log V_vc, the most of
+    them over the vertices, as the others are -inf."""
+    with np.errstate(invalid="ignore"):
+        c = _reduce_last(np.add, np.where(v > 0, v * (cost[..., None, :] + log_v), 0.0))
+    # less its least entry, so the heaviest vertex's log t carries no
+    # rounding of |cost|'s scale, and the exponentials need no other shift
+    c = np.where(repeat, np.inf, c)
+    c -= _reduce_last(np.minimum, c)[..., None]
+    log_t = -c - np.log(_reduce_last(np.add, np.exp(-c)))[..., None]
+    return (log_t[..., None] + log_v).max(axis=-2)
+
+
+def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log q* for the minimizer q* of  sum q (cost + log q)  over the convex
+    hull of the vertex rows of v (..., nv, m), batched over the leading axes
+    of cost (..., m).  Every coordinate must carry mass at some vertex.
+
+    A node whose vertices reach every coordinate once, a vertex that repeats
+    an earlier one of the node aside (the worst-case kernel pads a node with
+    fewer distributions so), is solved in closed form
+    (``_disjoint_log_argmin``): one distribution with stopping is such a
+    node.  The other nodes of the block take the rounds of
+    ``_polytope_rounds`` on their own slice."""
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v)
+    reach = v > 0
+    count, repeat = reach.sum(axis=-2), np.zeros(v.shape[:-1], dtype=bool)
+    if (count > 1).any():
+        repeat = np.tril((v[..., :, None, :] == v[..., None, :, :]).all(axis=-1), -1).any(axis=-1)
+        count = (reach & ~repeat[..., None]).sum(axis=-2)
+    closed = (count == 1).all(axis=-1)
+    if closed.all():
+        return _disjoint_log_argmin(cost, v, log_v, repeat)
+    if not closed.any():
+        return _polytope_rounds(cost, v, log_v)
+    cost = np.broadcast_to(cost, np.broadcast_shapes(cost.shape[:-1], closed.shape) + cost.shape[-1:])
+    out = np.empty(cost.shape)
+    out[..., closed, :] = _disjoint_log_argmin(cost[..., closed, :], v[closed], log_v[closed], repeat[closed])
+    out[..., ~closed, :] = _polytope_rounds(cost[..., ~closed, :], v[~closed], log_v[~closed])
+    return out
 
 
 def _entropic_log_argmin(gamma: float, data, k_x, k_children) -> np.ndarray:
@@ -451,10 +494,11 @@ def worst_case_params(tree: Tree, alphas: Mapping[str, Sequence[Sequence[float]]
         flat = [a for s in sets for a in s]
         try:
             mat = np.array(flat, dtype=float)
-        except ValueError:   # ragged, or not numbers
+        except (ValueError, TypeError):   # ragged, or not numbers
             mat = None
         if mat is None or mat.shape != (len(flat), kids.shape[1]):
-            wrong = next((j for j, a in enumerate(flat) if np.shape(a) != (kids.shape[1],)), None)
+            wrong = next((j for j, a in enumerate(flat) if np.array(a, dtype=object).shape != (kids.shape[1],)),
+                         None)
             if wrong is None:
                 raise ValidationError(f"distributions at {names[0]!r} and its level must be numbers")
             raise ValidationError(f"distribution at {names[owner[wrong]]!r} has wrong length")

@@ -4,18 +4,18 @@ valuations, and state-price-density extraction from one-step linear pricing
 weights.
 
 The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
-over the positions held at each node, built block for block from the
-family's level blocks (``_hedged_block``).  An exponential block in a
-complete one-step market with a strictly positive martingale measure q is
-the exponential kernel on (own cash, q . children), with no solve.  Any
-other block solves all its nodes and rows at once by damped Newton in the
-positions, and leaves the rows Newton does not finish, and every row of a
-kinked kernel, to the per-row ``optim.sup`` (``valuation._one_step_sups``,
-which also solves the numerically pooled families of ``risksharing``).
-Its partials are the inner partials at the optimal positions (the envelope
-theorem), so reverse sweeps through hedged nodes of a smooth kernel are
-exact.  ``market_value`` reads the optimal strategy off the same pass that
-gives the values.
+over the positions held at each node, built from the family's level blocks
+node by node (``_hedged_block``).  The nodes of an exponential block in a
+complete one-step market with a strictly positive martingale measure q
+are the exponential kernel on (own cash, q . children), with no solve.
+The block's other nodes are solved together, all rows at once, by damped
+Newton in the positions, which leaves the rows it does not finish, and
+every row of a kinked kernel, to the per-row ``optim.sup``
+(``valuation._one_step_sups``, which also solves the numerically pooled
+families of ``risksharing``).  Their partials are the inner partials at
+the optimal positions (the envelope theorem), so reverse sweeps through
+hedged nodes of a smooth kernel are exact.  ``market_value`` reads the
+optimal strategy off the same pass that gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
@@ -35,8 +35,8 @@ import numpy as np
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
 from .errors import ValidationError
 from .tree import CashBalance, Tree, stop_index
-from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _one_step_sups, _sup_kernel, check_axioms,
-                        committed_family, probability_rows, sample_stop_masks)
+from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _one_step_sups, _sup_kernel, _take,
+                        check_axioms, committed_family, probability_rows, sample_stop_masks)
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,10 @@ def _martingale(inner: Kernel) -> Kernel:
     is complete with martingale measure q: the best positions make the
     children's Gibbs weights q, so the hedge is ``inner`` on (own cash,
     q . children), with partials (p_0, (1 - p_0) q); data: the log-weights
-    (b, 2) of those outcomes, (L_0, sum q (L - log q)), and q (b, m)."""
+    (b, 2) of those outcomes, (L_0, sum q (L - log q)), and q (b, m).  It
+    is the exponential kernel over the vertices of the polytope
+    {e_0, (0, q)}, the closed form ``families._disjoint_log_argmin`` gives
+    any polytope whose vertices have disjoint supports."""
 
     def evaluate(data, k_x, k_children):
         log_w, q = data
@@ -270,17 +273,32 @@ def _martingale(inner: Kernel) -> Kernel:
     return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad)
 
 
-def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> tuple[Block, np.ndarray | None, np.ndarray]:
-    """The hedge of the family's level block b, the inverses (b, m, m) of
-    M = [1 | dS] where the martingale rule takes it (else None), and
-    whether each node's sup is attained.  The rule takes an exponential
-    kernel (``Kernel.gamma``) where each node has one child more than there
-    are assets and q, the first row of M^-1, is a strictly positive
-    probability, the unique martingale measure (``_martingale``).  Other
-    blocks are one-step sups; where q has a nonpositive entry, an arbitrage
-    lifts the exponential one-step towards its own-cash bound unattained."""
+def _part(b: Block, sel: np.ndarray) -> Block:
+    """The nodes of block b that ``sel`` marks, as a block of their own."""
+    return b if sel.all() else Block(b.kernel, _take(b.data, sel), b.nodes[sel], b.kids[sel])
+
+
+def _martingale_part(b: Block, inv: np.ndarray) -> tuple:
+    """The ``_hedged_block`` entry of the nodes of b that the martingale
+    rule takes, from their inverses of M."""
+    q, log_w = inv[:, 0], b.data[0]
+    data = (np.stack([log_w[:, 0], (q * (log_w[:, 1:] - np.log(q))).sum(axis=-1)], axis=-1), q)
+    return b, Block(_martingale(b.kernel), data, b.nodes, b.kids), inv, True
+
+
+def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[tuple]:
+    """The hedges of the family's level block b, node by node: one
+    (part of b, its hedge, the inverses (b, m, m) of M = [1 | dS] where the
+    martingale rule takes it, else None, whether each node's sup is
+    attained) per route that some node of b takes.  The rule takes a node
+    of an exponential kernel (``Kernel.gamma``) that has one child more
+    than there are assets and where q, the first row of M^-1, is a strictly
+    positive probability, the unique martingale measure (``_martingale``).
+    The other nodes are one-step sups; where q has a nonpositive entry, an
+    arbitrage lifts the exponential one-step towards its own-cash bound
+    unattained."""
     moves = _moves(mkt, b)
-    attained = np.ones(b.nodes.size, dtype=bool)
+    rule, attained = np.zeros(b.nodes.size, dtype=bool), np.ones(b.nodes.size, dtype=bool)
     if b.kernel.gamma is not None and moves.shape[-2] == moves.shape[-1] + 1:
         mat, flat = np.concatenate([np.ones(moves.shape[:-1] + (1,)), moves], axis=-1), False
         try:
@@ -288,13 +306,15 @@ def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> tuple[Block
         except np.linalg.LinAlgError:   # moves that span fewer directions than there are assets
             flat = np.linalg.det(mat) == 0
             inv = np.linalg.inv(np.where(flat[:, None, None], np.eye(mat.shape[-1]), mat))   # q = e_0 there
-        q, log_w = inv[:, 0], b.data[0]
-        if probability_rows(q, positive=True).all():
-            data = (np.stack([log_w[:, 0], (q * (log_w[:, 1:] - np.log(q))).sum(axis=-1)], axis=-1), q)
-            return Block(_martingale(b.kernel), data, b.nodes, b.kids), inv, attained
-        attained = (q > 0).all(axis=-1) | flat
-    return (Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((b.data, moves), b.nodes), b.nodes, b.kids),
-            None, attained)
+        rule = probability_rows(inv[:, 0], positive=True)
+        if rule.all():
+            return [_martingale_part(b, inv)]
+        attained = (inv[:, 0] > 0).all(axis=-1) | flat
+    parts = [_martingale_part(_part(b, rule), inv[rule])] if rule.any() else []
+    part, sups = _part(b, ~rule), ~rule
+    hedge = Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((part.data, moves[sups]), part.nodes),
+                  part.nodes, part.kids)
+    return parts + [(part, hedge, None, attained[sups])]
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -306,10 +326,11 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     valuation, so the sup over whole strategies is the backward induction
     of one-step hedges ``sup_theta step_u(a, v + dS_u theta)``, dS_u the
     children's prices minus u's.  Each level block of the family becomes
-    one hedged block (``_hedged_block``): the exponential kernel on (own
-    cash, q . v) for an exponential block in a complete one-step market
-    with a strictly positive martingale measure q, else all its nodes and
-    rows solved at once by ``optim.sup_rows``: damped Newton in theta on
+    one or two hedged blocks (``_hedged_block``): the exponential kernel
+    on (own cash, q . v) at the nodes of an exponential block in a
+    complete one-step market with a strictly positive martingale measure
+    q, and the other nodes and all their rows solved at once by
+    ``optim.sup_rows``: damped Newton in theta on
     the exact gradient, each trial point and its Hessian stencil one
     ``evaluate_with_partials`` call of the inner kernel, with the rows it
     does not finish, and every row of a kinked kernel, left to
@@ -321,7 +342,8 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     if family.tree is not mkt.tree:
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS
-    return ValuationFamily(mkt.tree, lambda: [_hedged_block(b, mkt, opts)[0] for b in family.blocks],
+    return ValuationFamily(mkt.tree, lambda: [hedge for b in family.blocks
+                                              for _, hedge, _, _ in _hedged_block(b, mkt, opts)],
                            descriptor=f"hedged({family.descriptor or 'custom'})")
 
 
@@ -341,20 +363,19 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     swept = np.stack([balance.values, np.zeros(tree.n_nodes)])
     positions = np.zeros((tree.n_nodes, len(mkt.asset_names)))
     converged = np.ones(tree.n_nodes, dtype=bool)
-    for b in family.blocks:
-        block, inv, attained = _hedged_block(b, mkt, opts)
-        k_x, k_children = swept[:, b.nodes], swept[:, b.kids]
+    for part, block, inv, attained in (p for b in family.blocks for p in _hedged_block(b, mkt, opts)):
+        k_x, k_children = swept[:, block.nodes], swept[:, block.kids]
         if inv is None:
-            values, theta, ok = _one_step_sups(*_hedge(b.kernel), tree, opts, block.data, k_x, k_children)
+            values, theta, ok = _one_step_sups(*_hedge(part.kernel), tree, opts, block.data, k_x, k_children)
             theta, ok = theta[0], ok.all(axis=0) & attained
         else:
             # (0, theta) = M^-1 y makes the children's Gibbs weights q
-            gamma, q = b.kernel.gamma, inv[:, 0]
-            a = b.data[0][:, 1:] - gamma * k_children[0] - np.log(q)
+            gamma, q = part.kernel.gamma, inv[:, 0]
+            a = part.data[0][:, 1:] - gamma * k_children[0] - np.log(q)
             y = (a - (q * a).sum(axis=-1, keepdims=True)) / gamma
             values, ok = block.kernel.evaluate(block.data, k_x, k_children), True
             theta = (inv[:, 1:] @ y[..., None])[..., 0]
-        swept[:, b.nodes], positions[b.nodes], converged[b.nodes] = values, theta, ok
+        swept[:, block.nodes], positions[block.nodes], converged[block.nodes] = values, theta, ok
     decisions = _decision_nodes(tree, xi)
     return MarketValueResult(
         value=float(swept[0, xi]),

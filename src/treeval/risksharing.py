@@ -10,8 +10,10 @@ block off the subsidiaries' one-step kernels there.  Exponential one-steps
 them) pool to one exponential one-step, swept without a solver.  One
 polyhedral one-step beside them (``Kernel.vertices``: a worst-case family
 with stopping) adds the indicator of its polytope, so the block is the same
-kernel with its density confined to that polytope, solved exactly in the
-vertex weights; the minimizing density rebuilds the allocation.  Any other
+kernel with its density confined to that polytope: in closed form at a node
+whose vertices have disjoint supports (one distribution with stopping),
+else solved exactly in the vertex weights; the minimizing density rebuilds
+the allocation.  Any other
 block (two polyhedral one-steps, CRRA or custom ones, a polytope that
 leaves a coordinate without mass) is pooled by one-step sup-convolutions
 solved numerically, whose splits rebuild the allocation.
@@ -256,8 +258,10 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     (``Kernel.vertices``, the worst-case families) adds the indicator of its
     polytope P, so pooling one with the exponential ones is
     min over q in P of [q . k + sum q (log q - log w') / Gamma], a smooth
-    convex problem solved exactly in the vertex weights, batched over the
-    nodes of the block.  Any other block (two polyhedral one-steps, CRRA or
+    convex problem batched over the nodes of the block: where a node's
+    vertices have disjoint supports (one distribution with stopping) it is
+    the exponential kernel over those vertices, in closed form, and the
+    other nodes are solved exactly in the vertex weights.  Any other block (two polyhedral one-steps, CRRA or
     custom ones, a polytope that leaves a coordinate without mass) is a
     block of one-step sups, solved with the tolerances of ``opts``; where
     all are smooth its partials are the last subsidiary's at its share (the

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treeval
 from treeval import optim
@@ -338,3 +343,89 @@ class TestDeterminism:
             assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
             assert runs[0].stdout == runs[1].stdout
             assert runs[0].stdout.endswith(b"\n")
+
+
+# Documents for the error contract: valid ones on a small tree whose nodes
+# have two children or one, each then left as it is or hit by a few random
+# edits (a value replaced by any JSON value, a key or element dropped, an
+# unknown key added).
+CONTRACT_TREE = {
+    "nodes": [{"id": i, "parent": p, "weight": 1 / 6} for i, p in
+              [("r", None), ("u", "r"), ("d", "r"), ("uu", "u"), ("ud", "u"), ("dd", "d")]],
+    "assets": [{"name": "s", "prices": {"r": 1.0, "u": 2.0, "d": 0.5, "uu": 4.0, "ud": 1.0, "dd": 0.5}}],
+}
+CONTRACT_FAMILIES = [
+    {"family": "entropic", "gamma": 1.0},
+    {"family": "worst", "alphas": {"r": [[0.5, 0.5]], "u": [[0.3, 0.7], [0.6, 0.4]], "d": [[1.0]]},
+     "stopping": True},
+    {"family": "ui", "utility": "crra", "R": 2.0, "x0": 5.0},
+    {"family": "ui", "utility": "exponential", "gamma": 0.7},
+]
+CONTRACT_NUMBERS = st.one_of(st.sampled_from([0, 1, -1, 0.5, 2.0, 1e-300, 1e300, -1e300, 5e-324]),
+                             st.floats(-1e6, 1e6), st.floats(allow_nan=True, allow_infinity=True))
+CONTRACT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), CONTRACT_NUMBERS,
+              st.sampled_from(["r", "u", "x", "entropic", "worst", "ui", "crra", "exponential"])),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["r", "u", "d", "x"]), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+def _edit(data, doc):
+    """doc as it is, or after one to three random edits at random places."""
+    for _ in range(data.draw(st.integers(1, 3)) if data.draw(st.booleans()) else 0):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            parent, key = node, data.draw(st.sampled_from(keys))
+            node = node[key]
+        action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[data.draw(st.sampled_from(["x", "r", "extra"]))] = data.draw(CONTRACT_VALUES)
+        elif action == "drop" and parent is not None:
+            del parent[key]
+        elif parent is not None:
+            parent[key] = data.draw(CONTRACT_VALUES)
+        else:
+            doc = data.draw(CONTRACT_VALUES)
+    return doc
+
+
+def _has_nan(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(_has_nan(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_has_nan(v) for v in obj)
+    return obj == "nan" or (isinstance(obj, float) and math.isnan(obj))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), verb=st.sampled_from(["value", "dual", "share", "hedge", "spd", "check", "counterexample"]))
+def test_malformed_documents_keep_the_exit_code_contract(data, verb):
+    # exit 0, 2, 3 or 4 only, never a traceback, and no NaN in a report
+    # that exits 0; the documents are valid ones with random edits
+    docs = {
+        "tree": _edit(data, json.loads(json.dumps(CONTRACT_TREE))),
+        "cash": _edit(data, {"r": 0.0, "u": 1.0, "d": -1.0, "uu": 0.5, "ud": 2.0, "dd": -0.5}),
+        "fam": _edit(data, json.loads(json.dumps(data.draw(st.sampled_from(CONTRACT_FAMILIES))))),
+        "fam2": _edit(data, json.loads(json.dumps(data.draw(st.sampled_from(CONTRACT_FAMILIES))))),
+        "prices": _edit(data, {"one_step_prices": {"r": [0.4, 0.6], "u": [0.5, 0.5], "d": [1.0]}}),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+        tree, cash, fam = ["--tree", paths["tree"]], ["--cash", paths["cash"]], ["--family", paths["fam"]]
+        argv = {"value": cash + fam, "dual": cash + fam + ["--trials", "1", "--seed", "0"],
+                "share": cash + fam + [paths["fam2"]], "hedge": cash + fam,
+                "spd": ["--prices", paths["prices"]], "check": fam + ["--trials", "2", "--seed", "0"],
+                "counterexample": fam + ["--trials", "1", "--seed", "0"]}[verb]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, *tree, *argv])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    if code == 0:
+        assert not _has_nan(json.loads(out.getvalue()))

@@ -516,6 +516,18 @@ class TestParamValidation:
         with pytest.raises(ValidationError, match="not a probability"):
             worst_case_params(t, {"root": [[0.5, 0.6]]})
 
+    @pytest.mark.parametrize("alphas, message", [
+        ([[0.5, [0.1, 0.2]]], "must be numbers"),
+        ([[{}, 0.5]], "must be numbers"),
+        ([[0.5, 0.5], [0.5]], "wrong length"),
+        ([[[0.5, 0.5], [0.5, 0.5]]], "wrong length"),
+    ])
+    def test_worst_case_rejects_ragged_and_non_numeric_distributions(self, alphas, message):
+        # a ragged entry or an object among the numbers had raised numpy's
+        # ValueError or TypeError, which no caller expects
+        with pytest.raises(ValidationError, match=message):
+            worst_case_params(three_node_tree(), {"root": alphas})
+
 
 class TestNaNRejected:
     # a NaN compares False with everything, so sum and sign tests alone

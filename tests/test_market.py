@@ -486,13 +486,14 @@ def numeric_hedge(family, mkt, opts):
 
 
 def counted_sups(monkeypatch):
-    """The calls of ``valuation._one_step_sups`` from here on, from hedged
-    blocks built after this call and from ``market_value``."""
+    """The nodes solved by each call of ``valuation._one_step_sups`` from
+    here on, from hedged blocks built after this call and from
+    ``market_value``."""
     calls, inner = [], valuation._one_step_sups
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return inner(*args, **kwargs)
+    def counted(lift, descriptor, smooth, tree, opts, data, *args):
+        calls.append([tree.ids[u] for u in data[1]])
+        return inner(lift, descriptor, smooth, tree, opts, data, *args)
 
     monkeypatch.setattr(valuation, "_one_step_sups", counted)
     monkeypatch.setattr(sys.modules["treeval.market"], "_one_step_sups", counted)
@@ -576,6 +577,31 @@ class TestMartingaleRule:
         assert all(b.kernel.descriptor == f"hedged({b_in.kernel.descriptor})"
                    for b, b_in in zip(hedged.blocks, fam.blocks))
 
+    def test_the_rule_is_chosen_node_by_node(self, monkeypatch):
+        # criterion 10's depth-3 lattice with the asset flat out of 'ud':
+        # only 'ud' of its level is left to the one-step sups
+        t, mkt = lattice_market(3)
+        prices = dict(zip(t.ids, mkt.prices[0].tolist()))
+        prices.update(udu=prices["ud"], udd=prices["ud"])
+        mkt = market(t, {"s": prices})
+        fam = entropic_family(entropic_params(t, 1.0))
+        opts = DualSolverOptions(gradient_tolerance=1e-11)
+        calls = counted_sups(monkeypatch)
+        hedged = hedged_family(fam, mkt, opts)
+        rows = np.random.default_rng(4).uniform(-2.0, 2.0, (4, t.n_nodes))
+        values = hedged.node_values(rows)
+        assert calls == [["ud"]]
+        assert np.max(np.abs(values - numeric_hedge(fam, mkt, opts).node_values(rows))) <= 1e-12
+        del calls[:]
+        k = random_cash(np.random.default_rng(5), t, -1.0, 1.0)
+        res = market_value(fam, mkt, t.root, k, opts)
+        assert calls == [["ud"]]
+        assert res.converged
+        assert res.value == pytest.approx(hedged.value(t.root, k), abs=1e-12)
+        assert res.access_value == pytest.approx(hedged.value(t.root, CashBalance.constant(t, 0.0)), abs=1e-12)
+        assert fam.value(t.root, CashBalance(t, k.values + gains(mkt, t.root, res.strategy).values)) == \
+            pytest.approx(res.value, abs=1e-12)
+
     @pytest.mark.parametrize("flat_sibling", [False, True])
     def test_a_sup_the_positions_only_approach_is_not_converged(self, flat_sibling):
         # both children of u are priced above it, an arbitrage that the
@@ -592,6 +618,20 @@ class TestMartingaleRule:
                            CashBalance.constant(t, 0.0))
         assert not res.converged
         assert res.value < np.log(3.0) / 0.413
+
+    def test_an_unattained_node_beside_a_martingale_one_is_not_converged(self, monkeypatch):
+        # as above, with d priced so that its one-step market has a
+        # martingale measure: the rule takes d, and u alone is a sup
+        t = binary_tree(2)
+        prices = {x: 2.016 ** x.count("u") * 1.015 ** x.count("d") for x in t.ids}
+        prices.update(du=2.0 * prices["d"], dd=0.5 * prices["d"])
+        fam, mkt = entropic_family(entropic_params(t, 0.413)), market(t, {"s": prices})
+        calls = counted_sups(monkeypatch)
+        res = market_value(fam, mkt, "u", CashBalance.constant(t, 0.0))
+        assert not res.converged
+        assert res.value < np.log(3.0) / 0.413
+        assert ["u"] in calls and not any("d" in nodes for nodes in calls)
+        assert market_value(fam, mkt, "d", CashBalance.constant(t, 0.0)).converged
 
 
 class TestMarketAxioms:

@@ -580,6 +580,125 @@ class TestDirectRouteSolves:
                               "sups": {"polytope": 0, "sups": 2, "both": 1}[kind]}
 
 
+def polytope_calls(monkeypatch):
+    """The node-axis length of the cost each ``_pair_move`` and
+    ``_newton_move`` call receives from here on, by name."""
+    calls = {"_pair_move": [], "_newton_move": []}
+    for name, seen in calls.items():
+        def counted(cost, *args, _inner=getattr(treeval.families, name), _seen=seen):
+            _seen.append(cost.shape[-2])
+            return _inner(cost, *args)
+
+        monkeypatch.setattr(treeval.families, name, counted)
+    return calls
+
+
+class TestDisjointPolytope:
+    """A node whose polytope vertices have disjoint supports, one
+    distribution with stopping among them, is solved in closed form; the
+    rounds of moves solve the rest of its block."""
+
+    @staticmethod
+    def batch(rng):
+        """A pooled kernel's data and arguments: (rows, nodes) of random
+        one-distribution polytopes {e_0, (0, alpha)}, |cost| up to 2000."""
+        rows, nodes, m = int(rng.integers(1, 5)), int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        gamma = float(np.exp(rng.uniform(np.log(1e-3), np.log(50.0))))
+        v = np.zeros((nodes, 2, m))
+        v[:, 0, 0], v[:, 1, 1:] = 1.0, rng.dirichlet(np.ones(m - 1), nodes)
+        log_w = np.log(rng.dirichlet(np.ones(m), nodes))
+        k = rng.uniform(-1.0, 1.0, (rows, nodes, m)) * 10.0 ** rng.uniform(-1.0, np.log10(2000.0)) / gamma
+        return gamma, log_w, v, k
+
+    def test_matches_the_rounds_on_the_same_polytope(self, monkeypatch):
+        # the oracle adds the midpoint of the two vertices, a point of the
+        # same polytope that breaks disjointness, so it takes the rounds (a
+        # repeated vertex would not: it is recognized as the same vertex)
+        calls = polytope_calls(monkeypatch)
+        rng = np.random.default_rng(2005)
+        for _ in range(300):
+            gamma, log_w, v, k = self.batch(rng)
+            kernel = treeval.families._entropic_kernel(gamma)
+            del calls["_pair_move"][:]
+            value, q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])
+            assert calls["_pair_move"] == []
+            mid = np.concatenate([v, v.mean(axis=-2, keepdims=True)], axis=-2)
+            oracle = kernel.grad((log_w, mid), k[..., 0], k[..., 1:])[0]
+            assert calls["_pair_move"]
+            assert np.all(np.abs(value - oracle) <= 1e-12 * (1.0 + np.abs(oracle)))
+            # the problem the solver solves, in its own units: both sums
+            # are rounded, so "never above" holds to their rounding
+            cost = gamma * k - log_w
+            log_q = treeval.families._polytope_log_argmin(cost, v)
+            log_q_oracle = treeval.families._polytope_log_argmin(cost, mid)
+            objective, objective_oracle = ((np.exp(lq) * (cost + lq)).sum(axis=-1) for lq in (log_q, log_q_oracle))
+            assert np.all(objective <= objective_oracle + 1e-14 * (1.0 + np.abs(objective_oracle)))
+            assert np.isfinite(log_q).all()
+            assert np.array_equal(q, np.exp(log_q))
+
+    def test_partials_match_central_differences(self):
+        rng = np.random.default_rng(2006)
+        for _ in range(100):
+            gamma, log_w, v, k = self.batch(rng)
+            kernel = treeval.families._entropic_kernel(gamma)
+            q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])[1]
+            h = 1e-5 / gamma
+            bump = (np.eye(k.shape[-1]) * h)[:, None, None, :]
+            up, down = (kernel.evaluate((log_w, v), z[..., 0], z[..., 1:]) for z in (k + bump, k - bump))
+            assert np.max(np.abs(q - np.moveaxis((up - down) / (2.0 * h), 0, -1))) <= 1e-6
+
+    def test_a_repeated_vertex_is_the_same_vertex(self, monkeypatch):
+        calls = polytope_calls(monkeypatch)
+        gamma, log_w, v, k = self.batch(np.random.default_rng(7))
+        kernel = treeval.families._entropic_kernel(gamma)
+        value = kernel.evaluate((log_w, v), k[..., 0], k[..., 1:])
+        repeated = kernel.evaluate((log_w, v[:, [0, 1, 1, 0]]), k[..., 0], k[..., 1:])
+        assert calls == {"_pair_move": [], "_newton_move": []}
+        assert np.max(np.abs(value - repeated)) <= 1e-12 * (1.0 + np.max(np.abs(value)))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, "criterion_05"])
+    def test_one_distribution_with_stopping_takes_no_rounds(self, monkeypatch, depth):
+        rng = np.random.default_rng(17)
+        if depth == "criterion_05":
+            t, alpha = three_node_tree(), {"root": [[0.5, 0.5]]}
+        else:
+            t = binary_tree(depth)
+            alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 1).tolist() for u in t.internal_indices()}
+        subs = [entropic_params(t, 1.0), worst_case_family(worst_case_params(t, alpha, stopping=True))]
+        calls = polytope_calls(monkeypatch)
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, t.root, k, method="direct")
+        assert res.converged and res.feasibility_gap <= 1e-12
+        assert abs(res.achieved_value - res.value) <= 1e-12
+        pooled_family(subs).values_and_gradient(rng.uniform(-2.0, 2.0, (3, t.n_nodes)), t.root_index)
+        assert check_sharing_axioms(subs, trials=5, seed=3, cash_range=(-2.0, 2.0)).all_passed
+        assert calls == {"_pair_move": [], "_newton_move": []}
+
+    def test_a_mixed_level_sends_only_its_overlapping_nodes_to_the_rounds(self, monkeypatch):
+        # the level below the root holds 'u' with one distribution (padded
+        # by its repeat) and 'd' with two; the leaves' parents hold two
+        # nodes of each kind
+        rng = np.random.default_rng(23)
+        t = binary_tree(3)
+        counts = {"r": 1, "u": 1, "d": 2, "uu": 1, "ud": 2, "du": 2, "dd": 1}
+        alpha = {x: rng.dirichlet([2.0, 2.0], n).tolist() for x, n in counts.items()}
+        subs = [entropic_params(t, 0.8), worst_case_family(worst_case_params(t, alpha, stopping=True))]
+        calls = polytope_calls(monkeypatch)
+        pooled = pooled_family(subs)
+        pooled.node_values(rng.uniform(-2.0, 2.0, (4, t.n_nodes)))
+        assert set(calls["_pair_move"]) == {1, 2}
+        assert calls["_newton_move"] and set(calls["_newton_move"]) <= {1, 2}
+        # each block against the rounds on every node, forced by adding
+        # the midpoint of each node's first two vertices
+        for block in pooled.blocks:
+            log_w, v = block.data
+            mid = np.concatenate([v, v[:, :2].mean(axis=-2, keepdims=True)], axis=-2)
+            k = rng.uniform(-2.0, 2.0, (3,) + block.kids.shape)
+            k_x = rng.uniform(-2.0, 2.0, (3, block.nodes.size))
+            value = block.kernel.evaluate((log_w, v), k_x, k)
+            assert np.max(np.abs(value - block.kernel.evaluate((log_w, mid), k_x, k))) <= 1e-12
+
+
 class TestEntropicPoolingRule:
     """Exponential subsidiaries pool node by node to one exponential kernel
     with Gamma = 1 / sum 1/gamma_j and unnormalized log-weights."""
