@@ -35,7 +35,7 @@ from .families import (
 )
 from .io import digest, load_cash, load_family, load_prices, load_tree_document
 from .market import extract_state_price_density, market_value, synthesize_one_step_prices
-from .risksharing import share_value, stability_check
+from .risksharing import pooled_family, share_value, stability_check
 from .valuation import check_axioms
 
 
@@ -228,7 +228,8 @@ def run(args) -> tuple[dict, int]:
         inputs["families"] = [digest(p) for p in paths]
         node = _node_or_root(args, tree)
         subs = [lf.family if lf.entropic is None else lf.entropic for lf in loaded]
-        res = share_value(subs, node, balance, _options(args))
+        opts = _options(args)
+        res = share_value(subs, node, balance, opts)
         results["node"] = node
         results["value"] = res.value
         results["normalized"] = res.normalized
@@ -239,11 +240,11 @@ def run(args) -> tuple[dict, int]:
             results["argmin_density"] = _density_payload(res.argmin_density)
         residuals["feasibility_gap"] = res.feasibility_gap
         residuals["achieved_value_gap"] = abs(res.achieved_value - res.value)
-        stability = {}
-        xi = tree.node_index(node)
-        for i in tree.descendant_indices(xi):
-            stability[tree.ids[i]] = stability_check(subs, res.allocation, tree.ids[i])
-        residuals["stability"] = stability
+        pooled = pooled_family(subs, opts)   # its gradient, the shadow, does not depend on the families' order
+        residuals["stability"] = {
+            tree.ids[i]: stability_check(subs, res.allocation, tree.ids[i],
+                                         shadow=pooled.values_and_gradient(balance.values, i)[1])
+            for i in tree.descendant_indices(tree.node_index(node)).tolist()}
         if not res.converged:
             status = 3
 

@@ -91,17 +91,23 @@ def _mass_off(tree: Tree, masses: np.ndarray, xi: int) -> np.ndarray:
     return np.flatnonzero(off)
 
 
-def dual_density(tree: Tree, x: str, values: Mapping[str, float]) -> DualDensity:
-    values = _mapping_of(values)
-    masses = _mass_vector(tree, values)
+def _probability_masses(tree: Tree, lam) -> np.ndarray:
+    """``_mass_vector`` of a density with no negative mass and a sum of 1;
+    where it may carry mass is the caller's to check."""
+    masses = _mass_vector(tree, lam)
     negative = np.flatnonzero(masses < 0)
     if negative.size:
         raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative")
-    off = _mass_off(tree, masses, tree.node_index(x))
+    if not is_probability(masses):
+        raise DomainError(f"density is not a probability: its masses must sum to 1 (got {masses.sum()!r})")
+    return masses
+
+
+def dual_density(tree: Tree, x: str, values: Mapping[str, float]) -> DualDensity:
+    values = _mapping_of(values)
+    off = _mass_off(tree, _probability_masses(tree, values), tree.node_index(x))
     if off.size:
         raise DomainError(f"density puts mass on {tree.ids[off[0]]!r}, outside the subtree of {x!r}")
-    if not is_probability(masses):
-        raise DomainError(f"density must sum to 1 (got {masses.sum()!r})")
     return DualDensity(support=x, values={node_id: float(v) for node_id, v in values.items()})
 
 
@@ -139,9 +145,10 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     gradients to the simplex descent; ``dual_value`` is the plain
     interface.
 
-    The search runs over the free coordinates, the node's subtree (in
-    preorder) and then the nodes off it that carry mass, from ``start``
-    (one finite number for each) or zero.  A smooth family takes
+    A density that is not a probability, whose dual is +inf, raises a
+    domain error.  The search runs over the free coordinates, the node's
+    subtree (in preorder) and then the nodes off it that carry mass, from
+    ``start`` (one finite number for each) or zero.  A smooth family takes
     ``optim.newton_ascent`` first, one reverse sweep per trial point, with
     the node's own cash held at its start: translation invariance makes
     the objective flat along the subtree's constant shift.  Its point is
@@ -155,14 +162,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     opts = opts or DEFAULT_OPTIONS
     tree = family.tree
     xi = tree.node_index(x)
-    masses = _mass_vector(tree, lam)
-    negative = np.flatnonzero(masses < 0)
-    if negative.size:
-        raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative; "
-                          "the dual is +inf there")
-    if not is_probability(masses):
-        raise DomainError(f"density must be a probability (mass {masses.sum()!r}); "
-                          "the dual is +inf otherwise")
+    masses = _probability_masses(tree, lam)
 
     free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]

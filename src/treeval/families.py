@@ -363,8 +363,8 @@ def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     of cost (..., m).  Every coordinate must carry mass at some vertex.
 
     A node whose vertices reach every coordinate once, a vertex that repeats
-    an earlier one of the node aside (the worst-case kernel pads a node with
-    fewer distributions so), is solved in closed form
+    an earlier one of the node aside (``WorstCaseParams.levels`` pads a node
+    with fewer distributions so), is solved in closed form
     (``_disjoint_log_argmin``): one distribution with stopping is such a
     node.  The other nodes of the block take the rounds of
     ``_polytope_rounds`` on their own slice."""
@@ -436,25 +436,24 @@ def _entropic_kernel(gamma: float) -> Kernel:
     return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad, gamma=gamma)
 
 
-def _entropic_data(params: EntropicParams):
+def _entropic_levels(params: EntropicParams):
+    """The log-weights of (own weight, child subtree weights) over the
+    subtree weight, one data tuple per level group, computed as read."""
     ref, bar = params.reference, params.subtree_reference
-
-    def data(nodes, kids):
-        return (np.log(np.concatenate([ref[nodes, None], bar[kids]], axis=1) / bar[nodes, None]),)
-
-    return data
+    for nodes, kids in params.tree.level_groups:
+        yield (np.log(np.concatenate([ref[nodes, None], bar[kids]], axis=1) / bar[nodes, None]),)
 
 
 def entropic_one_step(params: EntropicParams, x: str) -> OneStepValuation:
     """One-step exponential certainty equivalent splitting the subtree mass
     as (own weight, child subtree weights); assembling these reproduces the
     closed-form node values."""
-    return kernel_step(params.tree, _entropic_kernel(params.gamma), _entropic_data(params), x)
+    return kernel_step(params.tree, _entropic_kernel(params.gamma), _entropic_levels(params), x)
 
 
 def entropic_family(params: EntropicParams) -> ValuationFamily:
     return kernel_family(
-        params.tree, _entropic_kernel(params.gamma), _entropic_data(params),
+        params.tree, _entropic_kernel(params.gamma), _entropic_levels(params),
         descriptor=f"entropic(gamma={params.gamma})",
         dual_closed=lambda x, lam: entropic_dual(params, x, lam),
     )
@@ -466,56 +465,66 @@ def entropic_family(params: EntropicParams) -> ValuationFamily:
 
 @dataclass(frozen=True)
 class WorstCaseParams:
-    """Per-node finite sets of child distributions, one read-only
-    (distributions, children) array a node, with an optional stop branch
-    that locks in the node's own cash."""
+    """Per-node finite sets of child distributions, with an optional stop
+    branch that locks in the node's own cash, checked on construction by
+    level group: ``levels`` holds each ``tree.level_groups`` entry's data,
+    its read-only (nodes, distributions, children) stack, in which a node
+    with fewer distributions repeats its first (its minimum unchanged);
+    ``alphas`` then maps each node to its own rows."""
 
     tree: Tree
     alphas: Mapping[str, np.ndarray]
     stopping: bool = True
+    levels: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        levels, table = [], {}
+        for nodes, kids in self.tree.level_groups:
+            names = [self.tree.ids[u] for u in nodes.tolist()]
+            missing = [node_id for node_id in names if node_id not in self.alphas]
+            if missing:
+                raise ValidationError(f"missing child distributions for node {missing[0]!r}")
+            sets = [self.alphas[node_id] for node_id in names]
+            counts = np.array([len(s) for s in sets])
+            if not counts.all():
+                raise ValidationError(f"need at least one distribution at {names[int(np.argmin(counts))]!r}")
+            owner = np.repeat(np.arange(len(names)), counts)
+            flat = [a for s in sets for a in s]
+            try:
+                mat = np.array(flat, dtype=float)
+            except (ValueError, TypeError):   # ragged, or not numbers
+                mat = None
+            if mat is None or mat.shape != (len(flat), kids.shape[1]):
+                wrong = next((j for j, a in enumerate(flat) if np.array(a, dtype=object).shape != kids.shape[1:]),
+                             None)
+                if wrong is None:
+                    raise ValidationError(f"distributions at {names[0]!r} and its level must be numbers")
+                raise ValidationError(f"distribution at {names[owner[wrong]]!r} has wrong length")
+            bad = ~probability_rows(mat)
+            if bad.any():
+                raise ValidationError(f"distribution at {names[owner[np.argmax(bad)]]!r} is not a probability vector")
+            mat.flags.writeable = False
+            first = np.cumsum(counts) - counts
+            table.update(zip(names, np.split(mat, first[1:])))
+            most = np.arange(counts.max())
+            stack = mat[first[:, None] + np.where(most < counts[:, None], most, 0)]
+            stack.flags.writeable = False
+            levels.append((stack,))
+        object.__setattr__(self, "alphas", table)
+        object.__setattr__(self, "levels", tuple(levels))
 
 
 def worst_case_params(tree: Tree, alphas: Mapping[str, Sequence[Sequence[float]]],
                       stopping: bool = True) -> WorstCaseParams:
-    """Validated child distributions, checked with one stacked test per
-    level group: every internal node has at least one, and each is a
-    probability vector over the node's children."""
-    cleaned: dict[str, np.ndarray] = {}
-    for nodes, kids in tree.level_groups:
-        names = [tree.ids[u] for u in nodes.tolist()]
-        missing = [node_id for node_id in names if node_id not in alphas]
-        if missing:
-            raise ValidationError(f"missing child distributions for node {missing[0]!r}")
-        sets = [alphas[node_id] for node_id in names]
-        counts = np.array([len(s) for s in sets])
-        if not counts.all():
-            raise ValidationError(f"need at least one distribution at {names[int(np.argmin(counts))]!r}")
-        owner = np.repeat(np.arange(len(names)), counts)
-        flat = [a for s in sets for a in s]
-        try:
-            mat = np.array(flat, dtype=float)
-        except (ValueError, TypeError):   # ragged, or not numbers
-            mat = None
-        if mat is None or mat.shape != (len(flat), kids.shape[1]):
-            wrong = next((j for j, a in enumerate(flat) if np.array(a, dtype=object).shape != (kids.shape[1],)),
-                         None)
-            if wrong is None:
-                raise ValidationError(f"distributions at {names[0]!r} and its level must be numbers")
-            raise ValidationError(f"distribution at {names[owner[wrong]]!r} has wrong length")
-        bad = ~probability_rows(mat)
-        if bad.any():
-            raise ValidationError(
-                f"distribution at {names[owner[np.argmax(bad)]]!r} is not a probability vector")
-        mat.flags.writeable = False
-        cleaned.update(zip(names, np.split(mat, np.cumsum(counts)[:-1])))
-    return WorstCaseParams(tree=tree, alphas=cleaned, stopping=stopping)
+    """Validated child distributions (``WorstCaseParams``)."""
+    return WorstCaseParams(tree=tree, alphas=alphas, stopping=stopping)
 
 
 def _worst_case_kernel(stopping: bool) -> Kernel:
     """Minimum over the stop value (when stopping is enabled) and every
-    child expectation; data: the stacked child distributions (a, m) of each
-    node.  Its partials are a subgradient: the minimizing distribution, or
-    the stop branch (own cash) where stopping is the minimum."""
+    child expectation; data: a ``WorstCaseParams.levels`` stack.  Its
+    partials are a subgradient: the minimizing distribution, or the stop
+    branch (own cash) where stopping is the minimum."""
 
     def expectations(data, k_children):
         return _reduce_last(np.add, np.asarray(k_children, dtype=float)[..., None, :] * data[0])
@@ -547,28 +556,15 @@ def _worst_case_kernel(stopping: bool) -> Kernel:
                   vertices=vertices)
 
 
-def _worst_case_data(params: WorstCaseParams):
-    ids, alphas = params.tree.ids, params.alphas
-
-    def data(nodes, kids):
-        sets = [alphas[ids[u]] for u in nodes.tolist()]
-        most = max(map(len, sets))
-        # repeating a node's first distribution leaves its minimum unchanged
-        return (np.stack([s if len(s) == most else np.concatenate([s, np.repeat(s[:1], most - len(s), 0)])
-                          for s in sets]),)
-
-    return data
-
-
 def worst_case_one_step(params: WorstCaseParams, x: str) -> OneStepValuation:
     """Minimum over the stop value (when stopping is enabled) and every
     child expectation at x."""
-    return kernel_step(params.tree, _worst_case_kernel(params.stopping), _worst_case_data(params), x)
+    return kernel_step(params.tree, _worst_case_kernel(params.stopping), params.levels, x)
 
 
 def worst_case_family(params: WorstCaseParams) -> ValuationFamily:
     kernel = _worst_case_kernel(params.stopping)
-    return kernel_family(params.tree, kernel, _worst_case_data(params), descriptor=kernel.descriptor)
+    return kernel_family(params.tree, kernel, params.levels, descriptor=kernel.descriptor)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +586,11 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     wall b < x0 + min k (the root always lies between the extreme outcomes,
     and for R > 1 the utility side drops to -inf at the wall, so a root
     always exists there; for R < 1 a root can fail to exist and that raises
-    a domain error naming the outcomes).  The price is monotone in each
+    a domain error naming the outcomes).  The tolerance, 1e-12 (1 + |x0|
+    + |b|), is in price: where u is steep by the wall, a price within it
+    can leave a large utility residual (R = 1.01, x0 = 1, p = (1e-3,
+    0.999), k = (-0.999999, 5): the root lies 1e-127 below the wall, the
+    price 9.1e-13, the residual is 1.74).  The price is monotone in each
     outcome and shifts one-for-one with constants.  Broadcasts over a
     leading batch axis of ``outcomes``.
     """
@@ -677,9 +677,9 @@ class UIParams:
     """Single-period indifference pricing at each node: a CRRA or
     exponential utility, reference wealth, and strictly positive outcome
     probabilities over the node and its children, checked on construction
-    with one stacked gather per level group: ``levels`` holds the stacks,
-    one per ``tree.level_groups`` entry, and ``probs`` then maps each node
-    to its read-only row."""
+    by level group (``_ui_rows``): ``levels`` holds each
+    ``tree.level_groups`` entry's data, its read-only stack of rows, and
+    ``probs`` then maps each node to its row."""
 
     tree: Tree
     utility: object
@@ -694,7 +694,7 @@ class UIParams:
             names = [self.tree.ids[u] for u in nodes.tolist()]
             rows = _ui_rows(self.tree, self.probs, nodes, names)
             rows.flags.writeable = False
-            levels.append(rows)
+            levels.append((rows,))
             table.update(zip(names, rows))
         object.__setattr__(self, "probs", table)
         object.__setattr__(self, "levels", tuple(levels))
@@ -763,19 +763,13 @@ def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
 
 
 def _ui_step(params: UIParams):
-    """The kernel and data of the indifference one-steps, on the checked
-    rows of a level group or of one node of it: for exponential utility the
-    exponential one-step on their logarithms, which is its price whatever
-    x0, else the CRRA price on the rows."""
-    tree = params.tree
-    group, row = np.empty(tree.n_nodes, dtype=int), np.empty(tree.n_nodes, dtype=int)
-    for g, (nodes, _) in enumerate(tree.level_groups):
-        group[nodes], row[nodes] = g, np.arange(nodes.size)
+    """The kernel and level data of the indifference one-steps: for
+    exponential utility the exponential one-step on the logarithms of the
+    checked rows, which is its price whatever x0, else the CRRA price on
+    the rows."""
     if isinstance(params.utility, ExponentialUtility):
-        kernel, levels = _entropic_kernel(params.utility.gamma), tuple(np.log(rows) for rows in params.levels)
-    else:
-        kernel, levels = _ui_kernel(params.utility, params.x0), params.levels
-    return kernel, lambda nodes, kids: (levels[group[nodes[0]]][row[nodes]],)
+        return _entropic_kernel(params.utility.gamma), tuple((np.log(rows),) for (rows,) in params.levels)
+    return _ui_kernel(params.utility, params.x0), params.levels
 
 
 def ui_one_step(params: UIParams, x: str) -> OneStepValuation:

@@ -276,19 +276,22 @@ class ValuationFamily:
         return f"ValuationFamily({self.descriptor or 'custom'}, n_nodes={self.tree.n_nodes})"
 
 
-def kernel_family(tree: Tree, kernel: Kernel, data: Callable, **kwargs) -> ValuationFamily:
-    """Family with one kernel at every internal node: ``data(nodes, kids)``
-    gives the stacked parameters of the nodes of one level group."""
-    return ValuationFamily(tree, lambda: [Block(kernel, data(nodes, kids), nodes, kids)
-                                          for nodes, kids in tree.level_groups], **kwargs)
+def kernel_family(tree: Tree, kernel: Kernel, levels, **kwargs) -> ValuationFamily:
+    """Family with one kernel at every internal node: ``levels`` yields each
+    ``tree.level_groups`` entry's block data, read on the first sweep."""
+    return ValuationFamily(tree, lambda: [Block(kernel, data, nodes, kids)
+                                          for data, (nodes, kids) in zip(levels, tree.level_groups)], **kwargs)
 
 
-def kernel_step(tree: Tree, kernel: Kernel, data: Callable, x: str) -> OneStepValuation:
-    """The one-step operator of ``kernel_family(tree, kernel, data)`` at x."""
+def kernel_step(tree: Tree, kernel: Kernel, levels, x: str) -> OneStepValuation:
+    """The one-step operator of ``kernel_family(tree, kernel, levels)`` at x."""
     xi = tree.node_index(x)
     if tree.is_leaf[xi]:
         raise ValidationError(f"{x!r} is a leaf; one-step operators live on internal nodes")
-    return kernel.one_step(data(np.array([xi]), np.array([tree.children_index[xi]])))
+    for data, (nodes, _) in zip(levels, tree.level_groups):
+        row = np.flatnonzero(nodes == xi)
+        if row.size:
+            return kernel.one_step(_take(data, slice(row[0], row[0] + 1)))
 
 
 def _step_kernel(step: OneStepValuation) -> Kernel:

@@ -429,3 +429,35 @@ def test_malformed_documents_keep_the_exit_code_contract(data, verb):
     assert code in (0, 2, 3, 4), err.getvalue()
     if code == 0:
         assert not _has_nan(json.loads(out.getvalue()))
+
+
+@pytest.mark.parametrize("first, second", [(i, j) for i in range(len(CONTRACT_FAMILIES))
+                                           for j in range(i, len(CONTRACT_FAMILIES))])
+def test_share_of_every_ordered_pair_of_families_runs_and_ignores_their_order(first, second, tmp_path):
+    # each node's stability residual is measured against the pooled
+    # gradient there: a worst-case family with stopping has the gradient
+    # e_0 at the root, zero below it, so it was no shadow for the subtree.
+    # A CRRA family pools with another one by numeric one-step sups, whose
+    # splits the order of the families moves within their gradient test
+    # (1e-6); the residuals moved by 1e-10 at most, so 1e-8 there
+    paths = {}
+    cash = {"r": 0.0, "u": 1.0, "d": -1.0, "uu": 0.5, "ud": 2.0, "dd": -0.5}
+    for name, doc in [("tree", CONTRACT_TREE), ("cash", cash), ("a", CONTRACT_FAMILIES[first]),
+                      ("b", CONTRACT_FAMILIES[second])]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    reports = []
+    for pair in (("a", "b"), ("b", "a")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["share", "--tree", paths["tree"], "--cash", paths["cash"],
+                         "--family", *(paths[p] for p in pair)])
+        assert code == 0, err.getvalue()
+        reports.append(json.loads(out.getvalue()))
+    one, other = reports
+    assert abs(one["results"]["value"] - other["results"]["value"]) <= 1e-12
+    stability = [report["residuals"]["stability"] for report in reports]
+    assert stability[0].keys() == stability[1].keys() == {"r", "u", "d", "uu", "ud", "dd"}
+    numeric = first != second and "crra" in (CONTRACT_FAMILIES[first].get("utility"),
+                                             CONTRACT_FAMILIES[second].get("utility"))
+    assert all(abs(stability[0][node] - stability[1][node]) <= (1e-8 if numeric else 1e-12) for node in stability[0])

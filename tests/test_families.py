@@ -14,6 +14,7 @@ from treeval.families import (
     CRRAUtility,
     ExponentialUtility,
     UIParams,
+    WorstCaseParams,
     crra_one_period_dual,
     crra_ui_dual,
     entropic_dual,
@@ -222,6 +223,9 @@ class TestWorstCase:
     def test_each_node_is_checked_with_its_level(self, alphas, message):
         with pytest.raises(ValidationError, match=message):
             worst_case_params(binary_tree(2), alphas)
+        # constructed directly, the parameters are checked alike
+        with pytest.raises(ValidationError, match=message):
+            WorstCaseParams(binary_tree(2), alphas)
 
     def test_distributions_are_stored_read_only_per_node(self):
         t = binary_tree(2)
@@ -229,6 +233,16 @@ class TestWorstCase:
         assert params.alphas["u"].tolist() == [[0.2, 0.8], [0.7, 0.3]]
         assert params.alphas["d"].shape == (1, 2)
         assert not params.alphas["u"].flags.writeable
+
+    def test_levels_pad_a_node_with_its_first_distribution(self):
+        t = binary_tree(2)
+        params = WorstCaseParams(t, {"r": [[0.5, 0.5]], "u": [[0.2, 0.8], [0.7, 0.3]], "d": [[1.0, 0.0]]})
+        assert len(params.levels) == len(t.level_groups)
+        for (stack,), (nodes, _) in zip(params.levels, t.level_groups):
+            assert not stack.flags.writeable
+            rows = {t.ids[u]: row.tolist() for u, row in zip(nodes.tolist(), stack)}
+            assert rows == ({"r": [[0.5, 0.5]]} if "r" in rows else
+                            {"u": [[0.2, 0.8], [0.7, 0.3]], "d": [[1.0, 0.0], [1.0, 0.0]]})
 
     def test_axiom_suite_passes(self):
         t = trinomial_tree(2)
@@ -336,6 +350,19 @@ class TestIndifferencePrice:
         b = float(indifference_price(u, x0, p, k))
         assert -0.9 <= b < x0 - 0.9
         assert abs(p @ u.value(x0 + k - b) - u.value(x0)) <= 1e-15
+
+    def test_a_root_closer_to_the_wall_than_any_float_prices_within_the_tolerance(self):
+        # the root's wealth at the low outcome is about 1e-127, far below the
+        # spacing of prices next to the wall x0 + min k = 1e-6: the price
+        # stops within its tolerance, which is measured in price, below the
+        # wall, where u is steep enough to leave a utility residual of 1.74
+        u, x0, p, k = CRRAUtility(1.01), 1.0, np.array([1e-3, 0.999]), np.array([-0.999999, 5.0])
+        b = float(indifference_price(u, x0, p, k))
+        wall = x0 + k.min()
+        root_wealth_log10 = np.log10((1.0 - p[1] * (x0 + k[1] - wall) ** (1.0 - u.R)) / p[0]) / (1.0 - u.R)
+        assert root_wealth_log10 < -120 and 10.0 ** root_wealth_log10 < np.spacing(wall)
+        assert b <= wall
+        assert wall - b <= 1e-12 * (1.0 + abs(x0) + abs(b))
 
     def test_the_kernel_gives_the_price_and_its_partials_from_one_solve(self):
         # implicit function theorem: p_y u'(w_y) / sum p u'(w) at the price

@@ -957,7 +957,7 @@ def test_entropic_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, 
        log_gammas=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
        distributions=st.integers(1, 3), stopping=st.sampled_from([True, True, True, False]),
        log_scale=st.floats(-3.0, 6.0))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 def test_mixed_pooling_returns_finite_values_or_raises(tree_seed, cash_seed, log_gammas, distributions,
                                                        stopping, log_scale):
     # exponential subsidiaries with one worst-case subsidiary: depth 1-3,

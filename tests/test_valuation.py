@@ -25,6 +25,7 @@ from treeval.families import (
     ui_family,
     ui_params,
     worst_case_family,
+    worst_case_one_step,
     worst_case_params,
 )
 from treeval.market import hedged_family, market
@@ -145,6 +146,49 @@ class TestLevelSweep:
             got = fam.node_values(k)
             assert got.shape == k.shape
             assert np.max(np.abs(got - per_node_values(fam, k))) <= tol
+
+    @pytest.mark.parametrize("stopping", [True, False])
+    def test_worst_case_levels_mixing_one_two_and_three_distributions(self, stopping):
+        # the parameters pad a node with fewer distributions than the most
+        # at its level by repeating its first: the sweep, its gradient and
+        # the one-step view must see only the node's own minimum
+        t = trinomial_tree(3)
+        rng = np.random.default_rng(31)
+        alphas = {t.ids[u]: rng.dirichlet(np.ones(3), 1 + j % 3)
+                  for nodes, _ in t.level_groups for j, u in enumerate(nodes.tolist())}
+        params = worst_case_params(t, alphas, stopping=stopping)
+        assert [stack.shape[1] for (stack,) in params.levels] == [3, 3, 1]
+        fam = worst_case_family(params)
+        k = rng.uniform(-2.0, 2.0, (7, t.n_nodes))
+        want = k.copy()
+        for u in t.preorder[::-1].tolist():
+            kids = list(t.children_index[u])
+            if kids:
+                worst = (want[:, kids] @ params.alphas[t.ids[u]].T).min(axis=-1)
+                want[:, u] = np.minimum(k[:, u], worst) if stopping else worst
+        got = fam.node_values(k)
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.array_equal(got, per_node_values(fam, k))
+        for u in t.internal_indices():
+            kids = list(t.children_index[u])
+            step = worst_case_one_step(params, t.ids[u])
+            assert np.array_equal(step.evaluate(k[:, u], got[:, kids]), got[:, u])
+        # the root's gradient: each node hands its adjoint to the stop
+        # branch or through its own minimizing distribution
+        adjoint, grad = np.zeros(t.n_nodes), np.zeros(t.n_nodes)
+        adjoint[t.root_index] = 1.0
+        for u in t.preorder.tolist():
+            kids = list(t.children_index[u])
+            if not kids:
+                grad[u] = adjoint[u]
+                continue
+            own = params.alphas[t.ids[u]]
+            e = own @ got[0, kids]
+            if stopping and k[0, u] <= e.min():
+                grad[u] = adjoint[u]
+            else:
+                adjoint[kids] += adjoint[u] * own[np.argmin(e)]
+        assert np.max(np.abs(fam.values_and_gradient(k[0], t.root_index)[1] - grad)) <= 1e-15
 
     @pytest.mark.parametrize("kind", ["entropic", "worst_three_alphas"])
     def test_batch_sweep_stays_within_a_few_mb_beyond_its_output(self, kind):
