@@ -240,11 +240,11 @@ def run(args) -> tuple[dict, int]:
             results["argmin_density"] = _density_payload(res.argmin_density)
         residuals["feasibility_gap"] = res.feasibility_gap
         residuals["achieved_value_gap"] = abs(res.achieved_value - res.value)
-        pooled = pooled_family(subs, opts)   # its gradient, the shadow, does not depend on the families' order
-        residuals["stability"] = {
-            tree.ids[i]: stability_check(subs, res.allocation, tree.ids[i],
-                                         shadow=pooled.values_and_gradient(balance.values, i)[1])
-            for i in tree.descendant_indices(tree.node_index(node)).tolist()}
+        # the pooled gradients, the shadows, do not depend on the families' order
+        inside = tree.descendant_indices(tree.node_index(node)).tolist()
+        shadows = pooled_family(subs, opts).values_and_gradient(balance.values, inside)[1]
+        residuals["stability"] = {tree.ids[i]: stability_check(subs, res.allocation, tree.ids[i], shadow=shadow)
+                                  for i, shadow in zip(inside, shadows)}
         if not res.converged:
             status = 3
 

@@ -825,7 +825,7 @@ class PastingCounterexample:
 
 
 def ui_dc_counterexample(R: float, x0: float, *, budget: int = 10_000, seed: int = 0,
-                         utility=None, scale: float | None = None) -> PastingCounterexample:
+                         utility=None) -> PastingCounterexample:
     """Search for two terminal claims on the equal-probability trinomial
     lattice with identical time-1 indifference prices but different time-0
     prices.
@@ -837,14 +837,13 @@ def ui_dc_counterexample(R: float, x0: float, *, budget: int = 10_000, seed: int
     the time-0 gap collapses to solver noise, which is the control case.
     """
     u = utility if utility is not None else CRRAUtility(R)
-    if scale is None:
-        scale = 0.45 * x0 if isinstance(u, CRRAUtility) else 1.0
+    crra = isinstance(u, CRRAUtility)
+    scale = 0.45 * x0 if crra else 1.0
     rng = np.random.default_rng(seed)
     leaf_ids = [a + b for a in "abc" for b in "abc"]
     p3 = np.full(3, 1.0 / 3.0)
     p9 = np.full(9, 1.0 / 9.0)
     u_x0 = float(u.value(x0))
-    crra = isinstance(u, CRRAUtility)
 
     def time1_prices(y: np.ndarray) -> np.ndarray:
         # (B, 9) -> (B, 3)

@@ -11,11 +11,11 @@ are the exponential kernel on (own cash, q . children), with no solve.
 The block's other nodes are solved together, all rows at once, by damped
 Newton in the positions, which leaves the rows it does not finish, and
 every row of a kinked kernel, to the per-row ``optim.sup``
-(``valuation._one_step_sups``, which also solves the numerically pooled
+(``valuation._sup_kernel``, which also solves the numerically pooled
 families of ``risksharing``).  Their partials are the inner partials at
 the optimal positions (the envelope theorem), so reverse sweeps through
 hedged nodes of a smooth kernel are exact.  ``market_value`` reads the
-optimal strategy off the same pass that gives the values.
+optimal strategy off the solves of the sweep that gives the values.
 
 Gains are realized concretely as linear trading gains: a strategy holds a
 position vector over the edges leaving each internal node, prices are
@@ -26,7 +26,7 @@ then exact linear-algebra identities, verified by ``check_gains_axioms``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -35,8 +35,8 @@ import numpy as np
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
 from .errors import ValidationError
 from .tree import CashBalance, Tree, stop_index
-from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _one_step_sups, _sup_kernel, _take,
-                        check_axioms, committed_family, probability_rows, sample_stop_masks)
+from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _sup_kernel, _take, check_axioms,
+                        committed_family, probability_rows, sample_stop_masks)
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,9 @@ def _moves(mkt: Market, block: Block) -> np.ndarray:
 
 def _lift(inner: Kernel, data, k_x, k_children):
     """The one-step hedges of a block, data (inner data, moves), as a lift
-    in the positions theta (``valuation._one_step_sups``): the gradient is
-    the children's partials times the moves, from the inner kernel's one
-    call for its values and partials; the start is 0."""
+    in the positions theta (``valuation._sup_kernel``): the gradient is the
+    children's partials times the moves, from the inner kernel's one call
+    for its values and partials; the start is 0."""
     inner_data, moves = data
     own = {np.shape(k_x): k_x}   # own cash broadcast to each shape of positions asked for
 
@@ -256,21 +256,27 @@ def _martingale(inner: Kernel) -> Kernel:
     is complete with martingale measure q: the best positions make the
     children's Gibbs weights q, so the hedge is ``inner`` on (own cash,
     q . children), with partials (p_0, (1 - p_0) q); data: the log-weights
-    (b, 2) of those outcomes, (L_0, sum q (L - log q)), and q (b, m).  It
-    is the exponential kernel over the vertices of the polytope
-    {e_0, (0, q)}, the closed form ``families._disjoint_log_argmin`` gives
-    any polytope whose vertices have disjoint supports."""
+    (b, 2) of those outcomes, (L_0, sum q (L - log q)), q (b, m), A, the
+    last rows (b, d, m) of M^-1, and c = (L - log q) / gamma (b, m), for
+    the positions A (c - children) that its solve gives.  It is the
+    exponential kernel over the vertices of the polytope {e_0, (0, q)}, the
+    closed form ``families._disjoint_log_argmin`` gives any polytope whose
+    vertices have disjoint supports."""
 
     def evaluate(data, k_x, k_children):
-        log_w, q = data
+        log_w, q = data[:2]
         return inner.evaluate((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
 
     def grad(data, k_x, k_children):
-        log_w, q = data
+        log_w, q = data[:2]
         values, p = inner.evaluate_with_partials((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
         return values, np.concatenate([p[..., :1], p[..., 1:] * q], axis=-1)
 
-    return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad)
+    def solve(data, k_x, k_children):
+        values, (a, c) = evaluate(data, k_x, k_children), data[2:]
+        return values, (a @ (c - k_children)[..., None])[..., 0], np.ones(values.shape, dtype=bool)
+
+    return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad, solve=solve)
 
 
 def _part(b: Block, sel: np.ndarray) -> Block:
@@ -278,24 +284,24 @@ def _part(b: Block, sel: np.ndarray) -> Block:
     return b if sel.all() else Block(b.kernel, _take(b.data, sel), b.nodes[sel], b.kids[sel])
 
 
-def _martingale_part(b: Block, inv: np.ndarray) -> tuple:
-    """The ``_hedged_block`` entry of the nodes of b that the martingale
-    rule takes, from their inverses of M."""
+def _martingale_part(b: Block, inv: np.ndarray) -> Block:
+    """The hedge of the nodes of b that the martingale rule takes, from
+    their inverses of M."""
     q, log_w = inv[:, 0], b.data[0]
-    data = (np.stack([log_w[:, 0], (q * (log_w[:, 1:] - np.log(q))).sum(axis=-1)], axis=-1), q)
-    return b, Block(_martingale(b.kernel), data, b.nodes, b.kids), inv, True
+    c = log_w[:, 1:] - np.log(q)
+    data = (np.stack([log_w[:, 0], (q * c).sum(axis=-1)], axis=-1), q, inv[:, 1:], c / b.kernel.gamma)
+    return Block(_martingale(b.kernel), data, b.nodes, b.kids)
 
 
-def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[tuple]:
-    """The hedges of the family's level block b, node by node: one
-    (part of b, its hedge, the inverses (b, m, m) of M = [1 | dS] where the
-    martingale rule takes it, else None, whether each node's sup is
-    attained) per route that some node of b takes.  The rule takes a node
-    of an exponential kernel (``Kernel.gamma``) that has one child more
-    than there are assets and where q, the first row of M^-1, is a strictly
-    positive probability, the unique martingale measure (``_martingale``).
-    The other nodes are one-step sups; where q has a nonpositive entry, an
-    arbitrage lifts the exponential one-step towards its own-cash bound
+def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[Block]:
+    """The hedges of the family's level block b, node by node: one block
+    per route that some node of b takes.  The rule takes a node of an
+    exponential kernel (``Kernel.gamma``) that has one child more than
+    there are assets and where q, the first row of M^-1 for M = [1 | dS],
+    is a strictly positive probability, the unique martingale measure
+    (``_martingale``).  The other nodes are one-step sups, whose solve
+    flags a node unconverged where q has a nonpositive entry: an arbitrage
+    lifts the exponential one-step there towards its own-cash bound
     unattained."""
     moves = _moves(mkt, b)
     rule, attained = np.zeros(b.nodes.size, dtype=bool), np.ones(b.nodes.size, dtype=bool)
@@ -311,10 +317,14 @@ def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[tuple]
             return [_martingale_part(b, inv)]
         attained = (inv[:, 0] > 0).all(axis=-1) | flat
     parts = [_martingale_part(_part(b, rule), inv[rule])] if rule.any() else []
-    part, sups = _part(b, ~rule), ~rule
-    hedge = Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts), ((part.data, moves[sups]), part.nodes),
-                  part.nodes, part.kids)
-    return parts + [(part, hedge, None, attained[sups])]
+    part, sups, kernel = _part(b, ~rule), ~rule, _sup_kernel(*_hedge(b.kernel), mkt.tree, opts)
+
+    def solve(data, k_x, k_children):   # data ((inner data, moves), nodes, attained)
+        values, theta, converged = kernel.solve(data, k_x, k_children)
+        return values, theta, converged & data[2]
+
+    return parts + [Block(replace(kernel, solve=solve), ((part.data, moves[sups]), part.nodes, attained[sups]),
+                          part.nodes, part.kids)]
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -342,8 +352,7 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     if family.tree is not mkt.tree:
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS
-    return ValuationFamily(mkt.tree, lambda: [hedge for b in family.blocks
-                                              for _, hedge, _, _ in _hedged_block(b, mkt, opts)],
+    return ValuationFamily(mkt.tree, lambda: [hedge for b in family.blocks for hedge in _hedged_block(b, mkt, opts)],
                            descriptor=f"hedged({family.descriptor or 'custom'})")
 
 
@@ -351,31 +360,19 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
                  opts: DualSolverOptions | None = None) -> MarketValueResult:
     """Best valuation of the balance over all trading overlays from x, its
     normalization, the access value (the same optimization at zero cash),
-    and the optimal strategy.  Unbounded hedging raises a divergence error
+    and the optimal strategy, from one sweep of ``hedged_family`` at the
+    balance and at zero.  Unbounded hedging raises a divergence error
     whose direction certifies the arbitrage; an unattained sup is unconverged."""
-    opts = opts or DEFAULT_OPTIONS
     if balance.tree is not mkt.tree or family.tree is not mkt.tree:
         raise ValidationError("family, market and balance must share one tree instance")
     tree = mkt.tree
     xi = tree.node_index(x)
-    # one pass over the hedged blocks, keeping the positions of the
-    # balance's row and the convergence of both rows
-    swept = np.stack([balance.values, np.zeros(tree.n_nodes)])
+    swept, solved = hedged_family(family, mkt, opts).values_and_maximizers(
+        np.stack([balance.values, np.zeros(tree.n_nodes)]))
     positions = np.zeros((tree.n_nodes, len(mkt.asset_names)))
     converged = np.ones(tree.n_nodes, dtype=bool)
-    for part, block, inv, attained in (p for b in family.blocks for p in _hedged_block(b, mkt, opts)):
-        k_x, k_children = swept[:, block.nodes], swept[:, block.kids]
-        if inv is None:
-            values, theta, ok = _one_step_sups(*_hedge(part.kernel), tree, opts, block.data, k_x, k_children)
-            theta, ok = theta[0], ok.all(axis=0) & attained
-        else:
-            # (0, theta) = M^-1 y makes the children's Gibbs weights q
-            gamma, q = part.kernel.gamma, inv[:, 0]
-            a = part.data[0][:, 1:] - gamma * k_children[0] - np.log(q)
-            y = (a - (q * a).sum(axis=-1, keepdims=True)) / gamma
-            values, ok = block.kernel.evaluate(block.data, k_x, k_children), True
-            theta = (inv[:, 1:] @ y[..., None])[..., 0]
-        swept[:, block.nodes], positions[block.nodes], converged[block.nodes] = values, theta, ok
+    for block, theta, ok in solved:
+        positions[block.nodes], converged[block.nodes] = theta[0], ok.all(axis=0)
     decisions = _decision_nodes(tree, xi)
     return MarketValueResult(
         value=float(swept[0, xi]),

@@ -12,16 +12,17 @@ polyhedral one-step beside them (``Kernel.vertices``: a worst-case family
 with stopping) adds the indicator of its polytope, so the block is the same
 kernel with its density confined to that polytope: in closed form at a node
 whose vertices have disjoint supports (one distribution with stopping),
-else solved exactly in the vertex weights; the minimizing density rebuilds
-the allocation.  Any other
-block (two polyhedral one-steps, CRRA or custom ones, a polytope that
-leaves a coordinate without mass) is pooled by one-step sup-convolutions
-solved numerically, whose splits rebuild the allocation.
+else solved exactly in the vertex weights.  Any other block (two
+polyhedral one-steps, CRRA or custom ones, a polytope that leaves a
+coordinate without mass) is pooled by one-step sup-convolutions solved
+numerically.  Every pooled block's ``solve`` gives, with its values, the
+minimizing density or the split search point that rebuilds the allocation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,7 @@ from .errors import ValidationError
 from .families import (EntropicParams, _entropic_conjugate, _entropic_kernel, _entropic_log_argmin, entropic_family,
                        entropic_params)
 from .tree import CashBalance, Tree
-from .valuation import (AxiomReport, Block, ValuationFamily, _one_step_sups, _sup_kernel, _take, check_axioms,
-                        committed_family)
+from .valuation import AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family
 
 
 def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
@@ -151,8 +151,8 @@ def _pieces(z, k_x, k_children, j: int) -> np.ndarray:
 
 def _pool(blocks):
     """The lift, descriptor and smoothness of the one-step pools of the
-    subsidiaries' blocks of the same nodes (``valuation._one_step_sups``),
-    on their data.  The search variable is the children of the first j - 1
+    subsidiaries' blocks of the same nodes (``valuation._sup_kernel``), on
+    their data.  The search variable is the children of the first j - 1
     pieces (``_pieces``), whose own cash is pinned at 0: translation
     invariance makes the objective flat along each piece's constant shift,
     which would leave the Hessian singular."""
@@ -213,20 +213,40 @@ def _rule(blocks: tuple[Block, ...]):
     return (big_gamma, rest[0], v) if v is not None and (v.max(axis=-2) > 0).all() else None
 
 
+def _argmin(big_gamma: float, evaluate, data, k_x, k_children):
+    """The solve of a rule level's pooled kernel, whose ``evaluate`` is
+    given: its values and log q*, q* the minimizing density of its dual."""
+    log_q = _entropic_log_argmin(big_gamma, data, k_x, k_children)
+    values = (evaluate(data, k_x, k_children) if len(data) == 1
+              else _entropic_conjugate(big_gamma, data, k_x, k_children, log_q))
+    return values, log_q, np.ones(values.shape, dtype=bool)
+
+
+def _split(blocks: tuple[Block, ...], r: int, log_q: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The split (j, ..., m + 1) of a rule level's totals by q*: exponential
+    subsidiary j takes (log w_j - log q*) / gamma_j, whose one-step value
+    is zero, and block r of ``_rule`` the remainder."""
+    pieces = np.array([(b.data[0] - log_q) / b.kernel.gamma if b.kernel.gamma is not None
+                       else np.zeros(total.shape) for b in blocks])
+    pieces[r] += total - pieces.sum(axis=0)
+    return pieces
+
+
 def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverOptions) -> Block:
     """The pool of the blocks of one level under their ``_rule``: the
     exponential kernel on log w' = sum (Gamma/gamma_j) log w_j, its density
-    confined to the polytope of the polyhedral block if there is one;
-    without a rule, a block of one-step sups."""
+    confined to the polytope of the polyhedral block if there is one
+    (solved by ``_argmin``); without a rule, a block of one-step sups."""
     nodes, kids = blocks[0].nodes, blocks[0].kids
     if rule is None:
         return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
     big_gamma, _, v = rule
     kernel = _entropic_kernel(big_gamma)
     log_w = sum(big_gamma / b.kernel.gamma * b.data[0] for b in blocks if b.kernel.gamma is not None)
+    solve = partial(_argmin, big_gamma, kernel.evaluate)
     if v is None:
-        return Block(kernel, (log_w,), nodes, kids)
-    return Block(replace(kernel, dual=None, gamma=None), (log_w, v), nodes, kids)
+        return Block(replace(kernel, solve=solve), (log_w,), nodes, kids)
+    return Block(replace(kernel, dual=None, gamma=None, solve=solve), (log_w, v), nodes, kids)
 
 
 def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):
@@ -272,43 +292,28 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
 
 def _share_direct_route(families: Sequence[ValuationFamily], xi: int, values: np.ndarray, opts):
     """Pooled values at the balance and at zero, the allocation on the
-    subtree at xi, and whether every solve there converged: one bottom-up
-    pass solves each level of ``_pool_levels`` once on both rows and keeps
-    row 0's splits.  A rule level splits by its minimizing density q*:
-    exponential subsidiary j takes (log w_j - log q*) / gamma_j, whose
-    one-step value is zero, and block r of ``_rule`` the remainder (over a
-    polytope, the value is the conjugate at q*).  A level of one-step sups
-    splits as its block solve finds.  Then top-down, a subsidiary's piece of
-    a child subtree is the child's own split shifted by a constant to the
-    value the parent's split promised it there; the shifts at a node sum
-    to zero."""
+    subtree at xi, and whether every solve there converged: one sweep of
+    the pooled family of ``_pool_levels`` on both rows
+    (``ValuationFamily.values_and_maximizers``) solves each level once, and
+    row 0's maximizers give each level's split: ``_split`` of a rule
+    level's minimizing density, ``_pieces`` of a one-step sup's search
+    point.  Then top-down, a subsidiary's piece of a child subtree is the
+    child's own split shifted by a constant to the value the parent's split
+    promised it there; the shifts at a node sum to zero."""
     (pooled, levels), tree, j = _pool_levels(families, opts), families[0].tree, len(families)
-    swept = np.stack([values, np.zeros(tree.n_nodes)])
+    swept, solved = pooled.values_and_maximizers(np.stack([values, np.zeros(tree.n_nodes)]))
     inside = np.zeros(tree.n_nodes, dtype=bool)
     inside[tree.descendant_indices(xi)] = True
-    splits, converged = [], True
-    for (blocks, rule), block in zip(levels, pooled.blocks):
-        k_x, k_children = swept[:, block.nodes], swept[:, block.kids]
-        if rule is None:
-            out, z, ok = _one_step_sups(*_pool(blocks), tree, opts, block.data, k_x, k_children)
-            pieces = _pieces(z[0], k_x[0], k_children[0], j)
-            converged &= bool(ok[:, inside[block.nodes]].all())
-        else:
-            big_gamma, r, v = rule
-            total = np.concatenate([k_x[0, :, None], k_children[0]], axis=-1)
-            log_q = _entropic_log_argmin(big_gamma, block.data, k_x, k_children)
-            out = (block.kernel.evaluate(block.data, k_x, k_children) if v is None
-                   else _entropic_conjugate(big_gamma, block.data, k_x, k_children, log_q))
-            pieces = np.array([(b.data[0] - log_q[0]) / b.kernel.gamma if b.kernel.gamma is not None
-                               else np.zeros(total.shape) for b in blocks])
-            pieces[r] += total - pieces.sum(axis=0)
-        swept[:, block.nodes] = out
-        splits.append(pieces)
     alloc, promised = np.zeros((2, j, tree.n_nodes))
-    for (blocks, _), block, pieces in reversed(list(zip(levels, pooled.blocks, splits))):   # parents first
+    converged = True
+    for (blocks, rule), (block, found, ok) in reversed(list(zip(levels, solved))):   # parents first
         sel = inside[block.nodes]
         if not sel.any():
             continue
+        converged &= bool(ok[:, sel].all())
+        k_x, k_children = values[block.nodes], swept[0, block.kids]
+        pieces = (_pieces(found[0], k_x, k_children, j) if rule is None
+                  else _split(blocks, rule[1], found[0], np.concatenate([k_x[:, None], k_children], axis=-1)))
         nodes, kids, pieces = block.nodes[sel], block.kids[sel], pieces[:, sel]
         own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:]) for b, p in zip(blocks, pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,6 +76,9 @@ class Kernel:
     ``gamma``, for an exponential one-step, is its risk aversion, with
     ``data[0]`` the log-weights log w of (own cash, children), unnormalized:
     the operator is ``-log sum w exp(-gamma k) / gamma``.
+    ``solve``, where the values come from a solve, gives ``evaluate``'s
+    values with the maximizer (..., b, ...), such as a hedge's positions,
+    and whether each node's solve converged (..., b).
     """
 
     evaluate: Callable
@@ -85,6 +88,7 @@ class Kernel:
     grad: Callable | None = None
     vertices: Callable | None = None
     gamma: float | None = None
+    solve: Callable | None = None
 
     def evaluate_with_partials(self, data, k_x, k_children) -> tuple[np.ndarray, np.ndarray]:
         """Values (..., b) and local partials (..., b, m + 1) from one call:
@@ -231,24 +235,48 @@ class ValuationFamily:
                 out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
         return out
 
-    def values_and_gradient(self, values: np.ndarray, xi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node values and the gradient of node xi's value with respect to
-        the cash, for cash values of shape (..., n_nodes).
-
-        One forward sweep, in the chunks of ``node_values``, keeps the local
-        partials of every chunk that holds a node of xi's subtree, from the
-        same kernel call as its values (``Kernel.evaluate_with_partials``);
-        the chunks above xi are only evaluated.  Then the reverse sweep,
-        which calls no kernel: an adjoint seeded with 1 at xi visits the
-        kept chunks from the top level down, and each node hands its adjoint
-        times its local partials to its children (the children inside a
-        chunk are distinct, so one scatter-add per chunk is exact).  A
-        node's gradient is its adjoint times its own-cash partial, a leaf's
-        is its adjoint."""
+    def values_and_maximizers(self, values: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+        """Node values, equal to ``node_values``' and swept in its chunks,
+        with (block, maximizer, converged) for every block whose kernel has
+        a ``solve``, which then gives the block's values; a block's
+        maximizers and flags are joined over its chunks on the node axis."""
         out = np.array(values, dtype=float)
         rows = max(1, out.size // self.tree.n_nodes)
+        solved = []
+        for block in self.blocks:
+            kernel, found = block.kernel, []
+            for data, nodes, kids in self._parts(block, rows):
+                if kernel.solve is None:
+                    out[..., nodes] = kernel.evaluate(data, out[..., nodes], out[..., kids])
+                else:
+                    out[..., nodes], *part = kernel.solve(data, out[..., nodes], out[..., kids])
+                    found.append(part)
+            if found:
+                solved.append((block, *(f[0] if len(f) == 1 else np.concatenate(f, axis=out.ndim - 1)
+                                        for f in zip(*found))))
+        return out, solved
+
+    def values_and_gradient(self, values: np.ndarray, xi: int | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Node values and the gradient of node xi's value with respect to
+        the cash, for cash values of shape (..., n_nodes); for a sequence of
+        nodes xi, their gradients (len(xi), ..., n_nodes) from one sweep.
+
+        One forward sweep, in the chunks of ``node_values``, keeps the local
+        partials of every chunk that holds a node of a subtree at xi, from
+        the same kernel call as its values (``Kernel.evaluate_with_partials``);
+        the other chunks are only evaluated.  Then the reverse sweep, which
+        calls no kernel: an adjoint seeded with 1 at xi (one adjoint per
+        node of a sequence) visits the kept chunks from the top level down,
+        and each node hands its adjoint times its local partials to its
+        children (the children inside a chunk are distinct, so one
+        scatter-add per chunk is exact).  A node's gradient is its adjoint
+        times its own-cash partial, a leaf's is its adjoint."""
+        out = np.array(values, dtype=float)
+        rows = max(1, out.size // self.tree.n_nodes)
+        seeds = (len(xi),) if hasattr(xi, "__len__") else ()
         inside = np.zeros(self.tree.n_nodes, dtype=bool)
-        inside[self.tree.descendant_indices(xi)] = True
+        for i in xi if seeds else (xi,):
+            inside[self.tree.descendant_indices(i)] = True
         kept = []
         for block in self.blocks:
             for data, nodes, kids in self._parts(block, rows):
@@ -257,8 +285,11 @@ class ValuationFamily:
                     kept.append((nodes, kids, p))
                 else:
                     out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
-        adjoint, grad = np.zeros(out.shape), np.zeros(out.shape)
-        adjoint[..., xi] = 1.0
+        adjoint, grad = np.zeros(seeds + out.shape), np.zeros(seeds + out.shape)
+        if seeds:
+            np.moveaxis(adjoint, -1, 1)[np.arange(len(xi)), xi] = 1.0
+        else:
+            adjoint[..., xi] = 1.0
         for nodes, kids, p in reversed(kept):
             flow = adjoint[..., nodes, None] * p
             grad[..., nodes] = flow[..., 0]
@@ -325,13 +356,13 @@ def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) ->
 def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, k_x, k_children):
     """Values, maximizers and convergence flags of the one-step sups of a
     block, all rows and nodes at once through ``optim.sup_rows`` with the
-    tolerances of ``opts``; data: (lift data, nodes).  ``lift(lift data,
+    tolerances of ``opts``; data: (lift data, nodes, ...).  ``lift(lift data,
     k_x (r, b), k_children (r, b, m))`` gives the objective in the search
     variable (..., r, b, d), its value and gradient from one call, the
     partials in (own cash, children) at a fixed search point, and the
     start, all broadcasting over leading axes.  A sup that runs away raises
     a divergence error naming its node, with the direction."""
-    lift_data, nodes = data
+    lift_data, nodes = data[:2]
     lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
     k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
     value, value_and_gradient, _, z0 = lift(lift_data, k_x, k_children)
@@ -359,10 +390,10 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
 
 
 def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel:
-    """The kernel of ``_one_step_sups``: its partials are the lift's at the
-    maximizer (the envelope theorem), from the solve that gave the values,
-    where the objective is smooth; central differences where it is kinked,
-    as a kink's partials need not be the sup's."""
+    """The kernel of ``_one_step_sups``, its ``solve``: its partials are the
+    lift's at the maximizer (the envelope theorem), from the solve that
+    gave the values, where the objective is smooth; central differences
+    where it is kinked, as a kink's partials need not be the sup's."""
     solve = partial(_one_step_sups, lift, descriptor, smooth, tree, opts)
 
     def evaluate(data, k_x, k_children):
@@ -372,7 +403,7 @@ def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel
         values, z, _ = solve(data, k_x, k_children)
         return values, lift(data[0], k_x, k_children)[2](z)
 
-    return Kernel(evaluate, descriptor, smooth, grad=grad if smooth else None)
+    return Kernel(evaluate, descriptor, smooth, grad=grad if smooth else None, solve=solve)
 
 
 def _committed(inner: Kernel) -> Kernel:

@@ -496,7 +496,6 @@ def counted_sups(monkeypatch):
         return inner(lift, descriptor, smooth, tree, opts, data, *args)
 
     monkeypatch.setattr(valuation, "_one_step_sups", counted)
-    monkeypatch.setattr(sys.modules["treeval.market"], "_one_step_sups", counted)
     return calls
 
 
@@ -632,6 +631,38 @@ class TestMartingaleRule:
         assert res.value < np.log(3.0) / 0.413
         assert ["u"] in calls and not any("d" in nodes for nodes in calls)
         assert market_value(fam, mkt, "d", CashBalance.constant(t, 0.0)).converged
+
+
+def one_route_case(kind):
+    """(tree, market, family, the start nodes whose hedge is attained) of a
+    complete lattice (every node by the martingale rule), criterion 10's
+    depth-3 lattice with the asset flat out of 'ud' (a level of both
+    routes), an arbitrage out of 'u' beside a martingale out of 'd', and a
+    CRRA family (every node a numeric sup)."""
+    t, mkt = lattice_market(3 if kind == "mixed" else 2)
+    prices = dict(zip(t.ids, mkt.prices[0].tolist()))
+    if kind == "mixed":
+        prices.update(udu=prices["ud"], udd=prices["ud"])
+    elif kind == "unattained":
+        prices.update(uu=4.0, ud=2.5)
+    fam = (ui_family(ui_params(t, CRRAUtility(2.0), 5.0)) if kind == "crra"
+           else entropic_family(entropic_params(t, 1.0)))
+    attained = {"ud", "d"} if kind == "unattained" else set(t.ids)
+    return t, market(t, {"s": prices}), fam, attained
+
+
+@pytest.mark.parametrize("kind", ["martingale", "mixed", "unattained", "crra"])
+def test_market_value_is_the_hedged_sweep_at_the_balance_and_at_zero(kind):
+    # the value and the strategy come from one route: market_value's
+    # values are those of the hedged family's own sweep, bit for bit
+    t, mkt, fam, attained = one_route_case(kind)
+    opts = DualSolverOptions(gradient_tolerance=1e-11)
+    k = random_cash(np.random.default_rng(12), t, -1.0, 1.0)
+    swept = hedged_family(fam, mkt, opts).node_values(np.stack([k.values, np.zeros(t.n_nodes)]))
+    for xi in t.internal_indices():
+        res = market_value(fam, mkt, t.ids[xi], k, opts)
+        assert (res.value, res.access_value) == (swept[0, xi], swept[1, xi])
+        assert res.converged == (t.ids[xi] in attained)
 
 
 class TestMarketAxioms:

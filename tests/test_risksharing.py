@@ -555,7 +555,6 @@ class TestDirectRouteSolves:
             monkeypatch.setattr(module, name, wrapped)
 
         counted(treeval.valuation, "_one_step_sups", "sups")
-        counted(treeval.risksharing, "_one_step_sups", "sups")
         counted(treeval.families, "_polytope_log_argmin", "polytope")
         return calls
 
@@ -578,6 +577,28 @@ class TestDirectRouteSolves:
             solved = {key: calls[key] - before[key] for key in calls}
             assert solved == {"polytope": {"polytope": 2, "sups": 0, "both": 1}[kind],
                               "sups": {"polytope": 0, "sups": 2, "both": 1}[kind]}
+
+
+@pytest.mark.parametrize("kind", ["rule", "disjoint", "overlapping", "sups"])
+def test_direct_values_are_the_pooled_sweep_at_the_balance_and_at_zero(kind):
+    # the values and the split come from one route: share_value's values
+    # are those of the pooled family's own sweep, bit for bit, on levels of
+    # the exponential rule, of the polytope rule with one distribution
+    # (disjoint vertices) or two (overlapping ones), and of one-step sups
+    rng = np.random.default_rng(34)
+    t = binary_tree(2)
+    alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 1 if kind == "disjoint" else 2).tolist()
+             for u in t.internal_indices()}
+    other = {"rule": lambda: entropic_family(entropic_params(t, 1.7)),
+             "disjoint": lambda: worst_case_family(worst_case_params(t, alpha, stopping=True)),
+             "overlapping": lambda: worst_case_family(worst_case_params(t, alpha, stopping=True)),
+             "sups": lambda: ui_family(ui_params(t, CRRAUtility(2.0), 5.0))}[kind]()
+    subs = [entropic_params(t, 0.8), other]
+    k = random_cash(rng, t, -2.0, 2.0)
+    swept = pooled_family(subs).node_values(np.stack([k.values, np.zeros(t.n_nodes)]))
+    for xi, x in enumerate(t.ids):
+        res = share_value(subs, x, k, method="direct")
+        assert (res.value, res.value_of_sharing) == (swept[0, xi], swept[1, xi])
 
 
 def polytope_calls(monkeypatch):

@@ -391,6 +391,29 @@ class TestReverseSweep:
             assert grad.shape == k.shape
             assert np.max(np.abs(grad - _central_differences(fam, k, xi))) <= 1e-6
 
+    @pytest.mark.parametrize("kind", ["entropic", "worst_case", "hedged_crra", "pooled_kinked"])
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_a_sweep_seeded_with_several_nodes_gives_each_its_own_gradient(self, kind, batch):
+        # one adjoint per node, bit for bit the node's own call: a chunk
+        # kept for another node hands this one's adjoint only zeros.  The
+        # pool of an exponential and a worst-case family without stopping
+        # is one of kinked one-step sups
+        t, mkt = _lattice(2)
+        worst = worst_case_family(worst_case_params(t, {t.ids[i]: [[0.3, 0.7], [0.6, 0.4]]
+                                                        for i in t.internal_indices()}))
+        fam = {"entropic": lambda: entropic_family(entropic_params(t, 1.2)),
+               "worst_case": lambda: worst,
+               "hedged_crra": lambda: hedged_family(ui_family(ui_params(t, CRRAUtility(2.0), 5.0)), mkt),
+               "pooled_kinked": lambda: pooled_family([entropic_params(t, 1.2), worst])}[kind]()
+        k = np.random.default_rng(41 + len(batch)).uniform(-1.0, 1.0, batch + (t.n_nodes,))
+        nodes = [1, 0, 3, 1]
+        values, grads = fam.values_and_gradient(k, nodes)
+        assert grads.shape == (len(nodes),) + k.shape
+        for xi, grad in zip(nodes, grads):
+            one_values, one_grad = fam.values_and_gradient(k, xi)
+            assert np.array_equal(values, one_values)
+            assert np.array_equal(grad, one_grad)
+
     @pytest.mark.parametrize("kind", sorted(SWEPT_FAMILIES))
     def test_gradient_is_a_density_on_the_subtree(self, kind):
         # monotone, translation invariant and local: the gradient of a node
