@@ -133,10 +133,11 @@ class CRRAUtility:
 # entropic family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropicParams:
     """Exponential certainty-equivalent family: risk aversion gamma and a
-    strictly positive reference distribution over all tree nodes."""
+    strictly positive reference distribution over all tree nodes.
+    Parameters compare and hash by identity."""
 
     tree: Tree
     gamma: float
@@ -463,7 +464,7 @@ def entropic_family(params: EntropicParams) -> ValuationFamily:
 # worst-case / optimal stopping family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorstCaseParams:
     """Per-node finite sets of child distributions, with an optional stop
     branch that locks in the node's own cash, checked on construction by
@@ -475,7 +476,7 @@ class WorstCaseParams:
     tree: Tree
     alphas: Mapping[str, np.ndarray]
     stopping: bool = True
-    levels: tuple = field(init=False, repr=False, compare=False)
+    levels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         levels, table = [], {}
@@ -672,7 +673,7 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
     return price
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UIParams:
     """Single-period indifference pricing at each node: a CRRA or
     exponential utility, reference wealth, and strictly positive outcome
@@ -685,7 +686,7 @@ class UIParams:
     utility: object
     x0: float
     probs: Mapping[str, np.ndarray]
-    levels: tuple = field(init=False, repr=False, compare=False)
+    levels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_utility(self.utility)

@@ -36,12 +36,13 @@ from .dual import DEFAULT_OPTIONS, DualSolverOptions
 from .errors import ValidationError
 from .tree import CashBalance, Tree, stop_index
 from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _sup_kernel, _take, check_axioms,
-                        committed_family, probability_rows, sample_stop_masks)
+                        committed_family, derived, probability_rows, sample_stop_masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Market:
-    """Adapted asset price processes on a tree."""
+    """Adapted asset price processes on a tree; markets compare and hash by
+    identity."""
 
     tree: Tree
     asset_names: tuple[str, ...]
@@ -348,12 +349,17 @@ def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) ->
     optimal positions, central differences for a kinked kernel.  A one-step
     hedge that runs away raises a divergence error naming its node, with
     the arbitrage direction as certificate: the market admits arbitrage
-    relative to the family."""
+    relative to the family.
+
+    The hedged family is built once per family, market and options and
+    kept on the family (``valuation.derived``), so a later call with the
+    same market and equal options returns it, its blocks with it."""
     if family.tree is not mkt.tree:
         raise ValidationError("family and market must share one tree instance")
     opts = opts or DEFAULT_OPTIONS
-    return ValuationFamily(mkt.tree, lambda: [hedge for b in family.blocks for hedge in _hedged_block(b, mkt, opts)],
-                           descriptor=f"hedged({family.descriptor or 'custom'})")
+    return derived(family, "hedged", (mkt, opts), lambda: ValuationFamily(
+        mkt.tree, lambda: [hedge for b in family.blocks for hedge in _hedged_block(b, mkt, opts)],
+        descriptor=f"hedged({family.descriptor or 'custom'})"))
 
 
 def market_value(family, mkt: Market, x: str, balance: CashBalance,
@@ -361,8 +367,10 @@ def market_value(family, mkt: Market, x: str, balance: CashBalance,
     """Best valuation of the balance over all trading overlays from x, its
     normalization, the access value (the same optimization at zero cash),
     and the optimal strategy, from one sweep of ``hedged_family`` at the
-    balance and at zero.  Unbounded hedging raises a divergence error
-    whose direction certifies the arbitrage; an unattained sup is unconverged."""
+    balance and at zero; the hedged family is built once per family,
+    market and options and reused by later calls.  Unbounded hedging
+    raises a divergence error whose direction certifies the arbitrage; an
+    unattained sup is unconverged."""
     if balance.tree is not mkt.tree or family.tree is not mkt.tree:
         raise ValidationError("family, market and balance must share one tree instance")
     tree = mkt.tree

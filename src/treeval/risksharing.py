@@ -32,7 +32,8 @@ from .errors import ValidationError
 from .families import (EntropicParams, _entropic_conjugate, _entropic_kernel, _entropic_log_argmin, entropic_family,
                        entropic_params)
 from .tree import CashBalance, Tree
-from .valuation import AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family
+from .valuation import (AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family,
+                        derived)
 
 
 def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
@@ -50,7 +51,9 @@ def _common_tree(subs: Sequence, balances: Sequence[CashBalance] = ()) -> Tree:
 
 
 def _as_family(sub) -> ValuationFamily:
-    return entropic_family(sub) if isinstance(sub, EntropicParams) else sub
+    """A subsidiary's family: an ``EntropicParams``' is built once and kept
+    on it."""
+    return derived(sub, "family", (), lambda: entropic_family(sub)) if isinstance(sub, EntropicParams) else sub
 
 
 def share_dual(duals: Sequence, lam) -> float:
@@ -251,11 +254,17 @@ def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverO
 
 def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):
     """The pooled family of ``pooled_family`` and the (blocks, ``_rule``) of
-    each of its levels, one per level of the subsidiaries' ``_layout``."""
-    tree, levels = families[0].tree, [(blocks, _rule(blocks)) for blocks in _layout(families)]
-    pooled = ValuationFamily(tree, lambda: [_pooled_block(*level, tree, opts) for level in levels],
-                             descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
-    return pooled, levels
+    each of its levels, one per level of the subsidiaries' ``_layout``,
+    built once per families (in their order) and options and kept on the
+    first family."""
+
+    def build():
+        tree, levels = families[0].tree, [(blocks, _rule(blocks)) for blocks in _layout(families)]
+        pooled = ValuationFamily(tree, lambda: [_pooled_block(*level, tree, opts) for level in levels],
+                                 descriptor="pooled(" + ", ".join(f.descriptor or "custom" for f in families) + ")")
+        return pooled, levels
+
+    return derived(families[0], "pooled", (tuple(families), opts), build)
 
 
 def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -285,7 +294,11 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     custom ones, a polytope that leaves a coordinate without mass) is a
     block of one-step sups, solved with the tolerances of ``opts``; where
     all are smooth its partials are the last subsidiary's at its share (the
-    envelope theorem)."""
+    envelope theorem).
+
+    The pooled family is built once per subsidiaries (in their order) and
+    options, so a later call with the same subsidiaries and equal options
+    returns the same family, its blocks with it."""
     _common_tree(subs)
     return _pool_levels([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)[0]
 
@@ -339,7 +352,9 @@ def share_value(subs: Sequence, x: str, balance: CashBalance,
     no solver, a level of one-step sups' from its block solve; the
     allocation is rebuilt from them top-down.  ``opts`` tunes only the
     one-step sups; neither kernel rule reads it.  ``'auto'`` picks the dual
-    route when every subsidiary is ``EntropicParams``.  The allocation
+    route when every subsidiary is ``EntropicParams``.  Both routes sweep
+    the pooled family of ``pooled_family``, built once per subsidiaries and
+    options and reused by later calls at any balance.  The allocation
     always sums to the balance on the subtree; the value it achieves is
     reported for verification."""
     if method not in ("auto", "dual", "direct"):

@@ -186,12 +186,35 @@ def linear_one_step(child_weights) -> OneStepValuation:
     return OneStepValuation(evaluate, descriptor=f"linear({w.tolist()})")
 
 
+def derived(owner, kind: str, key, build: Callable):
+    """The object that ``build()`` makes from ``owner`` and ``key``, made
+    once per key: the one kept from the last call of this kind is returned
+    while its key equals ``key``, else ``build()`` runs and its result
+    takes that place.  One entry per owner and kind, kept in the owner's
+    ``__dict__`` (a frozen dataclass's too), so nothing grows and an entry
+    is freed with its owner; a build that raises keeps nothing.
+    Keys compare with ``==``: markets, parameters and families by
+    identity, solver options by value.  Only for objects built from
+    read-only inputs, such as the hedged and pooled families."""
+    memo = vars(owner).setdefault("_derived", {})
+    kept = memo.get(kind)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    made = build()
+    memo[kind] = (key, made)
+    return made
+
+
 class ValuationFamily:
     """Per-node valuation operators assembled by backward induction, stored
     as level blocks ordered from the deepest internal level up.
 
     ``build()`` returns the blocks; it runs on the first sweep, so a family
-    that is never swept holds only its parameters."""
+    that is never swept holds only its parameters.  A family derived from
+    this one and read-only inputs (its hedge against a market, its pool
+    with other subsidiaries) is built once per inputs and kept on it by
+    ``derived``, blocks included, so later calls at other balances reuse
+    it."""
 
     def __init__(self, tree: Tree, build: Callable[[], list[Block]], *, descriptor: str = "",
                  dual_closed=None):

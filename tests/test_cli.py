@@ -229,6 +229,20 @@ class TestVerbs:
         assert report["residuals"]["feasibility_gap"] <= 1e-12
         assert report["residuals"]["achieved_value_gap"] <= 1e-12
 
+    @pytest.mark.parametrize("second", ["fam2", "worst"])
+    def test_share_builds_one_pooled_family(self, files, tmp_path, capsys, monkeypatch, second):
+        # the stability map's pooled gradients sweep the family that gave
+        # the value, not a second build of it
+        worst = tmp_path / "worst.json"
+        worst.write_text(json.dumps({"family": "worst", "alphas": {"root": [[0.3, 0.7]]}, "stopping": True}))
+        paths = {**files, "worst": str(worst)}
+        layouts, inner = [], treeval.risksharing._layout
+        monkeypatch.setattr(treeval.risksharing, "_layout", lambda families: layouts.append(1) or inner(families))
+        code, _, _ = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
+                              "--family", files["fam"], paths[second]], capsys)
+        assert code == 0
+        assert len(layouts) == 1
+
     def test_share_needs_two_families(self, files, capsys):
         code, _, err = run_cli(["share", "--tree", files["tree"], "--cash", files["cash"],
                                 "--family", files["fam"]], capsys)

@@ -1,7 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -487,8 +489,9 @@ def numeric_hedge(family, mkt, opts):
 
 def counted_sups(monkeypatch):
     """The nodes solved by each call of ``valuation._one_step_sups`` from
-    here on, from hedged blocks built after this call and from
-    ``market_value``."""
+    here on, by hedged blocks built after this call: ``market_value``'s
+    only for a family and market first hedged after it, as the hedged
+    family is built once per family, market and options."""
     calls, inner = [], valuation._one_step_sups
 
     def counted(lift, descriptor, smooth, tree, opts, data, *args):
@@ -739,3 +742,124 @@ class TestMarketValidation:
         t = three_node_tree()
         with pytest.raises(ValidationError, match="at least one asset"):
             market(t, {})
+
+
+@pytest.mark.parametrize("kind", ["market", "entropic", "worst", "ui"])
+def test_markets_and_parameters_compare_and_hash_by_identity(kind):
+    # their fields hold arrays (or dicts of arrays), so field-wise equality
+    # raised numpy's ValueError and hashing a TypeError
+    t, mkt = binomial_market()
+    make = {"market": lambda: market(t, {"s": dict(zip(t.ids, mkt.prices[0].tolist()))}),
+            "entropic": lambda: entropic_params(t, 1.0),
+            "worst": lambda: worst_case_params(t, {"root": [[0.5, 0.5], [0.3, 0.7]]}),
+            "ui": lambda: ui_params(t, CRRAUtility(2.0), 5.0)}[kind]
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+    assert len({a, b, a}) == 2
+
+
+def counted_hedged_blocks(monkeypatch):
+    """The number of ``market._hedged_block`` calls from here on."""
+    calls, module = [], sys.modules["treeval.market"]   # the package's ``market`` is the function
+    inner = module._hedged_block
+    monkeypatch.setattr(module, "_hedged_block", lambda *args: calls.append(1) or inner(*args))
+    return calls
+
+
+def same_market_value(a, b) -> bool:
+    """Whether two market values agree bit for bit."""
+    return ((a.value, a.normalized, a.access_value, a.converged) == (b.value, b.normalized, b.access_value, b.converged)
+            and a.strategy.holdings.keys() == b.strategy.holdings.keys()
+            and all(np.array_equal(a.strategy.holdings[x], b.strategy.holdings[x]) for x in a.strategy.holdings))
+
+
+class TestHedgedFamilyReuse:
+    """The hedged family is built once per family, market and options."""
+
+    @pytest.mark.parametrize("kind", ["martingale", "mixed", "unattained", "crra"])
+    def test_a_later_call_at_another_balance_builds_nothing(self, monkeypatch, kind):
+        t, mkt, fam, _ = one_route_case(kind)
+        opts = DualSolverOptions(gradient_tolerance=1e-11)
+        rng = np.random.default_rng(13)
+        market_value(fam, mkt, t.root, random_cash(rng, t, -1.0, 1.0), opts)
+        calls = counted_hedged_blocks(monkeypatch)
+        k = random_cash(rng, t, -1.0, 1.0)
+        for x in (t.root, "u"):
+            warm = market_value(fam, mkt, x, k, DualSolverOptions(gradient_tolerance=1e-11))
+            assert calls == []
+            # a cold call: a fresh family on the same blocks has no hedge kept
+            cold = market_value(ValuationFamily(t, lambda: fam.blocks), mkt, x, k, opts)
+            assert len(calls) == len(fam.blocks)
+            assert same_market_value(warm, cold)
+            calls.clear()
+
+    def test_a_new_market_other_options_or_another_family_rebuild(self, monkeypatch):
+        t, mkt, fam, _ = one_route_case("mixed")
+        k = random_cash(np.random.default_rng(14), t, -1.0, 1.0)
+        hedged = hedged_family(fam, mkt)
+        assert hedged_family(fam, mkt) is hedged
+        assert hedged_family(fam, mkt, DualSolverOptions()) is hedged   # options compare by value
+        calls = counted_hedged_blocks(monkeypatch)
+        again = market(t, {"s": dict(zip(t.ids, mkt.prices[0].tolist()))})
+        other = ValuationFamily(t, lambda: fam.blocks)
+        for args in [(fam, again, None), (fam, again, DualSolverOptions(gradient_tolerance=1e-9)),
+                     (other, again, DualSolverOptions(gradient_tolerance=1e-9))]:
+            calls.clear()
+            market_value(args[0], args[1], t.root, k, args[2])
+            assert len(calls) == len(fam.blocks)
+        # one entry per family: the last market and options replaced the first
+        assert hedged_family(fam, mkt) is not hedged
+
+    def test_the_market_axioms_reuse_the_hedged_family(self, monkeypatch):
+        t, mkt = depth2_market()
+        fam = entropic_family(entropic_params(t, 1.0))
+        first = check_market_axioms(fam, mkt, trials=3, seed=5, cash_range=(-2.0, 2.0))
+        calls = counted_hedged_blocks(monkeypatch)
+        second = check_market_axioms(fam, mkt, trials=3, seed=5, cash_range=(-2.0, 2.0))
+        assert calls == []
+        assert first.as_dict() == second.as_dict()
+
+    def test_a_family_keeps_only_its_last_market(self):
+        t, mkt = depth2_market()
+        fam = entropic_family(entropic_params(t, 1.0))
+        k = random_cash(np.random.default_rng(15), t, -1.0, 1.0)
+        prices = dict(zip(t.ids, mkt.prices[0].tolist()))
+        refs = []
+        for _ in range(20):
+            m = market(t, {"s": prices})
+            market_value(fam, m, t.root, k)
+            refs.append(weakref.ref(m))
+        del m
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 19 + [False]
+
+    def test_a_divergence_is_raised_again(self):
+        t, mkt = binomial_market()
+        fam = assemble(t, {"root": linear_one_step([0.5, 0.5])})
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DivergenceError) as err:
+                market_value(fam, mkt, "root", CashBalance.constant(t, 0.0))
+            errors.append(err.value)
+        assert str(errors[0]) == str(errors[1]) and "'root'" in str(errors[0])
+        assert np.array_equal(errors[0].direction, errors[1].direction)
+
+    def test_a_build_that_raises_raises_again(self):
+        t, mkt = binomial_market()
+        foreign = entropic_family(entropic_params(three_node_tree(), 1.0))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="share one tree"):
+                market_value(foreign, mkt, "root", CashBalance.constant(t, 0.0))
+        builds = []
+
+        def broken():
+            builds.append(1)
+            raise ValidationError("no blocks")
+
+        fam = ValuationFamily(t, broken)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="no blocks"):
+                market_value(fam, mkt, "root", CashBalance.constant(t, 0.0))
+        assert len(builds) == 2

@@ -16,6 +16,7 @@ from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_den
 from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
     CRRAUtility,
+    EntropicParams,
     ExponentialUtility,
     entropic_dual,
     entropic_family,
@@ -1101,3 +1102,113 @@ def test_entropic_paths_never_import_scipy_optimize():
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def counted_pool_builds(monkeypatch):
+    """The calls of the pooled family's build steps (the subsidiaries'
+    ``_layout``, each level's ``_pooled_block``) and of ``entropic_family``
+    from ``risksharing`` from here on, by name."""
+    calls = {"_layout": 0, "_pooled_block": 0, "entropic_family": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(treeval.risksharing, name)):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(treeval.risksharing, name, counted)
+    return calls
+
+
+def reuse_case(kind, t):
+    """Two subsidiaries on t, pooled by the dual route (two exponential
+    parameter sets), by the polytope rule (with a worst-case family with
+    stopping) or by one-step sups (with a CRRA family), and a function that
+    gives fresh subsidiaries of the same valuations: new parameters, or a
+    new family on the same blocks."""
+    rng = np.random.default_rng(35)
+    ent = entropic_params(t, 0.8)
+    other = {"dual": lambda: entropic_params(t, 1.7, rng.dirichlet(np.ones(t.n_nodes))),
+             "rule": lambda: worst_case_family(worst_case_params(
+                 t, {t.ids[u]: [rng.dirichlet([2.0, 2.0]).tolist()] for u in t.internal_indices()}, stopping=True)),
+             "sups": lambda: ui_family(ui_params(t, CRRAUtility(2.0), 5.0))}[kind]()
+
+    def fresh(sub):
+        if isinstance(sub, EntropicParams):
+            return entropic_params(t, sub.gamma, sub.reference)
+        return ValuationFamily(t, lambda: sub.blocks)
+
+    return [ent, other], fresh
+
+
+def same_sharing(a, b) -> bool:
+    """Whether two sharing results agree bit for bit."""
+    density = (a.argmin_density is None and b.argmin_density is None) or (
+        a.argmin_density.support == b.argmin_density.support and a.argmin_density.values == b.argmin_density.values)
+    return (density and len(a.allocation) == len(b.allocation)
+            and all(np.array_equal(p.values, q.values) for p, q in zip(a.allocation, b.allocation))
+            and (a.value, a.normalized, a.value_of_sharing, a.achieved_value, a.feasibility_gap, a.method,
+                 a.converged) == (b.value, b.normalized, b.value_of_sharing, b.achieved_value, b.feasibility_gap,
+                                  b.method, b.converged))
+
+
+class TestPooledFamilyReuse:
+    """The pooled family is built once per subsidiaries, in their order,
+    and options; an ``EntropicParams``' family once per parameters."""
+
+    @pytest.mark.parametrize("kind", ["dual", "rule", "sups"])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_later_call_at_another_balance_builds_nothing(self, monkeypatch, kind, order):
+        t = binary_tree(2)
+        subs, fresh = reuse_case(kind, t)
+        subs = subs[::order]
+        rng = np.random.default_rng(36)
+        share_value(subs, t.root, random_cash(rng, t, -2.0, 2.0))
+        calls = counted_pool_builds(monkeypatch)
+        k = random_cash(rng, t, -2.0, 2.0)
+        for x in (t.root, "u"):
+            warm = share_value(subs, x, k)
+            assert calls == {"_layout": 0, "_pooled_block": 0, "entropic_family": 0}
+            cold = share_value([fresh(s) for s in subs], x, k)
+            assert calls["_layout"] == 1 and calls["_pooled_block"] == 2
+            assert same_sharing(warm, cold)
+            calls.update(dict.fromkeys(calls, 0))
+        if kind == "dual":
+            direct = share_value(subs, t.root, k, method="direct")
+            assert calls == {"_layout": 0, "_pooled_block": 0, "entropic_family": 0}
+            assert direct.value == share_value([fresh(s) for s in subs], t.root, k, method="direct").value
+
+    def test_pooled_family_is_kept_per_subsidiaries_and_options(self, monkeypatch):
+        t = binary_tree(2)
+        subs, fresh = reuse_case("rule", t)
+        pooled = pooled_family(subs, DualSolverOptions(tolerance=1e-11))
+        assert pooled_family(subs, DualSolverOptions(tolerance=1e-11)) is pooled   # options compare by value
+        calls = counted_pool_builds(monkeypatch)
+        share_value(subs, t.root, random_cash(np.random.default_rng(37), t, -2.0, 2.0), TIGHT)
+        assert calls["_layout"] == 0
+        for other in ([subs[0], fresh(subs[1])], [fresh(subs[0]), subs[1]], subs[::-1]):
+            assert pooled_family(other, TIGHT) is not pooled
+        assert pooled_family(subs, DualSolverOptions(tolerance=1e-10)) is not pooled
+        assert calls["_layout"] == 4
+
+    def test_the_sharing_axioms_reuse_the_pooled_family(self, monkeypatch):
+        t = three_node_tree()
+        mixed = [entropic_params(t, 1.0),
+                 worst_case_family(worst_case_params(t, {"root": [[0.5, 0.5]]}, stopping=True))]
+        first = check_sharing_axioms(mixed, trials=3, seed=6, cash_range=(-2.0, 2.0))
+        calls = counted_pool_builds(monkeypatch)
+        second = check_sharing_axioms(mixed, trials=3, seed=6, cash_range=(-2.0, 2.0))
+        assert calls == {"_layout": 0, "_pooled_block": 0, "entropic_family": 0}
+        assert first.as_dict() == second.as_dict()
+
+    def test_a_build_that_raises_raises_again(self):
+        t = binary_tree(1)
+        builds = []
+
+        def broken():
+            builds.append(1)
+            raise ValidationError("no blocks")
+
+        subs = [entropic_params(t, 1.0), ValuationFamily(t, broken)]
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="no blocks"):
+                share_value(subs, t.root, CashBalance.constant(t, 0.0))
+        assert len(builds) == 2
