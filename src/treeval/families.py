@@ -388,44 +388,25 @@ def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropic_log_argmin(gamma: float, data, k_x, k_children) -> np.ndarray:
-    """log q* of the minimizing density q* of the exponential one-step's
-    conjugate problem  min_q [q . k + sum q (log q - log w) / gamma]: the log
-    Gibbs weights, or over the polytope of ``data[1]``'s vertices when the
-    data carries one."""
-    cost = gamma * _stack_outcomes(k_x, k_children) - data[0]
-    if len(data) == 1:
-        return -cost - _logsumexp(-cost)[..., None]
-    return _polytope_log_argmin(cost, data[1])
-
-
-def _entropic_conjugate(gamma: float, data, k_x, k_children, log_q) -> np.ndarray:
-    """The conjugate objective q . k + sum q (log q - log w) / gamma at q = exp(log_q)."""
-    return _reduce_last(np.add, np.exp(log_q) * (_stack_outcomes(k_x, k_children) + (log_q - data[0]) / gamma))
-
-
 def _entropic_kernel(gamma: float) -> Kernel:
-    """One-step exponential certainty equivalent, stating its ``gamma``;
-    data: the log-weights of (own weight, child subtree weights) over the
-    subtree weight, or of any positive weights.  Data with a second array,
-    the vertices (b, v, m + 1) of a polytope, confine the density of the
-    conjugate problem to the polytope (the pooling rule of a polyhedral
-    subsidiary): the value is then that problem's minimum and the partials
-    its minimizer, found by ``_polytope_log_argmin``."""
+    """One-step exponential certainty equivalent, stating its rule
+    (gamma, log w, None); data: the log-weights log w of (own weight, child
+    subtree weights) over the subtree weight, or of any positive weights.
+    Its ``solve`` gives the values with log q*, the log Gibbs weights, which
+    minimize the conjugate problem  min_q [q . k + sum q (log q - log w) / gamma]."""
 
     def evaluate(data, k_x, k_children):
-        if len(data) == 1:
-            return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
-        return grad(data, k_x, k_children)[0]
+        return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
 
     def grad(data, k_x, k_children):
-        # the Gibbs weights of the outcomes, from the exponentials of the
-        # value; over a polytope, the minimizer (the envelope theorem)
-        if len(data) == 1:
-            lse, weights = _logsumexp_softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
-            return lse / -gamma, weights
-        log_q = _entropic_log_argmin(gamma, data, k_x, k_children)
-        return _entropic_conjugate(gamma, data, k_x, k_children, log_q), np.exp(log_q)
+        # the Gibbs weights of the outcomes, from the exponentials of the value
+        lse, weights = _logsumexp_softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+        return lse / -gamma, weights
+
+    def solve(data, k_x, k_children):
+        a = data[0] - gamma * _stack_outcomes(k_x, k_children)
+        lse = _logsumexp(a)
+        return lse / -gamma, a - lse[..., None], np.ones(lse.shape, dtype=bool)
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
@@ -434,7 +415,30 @@ def _entropic_kernel(gamma: float) -> Kernel:
         pos = q > 0
         return float(np.sum(q[pos] * (np.log(q[pos]) - data[0][0, pos])) / gamma)
 
-    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad, gamma=gamma)
+    return Kernel(evaluate, f"entropic(gamma={gamma})", dual=dual, grad=grad,
+                  rule=lambda data: (gamma, data[0], None), solve=solve)
+
+
+def _confined_kernel(gamma: float) -> Kernel:
+    """The exponential one-step with the density of its conjugate problem
+    confined to a polytope, stating its rule (gamma, log w, vertices); data:
+    the log-weights log w and the vertices (b, v, m + 1), each of which must
+    give every coordinate mass.  Its ``solve`` gives the problem's minimum
+    with log q* of its minimizer, found by ``_polytope_log_argmin``, and its
+    partials are q* (the envelope theorem)."""
+
+    def solve(data, k_x, k_children):
+        k = _stack_outcomes(k_x, k_children)
+        log_q = _polytope_log_argmin(gamma * k - data[0], data[1])
+        values = _reduce_last(np.add, np.exp(log_q) * (k + (log_q - data[0]) / gamma))
+        return values, log_q, np.ones(values.shape, dtype=bool)
+
+    def grad(data, k_x, k_children):
+        values, log_q, _ = solve(data, k_x, k_children)
+        return values, np.exp(log_q)
+
+    return Kernel(lambda data, k_x, k_children: solve(data, k_x, k_children)[0], f"entropic(gamma={gamma})",
+                  grad=grad, rule=lambda data: (gamma, *data), solve=solve)
 
 
 def _entropic_levels(params: EntropicParams):
@@ -545,16 +549,16 @@ def _worst_case_kernel(stopping: bool) -> Kernel:
         k_x = np.asarray(k_x, dtype=float)
         return np.minimum(k_x, worst), np.where((k_x <= worst)[..., None], np.eye(out.shape[-1])[0], out)
 
-    def vertices(data):
-        # (0, alpha_i) for every distribution, after e_0 when stopping is on
+    def rule(data):
+        # the vertices (0, alpha_i) for every distribution, after e_0 when
+        # stopping is on
         alphas = data[0]
         out = np.concatenate([np.zeros_like(alphas[..., :1]), alphas], axis=-1)
-        if not stopping:
-            return out
-        return np.concatenate([np.broadcast_to(np.eye(out.shape[-1])[0], out[:, :1].shape), out], axis=1)
+        if stopping:
+            out = np.concatenate([np.broadcast_to(np.eye(out.shape[-1])[0], out[:, :1].shape), out], axis=1)
+        return np.inf, None, out
 
-    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False, grad=grad,
-                  vertices=vertices)
+    return Kernel(evaluate, "worst_stopping" if stopping else "worst_case", smooth=False, grad=grad, rule=rule)
 
 
 def worst_case_one_step(params: WorstCaseParams, x: str) -> OneStepValuation:

@@ -7,12 +7,14 @@ The hedged valuations are a ``ValuationFamily`` of one-step hedges, a sup
 over the positions held at each node, built from the family's level blocks
 node by node (``_hedged_block``).  The nodes of an exponential block in a
 complete one-step market with a strictly positive martingale measure q
-are the exponential kernel on (own cash, q . children), with no solve.
-The block's other nodes are solved together, all rows at once, by damped
-Newton in the positions, which leaves the rows it does not finish, and
-every row of a kinked kernel, to the per-row ``optim.sup``
+are the exponential kernel on (own cash, q . children), with no solve,
+which states its rule (``Kernel.rule``), so pools take it in closed form
+too.  The block's other nodes are solved together, all rows at once, by
+damped Newton in the positions, which leaves the rows it does not finish,
+and every row of a kinked kernel, to the per-row ``optim.sup``
 (``valuation._sup_kernel``, which also solves the numerically pooled
-families of ``risksharing``).  Their partials are the inner partials at
+families of ``risksharing``, and flags a node unconverged where the sup is
+not attained).  Their partials are the inner partials at
 the optimal positions (the envelope theorem), so reverse sweeps through
 hedged nodes of a smooth kernel are exact.  ``market_value`` reads the
 optimal strategy off the solves of the sweep that gives the values.
@@ -26,7 +28,7 @@ then exact linear-algebra identities, verified by ``check_gains_axioms``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -252,15 +254,16 @@ def _hedge(inner: Kernel):
     return partial(_lift, inner), f"hedged({inner.descriptor})", inner.smooth
 
 
-def _martingale(inner: Kernel) -> Kernel:
-    """``inner``, an exponential one-step, hedged where the one-step market
-    is complete with martingale measure q: the best positions make the
-    children's Gibbs weights q, so the hedge is ``inner`` on (own cash,
-    q . children), with partials (p_0, (1 - p_0) q); data: the log-weights
-    (b, 2) of those outcomes, (L_0, sum q (L - log q)), q (b, m), A, the
-    last rows (b, d, m) of M^-1, and c = (L - log q) / gamma (b, m), for
-    the positions A (c - children) that its solve gives.  It is the
-    exponential kernel over the vertices of the polytope {e_0, (0, q)}, the
+def _martingale(inner: Kernel, gamma: float) -> Kernel:
+    """``inner``, an exponential one-step of risk aversion gamma, hedged
+    where the one-step market is complete with martingale measure q: the
+    best positions make the children's Gibbs weights q, so the hedge is
+    ``inner`` on (own cash, q . children), with partials (p_0, (1 - p_0) q);
+    data: the log-weights (b, 2) of those outcomes, (L_0, sum q (L - log q)),
+    q (b, m), A, the last rows (b, d, m) of M^-1, c = (L - log q) / gamma
+    (b, m), for the positions A (c - children) that its solve gives, and
+    inner's log-weights L (b, m + 1).  It states its rule (gamma, L,
+    {e_0, (0, q)}): the exponential kernel confined to that polytope, the
     closed form ``families._disjoint_log_argmin`` gives any polytope whose
     vertices have disjoint supports."""
 
@@ -274,10 +277,16 @@ def _martingale(inner: Kernel) -> Kernel:
         return values, np.concatenate([p[..., :1], p[..., 1:] * q], axis=-1)
 
     def solve(data, k_x, k_children):
-        values, (a, c) = evaluate(data, k_x, k_children), data[2:]
+        values, (a, c) = evaluate(data, k_x, k_children), data[2:4]
         return values, (a @ (c - k_children)[..., None])[..., 0], np.ones(values.shape, dtype=bool)
 
-    return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad, solve=solve)
+    def rule(data):
+        q = data[1]
+        vertices = np.zeros(q.shape[:-1] + (2, q.shape[-1] + 1))
+        vertices[..., 0, 0], vertices[..., 1, 1:] = 1.0, q
+        return gamma, data[4], vertices
+
+    return Kernel(evaluate, f"hedged({inner.descriptor})", grad=grad, rule=rule, solve=solve)
 
 
 def _part(b: Block, sel: np.ndarray) -> Block:
@@ -285,47 +294,44 @@ def _part(b: Block, sel: np.ndarray) -> Block:
     return b if sel.all() else Block(b.kernel, _take(b.data, sel), b.nodes[sel], b.kids[sel])
 
 
-def _martingale_part(b: Block, inv: np.ndarray) -> Block:
+def _martingale_part(b: Block, inv: np.ndarray, gamma: float, log_w: np.ndarray) -> Block:
     """The hedge of the nodes of b that the martingale rule takes, from
-    their inverses of M."""
-    q, log_w = inv[:, 0], b.data[0]
+    their inverses of M and the risk aversion and log-weights of b's rule."""
+    q = inv[:, 0]
     c = log_w[:, 1:] - np.log(q)
-    data = (np.stack([log_w[:, 0], (q * c).sum(axis=-1)], axis=-1), q, inv[:, 1:], c / b.kernel.gamma)
-    return Block(_martingale(b.kernel), data, b.nodes, b.kids)
+    data = (np.stack([log_w[:, 0], (q * c).sum(axis=-1)], axis=-1), q, inv[:, 1:], c / gamma, log_w)
+    return Block(_martingale(b.kernel, gamma), data, b.nodes, b.kids)
 
 
 def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[Block]:
     """The hedges of the family's level block b, node by node: one block
-    per route that some node of b takes.  The rule takes a node of an
-    exponential kernel (``Kernel.gamma``) that has one child more than
-    there are assets and where q, the first row of M^-1 for M = [1 | dS],
-    is a strictly positive probability, the unique martingale measure
-    (``_martingale``).  The other nodes are one-step sups, whose solve
-    flags a node unconverged where q has a nonpositive entry: an arbitrage
-    lifts the exponential one-step there towards its own-cash bound
-    unattained."""
+    per route that some node of b takes.  The martingale rule takes a node
+    of an exponential kernel (a ``Kernel.rule`` with a finite gamma and no
+    vertices) that has one child more than there are assets and where q,
+    the first row of M^-1 for M = [1 | dS], is a strictly positive
+    probability, the unique martingale measure (``_martingale``).  The
+    other nodes are one-step sups, whose solve flags a node unconverged
+    where q has a nonpositive entry: an arbitrage lifts the exponential
+    one-step there towards its own-cash bound unattained."""
     moves = _moves(mkt, b)
-    rule, attained = np.zeros(b.nodes.size, dtype=bool), np.ones(b.nodes.size, dtype=bool)
-    if b.kernel.gamma is not None and moves.shape[-2] == moves.shape[-1] + 1:
+    gamma, log_w, vertices = b.kernel.rule(b.data) if b.kernel.rule is not None else (np.inf, None, None)
+    martingale, attained = np.zeros(b.nodes.size, dtype=bool), np.ones(b.nodes.size, dtype=bool)
+    if vertices is None and gamma < np.inf and moves.shape[-2] == moves.shape[-1] + 1:
         mat, flat = np.concatenate([np.ones(moves.shape[:-1] + (1,)), moves], axis=-1), False
         try:
             inv = np.linalg.inv(mat)
         except np.linalg.LinAlgError:   # moves that span fewer directions than there are assets
             flat = np.linalg.det(mat) == 0
             inv = np.linalg.inv(np.where(flat[:, None, None], np.eye(mat.shape[-1]), mat))   # q = e_0 there
-        rule = probability_rows(inv[:, 0], positive=True)
-        if rule.all():
-            return [_martingale_part(b, inv)]
+        martingale = probability_rows(inv[:, 0], positive=True)
+        if martingale.all():
+            return [_martingale_part(b, inv, gamma, log_w)]
         attained = (inv[:, 0] > 0).all(axis=-1) | flat
-    parts = [_martingale_part(_part(b, rule), inv[rule])] if rule.any() else []
-    part, sups, kernel = _part(b, ~rule), ~rule, _sup_kernel(*_hedge(b.kernel), mkt.tree, opts)
-
-    def solve(data, k_x, k_children):   # data ((inner data, moves), nodes, attained)
-        values, theta, converged = kernel.solve(data, k_x, k_children)
-        return values, theta, converged & data[2]
-
-    return parts + [Block(replace(kernel, solve=solve), ((part.data, moves[sups]), part.nodes, attained[sups]),
-                          part.nodes, part.kids)]
+    parts = ([_martingale_part(_part(b, martingale), inv[martingale], gamma, log_w[martingale])]
+             if martingale.any() else [])
+    part, sups = _part(b, ~martingale), ~martingale
+    return parts + [Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts),
+                          ((part.data, moves[sups]), part.nodes, attained[sups]), part.nodes, part.kids)]
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -396,9 +402,10 @@ def check_market_axioms(family, mkt: Market, trials: int, seed: int, *,
                         opts: DualSolverOptions | None = None,
                         cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
     """Axiom suite for the normalized hedged family, the hedged family
-    committed to the zero balance.  The default tolerance reflects the
+    committed to the zero balance, the hedged family ``market_value``
+    sweeps with the same options.  The default tolerance reflects the
     one-step solves; widen it for non-smooth base families."""
-    hedged = hedged_family(family, mkt, opts or DualSolverOptions(gradient_tolerance=1e-7))
+    hedged = hedged_family(family, mkt, opts)
     normalized = committed_family(hedged, CashBalance.constant(mkt.tree, 0.0))
     return check_axioms(normalized, trials, seed, tolerance=tolerance, cash_range=cash_range)
 

@@ -5,32 +5,34 @@ gradient-proportionality stability certificate, and the axiom suite for the
 pooled family.
 
 Duals add under pooling, and ``pooled_family`` reads the rule of each level
-block off the subsidiaries' one-step kernels there.  Exponential one-steps
-(``Kernel.gamma``: entropic families, exponential utility, earlier pools of
-them) pool to one exponential one-step, swept without a solver.  One
-polyhedral one-step beside them (``Kernel.vertices``: a worst-case family
-with stopping) adds the indicator of its polytope, so the block is the same
-kernel with its density confined to that polytope: in closed form at a node
-whose vertices have disjoint supports (one distribution with stopping),
-else solved exactly in the vertex weights.  Any other block (two
-polyhedral one-steps, CRRA or custom ones, a polytope that leaves a
-coordinate without mass) is pooled by one-step sup-convolutions solved
-numerically.  Every pooled block's ``solve`` gives, with its values, the
-minimizing density or the split search point that rebuilds the allocation.
+block off the subsidiaries' one-step kernels there.  A rule kernel states
+its rule (``Kernel.rule``): (gamma, log w, vertices), the conjugate
+sum q (log q - log w) / gamma confined to the hull of the vertices (the
+whole simplex where they are None, a polyhedral one-step where gamma is
+infinite).  Entropic families, exponential utility, worst-case families,
+martingale hedges of exponential one-steps and earlier rule pools state
+one.  Rules with at least one finite gamma and at most one polytope, which
+must give every coordinate mass, pool to one rule: an exponential one-step
+swept without a solver, or one with its density confined to the polytope,
+in closed form at a node whose vertices have disjoint supports (one
+distribution with stopping, a one-step martingale measure), else solved
+exactly in the vertex weights.  Any other block (two polytopes, CRRA or
+custom one-steps, a polytope that leaves a coordinate without mass) is
+pooled by one-step sup-convolutions solved numerically.  Every pooled
+block's ``solve`` gives, with its values, the minimizing density or the
+split search point that rebuilds the allocation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError
-from .families import (EntropicParams, _entropic_conjugate, _entropic_kernel, _entropic_log_argmin, entropic_family,
-                       entropic_params)
+from .families import EntropicParams, _confined_kernel, _entropic_kernel, entropic_family, entropic_params
 from .tree import CashBalance, Tree
 from .valuation import (AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family,
                         derived)
@@ -198,58 +200,47 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
 
 
 def _rule(blocks: tuple[Block, ...]):
-    """(Gamma, r, vertices) where a kernel rule pools the blocks of one
-    level, else None: the exponential one-steps pool with
-    Gamma = 1 / sum 1/gamma_j, and at most one other block may join them, a
-    polyhedral one whose polytope (its vertices) gives every coordinate
-    mass.  The split's remainder goes to block r: that one, else the last
-    (and vertices is None)."""
-    rest = [i for i, b in enumerate(blocks) if b.kernel.gamma is None]
-    if len(rest) == len(blocks) or len(rest) > 1:
+    """The rule (Gamma, log w, vertices) that pools the blocks of one
+    level, the blocks' own rules (``Kernel.rule``) and the block r that
+    takes the split's remainder, or None where no rule pools them.  Duals
+    add: 1/Gamma = sum 1/gamma_j and log w = sum (Gamma/gamma_j) log w_j
+    over the finite gamma_j, of which there must be one, confined to the
+    polytope of at most one block, whose vertices must give every
+    coordinate mass; r is that block, else the last."""
+    if any(b.kernel.rule is None for b in blocks):
         return None
-    big_gamma = 1.0 / sum(1.0 / b.kernel.gamma for b in blocks if b.kernel.gamma is not None)
-    if not rest:
-        return big_gamma, -1, None
-    other = blocks[rest[0]]
-    v = None if other.kernel.vertices is None else other.kernel.vertices(other.data)
+    rules = [b.kernel.rule(b.data) for b in blocks]
+    confined = [i for i, (_, _, v) in enumerate(rules) if v is not None]
+    finite = [(gamma, log_w) for gamma, log_w, _ in rules if gamma < np.inf]
+    r = confined[0] if confined else -1
+    v = rules[r][2]
     # a coordinate no vertex reaches (no stopping): the sup is not attained
-    return (big_gamma, rest[0], v) if v is not None and (v.max(axis=-2) > 0).all() else None
+    if not finite or len(confined) > 1 or (v is not None and not (v.max(axis=-2) > 0).all()):
+        return None
+    big_gamma = 1.0 / sum(1.0 / gamma for gamma, _ in finite)
+    return (big_gamma, sum(big_gamma / gamma * log_w for gamma, log_w in finite), v), rules, r
 
 
-def _argmin(big_gamma: float, evaluate, data, k_x, k_children):
-    """The solve of a rule level's pooled kernel, whose ``evaluate`` is
-    given: its values and log q*, q* the minimizing density of its dual."""
-    log_q = _entropic_log_argmin(big_gamma, data, k_x, k_children)
-    values = (evaluate(data, k_x, k_children) if len(data) == 1
-              else _entropic_conjugate(big_gamma, data, k_x, k_children, log_q))
-    return values, log_q, np.ones(values.shape, dtype=bool)
-
-
-def _split(blocks: tuple[Block, ...], r: int, log_q: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """The split (j, ..., m + 1) of a rule level's totals by q*: exponential
-    subsidiary j takes (log w_j - log q*) / gamma_j, whose one-step value
-    is zero, and block r of ``_rule`` the remainder."""
-    pieces = np.array([(b.data[0] - log_q) / b.kernel.gamma if b.kernel.gamma is not None
-                       else np.zeros(total.shape) for b in blocks])
+def _split(rules, r: int, log_q: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """The split (j, ..., m + 1) of a rule level's totals by q*: block j of
+    an exponential rule takes (log w_j - log q*) / gamma_j, whose one-step
+    value is zero, and block r of ``_rule`` the remainder."""
+    pieces = np.array([(log_w - log_q) / gamma if v is None else np.zeros(total.shape) for gamma, log_w, v in rules])
     pieces[r] += total - pieces.sum(axis=0)
     return pieces
 
 
 def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverOptions) -> Block:
     """The pool of the blocks of one level under their ``_rule``: the
-    exponential kernel on log w' = sum (Gamma/gamma_j) log w_j, its density
-    confined to the polytope of the polyhedral block if there is one
-    (solved by ``_argmin``); without a rule, a block of one-step sups."""
+    exponential kernel on its log-weights, confined to its polytope if it
+    has one; without a rule, a block of one-step sups."""
     nodes, kids = blocks[0].nodes, blocks[0].kids
     if rule is None:
         return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
-    big_gamma, _, v = rule
-    kernel = _entropic_kernel(big_gamma)
-    log_w = sum(big_gamma / b.kernel.gamma * b.data[0] for b in blocks if b.kernel.gamma is not None)
-    solve = partial(_argmin, big_gamma, kernel.evaluate)
+    (big_gamma, log_w, v), _, _ = rule
     if v is None:
-        return Block(replace(kernel, solve=solve), (log_w,), nodes, kids)
-    return Block(replace(kernel, dual=None, gamma=None, solve=solve), (log_w, v), nodes, kids)
+        return Block(_entropic_kernel(big_gamma), (log_w,), nodes, kids)
+    return Block(_confined_kernel(big_gamma), (log_w, v), nodes, kids)
 
 
 def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):
@@ -278,22 +269,24 @@ def pooled_family(subs: Sequence, opts: DualSolverOptions | None = None) -> Valu
     block per level block of their ``_layout``.
 
     Duals add under pooling, so each block takes its rule from the kernels
-    there (``_rule``).  Exponential one-steps with risk aversions
-    gamma_j and log-weights log w_j pool to the exponential one-step with
-    Gamma = 1 / sum 1/gamma_j on the log-weights sum (Gamma/gamma_j) log w_j,
-    with no solver: its conjugate sum q (log q - log w') / Gamma is
-    sum KL(q | w_j) / gamma_j.  These log-weights are unnormalized; their
-    missing mass is the node's value of pooling.  A polyhedral one-step
-    (``Kernel.vertices``, the worst-case families) adds the indicator of its
-    polytope P, so pooling one with the exponential ones is
+    there (``_rule``, from each kernel's ``Kernel.rule``).  Exponential
+    one-steps with risk aversions gamma_j and log-weights log w_j pool to
+    the exponential one-step with Gamma = 1 / sum 1/gamma_j on the
+    log-weights sum (Gamma/gamma_j) log w_j, with no solver: its conjugate
+    sum q (log q - log w') / Gamma is sum KL(q | w_j) / gamma_j.  These
+    log-weights are unnormalized; their missing mass is the node's value of
+    pooling.  A rule confined to a polytope P (a worst-case family's,
+    gamma infinite; a martingale hedge's; an earlier confined pool's) adds
+    the indicator of P, so pooling it with exponential ones is
     min over q in P of [q . k + sum q (log q - log w') / Gamma], a smooth
     convex problem batched over the nodes of the block: where a node's
-    vertices have disjoint supports (one distribution with stopping) it is
-    the exponential kernel over those vertices, in closed form, and the
-    other nodes are solved exactly in the vertex weights.  Any other block (two polyhedral one-steps, CRRA or
-    custom ones, a polytope that leaves a coordinate without mass) is a
-    block of one-step sups, solved with the tolerances of ``opts``; where
-    all are smooth its partials are the last subsidiary's at its share (the
+    vertices have disjoint supports (one distribution with stopping, a
+    one-step martingale measure) it is the exponential kernel over those
+    vertices, in closed form, and the other nodes are solved exactly in the
+    vertex weights.  Any other block (two polytopes, CRRA or custom
+    one-steps, a polytope that leaves a coordinate without mass) is a block
+    of one-step sups, solved with the tolerances of ``opts``; where all are
+    smooth its partials are the last subsidiary's at its share (the
     envelope theorem).
 
     The pooled family is built once per subsidiaries (in their order) and
@@ -326,7 +319,7 @@ def _share_direct_route(families: Sequence[ValuationFamily], xi: int, values: np
         converged &= bool(ok[:, sel].all())
         k_x, k_children = values[block.nodes], swept[0, block.kids]
         pieces = (_pieces(found[0], k_x, k_children, j) if rule is None
-                  else _split(blocks, rule[1], found[0], np.concatenate([k_x[:, None], k_children], axis=-1)))
+                  else _split(*rule[1:], found[0], np.concatenate([k_x[:, None], k_children], axis=-1)))
         nodes, kids, pieces = block.nodes[sel], block.kids[sel], pieces[:, sel]
         own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:]) for b, p in zip(blocks, pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own
@@ -455,12 +448,13 @@ def check_sharing_axioms(subs: Sequence, trials: int, seed: int, *,
                          tolerance: float | None = None,
                          opts: DualSolverOptions | None = None,
                          cash_range: tuple[float, float] = (-5.0, 5.0)) -> AxiomReport:
-    """Axiom suite for the normalized pooled family: the pooled family
-    committed to the zero balance.  Its default tolerance is 1e-8 where a
+    """Axiom suite for the normalized pooled family: the pooled family of
+    ``pooled_family`` with the same options, committed to the zero
+    balance.  Its default tolerance is 1e-8 where a
     kernel rule pools every level block, which is exact, and 1e-5 where
     some block is one of one-step sups, reflecting their solves."""
     _common_tree(subs)
-    pooled, levels = _pool_levels([_as_family(s) for s in subs], opts or DualSolverOptions(gradient_tolerance=1e-7))
+    pooled, levels = _pool_levels([_as_family(s) for s in subs], opts or DEFAULT_OPTIONS)
     exact = all(rule is not None for _, rule in levels)
     family = committed_family(pooled, CashBalance.constant(pooled.tree, 0.0))
     tol = tolerance if tolerance is not None else (1e-8 if exact else 1e-5)

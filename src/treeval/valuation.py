@@ -70,12 +70,14 @@ class Kernel:
     are central differences.
     ``dual(data, theta, psi)`` is the closed-form one-step dual at one node,
     given that node's parameters as a block of one (b = 1), if any.
-    ``vertices(data)``, for a polyhedral one-step (the minimum of linear
-    functionals of (own cash, children)), gives the vertices (b, v, m + 1)
-    of its dual domain: the operator is the minimum of ``q . k`` over them.
-    ``gamma``, for an exponential one-step, is its risk aversion, with
-    ``data[0]`` the log-weights log w of (own cash, children), unnormalized:
-    the operator is ``-log sum w exp(-gamma k) / gamma``.
+    ``rule(data)``, for a kernel of the rule class that pooling and
+    hedging preserve, gives its description (gamma, log w, vertices): the
+    operator is the minimum over q in the hull of the vertices (b, v, m + 1)
+    of ``q . k + sum q (log q - log w) / gamma``, vertices None meaning the
+    whole simplex, where it is ``-log sum w exp(-gamma k) / gamma`` for
+    log-weights log w (b, m + 1), unnormalized.  gamma = inf, with log w
+    None, is a polyhedral one-step, the minimum of ``q . k`` over the
+    vertices.
     ``solve``, where the values come from a solve, gives ``evaluate``'s
     values with the maximizer (..., b, ...), such as a hedge's positions,
     and whether each node's solve converged (..., b).
@@ -86,8 +88,7 @@ class Kernel:
     smooth: bool = True
     dual: Callable | None = None
     grad: Callable | None = None
-    vertices: Callable | None = None
-    gamma: float | None = None
+    rule: Callable | None = None
     solve: Callable | None = None
 
     def evaluate_with_partials(self, data, k_x, k_children) -> tuple[np.ndarray, np.ndarray]:
@@ -379,13 +380,17 @@ def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) ->
 def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, k_x, k_children):
     """Values, maximizers and convergence flags of the one-step sups of a
     block, all rows and nodes at once through ``optim.sup_rows`` with the
-    tolerances of ``opts``; data: (lift data, nodes, ...).  ``lift(lift data,
-    k_x (r, b), k_children (r, b, m))`` gives the objective in the search
-    variable (..., r, b, d), its value and gradient from one call, the
-    partials in (own cash, children) at a fixed search point, and the
-    start, all broadcasting over leading axes.  A sup that runs away raises
-    a divergence error naming its node, with the direction."""
+    tolerances of ``opts``; data: (lift data, nodes) or (lift data, nodes,
+    attained), attained False at a node whose sup the search point only
+    approaches as it runs away, which is then flagged unconverged.
+    ``lift(lift data, k_x (r, b), k_children (r, b, m))`` gives the
+    objective in the search variable (..., r, b, d), its value and gradient
+    from one call, the partials in (own cash, children) at a fixed search
+    point, and the start, all broadcasting over leading axes.  A sup that
+    runs away raises a divergence error naming its node, with the
+    direction."""
     lift_data, nodes = data[:2]
+    attained = data[2] if len(data) > 2 else True
     lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
     k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
     value, value_and_gradient, _, z0 = lift(lift_data, k_x, k_children)
@@ -409,7 +414,7 @@ def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, 
             raise DivergenceError(f"the one-step sup of {descriptor} at {tree.ids[nodes[i % b]]!r} is unbounded",
                                   direction=res.direction)
         converged.flat[i] = res.converged
-    return values.reshape(lead + (b,)), z.reshape(lead + z0.shape[1:]), converged.reshape(lead + (b,))
+    return values.reshape(lead + (b,)), z.reshape(lead + z0.shape[1:]), converged.reshape(lead + (b,)) & attained
 
 
 def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel:

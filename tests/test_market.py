@@ -821,6 +821,18 @@ class TestHedgedFamilyReuse:
         assert calls == []
         assert first.as_dict() == second.as_dict()
 
+    def test_the_valuations_and_the_axioms_share_one_hedged_family(self, monkeypatch):
+        # both take the same default options, so alternating them builds
+        # the hedged family once
+        t, mkt = lattice_market(3)
+        fam = entropic_family(entropic_params(t, 1.0))
+        k = random_cash(np.random.default_rng(16), t, -1.0, 1.0)
+        calls = counted_hedged_blocks(monkeypatch)
+        for _ in range(3):
+            market_value(fam, mkt, t.root, k)
+            check_market_axioms(fam, mkt, trials=1, seed=0, cash_range=(-2.0, 2.0))
+        assert len(calls) == len(fam.blocks)
+
     def test_a_family_keeps_only_its_last_market(self):
         t, mkt = depth2_market()
         fam = entropic_family(entropic_params(t, 1.0))

@@ -28,6 +28,7 @@ from treeval.families import (
     worst_case_family,
     worst_case_params,
 )
+from treeval.market import hedged_family, market
 from treeval.risksharing import (
     check_sharing_axioms,
     committed_family,
@@ -640,7 +641,7 @@ class TestDisjointPolytope:
         rng = np.random.default_rng(2005)
         for _ in range(300):
             gamma, log_w, v, k = self.batch(rng)
-            kernel = treeval.families._entropic_kernel(gamma)
+            kernel = treeval.families._confined_kernel(gamma)
             del calls["_pair_move"][:]
             value, q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])
             assert calls["_pair_move"] == []
@@ -662,7 +663,7 @@ class TestDisjointPolytope:
         rng = np.random.default_rng(2006)
         for _ in range(100):
             gamma, log_w, v, k = self.batch(rng)
-            kernel = treeval.families._entropic_kernel(gamma)
+            kernel = treeval.families._confined_kernel(gamma)
             q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])[1]
             h = 1e-5 / gamma
             bump = (np.eye(k.shape[-1]) * h)[:, None, None, :]
@@ -672,7 +673,7 @@ class TestDisjointPolytope:
     def test_a_repeated_vertex_is_the_same_vertex(self, monkeypatch):
         calls = polytope_calls(monkeypatch)
         gamma, log_w, v, k = self.batch(np.random.default_rng(7))
-        kernel = treeval.families._entropic_kernel(gamma)
+        kernel = treeval.families._confined_kernel(gamma)
         value = kernel.evaluate((log_w, v), k[..., 0], k[..., 1:])
         repeated = kernel.evaluate((log_w, v[:, [0, 1, 1, 0]]), k[..., 0], k[..., 1:])
         assert calls == {"_pair_move": [], "_newton_move": []}
@@ -764,6 +765,82 @@ class TestEntropicPoolingRule:
             summed = share_dual([lambda d: entropic_dual(p1, "root", d),
                                  lambda d: entropic_dual(p2, "root", d)], lam)
             assert dual_value(pooled, "root", lam) == pytest.approx(summed, abs=1e-6)
+
+
+def lattice(t):
+    """Criterion 10's market on t: one asset that doubles on an up move and
+    halves on a down move, complete with martingale measure (1/3, 2/3)."""
+    return market(t, {"s": {n: 2.0 ** n.count("u") * 0.5 ** n.count("d") for n in t.ids}})
+
+
+def rule_value(rule, k_x, k_children):
+    """The one-step value of a rule (gamma, log w, vertices), computed apart
+    from the kernel that states it: the confined exponential kernel over
+    the vertices, the identity where they are None; the least v . k over
+    them where gamma is infinite."""
+    gamma, log_w, v = rule
+    k = np.concatenate([k_x[..., None], k_children], axis=-1)
+    if gamma == np.inf:
+        return (v * k[..., None, :]).sum(axis=-1).min(axis=-1)
+    if v is None:
+        v = np.broadcast_to(np.eye(k.shape[-1]), log_w.shape[:1] + (k.shape[-1],) * 2)
+    return treeval.families._confined_kernel(gamma).evaluate((log_w, v), k_x, k_children)
+
+
+@pytest.mark.parametrize("kind", ["entropic", "exponential_utility", "confined_pool", "worst_stopping",
+                                  "worst_case", "martingale_hedge"])
+def test_each_rule_kernel_evaluates_to_its_rule(kind):
+    rng = np.random.default_rng(41)
+    t = binary_tree(2)
+    ent = entropic_params(t, 1.3, rng.dirichlet(np.ones(t.n_nodes)))
+    alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 2) for u in t.internal_indices()}
+    family = {"entropic": lambda: entropic_family(ent),
+              "exponential_utility": lambda: ui_family(ui_params(t, ExponentialUtility(0.7), 2.0)),
+              "confined_pool": lambda: pooled_family([ent, worst_case_family(worst_case_params(t, alpha))]),
+              "worst_stopping": lambda: worst_case_family(worst_case_params(t, alpha)),
+              "worst_case": lambda: worst_case_family(worst_case_params(t, alpha, stopping=False)),
+              "martingale_hedge": lambda: hedged_family(entropic_family(ent), lattice(t))}[kind]()
+    for block in family.blocks:
+        k_x = rng.uniform(-2.0, 2.0, (5, block.nodes.size))
+        k_children = rng.uniform(-2.0, 2.0, (5,) + block.kids.shape)
+        expected = rule_value(block.kernel.rule(block.data), k_x, k_children)
+        value = block.kernel.evaluate(block.data, k_x, k_children)
+        assert np.max(np.abs(value - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
+
+
+class TestPoolsOfRuleKernels:
+    """A confined pool and a martingale hedge state their rules, so a pool
+    with either takes the polytope rule, in closed form."""
+
+    @pytest.mark.parametrize("kind", ["pool", "hedge"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_matches_the_numeric_pool_and_the_global_search(self, monkeypatch, kind, depth, order):
+        rng = np.random.default_rng(50 + depth)
+        t = binary_tree(depth)
+        ent = entropic_family(entropic_params(t, 0.8))
+        if kind == "pool":
+            alpha = {t.ids[u]: rng.dirichlet([2.0, 2.0], 1) for u in t.internal_indices()}
+            first = pooled_family([ent, worst_case_family(worst_case_params(t, alpha))])
+        else:
+            first = hedged_family(ent, lattice(t))
+        subs = [first, entropic_family(entropic_params(t, 1.7, rng.dirichlet(np.ones(t.n_nodes))))][::order]
+        assert all(_rule(blocks) is not None for blocks in _layout(subs))
+        calls = polytope_calls(monkeypatch)
+        rows = rng.uniform(-2.0, 2.0, (4, t.n_nodes))
+        values = pooled_family(subs).node_values(rows)
+        assert calls == {"_pair_move": [], "_newton_move": []}
+        numeric = numeric_pool(subs, DualSolverOptions(gradient_tolerance=1e-10))
+        assert np.max(np.abs(values - numeric.node_values(rows))) <= 1e-12
+        # below the root of depth 3, the global search has 7 nodes, not 15
+        x = "u" if depth == 3 else t.root
+        k = random_cash(rng, t, -2.0, 2.0)
+        res = share_value(subs, x, k, method="direct")
+        assert res.converged and res.feasibility_gap <= 1e-12
+        assert abs(res.achieved_value - res.value) <= 1e-12
+        assert res.value == pytest.approx(global_pool_value(subs, x, k), abs=1e-9)
+        report = check_sharing_axioms(subs, trials=5, seed=depth)
+        assert report.tolerance == 1e-8 and report.all_passed, report.as_dict()
 
 
 class TestEntropicAllocation:
@@ -1052,8 +1129,8 @@ def test_entropic_paths_never_import_scipy_optimize():
         from treeval.families import (CRRAUtility, ExponentialUtility, entropic_family, entropic_one_step,
                                       entropic_params, ui_family, ui_one_step, ui_params, worst_case_family,
                                       worst_case_params)
-        from treeval.market import market, market_value
-        from treeval.risksharing import check_sharing_axioms, share_value
+        from treeval.market import hedged_family, market, market_value
+        from treeval.risksharing import check_sharing_axioms, pooled_family, share_value
         from treeval.tree import CashBalance, NodeRecord, build_tree
 
         tree = build_tree([NodeRecord("root", None, 0.2), NodeRecord("up", "root", 0.4),
@@ -1086,6 +1163,12 @@ def test_entropic_paths_never_import_scipy_optimize():
             one_step_dual_value(crra, lam[0], lam[1:], DualSolverOptions(gradient_tolerance=3e-6))
         mkt = market(tree, {"s": {"root": 1.0, "up": 2.0, "down": 0.5}})
         market_value(entropic_family(p1), mkt, "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])))
+        # a polytope pool and a martingale hedge state their rules, so pools
+        # of either with an exponential subsidiary take the polytope rule
+        for subs in ([pooled_family([p1, wc]), entropic_family(p2)],
+                     [entropic_family(p2), hedged_family(entropic_family(p1), mkt)]):
+            share_value(subs, "root", CashBalance(tree, np.array([0.0, 1.0, -1.0])), method="direct")
+            check_sharing_axioms(subs, trials=5, seed=2)
         # a CRRA subsidiary's Newton prices carry no noise that would leave
         # a row of the numeric pool to BFGS and Nelder-Mead
         ids = ["r", "u", "d", "uu", "ud", "du", "dd"]
@@ -1198,6 +1281,18 @@ class TestPooledFamilyReuse:
         second = check_sharing_axioms(mixed, trials=3, seed=6, cash_range=(-2.0, 2.0))
         assert calls == {"_layout": 0, "_pooled_block": 0, "entropic_family": 0}
         assert first.as_dict() == second.as_dict()
+
+    def test_the_valuations_and_the_axioms_share_one_pooled_family(self, monkeypatch):
+        # both take the same default options, so alternating them builds
+        # the pooled family once
+        t = binary_tree(2)
+        subs, _ = reuse_case("rule", t)
+        k = random_cash(np.random.default_rng(38), t, -2.0, 2.0)
+        calls = counted_pool_builds(monkeypatch)
+        for _ in range(3):
+            share_value(subs, t.root, k)
+            check_sharing_axioms(subs, trials=1, seed=0, cash_range=(-2.0, 2.0))
+        assert calls["_layout"] == 1 and calls["_pooled_block"] == 2
 
     def test_a_build_that_raises_raises_again(self):
         t = binary_tree(1)
