@@ -26,7 +26,8 @@ from .dual import (
     primal_from_dual,
     sample_density,
 )
-from .errors import ConvergenceError, DivergenceError, TreevalError, ValidationError
+from .errors import (ConvergenceError, DivergenceError, TreevalError, ValidationError, check_count,
+                     check_tolerance)
 from .families import (
     CRRAUtility,
     ExponentialUtility,
@@ -125,6 +126,17 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args):
+    """The numeric flags of every verb, checked before any work
+    (``DualSolverOptions`` asks more of --tol: above 0)."""
+    check_tolerance("tolerance", args.tol)
+    check_count("max_iterations", args.max_iter, 1)
+    if args.trials is not None:
+        check_count("trials", args.trials, 1)
+    if args.seed is not None:
+        check_count("seed", args.seed, 0)
+
+
 def _options(args) -> DualSolverOptions:
     return DualSolverOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
@@ -156,6 +168,7 @@ def _density_payload(dd) -> dict:
 
 
 def run(args) -> tuple[dict, int]:
+    _check_flags(args)
     inputs: dict = {}
     results: dict = {}
     residuals: dict = {}

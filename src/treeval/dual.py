@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError, check_count, check_tolerance
 from .optim import AscentResult, eg_minimize, newton_ascent, sup
-from .tree import CashBalance, Tree
-from .valuation import OneStepValuation, is_probability
+from .tree import CashBalance, NodeRecord, Tree
+from .valuation import OneStepValuation, assemble, is_probability
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,9 @@ class DualSolverOptions:
 
     ``tolerance`` is the duality-gap target of the simplex descent;
     ``gradient_tolerance`` is the gradient test of every numeric sup
-    (dual solves: the Newton stage, which must meet it in every free
-    coordinate, then ``optim.sup``; one-step duals: ``optim.sup``;
-    one-step hedges and numeric one-step pools: ``optim.sup_rows``);
+    (dual solves, one-step duals among them: the Newton stage, which must
+    meet it in every free coordinate, then ``optim.sup``; one-step hedges
+    and numeric one-step pools: ``optim.sup_rows``);
     ``max_iterations`` caps each BFGS ascent and simplex descent (the
     Newton stage has its own caps, ``optim.NEWTON_STEPS`` and
     ``optim.NEWTON_HALVINGS``).  Tolerances must be finite and
@@ -50,9 +50,7 @@ class DualSolverOptions:
             value = getattr(self, name)
             if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be finite and positive (got {value!r})")
-        if not (isinstance(self.max_iterations, Integral) and not isinstance(self.max_iterations, bool)
-                and self.max_iterations >= 1):
-            raise ValidationError(f"max_iterations must be an integer >= 1 (got {self.max_iterations!r})")
+        check_count("max_iterations", self.max_iterations, 1)
 
 
 DEFAULT_OPTIONS = DualSolverOptions()
@@ -288,23 +286,13 @@ def primal_from_dual(dual_fn, x: str, balance: CashBalance,
 
 def one_step_dual_value(step: OneStepValuation, theta: float, psi,
                         opts: DualSolverOptions | None = None) -> float:
-    """Numeric conjugate of a one-step operator at a probability vector over
-    (node, children); +inf on divergence."""
-    opts = opts or DEFAULT_OPTIONS
-    psi = np.asarray(psi, dtype=float)
-    q = np.concatenate([[float(theta)], psi])
-    if not is_probability(q):
-        raise DomainError("one-step dual argument must be a probability over (node, children)")
-
-    objective = _off_domain_rows(lambda b: step.evaluate(b[:, 0], b[:, 1:]) - b @ q)
-
-    res = sup(objective, np.zeros(q.size), smooth=step.smooth,
-              gradient_tolerance=opts.gradient_tolerance, max_iterations=opts.max_iterations)
-    if res.diverged:
-        return math.inf
-    if not np.isfinite(res.value):
-        raise ConvergenceError("one-step dual maximization found no finite value", best=res)
-    return res.value
+    """Numeric conjugate of a one-step operator at a probability vector
+    (theta, psi) over (node, children): ``dual_value`` at the root of the
+    step's own depth-one valuation, a root with one child per entry of psi
+    ``assemble``d with ``step``.  So a smooth step takes the Newton stage,
+    divergence gives +inf and an unfinished ascent a convergence error."""
+    tree = Tree([NodeRecord("node"), *(NodeRecord(f"child {j}", "node") for j in range(len(psi)))])
+    return dual_value(assemble(tree, {"node": step}), "node", dict(zip(tree.ids, [theta, *psi])), opts)
 
 
 def dual_recursion_residual(family, x: str, lam, opts: DualSolverOptions | None = None, *,
@@ -388,8 +376,9 @@ def check_dual_properties(tree: Tree, x: str, dual_fn, *, trials: int = 50, seed
     """Sample the simplex over the subtree at x and check midpoint convexity,
     locate the infimum (nonnegative for any valuation dual; zero exactly for
     normalized ones), and confirm rejection of non-probability arguments."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
+    check_tolerance("tolerance", tolerance)
     opts = opts or DEFAULT_OPTIONS
     rng = np.random.default_rng(seed)
     xi = tree.node_index(x)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of seeds,
+counts and tolerances that every entry point shares."""
+
+import math
+from numbers import Integral, Real
 
 
 class TreevalError(Exception):
@@ -30,3 +34,16 @@ class DivergenceError(TreevalError):
     def __init__(self, message, direction=None):
         super().__init__(message)
         self.direction = direction
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer (not a bool) of at least
+    ``least``: 0 for a seed, 1 for a trial count or an iteration cap."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValidationError(f"{name} must be >= {least}, an integer (got {value!r})")
+
+
+def check_tolerance(name: str, value) -> None:
+    """Raise unless ``value`` is a finite number of at least 0."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and >= 0 (got {value!r})")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import _mass_vector, dual_density
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError, check_count
 from .tree import CashBalance, Tree
 from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step,
                         probability_rows)
@@ -841,6 +841,8 @@ def ui_dc_counterexample(R: float, x0: float, *, budget: int = 10_000, seed: int
     refinement pass perturbs the best pair found.  With exponential utility
     the time-0 gap collapses to solver noise, which is the control case.
     """
+    check_count("budget", budget, 1)
+    check_count("seed", seed, 0)
     u = utility if utility is not None else CRRAUtility(R)
     crra = isinstance(u, CRRAUtility)
     scale = 0.45 * x0 if crra else 1.0
@@ -927,6 +929,8 @@ def exponential_uniqueness_witness(utility, *, trials: int = 200, seed: int = 0)
     leaves a strictly positive defect because its marginal-utility ratios
     depend on the wealth level.
     """
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
     p = np.array([0.2, 0.4, 0.4])
     rng = np.random.default_rng(seed)
     worst = 0.0

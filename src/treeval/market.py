@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_tolerance
 from .tree import CashBalance, Tree, stop_index
 from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _sup_kernel, _take, check_axioms,
                         committed_family, derived, probability_rows, sample_stop_masks)
@@ -165,8 +165,9 @@ def check_gains_axioms(mkt: Market, x: str, trials: int, seed: int, *,
     combination, masks to the gains set of each later start node, and splits
     into a stopped part plus an independent restart.  All three are linear
     identities of the realization and must hold to roundoff."""
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
+    check_tolerance("tolerance", tolerance)
     tree = mkt.tree
     xi = tree.node_index(x)
     mat, decisions = _gains_matrix(mkt, xi)

@@ -6,8 +6,9 @@ batch of smooth sups with one value-and-gradient call per trial point,
 ``sup_rows``, the policy of ``sup`` for many independent sups at once
 (that Newton stage first), and multiplicative-weights descent on the
 simplex with 1/sqrt(k) steps.  Objectives evaluate batches:
-f((B, d)) -> (B,).  Dual solves run the Newton stage first too, and go on
-to ``sup`` where it does not finish.
+f((B, d)) -> (B,).  Dual solves, one-step duals among them, run the Newton
+stage first too, and go on to ``sup`` where it does not finish; every
+``sup`` of the package is given its objective's gradient.
 """
 
 from __future__ import annotations
@@ -57,33 +58,6 @@ class AscentResult:
     gradient_evaluations: int = 0
     stop_reason: str = ""
     method: str = ""
-
-
-def fd_gradient(f, x: np.ndarray, step_rel: float) -> tuple[float, np.ndarray]:
-    """Value and central-difference gradient of a batch objective at x, all
-    2d + 1 evaluations in one batch.
-
-    Probes that land outside an open effective domain come back non-finite;
-    those coordinates retry with geometrically smaller steps (a base point
-    strictly inside needs only small enough steps; one outside gets a zero
-    gradient)."""
-    d = x.size
-    h = step_rel * np.maximum(1.0, np.abs(x))
-    idx = np.arange(d)
-    for _ in range(8):
-        pts = np.repeat(x[None, :], 2 * d + 1, axis=0)
-        pts[1 + idx, idx] += h
-        pts[1 + d + idx, idx] -= h
-        vals = np.asarray(f(pts), dtype=float)
-        if not np.isfinite(vals[0]):
-            return float(vals[0]), np.zeros(d)
-        bad = ~np.isfinite(vals[1:d + 1]) | ~np.isfinite(vals[d + 1:])
-        if not bad.any():
-            break
-        h = np.where(bad, h / 64.0, h)
-    diff = vals[1:d + 1] - vals[d + 1:]
-    grad = np.divide(diff, 2.0 * h, out=np.zeros(d), where=np.isfinite(diff))
-    return float(vals[0]), np.where(np.isfinite(grad), grad, 0.0)
 
 
 def maximize(f, gradient, x0, *, gradient_tolerance: float = 1e-6, max_iterations: int = 100_000,
@@ -250,19 +224,16 @@ def maximize_nelder_mead(f, x0) -> AscentResult:
 
 def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
         gradient=None) -> AscentResult:
-    """The sup of a concave batch objective: the one solver policy.  A smooth
-    objective gets BFGS on ``gradient`` (central differences when None),
-    stalling once its steps gain nothing; unless it ends on the gradient test
-    or diverges, restarted Nelder-Mead goes on from where it stopped and the
-    better result wins.  A kinked objective gets Nelder-Mead from x0."""
+    """The sup of a concave batch objective over at least one coordinate:
+    the one solver policy.  A smooth objective gets BFGS on ``gradient``,
+    its ``(value, gradient)`` callable, stalling once its steps gain
+    nothing; unless it ends on the gradient test or diverges, restarted
+    Nelder-Mead goes on from where it stopped and the better result wins.
+    A kinked objective gets Nelder-Mead from x0 and needs no gradient."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.size == 0:
-        return AscentResult(x0, float(f(x0[None, :])[0]), 0.0, 0, converged=True,
-                            evaluations=1, stop_reason="gradient", method="bfgs")
     if not smooth:
         return maximize_nelder_mead(f, x0)
-    ascent = maximize(f, gradient or (lambda z: fd_gradient(f, z, 1e-6)), x0,
-                      gradient_tolerance=gradient_tolerance, max_iterations=max_iterations,
+    ascent = maximize(f, gradient, x0, gradient_tolerance=gradient_tolerance, max_iterations=max_iterations,
                       value_tolerance=1e-12)
     if ascent.stop_reason in ("gradient", "diverged"):
         return ascent
@@ -281,7 +252,9 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     Every trial point (the start, each step and each halving of one) is
     one call, together with its Hessian stencil: the forward differences
     of the gradient along each searched coordinate.  An accepted step thus
-    carries the next iterate's gradient and Hessian.  The first ``held``
+    carries the next iterate's gradient and Hessian.  The step is -H^-1 g,
+    from the eigendecomposition of the Hessian H however many coordinates
+    are searched (for one, -g / H exactly).  The first ``held``
     coordinates stay at their start values, but the gradient test reads
     them too, so a row finishes only where its whole gradient vanishes.  A
     step is halved, row by row, wherever the value falls or is not finite
@@ -319,22 +292,16 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
         # [row, j, i]: dg_i / dx_j over the searched coordinates, of which
         # eigh reads the lower triangle
         hessian = ((gs[1:, :, held:] - g[:, held:]) / h[:, held:].T[:, :, None]).transpose(1, 0, 2)
+        finite = np.isfinite(hessian).all(axis=(1, 2))
+        hessian[~finite] = -np.eye(d - held)
+        w, v = np.linalg.eigh(hessian)
+        running &= finite & (w[:, -1] < 0.0)
+        w[~running] = -np.inf
+        # -H^-1 g in H's eigenbasis (zero where the row stopped), written
+        # out so that a row's arithmetic does not depend on the batch
+        # around it
         step = np.zeros((n, d))
-        if d - held == 1:
-            # a number, definite where negative (NaN is not); a third of
-            # the cost of eigh on a batch this small
-            running &= hessian[:, 0, 0] < 0.0
-            step[:, held:] = -g[:, held:] / np.where(running, hessian[:, 0, 0], -np.inf)[:, None]
-        else:
-            finite = np.isfinite(hessian).all(axis=(1, 2))
-            hessian[~finite] = -np.eye(d - held)
-            w, v = np.linalg.eigh(hessian)
-            running &= finite & (w[:, -1] < 0.0)
-            w[~running] = -np.inf
-            # -H^-1 g in H's eigenbasis (zero where the row stopped),
-            # written out so that a row's arithmetic does not depend on
-            # the batch around it
-            step[:, held:] = -(v * ((v * g[:, held:, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
+        step[:, held:] = -(v * ((v * g[:, held:, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
         cand = x + step
         # a step beyond DIVERGENCE_BOUND stops its row where it stands
         running &= np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, check_count, check_tolerance
 from .optim import sup_rows
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
@@ -574,8 +574,9 @@ def check_axioms(family, trials: int, seed: int, *,
     first's values, and the ``value_at`` dispatch; the sweep count does not
     grow with ``trials``.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    check_count("trials", trials, 1)
+    check_count("seed", seed, 0)
+    check_tolerance("tolerance", tolerance)
     tree = family.tree
     n = tree.n_nodes
     rng = np.random.default_rng(seed)

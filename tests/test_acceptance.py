@@ -276,8 +276,9 @@ def test_criterion_08_indifference_pricing():
         raw = rng.uniform(0.1, 1.0, 3)
         lam = raw / raw.sum()
         closed = crra_one_period_dual(2.0, 3.0, crra_params.probs["root"], lam)
-        # the one-step dual's ascent runs on central differences of the
-        # solved price, so its gradient tolerance stays loose
+        # the one-step dual's solve reads the step's partials as central
+        # differences of the solved price, so its gradient tolerance stays
+        # loose
         numeric = one_step_dual_value(step, lam[0], lam[1:],
                                       DualSolverOptions(gradient_tolerance=3e-6))
         worst_dual = max(worst_dual, abs(closed - numeric))

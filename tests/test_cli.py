@@ -332,6 +332,31 @@ class TestVerbs:
         json.loads(out)  # stdout stays pure JSON
 
 
+VERBS = ["value", "dual", "share", "hedge", "spd", "check", "counterexample"]
+
+
+class TestMalformedFlags:
+    """Every verb checks --seed, --trials, --tol and --max-iter before any
+    work and exits 2 on a malformed one, with nothing on stdout."""
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--seed", "-1", "seed"), ("--trials", "0", "trials"), ("--trials", "-1", "trials"),
+        ("--tol", "nan", "tolerance"), ("--tol", "-1", "tolerance"), ("--max-iter", "0", "max_iterations"),
+    ])
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_exits_2_without_a_report(self, verb, flag, value, name, files, tmp_path, capsys):
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps({"one_step_prices": {"root": [0.3, 0.7]}}))
+        cash, fam = ["--cash", files["cash"]], ["--family", files["fam"]]
+        argv = {"value": cash + fam, "dual": cash + fam + ["--trials", "2", "--seed", "0"],
+                "share": cash + fam + [files["fam2"]], "hedge": cash + fam, "spd": ["--prices", str(prices)],
+                "check": fam + ["--trials", "5", "--seed", "0"],
+                "counterexample": ["--trials", "50", "--seed", "0"]}[verb]
+        code, out, err = run_cli([verb, "--tree", files["tree"], *argv, flag, value], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {name} must be") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, files, tmp_path):
         p = tmp_path / "prices.json"

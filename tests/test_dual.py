@@ -324,6 +324,27 @@ class TestOneStepDual:
         with pytest.raises(DomainError):
             one_step_dual_value(entropic_one_step(params, "root"), 0.5, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("kind", ["entropic", "crra", "worst"])
+    def test_is_the_dual_of_the_assembled_depth_one_family(self, kind, monkeypatch):
+        # one dual solve, on the step's own depth-one valuation: the same
+        # value as the dual of the family assembled from the step alone
+        t = three_node_tree()
+        step = {"entropic": lambda: entropic_one_step(entropic_params(t, 0.8), "root"),
+                "crra": lambda: ui_family(ui_params(t, CRRAUtility(2.0), x0=3.0)).one_steps[0],
+                "worst": lambda: worst_case_setup([[0.5, 0.5]], stopping=True).one_steps[0]}[kind]()
+        solve, solves = treeval.dual.dual_value_and_argmax, []
+
+        def counted(*args, **kwargs):
+            solves.append(args[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(treeval.dual, "dual_value_and_argmax", counted)
+        lam = (0.2, 0.4, 0.4)
+        numeric = one_step_dual_value(step, lam[0], np.array(lam[1:]))
+        assert len(solves) == 1
+        assert numeric == dual_value(assemble(t, {"root": step}), "root", masses(lam))
+        assert math.isfinite(numeric)
+
 
 def worst_case_setup(alphas, stopping):
     t = three_node_tree((0.2, 0.4, 0.4))

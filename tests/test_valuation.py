@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -15,21 +16,25 @@ from helpers import (
     three_node_tree,
     trinomial_tree,
 )
+from treeval.dual import check_dual_properties
 from treeval.errors import ValidationError
 from treeval.families import (
     CRRAUtility,
     ExponentialUtility,
+    entropic_dual,
     entropic_family,
     entropic_params,
     entropic_value,
+    exponential_uniqueness_witness,
+    ui_dc_counterexample,
     ui_family,
     ui_params,
     worst_case_family,
     worst_case_one_step,
     worst_case_params,
 )
-from treeval.market import hedged_family, market
-from treeval.risksharing import pooled_family
+from treeval.market import check_gains_axioms, check_market_axioms, hedged_family, market
+from treeval.risksharing import check_sharing_axioms, pooled_family
 from treeval.tree import CashBalance, hitting_stop, stopping_time
 from treeval.valuation import (
     Block,
@@ -575,6 +580,33 @@ class TestCheckAxioms:
         t = three_node_tree()
         with pytest.raises(ValidationError):
             check_axioms(linear_family(t, np.array([0.5, 0.5])), trials=0, seed=0)
+
+    @pytest.mark.parametrize("suite, argument, value", [
+        (suite, argument, value)
+        for suite in ("check_axioms", "check_market_axioms", "check_sharing_axioms", "check_gains_axioms",
+                      "check_dual_properties", "ui_dc_counterexample", "exponential_uniqueness_witness")
+        for argument, value in [("seed", -1), ("seed", 1.5), ("seed", None), ("trials", 0), ("trials", -1),
+                                ("tolerance", math.nan), ("tolerance", -1.0), ("tolerance", math.inf)]
+        if argument != "tolerance" or suite.startswith("check")])
+    def test_seeds_counts_and_tolerances_are_validated(self, suite, argument, value):
+        t = three_node_tree()
+        params = entropic_params(t, 1.0)
+        fam = entropic_family(params)
+        mkt = market(t, {"s": {"root": 1.0, "up": 2.0, "down": 0.5}})
+        call = {
+            "check_axioms": lambda **kw: check_axioms(fam, **kw),
+            "check_market_axioms": lambda **kw: check_market_axioms(fam, mkt, **kw),
+            "check_sharing_axioms": lambda **kw: check_sharing_axioms([params, params], **kw),
+            "check_gains_axioms": lambda **kw: check_gains_axioms(mkt, "root", **kw),
+            "check_dual_properties": lambda **kw: check_dual_properties(
+                t, "root", lambda dd: entropic_dual(params, "root", dd), **kw),
+            # its trial count is its budget
+            "ui_dc_counterexample": lambda trials, **kw: ui_dc_counterexample(2.0, 2.0, budget=trials, **kw),
+            "exponential_uniqueness_witness": lambda **kw: exponential_uniqueness_witness(CRRAUtility(2.0), **kw),
+        }[suite]
+        named = "budget" if suite == "ui_dc_counterexample" and argument == "trials" else argument
+        with pytest.raises(ValidationError, match=f"^{named} must be"):
+            call(**{"trials": 3, "seed": 0, argument: value})
 
     def test_report_serializes(self):
         t = three_node_tree()
