@@ -164,6 +164,9 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
 
     free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]
+    # consecutive nodes (a subtree of a tree given in preorder) are read and
+    # written as a slice, which is cheaper than a list of indices
+    cols = slice(xi, xi + free.size) if np.array_equal(free, np.arange(xi, xi + free.size)) else free
     if start is None:
         x0 = np.zeros(free.size)
     else:
@@ -174,7 +177,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
 
     def cash(batch: np.ndarray) -> np.ndarray:
         full = np.zeros((batch.shape[0], tree.n_nodes))
-        full[:, free] = batch
+        full[:, cols] = batch
         return full
 
     def values(batch: np.ndarray) -> np.ndarray:
@@ -185,7 +188,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
             swept, grad = family.values_and_gradient(cash(batch), xi)
         except DomainError:   # a walled family's point past its wall: the stack scores -inf
             return np.full(batch.shape[0], -math.inf), np.zeros(batch.shape)
-        return swept[:, xi] - batch @ lam_vec, grad[:, free] - lam_vec
+        return swept[:, xi] - batch @ lam_vec, grad[:, cols] - lam_vec
 
     def value_and_gradient(point: np.ndarray):
         fz, gz = values_and_gradients(point[None])
@@ -290,7 +293,17 @@ def one_step_dual_value(step: OneStepValuation, theta: float, psi,
     (theta, psi) over (node, children): ``dual_value`` at the root of the
     step's own depth-one valuation, a root with one child per entry of psi
     ``assemble``d with ``step``.  So a smooth step takes the Newton stage,
-    divergence gives +inf and an unfinished ascent a convergence error."""
+    divergence gives +inf and an unfinished ascent a convergence error.
+    A psi whose length is not the step's number of children, as one
+    evaluation of the step at zero outcomes shows, is a validation
+    error."""
+    try:
+        probe = np.shape(step.evaluate(0.0, np.zeros(len(psi))))
+    except (ValueError, IndexError):   # numpy's complaint about the shapes
+        probe = None
+    if probe != ():
+        raise ValidationError(f"psi gives {len(psi)} child masses, but the step does not take {len(psi)} "
+                              "children")
     tree = Tree([NodeRecord("node"), *(NodeRecord(f"child {j}", "node") for j in range(len(psi)))])
     return dual_value(assemble(tree, {"node": step}), "node", dict(zip(tree.ids, [theta, *psi])), opts)
 

@@ -20,10 +20,7 @@ from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probabilit
 
 
 def _stack_outcomes(k_x, k_children) -> np.ndarray:
-    """Join own cash and child values along the last axis, broadcasting a
-    leading batch axis if present."""
-    k_x = np.asarray(k_x, dtype=float)
-    k_children = np.asarray(k_children, dtype=float)
+    """Join own cash and child values, arrays, along the last axis."""
     return np.concatenate([k_x[..., None], k_children], axis=-1)
 
 

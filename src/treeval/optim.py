@@ -2,8 +2,8 @@
 with a backtracking line search and step doubling along recession
 directions, restarted Nelder-Mead for kinked objectives, ``sup``, the one
 policy that chooses between them, ``newton_ascent``, damped Newton on a
-batch of smooth sups with one value-and-gradient call per trial point,
-``sup_rows``, the policy of ``sup`` for many independent sups at once
+batch of smooth sups with one value-and-gradient call per trial point and
+one Cholesky factorization and one linear solve per step, ``sup_rows``, the policy of ``sup`` for many independent sups at once
 (that Newton stage first), and multiplicative-weights descent on the
 simplex with 1/sqrt(k) steps.  Objectives evaluate batches:
 f((B, d)) -> (B,).  Dual solves, one-step duals among them, run the Newton
@@ -43,7 +43,8 @@ class AscentResult:
     counts the objective rows the solver evaluated, ``gradient_evaluations``
     the gradient calls (Newton's value-and-gradient calls among them);
     ``stop_reason`` is one of ``gradient``, ``stalled``, ``line_search``,
-    ``diverged`` or ``max_iterations``; ``method`` names the solvers that
+    ``diverged`` or ``max_iterations`` (``newton_ascent`` gives one reason
+    per row, of its own); ``method`` names the solvers that
     ran, joined by ``+`` in order: ``newton``, ``bfgs`` and
     ``nelder-mead``, as in ``newton+bfgs``."""
 
@@ -243,6 +244,20 @@ def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
     return best
 
 
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix of a stack (n, k, k) is positive
+    definite, that is whether its Cholesky factorization succeeds: one
+    factorization of the stack, and where that raises, one per matrix, so
+    that no matrix's answer depends on the others."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_positive_definite(a[i:i + 1]) for i in range(len(a))])
+    return np.ones(len(a), dtype=bool)
+
+
 def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: int = 0) -> AscentResult:
     """Damped Newton on a batch of independent smooth concave objectives,
     one per leading index of x0 (..., d).  ``value_and_gradient(points)``
@@ -252,20 +267,26 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     Every trial point (the start, each step and each halving of one) is
     one call, together with its Hessian stencil: the forward differences
     of the gradient along each searched coordinate.  An accepted step thus
-    carries the next iterate's gradient and Hessian.  The step is -H^-1 g,
-    from the eigendecomposition of the Hessian H however many coordinates
-    are searched (for one, -g / H exactly).  The first ``held``
-    coordinates stay at their start values, but the gradient test reads
-    them too, so a row finishes only where its whole gradient vanishes.  A
-    step is halved, row by row, wherever the value falls or is not finite
-    (an effective-domain wall).  A row stops on the gradient test; one
-    whose Hessian is not negative definite, whose step leaves
-    ``DIVERGENCE_BOUND`` or still falls after ``NEWTON_HALVINGS`` halvings,
-    or that is still going after ``NEWTON_STEPS`` steps is left where it
+    carries the next iterate's gradient and Hessian.  The step solves
+    ``-S step = g`` for S, the symmetrized Hessian, where the Cholesky
+    factorization of -S succeeds, that is where S is negative definite;
+    for one searched coordinate it is -g / H exactly.  Definiteness is
+    decided row by row, so no row's arithmetic depends on the batch around
+    it.  The first ``held`` coordinates stay at their start values, but
+    the gradient test reads them too, so a row finishes only where its
+    whole gradient vanishes.  A step is halved, row by row, wherever the
+    value falls or is not finite (an effective-domain wall).
+
+    Each row stops for one reason, its ``stop_reason``: ``gradient`` (the
+    test met), ``indefinite`` (a Hessian that is not finite or not
+    negative definite, or a start whose value is not finite), ``bound``
+    (a step beyond ``DIVERGENCE_BOUND``), ``halvings`` (still falling
+    after ``NEWTON_HALVINGS`` halvings) or ``steps`` (still going after
+    ``NEWTON_STEPS`` steps).  All but the first leave the row where it
     stands.  Returns an ``AscentResult`` whose ``x``, ``value``,
-    ``gradient_norm``, ``iterations`` (accepted steps) and ``converged``
-    (the gradient test met) hold one entry per row, and whose
-    ``gradient_evaluations`` counts the calls."""
+    ``gradient_norm``, ``iterations`` (accepted steps), ``converged`` (the
+    gradient test met) and ``stop_reason`` hold one entry per row, and
+    whose ``gradient_evaluations`` counts the calls."""
     shape = np.shape(x0)
     x = np.array(x0, dtype=float).reshape(-1, shape[-1])   # (rows, d)
     n, d = x.shape
@@ -280,35 +301,48 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
         fs, gs = value_and_gradient((points + basis * h).reshape(basis.shape[:1] + shape))
         return np.array(fs, dtype=float).reshape(-1, n)[0], np.array(gs, dtype=float).reshape(-1, n, d), h
 
+    def stop(rows, why):
+        rows &= running
+        if rows.any():
+            reason[rows] = why
+            running[rows] = False
+
     fx, gs, h = trial(x)
-    done, running, steps = np.zeros(n, dtype=bool), np.isfinite(fx), np.zeros(n, dtype=int)
+    running, steps = np.isfinite(fx), np.zeros(n, dtype=int)
+    reason = np.full(n, "indefinite", dtype=object)
+    reason[running] = "steps"
     for step_count in range(NEWTON_STEPS + 1):
         g = gs[0]
-        met = running & (np.abs(g).max(axis=1) <= gradient_tolerance)
-        done |= met
-        running &= ~met
+        stop(np.abs(g).max(axis=1) <= gradient_tolerance, "gradient")
         if step_count == NEWTON_STEPS or not running.any():
             break
-        # [row, j, i]: dg_i / dx_j over the searched coordinates, of which
-        # eigh reads the lower triangle
-        hessian = ((gs[1:, :, held:] - g[:, held:]) / h[:, held:].T[:, :, None]).transpose(1, 0, 2)
-        finite = np.isfinite(hessian).all(axis=(1, 2))
-        hessian[~finite] = -np.eye(d - held)
-        w, v = np.linalg.eigh(hessian)
-        running &= finite & (w[:, -1] < 0.0)
-        w[~running] = -np.inf
-        # -H^-1 g in H's eigenbasis (zero where the row stopped), written
-        # out so that a row's arithmetic does not depend on the batch
-        # around it
+        # -S over the searched coordinates, factored in the running rows
+        # where it is finite, and I in place of it in the rows that take
+        # no step, so that the solve does not fail there
+        slopes = (g[:, held:] - gs[1:, :, held:]) / h[:, held:].T[:, :, None]   # [j, row, i]: -dg_i / dx_j
+        minus_s = (slopes.transpose(1, 0, 2) + slopes.transpose(1, 2, 0)) * 0.5
+        usable = running & np.isfinite(minus_s).all(axis=(1, 2))
+        usable[usable] = _positive_definite(minus_s[usable])
+        all_usable = usable.all()
+        if not all_usable:
+            stop(~usable, "indefinite")
+            if not running.any():
+                break
+            minus_s[~running] = np.eye(d - held)
         step = np.zeros((n, d))
-        step[:, held:] = -(v * ((v * g[:, held:, None]).sum(axis=1) / w)[:, None, :]).sum(axis=2)
+        step[:, held:] = np.linalg.solve(minus_s, g[:, held:, None])[..., 0]
+        if not all_usable:
+            step[~running] = 0.0
         cand = x + step
-        # a step beyond DIVERGENCE_BOUND stops its row where it stands
-        running &= np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND
+        stop(~(np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND), "bound")
         pending = running.copy()
         for _ in range(NEWTON_HALVINGS):
             fc, gc, hc = trial(cand)
             rose = pending & (fc >= fx) & np.isfinite(fc)
+            if rose.all():   # every row rose: take the whole candidate
+                x, fx, gs, h = cand, fc, gc, hc
+                steps += 1
+                break
             np.copyto(x, cand, where=rose[:, None])
             np.copyto(fx, fc, where=rose)
             np.copyto(gs, gc, where=rose[:, None])
@@ -320,10 +354,12 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
             step[~pending] = 0.0
             step *= 0.5
             cand = x + step
-        running &= ~pending
+        else:
+            stop(pending, "halvings")
     lead = shape[:-1]
     return AscentResult(x.reshape(shape), fx.reshape(lead), np.abs(gs[0]).max(axis=1).reshape(lead),
-                        steps.reshape(lead), done.reshape(lead), gradient_evaluations=calls, method="newton")
+                        steps.reshape(lead), (reason == "gradient").reshape(lead), gradient_evaluations=calls,
+                        stop_reason=reason.reshape(lead), method="newton")
 
 
 def sup_rows(value, value_and_gradient, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,

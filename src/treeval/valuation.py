@@ -288,38 +288,41 @@ class ValuationFamily:
         One forward sweep, in the chunks of ``node_values``, keeps the local
         partials of every chunk that holds a node of a subtree at xi, from
         the same kernel call as its values (``Kernel.evaluate_with_partials``);
-        the other chunks are only evaluated.  Then the reverse sweep, which
+        the other chunks, none when the root is among the xi, are only
+        evaluated.  Then the reverse sweep, which
         calls no kernel: an adjoint seeded with 1 at xi (one adjoint per
         node of a sequence) visits the kept chunks from the top level down,
         and each node hands its adjoint times its local partials to its
         children (the children inside a chunk are distinct, so one
         scatter-add per chunk is exact).  A node's gradient is its adjoint
-        times its own-cash partial, a leaf's is its adjoint."""
+        times its own-cash partial, which takes the adjoint's place once
+        handed on; a leaf's is its adjoint."""
         out = np.array(values, dtype=float)
         rows = max(1, out.size // self.tree.n_nodes)
         seeds = (len(xi),) if hasattr(xi, "__len__") else ()
-        inside = np.zeros(self.tree.n_nodes, dtype=bool)
-        for i in xi if seeds else (xi,):
-            inside[self.tree.descendant_indices(i)] = True
+        tops = xi if seeds else (xi,)
+        inside = None   # with the root among the xi, every chunk is kept
+        if self.tree.root_index not in tops:
+            inside = np.zeros(self.tree.n_nodes, dtype=bool)
+            for i in tops:
+                inside[self.tree.descendant_indices(i)] = True
         kept = []
         for block in self.blocks:
             for data, nodes, kids in self._parts(block, rows):
-                if np.count_nonzero(inside[nodes]):
+                if inside is None or np.count_nonzero(inside[nodes]):
                     out[..., nodes], p = block.kernel.evaluate_with_partials(data, out[..., nodes], out[..., kids])
                     kept.append((nodes, kids, p))
                 else:
                     out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
-        adjoint, grad = np.zeros(seeds + out.shape), np.zeros(seeds + out.shape)
+        grad = np.zeros(seeds + out.shape)
         if seeds:
-            np.moveaxis(adjoint, -1, 1)[np.arange(len(xi)), xi] = 1.0
+            np.moveaxis(grad, -1, 1)[np.arange(len(xi)), xi] = 1.0
         else:
-            adjoint[..., xi] = 1.0
+            grad[..., xi] = 1.0
         for nodes, kids, p in reversed(kept):
-            flow = adjoint[..., nodes, None] * p
+            flow = grad[..., nodes, None] * p
+            grad[..., kids] += flow[..., 1:]
             grad[..., nodes] = flow[..., 0]
-            adjoint[..., kids] += flow[..., 1:]
-        leaves = self.tree.is_leaf
-        grad[..., leaves] = adjoint[..., leaves]
         return out, grad
 
     def value(self, x: str, balance: CashBalance) -> float:

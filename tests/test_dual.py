@@ -324,6 +324,15 @@ class TestOneStepDual:
         with pytest.raises(DomainError):
             one_step_dual_value(entropic_one_step(params, "root"), 0.5, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("psi", [[0.8], [0.2, 0.3, 0.3]])
+    @pytest.mark.parametrize("kind", ["entropic", "linear"])
+    def test_a_psi_of_another_length_than_the_children_is_a_validation_error(self, kind, psi):
+        # both steps have two children
+        t, params, fam = entropic_setup()
+        step = entropic_one_step(params, "root") if kind == "entropic" else linear_one_step([0.5, 0.5])
+        with pytest.raises(ValidationError, match=f"psi gives {len(psi)} child masses"):
+            one_step_dual_value(step, 0.2, psi)
+
     @pytest.mark.parametrize("kind", ["entropic", "crra", "worst"])
     def test_is_the_dual_of_the_assembled_depth_one_family(self, kind, monkeypatch):
         # one dual solve, on the step's own depth-one valuation: the same

@@ -654,6 +654,21 @@ def one_route_case(kind):
     return t, market(t, {"s": prices}), fam, attained
 
 
+def test_a_one_asset_crra_hedge_is_pinned_to_the_last_bit():
+    # each one-step hedge searches one coordinate, where Newton's step is
+    # -g / H exactly, however definiteness is decided: the value, the
+    # access value and the positions are pinned bit for bit
+    t, mkt = lattice_market(3)
+    fam = ui_family(ui_params(t, CRRAUtility(2.0), 5.0))
+    res = market_value(fam, mkt, t.root, random_cash(np.random.default_rng(12), t, -1.0, 1.0))
+    assert res.converged
+    assert (res.value, res.access_value) == (0.06489904702019236, 0.32260589170697285)
+    assert {n: v.tolist() for n, v in res.strategy.holdings.items()} == {
+        "r": [1.0868007760677578], "u": [0.47434078122928547], "uu": [0.5791923898128861],
+        "ud": [0.039622140722699845], "d": [2.9794861374252233], "du": [0.6141017416520966],
+        "dd": [5.421783714062997]}
+
+
 @pytest.mark.parametrize("kind", ["martingale", "mixed", "unattained", "crra"])
 def test_market_value_is_the_hedged_sweep_at_the_balance_and_at_zero(kind):
     # the value and the strategy come from one route: market_value's

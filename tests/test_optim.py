@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import three_node_tree
+from treeval import optim
+from treeval.dual import dual_value_and_argmax
 from treeval.errors import DomainError
+from treeval.families import entropic_family, entropic_params
 from treeval.optim import eg_minimize, maximize, newton_ascent, sup, sup_rows
 
 
@@ -198,6 +202,129 @@ class TestNewtonAscent:
         res = newton_ascent(value_and_gradient, np.zeros(3), gradient_tolerance=1e-8, held=1)
         assert not res.converged and res.gradient_norm == pytest.approx(1.0)
         assert res.x[0] == 0.0 and np.allclose(res.x[1:], [1.0, -2.0])
+
+
+def reason_rows(d: int):
+    """One objective of d coordinates per way a Newton row stops, each a
+    callable from points (k, d) to values (k,) and gradients (k, d), with
+    its start and the reason it stops for:
+    - gradient: -sum(exp(x - c) - x), less (x0 - x1 - c0 + c1)^2 / 2 for
+      two coordinates, whose maximum is c;
+    - indefinite: a linear objective, whose Hessian is 0;
+    - indefinite: 2 sqrt(1 - x) summed, started within the Hessian's step
+      of its wall at 1, where the stencil's gradient is not finite;
+    - bound: a quadratic whose maximum is 1e7;
+    - halvings: -(x - 1)^2 / 2 with the gradient of -(x + 1)^2 / 2, so
+      every step and every halving of it falls;
+    - steps: -x^4 / 4, where Newton's step is -x / 3."""
+    c = np.array([0.7, -0.4])[:d]
+
+    def smooth(p):
+        e = np.exp(p - c)
+        value, grad = -(e - p).sum(axis=-1), 1.0 - e
+        if d == 2:
+            gap = p[..., 0] - p[..., 1] - (c[0] - c[1])
+            value, grad = value - 0.5 * gap ** 2, grad + np.stack([-gap, gap], axis=-1)
+        return value, grad
+
+    def linear(p):
+        slope = np.array([1.0, -2.0])[:d]
+        return p @ slope, np.broadcast_to(slope, p.shape)
+
+    def walled(p):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(1.0 - p)
+            return 2.0 * root.sum(axis=-1), -1.0 / root
+
+    def far(p):
+        return -0.5 * ((p - 1e7) ** 2).sum(axis=-1), 1e7 - p
+
+    def misled(p):
+        return -0.5 * ((p - 1.0) ** 2).sum(axis=-1), -(p + 1.0)
+
+    def slow(p):
+        return -0.25 * (p ** 4).sum(axis=-1), -p ** 3
+
+    return [(smooth, np.zeros(d), "gradient"), (linear, np.zeros(d), "indefinite"),
+            (walled, np.full(d, 1.0 - 0.5 * optim.HESSIAN_STEP), "indefinite"),
+            (far, np.zeros(d), "bound"), (misled, np.zeros(d), "halvings"), (slow, np.ones(d), "steps")]
+
+
+def batch_of(rows):
+    """The rows as one batch: each row's objective on its own points."""
+    def value_and_gradient(points):   # (k, rows, d)
+        parts = [f(points[:, r]) for r, (f, _, _) in enumerate(rows)]
+        return np.stack([v for v, _ in parts], axis=1), np.stack([g for _, g in parts], axis=1)
+
+    return value_and_gradient, np.stack([x0 for _, x0, _ in rows])
+
+
+class TestNewtonStops:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_row_states_why_it_stopped(self, d):
+        rows = reason_rows(d)
+        value_and_gradient, x0 = batch_of(rows)
+        res = newton_ascent(value_and_gradient, x0, gradient_tolerance=1e-13)
+        assert res.stop_reason.tolist() == [why for _, _, why in rows]
+        assert res.converged.tolist() == [why == "gradient" for _, _, why in rows]
+        assert np.max(np.abs(res.x[0] - np.array([0.7, -0.4])[:d])) <= 1e-12
+        # the rows that stop before a step stand at their start
+        assert np.array_equal(res.x[1:5], x0[1:5]) and np.array_equal(res.iterations[1:5], [0, 0, 0, 0])
+        assert res.iterations[5] == optim.NEWTON_STEPS
+
+    def test_a_start_whose_value_is_not_finite_is_indefinite(self):
+        def walled(p):
+            return np.where(p[..., 0] < 1.0, -0.5 * p[..., 0] ** 2, -np.inf), -p
+
+        res = newton_ascent(walled, np.array([2.0]), gradient_tolerance=1e-8)
+        assert res.stop_reason == "indefinite" and res.iterations == 0 and res.x[0] == 2.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_row_solves_as_it_would_alone(self, d):
+        # definiteness is decided row by row: a row's results are bit for
+        # bit those of its own solve, whatever rows stop beside it
+        rows = reason_rows(d)
+        value_and_gradient, x0 = batch_of(rows)
+        batch = newton_ascent(value_and_gradient, x0, gradient_tolerance=1e-13)
+        for r, (f, start, _) in enumerate(rows):
+            alone = newton_ascent(f, start, gradient_tolerance=1e-13)
+            assert batch.x[r].tobytes() == alone.x.tobytes()
+            assert batch.value[r].tobytes() == alone.value.tobytes()
+            assert batch.converged[r] == alone.converged and batch.stop_reason[r] == alone.stop_reason
+            assert batch.iterations[r] == alone.iterations
+
+    def test_one_coordinate_steps_by_minus_g_over_h(self):
+        # the first step from x0 is -g / H for the forward-difference H,
+        # to the last bit
+        calls = []
+
+        def f(p):
+            calls.append(p.copy())
+            return np.log(p[..., 0]) - p[..., 0], 1.0 / p - 1.0
+
+        x0 = np.array([0.3])
+        newton_ascent(f, x0, gradient_tolerance=1e-10)
+        h = optim.HESSIAN_STEP * max(1.0, abs(x0[0]))
+        g, g_h = 1.0 / x0[0] - 1.0, 1.0 / (x0[0] + h) - 1.0
+        assert calls[1][0, 0] == x0[0] - g / ((g_h - g) / h)
+
+    def test_newton_calls_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Newton steps by a Cholesky factorization and a solve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        t = three_node_tree((0.2, 0.4, 0.4))
+        _, _, res = dual_value_and_argmax(entropic_family(entropic_params(t, 1.0)), "root",
+                                          {"root": 0.3, "up": 0.3, "down": 0.4})
+        assert res.method == "newton" and res.converged
+        c = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5]])   # two rows, smooth
+
+        def rows_value_and_gradient(points):   # (k, 2, 3)
+            return -np.log(np.cosh(points - c)).sum(axis=-1), -np.tanh(points - c)
+
+        x, fx, fallback = sup_rows(None, rows_value_and_gradient, np.zeros((2, 3)), smooth=True,
+                                   gradient_tolerance=1e-10, max_iterations=1000, row=None)
+        assert fallback == {} and np.max(np.abs(x - c)) <= 1e-9
 
 
 class TestSimplexDescent:
