@@ -74,11 +74,15 @@ def _mapping_of(lam) -> Mapping[str, float]:
 
 
 def _mass_vector(tree: Tree, lam) -> np.ndarray:
-    """Masses of a density or mapping in node order; unknown nodes are
-    rejected and absent ones carry zero."""
+    """Masses of a density or mapping in node order; unknown nodes and
+    masses that are not numbers are rejected, absent nodes carry zero."""
     masses = np.zeros(tree.n_nodes)
     for node_id, v in _mapping_of(lam).items():
-        masses[tree.node_index(node_id)] = float(v)
+        i = tree.node_index(node_id)
+        try:
+            masses[i] = float(v)
+        except (TypeError, ValueError):
+            raise ValidationError(f"density mass at {node_id!r} must be a number (got {v!r})") from None
     return masses
 
 
@@ -147,7 +151,8 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     domain error.  The search runs over the free coordinates, the node's
     subtree (in preorder) and then the nodes off it that carry mass, from
     ``start`` (one finite number for each) or zero.  A smooth family takes
-    ``optim.newton_ascent`` first, one reverse sweep per trial point, with
+    ``optim.newton_ascent`` first, one reverse sweep per trial point (at
+    the root, the trial points themselves are the cash it sweeps), with
     the node's own cash held at its start: translation invariance makes
     the objective flat along the subtree's constant shift.  Its point is
     taken only where the whole gradient meets the gradient test, held
@@ -156,7 +161,10 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     coordinates from the start.  Not from Newton's last point: a sup
     approached only as the node's own cash grows (a CRRA density with no
     mass on the node) leaves the children near the divergence bound, and
-    BFGS from there crosses it."""
+    BFGS from there crosses it.  Such a result's ``method`` and
+    ``stop_reason`` join Newton's and the fallback's with ``+``, as in
+    ``newton+bfgs`` and ``indefinite+gradient``.  A mass that is not a
+    number is a validation error naming its node."""
     opts = opts or DEFAULT_OPTIONS
     tree = family.tree
     xi = tree.node_index(x)
@@ -165,8 +173,10 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     free = np.concatenate([tree.descendant_indices(xi), _mass_off(tree, masses, xi)])
     lam_vec = masses[free]
     # consecutive nodes (a subtree of a tree given in preorder) are read and
-    # written as a slice, which is cheaper than a list of indices
+    # written as a slice, which is cheaper than a list of indices; where
+    # they are the whole tree, a batch of free coordinates is the cash
     cols = slice(xi, xi + free.size) if np.array_equal(free, np.arange(xi, xi + free.size)) else free
+    whole = free.size == tree.n_nodes and isinstance(cols, slice)
     if start is None:
         x0 = np.zeros(free.size)
     else:
@@ -176,6 +186,8 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
                                   f"(got shape {x0.shape})")
 
     def cash(batch: np.ndarray) -> np.ndarray:
+        if whole:
+            return batch
         full = np.zeros((batch.shape[0], tree.n_nodes))
         full[:, cols] = batch
         return full
@@ -209,6 +221,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
                   gradient=value_and_gradient)
         if newton is not None:
             res.method = f"newton+{res.method}"
+            res.stop_reason = f"{newton.stop_reason.item()}+{res.stop_reason}"
             res.iterations += int(newton.iterations)
             res.gradient_evaluations += newton.gradient_evaluations
     if res.diverged:

@@ -19,11 +19,6 @@ from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probabilit
                         probability_rows)
 
 
-def _stack_outcomes(k_x, k_children) -> np.ndarray:
-    """Join own cash and child values, arrays, along the last axis."""
-    return np.concatenate([k_x[..., None], k_children], axis=-1)
-
-
 def _level_sized(a: np.ndarray) -> bool:
     """Whether a reduction over the last axis of ``a`` runs as one ufunc
     call per position along it rather than one ``ufunc.reduce``: always for
@@ -38,34 +33,45 @@ def _level_sized(a: np.ndarray) -> bool:
 
 
 def _reduce_last(ufunc, a: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` over the last axis, looped where ``_level_sized``."""
+    """``ufunc.reduce`` over the last axis, looped where ``_level_sized``;
+    the loop's accumulator keeps the layout of a, so that it runs on
+    matching strides (on the worst-case kernel's rows-innermost products,
+    256 rows x 28 nodes x 3 x 3: 34 us, against 85 us into a C-ordered
+    accumulator)."""
     if not _level_sized(a):
         return ufunc.reduce(a, axis=-1)
-    out = a[..., 0].copy()
+    out = a[..., 0].copy(order="K")
     for i in range(1, a.shape[-1]):
         ufunc(out, a[..., i], out=out)
     return out
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis, with the maximum subtracted."""
+def _shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum m over the last axis of a, and exp(a - m) written over a."""
     m = _reduce_last(np.maximum, a)
-    return m + np.log(_reduce_last(np.add, np.exp(a - m[..., None])))
+    return m, np.exp(np.subtract(a, m[..., None], out=a), out=a)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, with the maximum subtracted; a is
+    overwritten."""
+    m, w = _shifted_exp(a)
+    return m + np.log(_reduce_last(np.add, w))
 
 
 def _softmax(a: np.ndarray) -> np.ndarray:
-    """exp(a) normalized over the last axis, with the maximum subtracted."""
-    w = np.exp(a - _reduce_last(np.maximum, a)[..., None])
-    return w / _reduce_last(np.add, w)[..., None]
+    """exp(a) normalized over the last axis, with the maximum subtracted,
+    written over a."""
+    _, w = _shifted_exp(a)
+    return np.divide(w, _reduce_last(np.add, w)[..., None], out=w)
 
 
 def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_logsumexp(a)`` and ``_softmax(a)``, equal to theirs, from one set
-    of exponentials."""
-    m = _reduce_last(np.maximum, a)
-    w = np.exp(a - m[..., None])
+    of exponentials, the softmax written over a."""
+    m, w = _shifted_exp(a)
     total = _reduce_last(np.add, w)
-    return m + np.log(total), w / total[..., None]
+    return m + np.log(total), np.divide(w, total[..., None], out=w)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +307,7 @@ def _newton_move(cost, v, log_v, log_w, log_q, g) -> np.ndarray:
             break
         with np.errstate(divide="ignore"):
             trial = np.where(free, np.log(w + t[..., None] * d), log_w)
-        trial = trial - _logsumexp(trial)[..., None]
+        trial = trial - _logsumexp(trial.copy())[..., None]
         log_q = _log_mix(trial, log_v)
         after = _reduce_last(np.add, np.exp(log_q) * (cost + log_q))
         # strictly: a step whose gain is below rounding is no step
@@ -392,18 +398,22 @@ def _entropic_kernel(gamma: float) -> Kernel:
     Its ``solve`` gives the values with log q*, the log Gibbs weights, which
     minimize the conjugate problem  min_q [q . k + sum q (log q - log w) / gamma]."""
 
-    def evaluate(data, k_x, k_children):
-        return _logsumexp(data[0] - gamma * _stack_outcomes(k_x, k_children)) / -gamma
+    def exponents(data, k):
+        # log w - gamma k, in place on k: the same numbers, as x - y is x + (-y)
+        return np.add(np.multiply(k, -gamma, out=k), data[0], out=k)
 
-    def grad(data, k_x, k_children):
+    def evaluate(data, k):
+        return _logsumexp(exponents(data, k)) / -gamma
+
+    def grad(data, k):
         # the Gibbs weights of the outcomes, from the exponentials of the value
-        lse, weights = _logsumexp_softmax(data[0] - gamma * _stack_outcomes(k_x, k_children))
+        lse, weights = _logsumexp_softmax(exponents(data, k))
         return lse / -gamma, weights
 
-    def solve(data, k_x, k_children):
-        a = data[0] - gamma * _stack_outcomes(k_x, k_children)
-        lse = _logsumexp(a)
-        return lse / -gamma, a - lse[..., None], np.ones(lse.shape, dtype=bool)
+    def solve(data, k):
+        a = exponents(data, k)
+        lse = _logsumexp(a.copy())
+        return lse / -gamma, np.subtract(a, lse[..., None], out=a), np.ones(lse.shape, dtype=bool)
 
     def dual(data, theta, psi):
         q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
@@ -424,17 +434,16 @@ def _confined_kernel(gamma: float) -> Kernel:
     with log q* of its minimizer, found by ``_polytope_log_argmin``, and its
     partials are q* (the envelope theorem)."""
 
-    def solve(data, k_x, k_children):
-        k = _stack_outcomes(k_x, k_children)
+    def solve(data, k):
         log_q = _polytope_log_argmin(gamma * k - data[0], data[1])
         values = _reduce_last(np.add, np.exp(log_q) * (k + (log_q - data[0]) / gamma))
         return values, log_q, np.ones(values.shape, dtype=bool)
 
-    def grad(data, k_x, k_children):
-        values, log_q, _ = solve(data, k_x, k_children)
+    def grad(data, k):
+        values, log_q, _ = solve(data, k)
         return values, np.exp(log_q)
 
-    return Kernel(lambda data, k_x, k_children: solve(data, k_x, k_children)[0], f"entropic(gamma={gamma})",
+    return Kernel(lambda data, k: solve(data, k)[0], f"entropic(gamma={gamma})",
                   grad=grad, rule=lambda data: (gamma, *data), solve=solve)
 
 
@@ -528,22 +537,30 @@ def _worst_case_kernel(stopping: bool) -> Kernel:
     partials are a subgradient: the minimizing distribution, or the stop
     branch (own cash) where stopping is the minimum."""
 
-    def expectations(data, k_children):
-        return _reduce_last(np.add, np.asarray(k_children, dtype=float)[..., None, :] * data[0])
+    def expectations(data, k):
+        kids = k[..., 1:]
+        if k.size > k.shape[-2] * k.shape[-1]:
+            # rows: the children copied rows innermost, as a gather of them
+            # lays them out, so that the product with the distributions
+            # runs along the rows (a 256-row chunk of 28 nodes, numpy 2.4
+            # on a 2-vCPU Xeon: 70 us, against 290 us on a C-ordered copy)
+            lead = tuple(range(k.ndim - 2))
+            kids = kids.transpose(-2, -1, *lead).copy().transpose(*(a + 2 for a in lead), 0, 1)
+        return _reduce_last(np.add, kids[..., None, :] * data[0])
 
-    def evaluate(data, k_x, k_children):
-        worst = _reduce_last(np.minimum, expectations(data, k_children))
-        return np.minimum(np.asarray(k_x, dtype=float), worst) if stopping else worst
+    def evaluate(data, k):
+        worst = _reduce_last(np.minimum, expectations(data, k))
+        return np.minimum(k[..., 0], worst) if stopping else worst
 
-    def grad(data, k_x, k_children):
-        e = expectations(data, k_children)
+    def grad(data, k):
+        e = expectations(data, k)
         worst = _reduce_last(np.minimum, e)
         stacked = np.broadcast_to(data[0], e.shape + data[0].shape[-1:])
         alpha = np.take_along_axis(stacked, np.argmin(e, axis=-1)[..., None, None], axis=-2)[..., 0, :]
         out = np.concatenate([np.zeros_like(alpha[..., :1]), alpha], axis=-1)
         if not stopping:
             return worst, out
-        k_x = np.asarray(k_x, dtype=float)
+        k_x = k[..., 0]
         return np.minimum(k_x, worst), np.where((k_x <= worst)[..., None], np.eye(out.shape[-1])[0], out)
 
     def rule(data):
@@ -747,12 +764,11 @@ def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
     """CRRA indifference price of the (node, children) outcome vector; data:
     the outcome probabilities of each node, checked by ``_ui_rows``."""
 
-    def evaluate(data, k_x, k_children):
-        return _newton_price(utility, x0, data[0], _stack_outcomes(k_x, k_children))
+    def evaluate(data, k):
+        return _newton_price(utility, x0, data[0], k)
 
-    def grad(data, k_x, k_children):
+    def grad(data, k):
         # implicit function theorem: p_y u'(w_y) / sum p u'(w), w at the price
-        k = _stack_outcomes(k_x, k_children)
         price = _newton_price(utility, x0, data[0], k)
         wealth = np.maximum(x0 + k - price[..., None], np.finfo(float).tiny)   # at the wall: the one-hot limit
         return price, _softmax(np.log(data[0]) + utility.log_marginal(wealth))

@@ -223,31 +223,32 @@ def _moves(mkt: Market, block: Block) -> np.ndarray:
     return np.moveaxis(mkt.prices[:, block.kids] - mkt.prices[:, block.nodes, None], 0, -1)
 
 
-def _lift(inner: Kernel, data, k_x, k_children):
+def _lift(inner: Kernel, data, k):
     """The one-step hedges of a block, data (inner data, moves), as a lift
     in the positions theta (``valuation._sup_kernel``): the gradient is the
     children's partials times the moves, from the inner kernel's one call
     for its values and partials; the start is 0."""
     inner_data, moves = data
-    own = {np.shape(k_x): k_x}   # own cash broadcast to each shape of positions asked for
 
     def shifted(theta):
-        kids = k_children + (moves * theta[..., None, :]).sum(axis=-1)
-        if kids.shape[:-1] not in own:
-            own[kids.shape[:-1]] = np.broadcast_to(k_x, kids.shape[:-1])
-        return own[kids.shape[:-1]], kids
+        # own cash, and the children's values plus the trading gains
+        gains = (moves * theta[..., None, :]).sum(axis=-1)
+        out = np.empty(gains.shape[:-1] + k.shape[-1:])
+        out[..., 0] = k[..., 0]
+        np.add(k[..., 1:], gains, out=out[..., 1:])
+        return out
 
     def partials(theta):
-        return inner.partials(inner_data, *shifted(theta))
+        return inner.partials(inner_data, shifted(theta))
 
     def value(theta):
-        return inner.evaluate(inner_data, *shifted(theta))
+        return inner.evaluate(inner_data, shifted(theta))
 
     def value_and_gradient(theta):
-        values, p = inner.evaluate_with_partials(inner_data, *shifted(theta))
+        values, p = inner.evaluate_with_partials(inner_data, shifted(theta))
         return values, (p[..., 1:, None] * moves).sum(axis=-2)
 
-    return value, value_and_gradient, partials, np.zeros(np.shape(k_x) + moves.shape[-1:])
+    return value, value_and_gradient, partials, np.zeros(k.shape[:-1] + moves.shape[-1:])
 
 
 def _hedge(inner: Kernel):
@@ -268,18 +269,23 @@ def _martingale(inner: Kernel, gamma: float) -> Kernel:
     closed form ``families._disjoint_log_argmin`` gives any polytope whose
     vertices have disjoint supports."""
 
-    def evaluate(data, k_x, k_children):
-        log_w, q = data[:2]
-        return inner.evaluate((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
+    def outcomes(q, k):
+        # (own cash, q . children)
+        out = np.empty(k.shape[:-1] + (2,))
+        out[..., 0] = k[..., 0]
+        out[..., 1] = (q * k[..., 1:]).sum(axis=-1)
+        return out
 
-    def grad(data, k_x, k_children):
-        log_w, q = data[:2]
-        values, p = inner.evaluate_with_partials((log_w,), k_x, (q * k_children).sum(axis=-1)[..., None])
-        return values, np.concatenate([p[..., :1], p[..., 1:] * q], axis=-1)
+    def evaluate(data, k):
+        return inner.evaluate(data[:1], outcomes(data[1], k))
 
-    def solve(data, k_x, k_children):
-        values, (a, c) = evaluate(data, k_x, k_children), data[2:4]
-        return values, (a @ (c - k_children)[..., None])[..., 0], np.ones(values.shape, dtype=bool)
+    def grad(data, k):
+        values, p = inner.evaluate_with_partials(data[:1], outcomes(data[1], k))
+        return values, np.concatenate([p[..., :1], p[..., 1:] * data[1]], axis=-1)
+
+    def solve(data, k):
+        a, c = data[2:4]
+        return evaluate(data, k), (a @ (c - k[..., 1:])[..., None])[..., 0], np.ones(k.shape[:-1], dtype=bool)
 
     def rule(data):
         q = data[1]

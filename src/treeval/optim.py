@@ -3,9 +3,10 @@ with a backtracking line search and step doubling along recession
 directions, restarted Nelder-Mead for kinked objectives, ``sup``, the one
 policy that chooses between them, ``newton_ascent``, damped Newton on a
 batch of smooth sups with one value-and-gradient call per trial point and
-one Cholesky factorization and one linear solve per step, ``sup_rows``, the policy of ``sup`` for many independent sups at once
-(that Newton stage first), and multiplicative-weights descent on the
-simplex with 1/sqrt(k) steps.  Objectives evaluate batches:
+one Cholesky factorization and one linear solve per step, ``sup_rows``,
+the policy of ``sup`` for many independent sups at once (that Newton
+stage first), and multiplicative-weights descent on the simplex with
+1/sqrt(k) steps.  Objectives evaluate batches:
 f((B, d)) -> (B,).  Dual solves, one-step duals among them, run the Newton
 stage first too, and go on to ``sup`` where it does not finish; every
 ``sup`` of the package is given its objective's gradient.
@@ -46,7 +47,9 @@ class AscentResult:
     ``diverged`` or ``max_iterations`` (``newton_ascent`` gives one reason
     per row, of its own); ``method`` names the solvers that
     ran, joined by ``+`` in order: ``newton``, ``bfgs`` and
-    ``nelder-mead``, as in ``newton+bfgs``."""
+    ``nelder-mead``, as in ``newton+bfgs``.  A dual solve that fell back
+    from Newton joins Newton's reason and the fallback's the same way, as
+    in ``indefinite+gradient``."""
 
     x: np.ndarray
     value: float
@@ -283,10 +286,13 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     (a step beyond ``DIVERGENCE_BOUND``), ``halvings`` (still falling
     after ``NEWTON_HALVINGS`` halvings) or ``steps`` (still going after
     ``NEWTON_STEPS`` steps).  All but the first leave the row where it
-    stands.  Returns an ``AscentResult`` whose ``x``, ``value``,
-    ``gradient_norm``, ``iterations`` (accepted steps), ``converged`` (the
-    gradient test met) and ``stop_reason`` hold one entry per row, and
-    whose ``gradient_evaluations`` counts the calls."""
+    stands.  While every row runs, a step makes one finite test and one
+    factorization of the whole stack and no row masks; those, and the stop
+    bookkeeping, run only where some row stops or falls.  Returns an
+    ``AscentResult`` whose ``x``, ``value``, ``gradient_norm``,
+    ``iterations`` (accepted steps), ``converged`` (the gradient test met)
+    and ``stop_reason`` hold one entry per row, and whose
+    ``gradient_evaluations`` counts the calls."""
     shape = np.shape(x0)
     x = np.array(x0, dtype=float).reshape(-1, shape[-1])   # (rows, d)
     n, d = x.shape
@@ -294,59 +300,70 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     calls = 0
 
     def trial(points):
-        # values (rows,), gradients (1 + d - held, rows, d) and steps h (rows, d)
+        # values (rows,), gradients (1 + d - held, rows, d) and steps h
+        # (rows, d); the objective's own arrays, which are never written
         nonlocal calls
         calls += 1
         h = HESSIAN_STEP * np.maximum(1.0, np.abs(points))
         fs, gs = value_and_gradient((points + basis * h).reshape(basis.shape[:1] + shape))
-        return np.array(fs, dtype=float).reshape(-1, n)[0], np.array(gs, dtype=float).reshape(-1, n, d), h
+        return np.asarray(fs, dtype=float).reshape(-1, n)[0], np.asarray(gs, dtype=float).reshape(-1, n, d), h
 
     def stop(rows, why):
+        nonlocal everyone
         rows &= running
         if rows.any():
             reason[rows] = why
             running[rows] = False
+            everyone = False
 
     fx, gs, h = trial(x)
     running, steps = np.isfinite(fx), np.zeros(n, dtype=int)
     reason = np.full(n, "indefinite", dtype=object)
     reason[running] = "steps"
+    everyone = bool(running.all())   # every row running: no step needs a row mask
     for step_count in range(NEWTON_STEPS + 1):
         g = gs[0]
-        stop(np.abs(g).max(axis=1) <= gradient_tolerance, "gradient")
-        if step_count == NEWTON_STEPS or not running.any():
+        met = np.abs(g).max(axis=1) <= gradient_tolerance
+        if met.any():
+            stop(met, "gradient")
+        if step_count == NEWTON_STEPS or not (everyone or running.any()):
             break
-        # -S over the searched coordinates, factored in the running rows
-        # where it is finite, and I in place of it in the rows that take
-        # no step, so that the solve does not fail there
         slopes = (g[:, held:] - gs[1:, :, held:]) / h[:, held:].T[:, :, None]   # [j, row, i]: -dg_i / dx_j
         minus_s = (slopes.transpose(1, 0, 2) + slopes.transpose(1, 2, 0)) * 0.5
-        usable = running & np.isfinite(minus_s).all(axis=(1, 2))
-        usable[usable] = _positive_definite(minus_s[usable])
-        all_usable = usable.all()
-        if not all_usable:
+        # -S, factored in the running rows where it is finite: while every
+        # row runs, one finite test and one factorization of the stack
+        if everyone and np.isfinite(minus_s).all():
+            usable = _positive_definite(minus_s)
+        else:
+            usable = running & np.isfinite(minus_s).all(axis=(1, 2))
+            usable[usable] = _positive_definite(minus_s[usable])
+        if not usable.all():
             stop(~usable, "indefinite")
             if not running.any():
                 break
+            # I in place of -S in the rows that take no step, so that the
+            # solve does not fail there
             minus_s[~running] = np.eye(d - held)
         step = np.zeros((n, d))
         step[:, held:] = np.linalg.solve(minus_s, g[:, held:, None])[..., 0]
-        if not all_usable:
+        if not everyone:
             step[~running] = 0.0
         cand = x + step
-        stop(~(np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND), "bound")
-        pending = running.copy()
+        if not np.abs(cand).max() <= DIVERGENCE_BOUND:
+            stop(~(np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND), "bound")
+        pending = None if everyone else running.copy()   # None: every row
         for _ in range(NEWTON_HALVINGS):
             fc, gc, hc = trial(cand)
-            rose = pending & (fc >= fx) & np.isfinite(fc)
-            if rose.all():   # every row rose: take the whole candidate
-                x, fx, gs, h = cand, fc, gc, hc
-                steps += 1
-                break
-            np.copyto(x, cand, where=rose[:, None])
-            np.copyto(fx, fc, where=rose)
-            np.copyto(gs, gc, where=rose[:, None])
-            np.copyto(h, hc, where=rose[:, None])
+            rose = (fc >= fx) & np.isfinite(fc)
+            if pending is None:
+                if rose.all():   # every row rose: take the whole candidate
+                    x, fx, gs, h = cand, fc, gc, hc
+                    steps += 1
+                    break
+                pending = running.copy()
+            rose &= pending
+            x, fx = np.where(rose[:, None], cand, x), np.where(rose, fc, fx)
+            gs, h = np.where(rose[:, None], gc, gs), np.where(rose[:, None], hc, h)
             steps += rose
             pending &= ~rose
             if not pending.any():

@@ -145,13 +145,14 @@ class SharingResult:
     converged: bool
 
 
-def _pieces(z, k_x, k_children, j: int) -> np.ndarray:
-    """The j pieces (j, ..., m + 1) of the totals that z (..., (j - 1) m)
-    describes: the first j - 1 with no own cash, the last the remainder."""
-    head = np.moveaxis(z.reshape(z.shape[:-1] + (j - 1, k_children.shape[-1])), -2, 0)
+def _pieces(z, k, j: int) -> np.ndarray:
+    """The j pieces (j, ..., m + 1) of the stacked totals k (..., m + 1)
+    that z (..., (j - 1) m) describes: the first j - 1 with no own cash,
+    the last the remainder."""
+    head = np.moveaxis(z.reshape(z.shape[:-1] + (j - 1, k.shape[-1] - 1)), -2, 0)
     own = np.zeros((j,) + head.shape[1:-1] + (1,))
-    own[-1] = k_x[..., None]
-    return np.concatenate([own, np.concatenate([head, (k_children - head.sum(axis=0))[None]])], axis=-1)
+    own[-1] = k[..., :1]
+    return np.concatenate([own, np.concatenate([head, (k[..., 1:] - head.sum(axis=0))[None]])], axis=-1)
 
 
 def _pool(blocks):
@@ -164,25 +165,23 @@ def _pool(blocks):
     kernels = [b.kernel for b in blocks]
     j = len(kernels)
 
-    def lift(data, k_x, k_children):
+    def lift(data, k):
         def each(z):
-            return zip(kernels, data, _pieces(z, k_x, k_children, j))
+            return zip(kernels, data, _pieces(z, k, j))
 
         def value(z):
-            return sum(kernel.evaluate(d, p[..., 0], p[..., 1:]) for kernel, d, p in each(z))
+            return sum(kernel.evaluate(d, p) for kernel, d, p in each(z))
 
         def value_and_gradient(z):
-            values, partials = zip(*(kernel.evaluate_with_partials(d, p[..., 0], p[..., 1:])
-                                     for kernel, d, p in each(z)))
+            values, partials = zip(*(kernel.evaluate_with_partials(d, p) for kernel, d, p in each(z)))
             return sum(values), np.concatenate([p[..., 1:] - partials[-1][..., 1:] for p in partials[:-1]],
                                                axis=-1)
 
         def partials(z):
-            last = _pieces(z, k_x, k_children, j)[-1]
-            return kernels[-1].partials(data[-1], last[..., 0], last[..., 1:])
+            return kernels[-1].partials(data[-1], _pieces(z, k, j)[-1])
 
         # the even split, each piece shifted to no own cash
-        return value, value_and_gradient, partials, np.tile((k_children - k_x[..., None]) / j, j - 1)
+        return value, value_and_gradient, partials, np.tile((k[..., 1:] - k[..., :1]) / j, j - 1)
 
     descriptor = "pooled(" + ", ".join(kernel.descriptor or "custom" for kernel in kernels) + ")"
     return lift, descriptor, all(kernel.smooth for kernel in kernels)
@@ -194,7 +193,8 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
     layouts = [f.blocks for f in families]
     if len({tuple(tuple(b.nodes.tolist()) for b in blocks) for blocks in layouts}) > 1:
         time = families[0].tree.time
-        layouts = [sorted((Block(b.kernel, *part) for b in blocks for part in b.parts(1)),
+        layouts = [sorted((Block(b.kernel, data, nodes, take[:, 1:])
+                           for b in blocks for data, nodes, take in b.parts(1)),
                           key=lambda c: (-time[c.nodes[0]], c.nodes[0])) for blocks in layouts]
     return list(zip(*layouts))
 
@@ -317,11 +317,11 @@ def _share_direct_route(families: Sequence[ValuationFamily], xi: int, values: np
         if not sel.any():
             continue
         converged &= bool(ok[:, sel].all())
-        k_x, k_children = values[block.nodes], swept[0, block.kids]
-        pieces = (_pieces(found[0], k_x, k_children, j) if rule is None
-                  else _split(*rule[1:], found[0], np.concatenate([k_x[:, None], k_children], axis=-1)))
+        k = np.concatenate([values[block.nodes, None], swept[0, block.kids]], axis=1)
+        pieces = _pieces(found[0], k, j) if rule is None else _split(*rule[1:], found[0], k)
         nodes, kids, pieces = block.nodes[sel], block.kids[sel], pieces[:, sel]
-        own = np.array([b.kernel.evaluate(_take(b.data, sel), p[:, 0], p[:, 1:]) for b, p in zip(blocks, pieces)])
+        # each kernel on a copy of its piece, which it may overwrite
+        own = np.array([b.kernel.evaluate(_take(b.data, sel), p.copy()) for b, p in zip(blocks, pieces)])
         shift = np.where(nodes == xi, own, promised[:, nodes]) - own
         alloc[:, nodes] = pieces[..., 0] + shift
         promised[:, kids] = pieces[..., 1:] + shift[..., None]

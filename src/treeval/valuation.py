@@ -12,6 +12,10 @@ here does, and the batched sweep is what makes the fuzzing suites cheap.
 A family stores its operators as level blocks: one kernel, evaluated on the
 stacked parameters of all nodes of one tree level with one child count, so
 a sweep is one numpy call per block rather than one Python call per node.
+A kernel reads each node's own cash and child values as one stacked
+outcome array (..., b, m + 1), which a sweep gathers with one ``take``
+through the block's ``[nodes | kids]`` index; the one-step operators split
+or stack at their boundary.
 """
 
 from __future__ import annotations
@@ -45,9 +49,11 @@ class OneStepValuation:
     """Concave operator on a node's own cash and its children's values.
 
     ``evaluate(k_x, k_children)`` maps the current cash and the vector of
-    child values to one number.  ``dual`` is the optional closed-form convex
-    conjugate on probability vectors over (node, children), used to verify
-    the dual recursion without an inner optimization.
+    child values to one number (kernels take the two stacked as one
+    outcome array; ``Kernel.one_step`` stacks them at this boundary).
+    ``dual`` is the optional closed-form convex conjugate on probability
+    vectors over (node, children), used to verify the dual recursion
+    without an inner optimization.
     """
 
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -60,11 +66,14 @@ class OneStepValuation:
 class Kernel:
     """A one-step operator written once for many nodes.
 
-    ``evaluate(data, k_x, k_children)`` takes per-node parameters ``data``
-    (a tuple of arrays, node axis first) and broadcasts them against the
-    trailing axes of ``k_x`` (..., b) and ``k_children`` (..., b, m), giving
-    (..., b).  ``grad``, if given, takes the same arguments and gives the
-    values (..., b), equal to ``evaluate``'s, together with the exact local
+    ``evaluate(data, k)`` takes per-node parameters ``data`` (a tuple of
+    arrays, node axis first) and broadcasts them against the trailing axes
+    of the stacked outcomes ``k`` (..., b, m + 1), each node's own cash
+    followed by its children's values, giving (..., b).  ``evaluate``,
+    ``grad`` and ``solve`` may overwrite ``k``, which the sweeps gather
+    afresh for every call: the exponential kernel computes in place on it.
+    ``grad``, if given, takes the same arguments and gives the values
+    (..., b), equal to ``evaluate``'s, together with the exact local
     partials (..., b, m + 1) with respect to (own cash, children), from the
     one solve or one set of exponentials both need; without it the partials
     are central differences.
@@ -91,37 +100,38 @@ class Kernel:
     rule: Callable | None = None
     solve: Callable | None = None
 
-    def evaluate_with_partials(self, data, k_x, k_children) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate_with_partials(self, data, k) -> tuple[np.ndarray, np.ndarray]:
         """Values (..., b) and local partials (..., b, m + 1) from one call:
-        ``grad`` where the kernel has one, else ``evaluate`` followed by
-        ``partials``."""
+        ``grad`` where the kernel has one, else ``evaluate`` (on a copy of
+        k, which it may overwrite) followed by ``partials``."""
         if self.grad is not None:
-            return self.grad(data, k_x, k_children)
-        return self.evaluate(data, k_x, k_children), self.partials(data, k_x, k_children)
+            return self.grad(data, k)
+        return self.evaluate(data, k.copy()), self.partials(data, k)
 
-    def partials(self, data, k_x, k_children) -> np.ndarray:
+    def partials(self, data, k) -> np.ndarray:
         """Local partials (..., b, m + 1) of the operator with respect to
         (own cash, children): ``grad``'s where the kernel has one, else
         central differences with relative step ``PARTIALS_STEP``, all
-        2 (m + 1) probes in one evaluation."""
+        2 (m + 1) probes in one evaluation, which leaves k as it is."""
         if self.grad is not None:
-            return self.grad(data, k_x, k_children)[1]
-        z = np.concatenate([k_x[..., None], k_children], axis=-1)
-        width = z.shape[-1]
-        h = PARTIALS_STEP * np.maximum(1.0, np.abs(z))
+            return self.grad(data, k)[1]
+        width = k.shape[-1]
+        h = PARTIALS_STEP * np.maximum(1.0, np.abs(k))
         bump = np.eye(width) * h[..., None, :]                  # (..., b, m + 1, m + 1)
-        probes = z[..., None, :] + np.concatenate([bump, -bump], axis=-2)
-        probes = np.moveaxis(probes, -2, 0)                     # (2 (m + 1), ..., b, m + 1)
-        vals = self.evaluate(data, probes[..., 0], probes[..., 1:])
+        probes = k[..., None, :] + np.concatenate([bump, -bump], axis=-2)
+        vals = self.evaluate(data, np.moveaxis(probes, -2, 0))  # probes (2 (m + 1), ..., b, m + 1)
         return np.moveaxis(vals[:width] - vals[width:], 0, -1) / (2.0 * h)
 
     def one_step(self, data) -> OneStepValuation:
         """The operator at one node, from that node's parameters as a block
-        of one: the kernel on a node axis of length 1."""
+        of one: the kernel on a node axis of length 1, own cash and child
+        values stacked (and broadcast) into its outcome array."""
 
         def evaluate(k_x, k_children):
             k_x, k_children = np.asarray(k_x, dtype=float), np.asarray(k_children, dtype=float)
-            return self.evaluate(data, k_x[..., None], k_children[..., None, :])[..., 0]
+            k = np.empty(np.broadcast_shapes(k_x.shape, k_children.shape[:-1]) + (1, k_children.shape[-1] + 1))
+            k[..., 0, 0], k[..., 0, 1:] = k_x, k_children
+            return self.evaluate(data, k)[..., 0]
 
         dual = None if self.dual is None else partial(self.dual, data)
         return OneStepValuation(evaluate, self.descriptor, dual, self.smooth)
@@ -142,22 +152,26 @@ def _width(data) -> int:
 class Block:
     """The nodes of one tree level that share a kernel and a child count:
     ``kids[j]`` are the children of ``nodes[j]`` and
-    ``_take(data, slice(j, j + 1))`` its parameters."""
+    ``_take(data, slice(j, j + 1))`` its parameters.  ``take`` is
+    ``[nodes | kids]`` (b, m + 1), the index that gathers the kernel's
+    stacked outcomes from a row of node values."""
 
     kernel: Kernel
     data: tuple
     nodes: np.ndarray
     kids: np.ndarray
     width: int = field(init=False)
+    take: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "width", max(self.kids.shape[1] + 1, _width(self.data)))
+        object.__setattr__(self, "take", np.concatenate([self.nodes[:, None], self.kids], axis=1))
 
     def parts(self, step: int):
-        """(data, nodes, kids) of consecutive runs of at most ``step`` nodes."""
+        """(data, nodes, take) of consecutive runs of at most ``step`` nodes."""
         if step >= self.nodes.size:
-            return ((self.data, self.nodes, self.kids),)
-        return [(_take(self.data, slice(s, s + step)), self.nodes[s:s + step], self.kids[s:s + step])
+            return ((self.data, self.nodes, self.take),)
+        return [(_take(self.data, slice(s, s + step)), self.nodes[s:s + step], self.take[s:s + step])
                 for s in range(0, self.nodes.size, step)]
 
 
@@ -243,6 +257,16 @@ class ValuationFamily:
                 steps[u] = block.kernel.one_step(_take(block.data, slice(j, j + 1)))
         return tuple(steps)
 
+    def _cash(self, values) -> tuple[np.ndarray, int]:
+        """A copy of the cash values (..., n_nodes), which a sweep overwrites
+        with the node values, and its number of rows; a last axis of
+        another length is a validation error."""
+        out = np.array(values, dtype=float)
+        if out.shape[-1:] != (self.tree.n_nodes,):
+            raise ValidationError(f"cash values must end in an axis of {self.tree.n_nodes} nodes "
+                                  f"(got shape {out.shape})")
+        return out, max(1, out.size // self.tree.n_nodes)
+
     def _parts(self, block: Block, rows: int):
         """The block cut so that no temporary holds more than about
         ``CHUNK_FLOATS`` floats at ``rows`` rows."""
@@ -251,12 +275,13 @@ class ValuationFamily:
     def node_values(self, values: np.ndarray) -> np.ndarray:
         """Valuation of every node for cash values of shape (..., n_nodes):
         the balance copied (the leaves' values), then one kernel call per
-        block and chunk of at most about ``CHUNK_FLOATS`` temporaries."""
-        out = np.array(values, dtype=float)
-        rows = max(1, out.size // self.tree.n_nodes)
+        block and chunk of at most about ``CHUNK_FLOATS`` temporaries, on
+        the chunk's outcomes gathered by one ``take`` through its
+        ``Block.take`` (C-ordered, unlike ``out[..., take]``)."""
+        out, rows = self._cash(values)
         for block in self.blocks:
-            for data, nodes, kids in self._parts(block, rows):
-                out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
+            for data, nodes, take in self._parts(block, rows):
+                out[..., nodes] = block.kernel.evaluate(data, out.take(take, axis=-1))
         return out
 
     def values_and_maximizers(self, values: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
@@ -264,16 +289,15 @@ class ValuationFamily:
         with (block, maximizer, converged) for every block whose kernel has
         a ``solve``, which then gives the block's values; a block's
         maximizers and flags are joined over its chunks on the node axis."""
-        out = np.array(values, dtype=float)
-        rows = max(1, out.size // self.tree.n_nodes)
+        out, rows = self._cash(values)
         solved = []
         for block in self.blocks:
             kernel, found = block.kernel, []
-            for data, nodes, kids in self._parts(block, rows):
+            for data, nodes, take in self._parts(block, rows):
                 if kernel.solve is None:
-                    out[..., nodes] = kernel.evaluate(data, out[..., nodes], out[..., kids])
+                    out[..., nodes] = kernel.evaluate(data, out.take(take, axis=-1))
                 else:
-                    out[..., nodes], *part = kernel.solve(data, out[..., nodes], out[..., kids])
+                    out[..., nodes], *part = kernel.solve(data, out.take(take, axis=-1))
                     found.append(part)
             if found:
                 solved.append((block, *(f[0] if len(f) == 1 else np.concatenate(f, axis=out.ndim - 1)
@@ -292,13 +316,14 @@ class ValuationFamily:
         evaluated.  Then the reverse sweep, which
         calls no kernel: an adjoint seeded with 1 at xi (one adjoint per
         node of a sequence) visits the kept chunks from the top level down,
-        and each node hands its adjoint times its local partials to its
-        children (the children inside a chunk are distinct, so one
-        scatter-add per chunk is exact).  A node's gradient is its adjoint
-        times its own-cash partial, which takes the adjoint's place once
-        handed on; a leaf's is its adjoint."""
-        out = np.array(values, dtype=float)
-        rows = max(1, out.size // self.tree.n_nodes)
+        and each node hands its adjoint times its local partials to itself
+        and its children, added to what the children hold and scattered
+        through the chunk's ``Block.take`` (no node of a chunk is also one
+        of its kids, and both are distinct, so one scatter per chunk is
+        exact).  A node's gradient is its adjoint times its own-cash
+        partial, which takes the adjoint's place once handed on; a leaf's
+        is its adjoint."""
+        out, rows = self._cash(values)
         seeds = (len(xi),) if hasattr(xi, "__len__") else ()
         tops = xi if seeds else (xi,)
         inside = None   # with the root among the xi, every chunk is kept
@@ -308,21 +333,21 @@ class ValuationFamily:
                 inside[self.tree.descendant_indices(i)] = True
         kept = []
         for block in self.blocks:
-            for data, nodes, kids in self._parts(block, rows):
+            for data, nodes, take in self._parts(block, rows):
                 if inside is None or np.count_nonzero(inside[nodes]):
-                    out[..., nodes], p = block.kernel.evaluate_with_partials(data, out[..., nodes], out[..., kids])
-                    kept.append((nodes, kids, p))
+                    out[..., nodes], p = block.kernel.evaluate_with_partials(data, out.take(take, axis=-1))
+                    kept.append((nodes, take, p))
                 else:
-                    out[..., nodes] = block.kernel.evaluate(data, out[..., nodes], out[..., kids])
+                    out[..., nodes] = block.kernel.evaluate(data, out.take(take, axis=-1))
         grad = np.zeros(seeds + out.shape)
         if seeds:
             np.moveaxis(grad, -1, 1)[np.arange(len(xi)), xi] = 1.0
         else:
             grad[..., xi] = 1.0
-        for nodes, kids, p in reversed(kept):
-            flow = grad[..., nodes, None] * p
-            grad[..., kids] += flow[..., 1:]
-            grad[..., nodes] = flow[..., 0]
+        for nodes, take, p in reversed(kept):
+            flow = grad.take(nodes, axis=-1)[..., None] * p
+            flow[..., 1:] += grad.take(take[:, 1:], axis=-1)
+            grad[..., take] = flow
         return out, grad
 
     def value(self, x: str, balance: CashBalance) -> float:
@@ -353,10 +378,11 @@ def kernel_step(tree: Tree, kernel: Kernel, levels, x: str) -> OneStepValuation:
 
 
 def _step_kernel(step: OneStepValuation) -> Kernel:
-    """A custom one-step operator as the kernel of a one-node block."""
+    """A custom one-step operator as the kernel of a one-node block, given
+    own cash and child values apart, as views of the stacked outcomes."""
 
-    def evaluate(data, k_x, k_children):
-        return np.asarray(step.evaluate(k_x[..., 0], k_children[..., 0, :]), dtype=float)[..., None]
+    def evaluate(data, k):
+        return np.asarray(step.evaluate(k[..., 0, 0], k[..., 0, 1:]), dtype=float)[..., None]
 
     dual = None if step.dual is None else (lambda data, theta, psi: step.dual(theta, psi))
     return Kernel(evaluate, step.descriptor, step.smooth, dual)
@@ -380,27 +406,27 @@ def assemble(tree: Tree, one_steps: Mapping[str, OneStepValuation], **kwargs) ->
     return ValuationFamily(tree, lambda: blocks, **kwargs)
 
 
-def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, k_x, k_children):
+def _one_step_sups(lift, descriptor: str, smooth: bool, tree: Tree, opts, data, k):
     """Values, maximizers and convergence flags of the one-step sups of a
     block, all rows and nodes at once through ``optim.sup_rows`` with the
     tolerances of ``opts``; data: (lift data, nodes) or (lift data, nodes,
     attained), attained False at a node whose sup the search point only
     approaches as it runs away, which is then flagged unconverged.
-    ``lift(lift data, k_x (r, b), k_children (r, b, m))`` gives the
-    objective in the search variable (..., r, b, d), its value and gradient
-    from one call, the partials in (own cash, children) at a fixed search
-    point, and the start, all broadcasting over leading axes.  A sup that
+    ``lift(lift data, k (r, b, m + 1))`` gives the objective in the search
+    variable (..., r, b, d), its value and gradient from one call, the
+    partials in (own cash, children) at a fixed search point, and the
+    start, all broadcasting over leading axes.  A sup that
     runs away raises a divergence error naming its node, with the
     direction."""
     lift_data, nodes = data[:2]
     attained = data[2] if len(data) > 2 else True
-    lead, (b, m) = np.shape(k_children)[:-2], np.shape(k_children)[-2:]
-    k_x, k_children = np.reshape(k_x, (-1, b)), np.reshape(k_children, (-1, b, m))
-    value, value_and_gradient, _, z0 = lift(lift_data, k_x, k_children)
+    lead, b = k.shape[:-2], k.shape[-2]
+    k = k.reshape((-1,) + k.shape[-2:])
+    value, value_and_gradient, _, z0 = lift(lift_data, k)
 
     def row(i: int):
         r, j = divmod(i, b)
-        f, fg, _, _ = lift(_take(lift_data, slice(j, j + 1)), k_x[r, j:j + 1], k_children[r, j:j + 1])
+        f, fg, _, _ = lift(_take(lift_data, slice(j, j + 1)), k[r, j:j + 1])
 
         def at(z):
             fz, gz = fg(z[None, None, :])
@@ -427,27 +453,27 @@ def _sup_kernel(lift, descriptor: str, smooth: bool, tree: Tree, opts) -> Kernel
     where it is kinked, as a kink's partials need not be the sup's."""
     solve = partial(_one_step_sups, lift, descriptor, smooth, tree, opts)
 
-    def evaluate(data, k_x, k_children):
-        return solve(data, k_x, k_children)[0]
+    def evaluate(data, k):
+        return solve(data, k)[0]
 
-    def grad(data, k_x, k_children):
-        values, z, _ = solve(data, k_x, k_children)
-        return values, lift(data[0], k_x, k_children)[2](z)
+    def grad(data, k):
+        values, z, _ = solve(data, k)
+        return values, lift(data[0], k)[2](z)
 
     return Kernel(evaluate, descriptor, smooth, grad=grad if smooth else None, solve=solve)
 
 
 def _committed(inner: Kernel) -> Kernel:
-    """``inner`` re-based: data (inner data, C at the nodes, pi(C) at the
-    children, pi(C) at the nodes)."""
+    """``inner`` re-based: data (inner data, (C at the nodes, pi(C) at the
+    children) stacked as the outcomes are, pi(C) at the nodes)."""
 
-    def evaluate(data, k_x, k_children):
-        inner_data, cash, base_kids, base = data
-        return inner.evaluate(inner_data, k_x + cash, k_children + base_kids) - base
+    def evaluate(data, k):
+        inner_data, shift, base = data
+        return inner.evaluate(inner_data, np.add(k, shift, out=k)) - base
 
-    def grad(data, k_x, k_children):
-        inner_data, cash, base_kids, base = data
-        values, partials = inner.evaluate_with_partials(inner_data, k_x + cash, k_children + base_kids)
+    def grad(data, k):
+        inner_data, shift, base = data
+        values, partials = inner.evaluate_with_partials(inner_data, np.add(k, shift, out=k))
         return values - base, partials
 
     return Kernel(evaluate, f"committed({inner.descriptor})", inner.smooth, grad=grad)
@@ -462,8 +488,14 @@ def committed_family(family: ValuationFamily, commitment: CashBalance) -> Valuat
     if commitment.tree is not family.tree:
         raise ValidationError("commitment built on a different tree")
     cash, base = commitment.values, family.node_values(commitment.values)
+
+    def shift(b: Block) -> np.ndarray:
+        out = base[b.take]
+        out[:, 0] = cash[b.nodes]
+        return out
+
     return ValuationFamily(family.tree, lambda: [
-        Block(_committed(b.kernel), (b.data, cash[b.nodes], base[b.kids], base[b.nodes]), b.nodes, b.kids)
+        Block(_committed(b.kernel), (b.data, shift(b), base[b.nodes]), b.nodes, b.kids)
         for b in family.blocks], descriptor=f"committed({family.descriptor or 'custom'})")
 
 

@@ -93,6 +93,13 @@ def random_cash(rng: np.random.Generator, tree: Tree, low=-5.0, high=5.0) -> Cas
     return CashBalance(tree, rng.uniform(low, high, tree.n_nodes))
 
 
+def outcomes(k_x, k_children) -> np.ndarray:
+    """A kernel's stacked outcomes (..., b, m + 1) from own cash (..., b)
+    and child values (..., b, m): a fresh C-ordered array, as the sweeps
+    gather, which the kernel may overwrite."""
+    return np.ascontiguousarray(np.concatenate([np.asarray(k_x, dtype=float)[..., None], k_children], axis=-1))
+
+
 def per_node_values(family, values) -> np.ndarray:
     """Reference sweep: one ``family.one_steps[u].evaluate`` call per
     internal node, in reverse preorder, for cash values (..., n_nodes)."""

@@ -12,6 +12,7 @@ from helpers import (
     random_cash,
     random_tree,
     three_node_tree,
+    trinomial_tree,
 )
 from treeval.dual import (
     DualDensity,
@@ -40,6 +41,7 @@ from treeval.families import (
     worst_case_family,
     worst_case_params,
 )
+from treeval.optim import AscentResult
 from treeval.tree import CashBalance
 from treeval.valuation import OneStepValuation, assemble, linear_one_step
 
@@ -117,6 +119,27 @@ class TestDualValue:
         with pytest.raises(TreevalError):
             dual_value(fam, "root", {"root": math.nan, "up": 0.5, "down": 0.5})
 
+    @pytest.mark.parametrize("mass", ["a", None])
+    def test_a_mass_that_is_not_a_number_is_a_validation_error(self, mass):
+        t, params, fam = entropic_setup()
+        with pytest.raises(ValidationError, match="mass at 'root' must be a number"):
+            dual_value_and_argmax(fam, "root", {"root": mass, "up": 0.4, "down": 0.4})
+
+    def test_a_fallback_keeps_newtons_stop_reason(self, monkeypatch):
+        # with no mass on the root the sup is approached only as the root's
+        # cash grows: Newton's Hessian turns indefinite on the way, and
+        # BFGS finishes the solve on the gradient test
+        t = three_node_tree((0.2, 0.4, 0.4))
+        fam = ui_family(ui_params(t, CRRAUtility(2.0), 3.0, {"root": [0.2, 0.4, 0.4]}))
+        lam = {"up": 0.4, "down": 0.6}
+        _, _, res = dual_value_and_argmax(fam, "root", lam)
+        assert (res.method, res.stop_reason, res.converged) == ("newton+bfgs", "indefinite+gradient", True)
+        # a fallback that does not finish: the error names both reasons
+        monkeypatch.setattr(treeval.dual, "sup", lambda *args, **kwargs: AscentResult(
+            np.zeros(3), 0.0, 1.0, 1, converged=False, stop_reason="max_iterations", method="bfgs"))
+        with pytest.raises(ConvergenceError, match=r"\(newton\+bfgs\) stopped on indefinite\+max_iterations"):
+            dual_value_and_argmax(fam, "root", lam)
+
     def test_probability_mass_off_subtree_diverges(self):
         t = binary_tree(2, weights=[0.1, 0.2, 0.2, 0.125, 0.125, 0.125, 0.125])
         fam = entropic_family(entropic_params(t, gamma=1.0))
@@ -134,7 +157,7 @@ class TestDualValue:
                                               DualSolverOptions(max_iterations=2000))
         s = np.sqrt(0.4 * 0.4) + np.sqrt(0.4 * 0.6)
         limit = 10.0 * (1.0 - s ** 2)
-        assert res.converged and res.stop_reason == "gradient"
+        assert res.converged and res.stop_reason == "indefinite+gradient"
         assert limit - 1e-4 <= value <= limit
 
     def test_walled_crra_ascent_backs_away_from_the_wealth_wall(self):
@@ -201,6 +224,40 @@ class TestDualValue:
         assert len(sweeps) == len(trials) == res.gradient_evaluations > res.iterations > 0
         assert set(sweeps) == {(t.n_nodes, t.n_nodes)}
         assert value == pytest.approx(entropic_dual(params, "r", lam.values), abs=1e-9)
+
+    def test_newton_solves_are_pinned_to_the_last_bit(self):
+        # values recorded at an earlier revision of the sweeps and of
+        # Newton: reorganizing either must leave the value, the maximizer
+        # and the counts as they are, bit for bit
+        rng = np.random.default_rng(23)
+
+        def floored(tree, x):
+            sub = tree.descendant_indices(tree.node_index(x))
+            raw = rng.uniform(0.05, 1.0, sub.size)
+            return dict(zip((tree.ids[i] for i in sub), (raw / raw.sum()).tolist()))
+
+        binary, ternary, small = binary_tree(3), trinomial_tree(3), binary_tree(2)
+        cases = [(entropic_family(entropic_params(binary, 1.3)), "r", floored(binary, "r")),
+                 (entropic_family(entropic_params(ternary, 0.8)), "b", floored(ternary, "b")),
+                 (ui_family(ui_params(small, CRRAUtility(2.0), 5.0)), "r", floored(small, "r"))]
+        pinned = [
+            (0.10643442798455263, [
+                0.0, 0.0560622181152928, 1.08881737215673, 1.1549619797751285, 0.042999560877975754,
+                -0.1489653517092649, 0.8281017594574722, 0.7805038144643267, -0.022992202631220218,
+                0.2732827709271029, 0.3594823054071926, 0.47659929932742773, 1.4290129768307502,
+                0.2972185623570463, 0.5738043326388328], 5, 6),
+            (0.18770063718398122, [
+                0.0, -0.36803193864481804, -0.6386011638408323, -0.5344855914582014, -0.7351436571453668,
+                2.2876248150335026, -0.5877793573592118, -0.37174677479098356, -0.8951865736753457,
+                -1.0109141949183913, 2.3866144018513724, -0.8629528747715125, 0.45901276895908766], 6, 7),
+            (0.043648327220722594, [
+                0.0, -0.46985252779703646, -0.7167499291871418, -0.9584908288945508, -0.07179444840628342,
+                -0.7409717518065841, 0.5251632974346861], 3, 4),
+        ]
+        for (fam, x, lam), (value, argmax, iterations, calls) in zip(cases, pinned):
+            got, _, res = dual_value_and_argmax(fam, x, lam, DualSolverOptions(gradient_tolerance=1e-7))
+            assert res.method == "newton"
+            assert (got, res.x.tolist(), res.iterations, res.gradient_evaluations) == (value, argmax, iterations, calls)
 
     def test_weak_duality_numeric(self):
         rng = np.random.default_rng(3)
@@ -318,6 +375,11 @@ class TestOneStepDual:
         theta, psi = 0.3, np.array([0.3, 0.4])
         numeric = one_step_dual_value(step, theta, psi)
         assert numeric == pytest.approx(step.dual(theta, psi), abs=1e-6)
+
+    def test_a_theta_that_is_not_a_number_is_a_validation_error(self):
+        t, params, fam = entropic_setup()
+        with pytest.raises(ValidationError, match="mass at 'node' must be a number"):
+            one_step_dual_value(entropic_one_step(params, "root"), "x", [0.4, 0.4])
 
     def test_rejects_non_probability(self):
         t, params, fam = entropic_setup()

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import (
     binary_tree,
+    outcomes,
     random_cash,
     random_tree,
     three_node_tree,
@@ -371,8 +372,8 @@ class TestIndifferencePrice:
         kernel = _ui_kernel(u, x0)
         data = (rng.dirichlet(np.ones(3), 5),)
         k_x, k_children = rng.uniform(-1.0, 1.0, (7, 5)), rng.uniform(-1.0, 1.0, (7, 5, 2))
-        values, partials = kernel.evaluate_with_partials(data, k_x, k_children)
-        assert np.array_equal(values, kernel.evaluate(data, k_x, k_children))
+        values, partials = kernel.evaluate_with_partials(data, outcomes(k_x, k_children))
+        assert np.array_equal(values, kernel.evaluate(data, outcomes(k_x, k_children)))
         k = np.concatenate([k_x[..., None], k_children], axis=-1)
         marginal = data[0] * (x0 + k - values[..., None]) ** -u.R
         assert np.max(np.abs(partials - marginal / marginal.sum(axis=-1, keepdims=True))) <= 1e-15
@@ -383,8 +384,8 @@ class TestIndifferencePrice:
         # where u' is infinite); the partials are the limit 1e15 approaches
         kernel = _ui_kernel(CRRAUtility(2.0), 1.0)
         with np.errstate(invalid="raise"):
-            values, partials = kernel.evaluate_with_partials((np.array([[0.3, 0.3, 0.4]]),), np.array([-big]),
-                                                             np.array([[big, big / 2]]))
+            values, partials = kernel.evaluate_with_partials((np.array([[0.3, 0.3, 0.4]]),),
+                                                             outcomes(np.array([-big]), np.array([[big, big / 2]])))
         assert abs(values[0] + big) <= 1.0
         assert np.max(np.abs(partials - [[1.0, 0.0, 0.0]])) <= 1e-30
 
@@ -408,11 +409,11 @@ class TestEntropicKernel:
         kernel = _entropic_kernel(gamma)
         data = (np.log(rng.dirichlet(np.ones(4), 5)),)
         k_x, k_children = rng.uniform(-3.0, 3.0, (rows, 5)), rng.uniform(-3.0, 3.0, (rows, 5, 3))
-        values, partials = kernel.evaluate_with_partials(data, k_x, k_children)
-        assert np.array_equal(values, kernel.evaluate(data, k_x, k_children))
+        values, partials = kernel.evaluate_with_partials(data, outcomes(k_x, k_children))
+        assert np.array_equal(values, kernel.evaluate(data, outcomes(k_x, k_children)))
         assert np.array_equal(partials, _softmax(data[0] - gamma * np.concatenate([k_x[..., None], k_children],
                                                                                   axis=-1)))
-        assert np.array_equal(partials, kernel.partials(data, k_x, k_children))
+        assert np.array_equal(partials, kernel.partials(data, outcomes(k_x, k_children)))
 
     def test_a_wide_node_values_a_row_as_it_does_alone(self):
         # nine children and the own cash make ten outcomes, an axis whose

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import treeval
 from treeval import optim
-from helpers import binary_tree, global_pool_value, random_cash, random_tree, three_node_tree
+from helpers import binary_tree, global_pool_value, outcomes, random_cash, random_tree, three_node_tree
 from treeval.dual import DualSolverOptions, dual_density, dual_value, sample_density
 from treeval.errors import DivergenceError, TreevalError, ValidationError
 from treeval.families import (
@@ -643,10 +643,10 @@ class TestDisjointPolytope:
             gamma, log_w, v, k = self.batch(rng)
             kernel = treeval.families._confined_kernel(gamma)
             del calls["_pair_move"][:]
-            value, q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])
+            value, q = kernel.grad((log_w, v), k.copy())
             assert calls["_pair_move"] == []
             mid = np.concatenate([v, v.mean(axis=-2, keepdims=True)], axis=-2)
-            oracle = kernel.grad((log_w, mid), k[..., 0], k[..., 1:])[0]
+            oracle = kernel.grad((log_w, mid), k.copy())[0]
             assert calls["_pair_move"]
             assert np.all(np.abs(value - oracle) <= 1e-12 * (1.0 + np.abs(oracle)))
             # the problem the solver solves, in its own units: both sums
@@ -664,18 +664,18 @@ class TestDisjointPolytope:
         for _ in range(100):
             gamma, log_w, v, k = self.batch(rng)
             kernel = treeval.families._confined_kernel(gamma)
-            q = kernel.grad((log_w, v), k[..., 0], k[..., 1:])[1]
+            q = kernel.grad((log_w, v), k.copy())[1]
             h = 1e-5 / gamma
             bump = (np.eye(k.shape[-1]) * h)[:, None, None, :]
-            up, down = (kernel.evaluate((log_w, v), z[..., 0], z[..., 1:]) for z in (k + bump, k - bump))
+            up, down = (kernel.evaluate((log_w, v), z) for z in (k + bump, k - bump))
             assert np.max(np.abs(q - np.moveaxis((up - down) / (2.0 * h), 0, -1))) <= 1e-6
 
     def test_a_repeated_vertex_is_the_same_vertex(self, monkeypatch):
         calls = polytope_calls(monkeypatch)
         gamma, log_w, v, k = self.batch(np.random.default_rng(7))
         kernel = treeval.families._confined_kernel(gamma)
-        value = kernel.evaluate((log_w, v), k[..., 0], k[..., 1:])
-        repeated = kernel.evaluate((log_w, v[:, [0, 1, 1, 0]]), k[..., 0], k[..., 1:])
+        value = kernel.evaluate((log_w, v), k.copy())
+        repeated = kernel.evaluate((log_w, v[:, [0, 1, 1, 0]]), k.copy())
         assert calls == {"_pair_move": [], "_newton_move": []}
         assert np.max(np.abs(value - repeated)) <= 1e-12 * (1.0 + np.max(np.abs(value)))
 
@@ -718,8 +718,8 @@ class TestDisjointPolytope:
             mid = np.concatenate([v, v[:, :2].mean(axis=-2, keepdims=True)], axis=-2)
             k = rng.uniform(-2.0, 2.0, (3,) + block.kids.shape)
             k_x = rng.uniform(-2.0, 2.0, (3, block.nodes.size))
-            value = block.kernel.evaluate((log_w, v), k_x, k)
-            assert np.max(np.abs(value - block.kernel.evaluate((log_w, mid), k_x, k))) <= 1e-12
+            value = block.kernel.evaluate((log_w, v), outcomes(k_x, k))
+            assert np.max(np.abs(value - block.kernel.evaluate((log_w, mid), outcomes(k_x, k)))) <= 1e-12
 
 
 class TestEntropicPoolingRule:
@@ -784,7 +784,7 @@ def rule_value(rule, k_x, k_children):
         return (v * k[..., None, :]).sum(axis=-1).min(axis=-1)
     if v is None:
         v = np.broadcast_to(np.eye(k.shape[-1]), log_w.shape[:1] + (k.shape[-1],) * 2)
-    return treeval.families._confined_kernel(gamma).evaluate((log_w, v), k_x, k_children)
+    return treeval.families._confined_kernel(gamma).evaluate((log_w, v), k)
 
 
 @pytest.mark.parametrize("kind", ["entropic", "exponential_utility", "confined_pool", "worst_stopping",
@@ -804,7 +804,7 @@ def test_each_rule_kernel_evaluates_to_its_rule(kind):
         k_x = rng.uniform(-2.0, 2.0, (5, block.nodes.size))
         k_children = rng.uniform(-2.0, 2.0, (5,) + block.kids.shape)
         expected = rule_value(block.kernel.rule(block.data), k_x, k_children)
-        value = block.kernel.evaluate(block.data, k_x, k_children)
+        value = block.kernel.evaluate(block.data, outcomes(k_x, k_children))
         assert np.max(np.abs(value - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
 
 

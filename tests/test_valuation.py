@@ -10,6 +10,7 @@ import treeval.optim
 import treeval.valuation
 from helpers import (
     binary_tree,
+    outcomes,
     per_node_values,
     random_cash,
     random_tree,
@@ -152,6 +153,13 @@ class TestLevelSweep:
             assert got.shape == k.shape
             assert np.max(np.abs(got - per_node_values(fam, k))) <= tol
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), ()])
+    @pytest.mark.parametrize("sweep", ["node_values", "values_and_maximizers", "values_and_gradient"])
+    def test_cash_of_another_width_than_the_tree_is_a_validation_error(self, sweep, shape):
+        fam = entropic_family(entropic_params(three_node_tree(), 1.0))
+        with pytest.raises(ValidationError, match="axis of 3 nodes"):
+            getattr(fam, sweep)(np.zeros(shape), *((0,) if sweep == "values_and_gradient" else ()))
+
     @pytest.mark.parametrize("stopping", [True, False])
     def test_worst_case_levels_mixing_one_two_and_three_distributions(self, stopping):
         # the parameters pad a node with fewer distributions than the most
@@ -270,9 +278,10 @@ def _two_pass_gradient(fam, k, xi):
     adjoint[..., xi] = 1.0
     rows = max(1, out.size // fam.tree.n_nodes)
     for block in reversed(fam.blocks):
-        for data, nodes, kids in fam._parts(block, rows):
+        for data, nodes, take in fam._parts(block, rows):
+            kids = take[:, 1:]
             a = adjoint[..., nodes]
-            p = block.kernel.partials(data, k[..., nodes], out[..., kids])
+            p = block.kernel.partials(data, outcomes(k[..., nodes], out[..., kids]))
             grad[..., nodes] = a * p[..., 0]
             adjoint[..., kids] += a[..., None] * p[..., 1:]
     grad[..., fam.tree.is_leaf] = adjoint[..., fam.tree.is_leaf]
