@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError, check_count, check_tolerance
+from .errors import ConvergenceError, DomainError, ValidationError, check_count, check_numbers, check_tolerance
 from .optim import AscentResult, eg_minimize, newton_ascent, sup
 from .tree import CashBalance, NodeRecord, Tree
 from .valuation import OneStepValuation, assemble, is_probability
@@ -47,9 +46,8 @@ class DualSolverOptions:
 
     def __post_init__(self):
         for name in ("tolerance", "gradient_tolerance"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive (got {value!r})")
+            if not check_numbers(name, getattr(self, name), ()) > 0:
+                raise ValidationError(f"{name} must be positive")
         check_count("max_iterations", self.max_iterations, 1)
 
 
@@ -115,8 +113,12 @@ def dual_density(tree: Tree, x: str, values: Mapping[str, float]) -> DualDensity
 
 def sample_density(tree: Tree, x: str, rng: np.random.Generator, *,
                    floor: float = 0.02) -> DualDensity:
-    """Random strictly positive density on the subtree at x, bounded away
-    from the boundary for well-conditioned solves."""
+    """Random density on the subtree at x, its masses drawn uniform on
+    [floor, 1] and normalized: with a floor in (0, 1], strictly positive
+    and bounded away from the boundary for well-conditioned solves."""
+    floor = float(check_numbers("floor", floor, ()))
+    if not 0.0 <= floor <= 1.0:
+        raise ValidationError("floor must lie in [0, 1]")
     sub = tree.descendant_indices(tree.node_index(x))
     raw = rng.uniform(floor, 1.0, len(sub))
     raw /= raw.sum()
@@ -177,13 +179,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     # they are the whole tree, a batch of free coordinates is the cash
     cols = slice(xi, xi + free.size) if np.array_equal(free, np.arange(xi, xi + free.size)) else free
     whole = free.size == tree.n_nodes and isinstance(cols, slice)
-    if start is None:
-        x0 = np.zeros(free.size)
-    else:
-        x0 = np.array(start, dtype=float)
-        if x0.shape != (free.size,) or not np.isfinite(x0).all():
-            raise ValidationError(f"start must be {free.size} finite numbers, one per free coordinate "
-                                  f"(got shape {x0.shape})")
+    x0 = np.zeros(free.size) if start is None else check_numbers("start", start, (free.size,))
 
     def cash(batch: np.ndarray) -> np.ndarray:
         if whole:

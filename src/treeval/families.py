@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import _mass_vector, dual_density
-from .errors import ConvergenceError, DomainError, ValidationError, check_count
+from .errors import ConvergenceError, DomainError, ValidationError, check_count, check_numbers
 from .tree import CashBalance, Tree
 from .valuation import (Kernel, OneStepValuation, ValuationFamily, is_probability, kernel_family, kernel_step,
                         probability_rows)
@@ -85,7 +85,7 @@ class ExponentialUtility:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+        if not check_numbers("gamma", self.gamma, ()) > 0:
             raise ValidationError("exponential utility needs gamma > 0")
 
     def value(self, w):
@@ -105,7 +105,7 @@ class CRRAUtility:
     R: float
 
     def __post_init__(self):
-        if not (self.R > 0 and np.isfinite(self.R)) or self.R == 1.0:
+        if not check_numbers("R", self.R, ()) > 0 or self.R == 1.0:
             raise ValidationError("CRRA exponent must be positive and != 1 (log utility unsupported)")
 
     def value(self, w):
@@ -149,28 +149,26 @@ class EntropicParams:
 
 
 def entropic_params(tree: Tree, gamma: float, reference=None) -> EntropicParams:
-    if not (gamma > 0 and np.isfinite(gamma)):
+    gamma = float(check_numbers("gamma", gamma, ()))
+    if not gamma > 0:
         raise ValidationError("gamma must be a positive real")
     if reference is None:
         if tree.weights is None:
             raise ValidationError("tree carries no weights; pass an explicit reference")
-        ref = np.array(tree.weights, dtype=float)
+        reference = tree.weights
     elif isinstance(reference, Mapping):
         missing = set(tree.ids) - set(reference)
         if missing:
             raise ValidationError(f"reference missing nodes: {sorted(missing)}")
-        ref = np.array([float(reference[node_id]) for node_id in tree.ids])
-    else:
-        ref = np.array(reference, dtype=float)
-        if ref.shape != (tree.n_nodes,):
-            raise ValidationError("reference must give one mass per node")
+        reference = [reference[node_id] for node_id in tree.ids]
+    ref = check_numbers("reference", reference, (tree.n_nodes,))
     if not is_probability(ref, positive=True):
         raise ValidationError("reference distribution must be strictly positive on every node "
                               f"and sum to 1 over the tree (got sum {ref.sum()!r})")
     bar = tree.subtree_sums(ref)
     ref.flags.writeable = False
     bar.flags.writeable = False
-    return EntropicParams(tree=tree, gamma=float(gamma), reference=ref, subtree_reference=bar)
+    return EntropicParams(tree=tree, gamma=gamma, reference=ref, subtree_reference=bar)
 
 
 def _entropic_node_value(params: EntropicParams, xi: int, values: np.ndarray) -> np.ndarray:
@@ -185,6 +183,8 @@ def _entropic_node_value(params: EntropicParams, xi: int, values: np.ndarray) ->
 def entropic_value(params: EntropicParams, x: str, balance: CashBalance) -> float:
     """-(1/gamma) log sum_{y in subtree} (p_y / pbar_x) exp(-gamma K_y),
     evaluated with max-subtracted exponents."""
+    if balance.tree is not params.tree:
+        raise ValidationError("cash balance built on a different tree")
     return float(_entropic_node_value(params, params.tree.node_index(x), balance.values))
 
 
@@ -391,6 +391,14 @@ def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_step_density(data, theta, psi) -> np.ndarray:
+    """(theta, psi), a one-step dual's argument, as one checked vector over
+    (node, children), for a kernel whose data[0] holds one entry per
+    outcome."""
+    m = data[0].shape[-1] - 1
+    return np.concatenate([check_numbers("theta", theta, ())[None], check_numbers("psi", psi, (m,))])
+
+
 def _entropic_kernel(gamma: float) -> Kernel:
     """One-step exponential certainty equivalent, stating its rule
     (gamma, log w, None); data: the log-weights log w of (own weight, child
@@ -416,7 +424,7 @@ def _entropic_kernel(gamma: float) -> Kernel:
         return lse / -gamma, np.subtract(a, lse[..., None], out=a), np.ones(lse.shape, dtype=bool)
 
     def dual(data, theta, psi):
-        q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
+        q = _one_step_density(data, theta, psi)
         if not is_probability(q):
             raise DomainError("one-step dual argument must be a probability over (node, children)")
         pos = q > 0
@@ -614,12 +622,12 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     leading batch axis of ``outcomes``.
     """
     _check_utility(utility)
-    p = np.asarray(probs, dtype=float)
+    x0 = float(check_numbers("x0", x0, ()))
+    p, k = check_numbers("outcome probabilities", probs), check_numbers("outcomes", outcomes)
+    if p.ndim != 1 or k.shape[-1:] != p.shape:
+        raise ValidationError("outcomes and probabilities differ in length")
     if not is_probability(p, positive=True):
         raise ValidationError("outcome probabilities must be strictly positive and sum to 1")
-    k = np.asarray(outcomes, dtype=float)
-    if k.shape[-1] != p.shape[0]:
-        raise ValidationError("outcomes and probabilities differ in length")
     return _newton_price(utility, x0, p, k)
 
 
@@ -694,9 +702,10 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
 @dataclass(frozen=True, eq=False)
 class UIParams:
     """Single-period indifference pricing at each node: a CRRA or
-    exponential utility, reference wealth, and strictly positive outcome
-    probabilities over the node and its children, checked on construction
-    by level group (``_ui_rows``): ``levels`` holds each
+    exponential utility, reference wealth (a finite number, positive for
+    CRRA utility), and strictly positive outcome probabilities over the
+    node and its children, checked on construction, the probabilities by
+    level group (``_ui_rows``): ``levels`` holds each
     ``tree.level_groups`` entry's data, its read-only stack of rows, and
     ``probs`` then maps each node to its row."""
 
@@ -708,6 +717,9 @@ class UIParams:
 
     def __post_init__(self):
         _check_utility(self.utility)
+        object.__setattr__(self, "x0", float(check_numbers("reference wealth x0", self.x0, ())))
+        if isinstance(self.utility, CRRAUtility) and self.x0 <= 0:
+            raise ValidationError("reference wealth must lie in the CRRA domain (x0 > 0)")
         levels, table = [], {}
         for nodes, _ in self.tree.level_groups:
             names = [self.tree.ids[u] for u in nodes.tolist()]
@@ -746,10 +758,6 @@ def _ui_rows(tree: Tree, probs: Mapping, nodes: np.ndarray, names: list[str]) ->
 def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float]] | None = None) -> UIParams:
     """Indifference parameters; without ``probs`` each node splits its
     subtree weight as (own weight, child subtree weights)."""
-    if not np.isfinite(x0):
-        raise ValidationError("reference wealth must be finite")
-    if isinstance(utility, CRRAUtility) and x0 <= 0:
-        raise ValidationError("reference wealth must lie in the CRRA domain (x0 > 0)")
     if probs is None:
         if tree.weights is None:
             raise ValidationError("tree carries no weights; pass explicit outcome probabilities")
@@ -757,7 +765,7 @@ def ui_params(tree: Tree, utility, x0: float, probs: Mapping[str, Sequence[float
         for nodes, kids in tree.level_groups:
             rows = np.concatenate([tree.weights[nodes, None], tree.subtree_weight[kids]], axis=1)
             probs.update(zip((tree.ids[u] for u in nodes.tolist()), rows / tree.subtree_weight[nodes, None]))
-    return UIParams(tree=tree, utility=utility, x0=float(x0), probs=probs)
+    return UIParams(tree=tree, utility=utility, x0=x0, probs=probs)
 
 
 def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
@@ -774,8 +782,7 @@ def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
         return price, _softmax(np.log(data[0]) + utility.log_marginal(wealth))
 
     def dual(data, theta, psi):
-        q = np.concatenate([[float(theta)], np.asarray(psi, dtype=float)])
-        return crra_one_period_dual(utility.R, x0, data[0][0], q)
+        return crra_one_period_dual(utility.R, x0, data[0][0], _one_step_density(data, theta, psi))
 
     return Kernel(evaluate, f"ui({type(utility).__name__}, x0={x0})", dual=dual, grad=grad)
 
@@ -807,12 +814,13 @@ def crra_one_period_dual(R: float, x0: float, probs, lam) -> float:
 
     Requires a strictly positive probability vector; R = 1 is unsupported.
     """
+    R, x0 = float(check_numbers("R", R, ())), float(check_numbers("x0", x0, ()))
     if R == 1.0:
         raise ValidationError("R = 1 (log utility) has no supported closed form")
-    p = np.asarray(probs, dtype=float)
-    q = np.asarray(lam, dtype=float)
-    if q.shape != p.shape:
-        raise ValidationError("density and probabilities differ in length")
+    p = check_numbers("outcome probabilities", probs)
+    if p.ndim != 1:
+        raise ValidationError("outcome probabilities must be one vector")
+    q = check_numbers("density", lam, p.shape)
     if not is_probability(q, positive=True):
         raise DomainError("density must be strictly positive and sum to 1")
     s = float(np.sum(p ** (1.0 / R) * q ** (1.0 - 1.0 / R)))
@@ -856,6 +864,7 @@ def ui_dc_counterexample(R: float, x0: float, *, budget: int = 10_000, seed: int
     """
     check_count("budget", budget, 1)
     check_count("seed", seed, 0)
+    x0 = float(check_numbers("x0", x0, ()))
     u = utility if utility is not None else CRRAUtility(R)
     crra = isinstance(u, CRRAUtility)
     scale = 0.45 * x0 if crra else 1.0
@@ -942,6 +951,7 @@ def exponential_uniqueness_witness(utility, *, trials: int = 200, seed: int = 0)
     leaves a strictly positive defect because its marginal-utility ratios
     depend on the wealth level.
     """
+    _check_utility(utility)
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
     p = np.array([0.2, 0.4, 0.4])

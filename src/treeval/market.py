@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualSolverOptions
-from .errors import ValidationError, check_count, check_tolerance
+from .errors import ValidationError, check_count, check_numbers, check_tolerance
 from .tree import CashBalance, Tree, stop_index
 from .valuation import (AxiomReport, Block, Kernel, ValuationFamily, _sup_kernel, _take, check_axioms,
                         committed_family, derived, probability_rows, sample_stop_masks)
@@ -65,9 +65,8 @@ def market(tree: Tree, assets: Mapping[str, Mapping[str, float]]) -> Market:
         unknown = set(series) - set(tree.ids)
         if unknown:
             raise ValidationError(f"asset {name!r} prices unknown nodes: {sorted(unknown)}")
-        table[row] = [float(series[node_id]) for node_id in tree.ids]
-    if not np.all(np.isfinite(table)):
-        raise ValidationError("asset prices must be finite")
+        table[row] = check_numbers(f"prices of asset {name!r}", [series[node_id] for node_id in tree.ids],
+                                   (tree.n_nodes,))
     table.flags.writeable = False
     return Market(tree=tree, asset_names=names, prices=table)
 
@@ -101,26 +100,19 @@ def _gains_matrix(mkt: Market, xi: int) -> tuple[np.ndarray, list[int]]:
     return mat, decisions
 
 
-def _strategy_vector(mkt: Market, xi: int, strategy: Strategy) -> tuple[np.ndarray, list[int]]:
-    tree = mkt.tree
-    decisions = _decision_nodes(tree, xi)
-    n_assets = len(mkt.asset_names)
-    theta = np.zeros(len(decisions) * n_assets)
-    seen = set()
-    for node_id, pos in strategy.holdings.items():
-        i = tree.node_index(node_id)
-        if i not in decisions:
-            continue
-        v = np.asarray(pos, dtype=float)
-        if v.shape != (n_assets,):
-            raise ValidationError(f"holding at {node_id!r} must give one position per asset")
-        k = decisions.index(i)
-        theta[k * n_assets:(k + 1) * n_assets] = v
-        seen.add(i)
-    missing = [tree.ids[i] for i in decisions if i not in seen]
+def _strategy_vector(mkt: Market, xi: int, strategy: Strategy) -> np.ndarray:
+    """The stacked positions (node-major, asset-minor) of the strategy at
+    the decision nodes of the subtree at xi; holdings at other known nodes
+    are ignored."""
+    tree, n_assets = mkt.tree, len(mkt.asset_names)
+    for node_id in strategy.holdings:   # an unknown node is an error
+        tree.node_index(node_id)
+    ids = [tree.ids[i] for i in _decision_nodes(tree, xi)]
+    missing = [node_id for node_id in ids if node_id not in strategy.holdings]
     if missing:
         raise ValidationError(f"strategy missing holdings at: {missing}")
-    return theta, decisions
+    return np.array([check_numbers(f"holding at {node_id!r}", strategy.holdings[node_id], (n_assets,))
+                     for node_id in ids]).reshape(-1)
 
 
 def gains(mkt: Market, x: str, strategy: Strategy) -> CashBalance:
@@ -129,7 +121,7 @@ def gains(mkt: Market, x: str, strategy: Strategy) -> CashBalance:
     tree = mkt.tree
     xi = tree.node_index(x)
     mat, decisions = _gains_matrix(mkt, xi)
-    theta, _ = _strategy_vector(mkt, xi, strategy)
+    theta = _strategy_vector(mkt, xi, strategy)
     return CashBalance(tree, mat @ theta)
 
 
@@ -239,7 +231,7 @@ def _lift(inner: Kernel, data, k):
         return out
 
     def partials(theta):
-        return inner.partials(inner_data, shifted(theta))
+        return inner.evaluate_with_partials(inner_data, shifted(theta))[1]
 
     def value(theta):
         return inner.evaluate(inner_data, shifted(theta))
@@ -307,7 +299,7 @@ def _martingale_part(b: Block, inv: np.ndarray, gamma: float, log_w: np.ndarray)
     q = inv[:, 0]
     c = log_w[:, 1:] - np.log(q)
     data = (np.stack([log_w[:, 0], (q * c).sum(axis=-1)], axis=-1), q, inv[:, 1:], c / gamma, log_w)
-    return Block(_martingale(b.kernel, gamma), data, b.nodes, b.kids)
+    return Block(_martingale(b.kernel, gamma), data, b.nodes, b.kids, b.take)
 
 
 def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[Block]:
@@ -338,7 +330,7 @@ def _hedged_block(b: Block, mkt: Market, opts: DualSolverOptions) -> list[Block]
              if martingale.any() else [])
     part, sups = _part(b, ~martingale), ~martingale
     return parts + [Block(_sup_kernel(*_hedge(b.kernel), mkt.tree, opts),
-                          ((part.data, moves[sups]), part.nodes, attained[sups]), part.nodes, part.kids)]
+                          ((part.data, moves[sups]), part.nodes, attained[sups]), part.nodes, part.kids, part.take)]
 
 
 def hedged_family(family, mkt: Market, opts: DualSolverOptions | None = None) -> ValuationFamily:
@@ -458,11 +450,7 @@ def extract_state_price_density(tree: Tree, one_step_prices: Mapping[str, Sequen
         node_id = tree.ids[u]
         if node_id not in one_step_prices:
             raise ValidationError(f"missing one-step prices at internal node {node_id!r}")
-        w = np.asarray(one_step_prices[node_id], dtype=float)
-        if w.shape != (len(kids),):
-            raise ValidationError(f"one-step prices at {node_id!r} must give one weight per child")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError(f"one-step prices at {node_id!r} must be finite")
+        w = check_numbers(f"one-step prices at {node_id!r}", one_step_prices[node_id], (len(kids),))
         if not np.all(w > 0):
             raise ValidationError(
                 f"nonpositive pricing weight at {node_id!r} violates no-arbitrage "
@@ -477,9 +465,12 @@ def synthesize_one_step_prices(tree: Tree, zeta: Mapping[str, float]) -> dict[st
     weighted conditional one-step expectations; the round trip through
     ``extract_state_price_density`` is the identity."""
     q = _conditional_reference(tree)
-    z = np.array([float(zeta[node_id]) for node_id in tree.ids])
-    if not np.all((z > 0) & np.isfinite(z)):
-        raise ValidationError("state-price density must be finite and strictly positive")
+    missing = set(tree.ids) - set(zeta)
+    if missing:
+        raise ValidationError(f"state-price density missing nodes: {sorted(missing)}")
+    z = check_numbers("state-price density", [zeta[node_id] for node_id in tree.ids])
+    if not np.all(z > 0):
+        raise ValidationError("state-price density must be strictly positive")
     out: dict[str, list[float]] = {}
     for u in range(tree.n_nodes):
         kids = tree.children_index[u]

@@ -283,7 +283,9 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     Each row stops for one reason, its ``stop_reason``: ``gradient`` (the
     test met), ``indefinite`` (a Hessian that is not finite or not
     negative definite, or a start whose value is not finite), ``bound``
-    (a step beyond ``DIVERGENCE_BOUND``), ``halvings`` (still falling
+    (a step beyond ``DIVERGENCE_BOUND``, which is never evaluated: the row
+    stands at its iterate in the step's trials, and a step that leaves no
+    row running makes none), ``halvings`` (still falling
     after ``NEWTON_HALVINGS`` halvings) or ``steps`` (still going after
     ``NEWTON_STEPS`` steps).  All but the first leave the row where it
     stands.  While every row runs, a step makes one finite test and one
@@ -350,7 +352,12 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
             step[~running] = 0.0
         cand = x + step
         if not np.abs(cand).max() <= DIVERGENCE_BOUND:
+            # the rows that step past the bound stop where they stand, and
+            # their iterates stand in the trial
             stop(~(np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND), "bound")
+            if not running.any():
+                break
+            cand = np.where(running[:, None], cand, x)
         pending = None if everyone else running.copy()   # None: every row
         for _ in range(NEWTON_HALVINGS):
             fc, gc, hc = trial(cand)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 from .families import EntropicParams, _confined_kernel, _entropic_kernel, entropic_family, entropic_params
 from .tree import CashBalance, Tree
 from .valuation import (AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family,
@@ -178,7 +178,7 @@ def _pool(blocks):
                                                axis=-1)
 
         def partials(z):
-            return kernels[-1].partials(data[-1], _pieces(z, k, j)[-1])
+            return kernels[-1].evaluate_with_partials(data[-1], _pieces(z, k, j)[-1])[1]
 
         # the even split, each piece shifted to no own cash
         return value, value_and_gradient, partials, np.tile((k[..., 1:] - k[..., :1]) / j, j - 1)
@@ -193,7 +193,7 @@ def _layout(families: Sequence[ValuationFamily]) -> list[tuple[Block, ...]]:
     layouts = [f.blocks for f in families]
     if len({tuple(tuple(b.nodes.tolist()) for b in blocks) for blocks in layouts}) > 1:
         time = families[0].tree.time
-        layouts = [sorted((Block(b.kernel, data, nodes, take[:, 1:])
+        layouts = [sorted((Block(b.kernel, data, nodes, take[:, 1:], take)
                            for b in blocks for data, nodes, take in b.parts(1)),
                           key=lambda c: (-time[c.nodes[0]], c.nodes[0])) for blocks in layouts]
     return list(zip(*layouts))
@@ -234,13 +234,14 @@ def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverO
     """The pool of the blocks of one level under their ``_rule``: the
     exponential kernel on its log-weights, confined to its polytope if it
     has one; without a rule, a block of one-step sups."""
-    nodes, kids = blocks[0].nodes, blocks[0].kids
+    nodes, kids, take = blocks[0].nodes, blocks[0].kids, blocks[0].take
     if rule is None:
-        return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids)
+        return Block(_sup_kernel(*_pool(blocks), tree, opts), (tuple(b.data for b in blocks), nodes), nodes, kids,
+                     take)
     (big_gamma, log_w, v), _, _ = rule
     if v is None:
-        return Block(_entropic_kernel(big_gamma), (log_w,), nodes, kids)
-    return Block(_confined_kernel(big_gamma), (log_w, v), nodes, kids)
+        return Block(_entropic_kernel(big_gamma), (log_w,), nodes, kids, take)
+    return Block(_confined_kernel(big_gamma), (log_w, v), nodes, kids, take)
 
 
 def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):
@@ -422,16 +423,14 @@ def stability_check(subs: Sequence, allocation: Sequence[CashBalance], x: str, *
     xi = tree.node_index(x)
     sub_idx = tree.descendant_indices(xi)
     if shadow is None:
-        root_grad = _sub_gradient(subs[0], tree, tree.root_index, allocation[0].values)
-        full = np.zeros(tree.n_nodes)
-        full[tree.descendant_indices(tree.root_index)] = root_grad
-        shadow = full[sub_idx]
+        # the root's gradient is in preorder, the whole tree's subtree order
+        shadow = _sub_gradient(subs[0], tree, tree.root_index, allocation[0].values)[tree.pre_position[sub_idx]]
     else:
-        shadow = np.asarray(shadow, dtype=float)
+        shadow = check_numbers("shadow density", shadow)
         if shadow.shape == (tree.n_nodes,):
             shadow = shadow[sub_idx]
-        if shadow.shape != sub_idx.shape or not np.isfinite(shadow).all():
-            raise ValidationError(f"shadow density must be {tree.n_nodes} finite numbers, or "
+        if shadow.shape != sub_idx.shape:
+            raise ValidationError(f"shadow density must give {tree.n_nodes} numbers, or "
                                   f"{sub_idx.size} on the subtree of {x!r}")
     denom = float(shadow @ shadow)
     if denom <= 0:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_numbers
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ class Tree:
             )
         weight_arr = None
         if all(has_weight):
-            weight_arr = np.array(weights, dtype=float)
-            if np.any(weight_arr <= 0.0) or not np.all(np.isfinite(weight_arr)):
+            weight_arr = check_numbers("node weights", weights)
+            if np.any(weight_arr <= 0.0):
                 bad = ids[int(np.argmin(weight_arr))]
                 raise ValidationError(f"node weights must be strictly positive; offending node {bad!r}")
 
@@ -171,8 +171,9 @@ class Tree:
     def level_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Internal nodes grouped by level and child count, deepest level
         first, as pairs ``(nodes, kids)``: ``kids[j]`` lists the children of
-        ``nodes[j]`` in input order.  Built without a per-node loop; the
-        level sweeps of ``valuation`` run one block per group."""
+        ``nodes[j]`` in input order, and is a view of the group's index
+        ``[nodes | kids]`` (``level_takes``).  Built without a per-node
+        loop; the level sweeps of ``valuation`` run one block per group."""
         # a stable sort by parent lists each node's children contiguously
         # and in input order, after the root (parent -1)
         by_parent = np.argsort(self.parent_index, kind="stable")
@@ -183,10 +184,19 @@ class Tree:
         key = self.time[order] * self.n_nodes + count[order]
         groups = []
         for nodes in np.split(order, np.flatnonzero(np.diff(key)) + 1):
-            kids = by_parent[first[nodes, None] + np.arange(count[nodes[0]])]
-            nodes.flags.writeable = kids.flags.writeable = False
-            groups.append((nodes, kids))
+            take = np.concatenate([nodes[:, None], by_parent[first[nodes, None] + np.arange(count[nodes[0]])]], axis=1)
+            nodes.flags.writeable = take.flags.writeable = False
+            groups.append((nodes, take[:, 1:]))
         return tuple(groups)
+
+    @cached_property
+    def level_takes(self) -> tuple[np.ndarray, ...]:
+        """Each level group's read-only index ``[nodes | kids]`` (b, m + 1),
+        the array its ``kids`` view, built once per tree: every family's
+        level blocks gather their outcomes through it (``Block.take``), while
+        the blocks keep ``nodes`` apart and contiguous, as a strided node
+        index makes every ``take`` of a sweep slower."""
+        return tuple(kids.base for _, kids in self.level_groups)
 
     def __repr__(self) -> str:
         return f"Tree(n_nodes={self.n_nodes}, depth={self.depth}, root={self.root!r})"
@@ -282,13 +292,7 @@ class CashBalance:
     __slots__ = ("tree", "values")
 
     def __init__(self, tree: Tree, values):
-        arr = np.array(values, dtype=float)
-        if arr.shape != (tree.n_nodes,):
-            raise ValidationError(
-                f"cash balance must give one value per node ({tree.n_nodes}), got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("cash balance values must be finite")
+        arr = check_numbers("cash balance", values, (tree.n_nodes,))
         arr.flags.writeable = False
         self.tree = tree
         self.values = arr
@@ -301,11 +305,11 @@ class CashBalance:
         missing = set(tree.ids) - set(mapping)
         if missing:
             raise ValidationError(f"cash balance must cover every node; missing: {sorted(missing)}")
-        return cls(tree, [float(mapping[node_id]) for node_id in tree.ids])
+        return cls(tree, [mapping[node_id] for node_id in tree.ids])
 
     @classmethod
     def constant(cls, tree: Tree, value: float) -> "CashBalance":
-        return cls(tree, np.full(tree.n_nodes, float(value)))
+        return cls(tree, np.full(tree.n_nodes, check_numbers("cash", value, ())))
 
     def as_mapping(self) -> dict[str, float]:
         return {node_id: float(v) for node_id, v in zip(self.tree.ids, self.values)}
@@ -332,7 +336,7 @@ def replace_after(balance: CashBalance, stop: StoppingTime, replacement: Mapping
     if missing:
         raise ValidationError(f"replacement value missing for stop nodes: {sorted(missing)}")
     repl = np.zeros(tree.n_nodes, dtype=float)
-    for node_id, v in replacement.items():
-        repl[tree.node_index(node_id)] = float(v)
+    repl[[tree.node_index(node_id) for node_id in replacement]] = check_numbers(
+        "replacement values", list(replacement.values()), (len(replacement),))
     at = stop_index(tree, _graph_mask(tree, stop.graph))
     return CashBalance(tree, np.where(at >= 0, repl[at], balance.values))

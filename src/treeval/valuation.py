@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, check_count, check_tolerance
+from .errors import DivergenceError, ValidationError, check_count, check_numbers, check_tolerance
 from .optim import sup_rows
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
@@ -75,8 +75,8 @@ class Kernel:
     ``grad``, if given, takes the same arguments and gives the values
     (..., b), equal to ``evaluate``'s, together with the exact local
     partials (..., b, m + 1) with respect to (own cash, children), from the
-    one solve or one set of exponentials both need; without it the partials
-    are central differences.
+    one solve or one set of exponentials both need; without it
+    ``evaluate_with_partials`` takes central differences.
     ``dual(data, theta, psi)`` is the closed-form one-step dual at one node,
     given that node's parameters as a block of one (b = 1), if any.
     ``rule(data)``, for a kernel of the rule class that pooling and
@@ -101,26 +101,19 @@ class Kernel:
     solve: Callable | None = None
 
     def evaluate_with_partials(self, data, k) -> tuple[np.ndarray, np.ndarray]:
-        """Values (..., b) and local partials (..., b, m + 1) from one call:
-        ``grad`` where the kernel has one, else ``evaluate`` (on a copy of
-        k, which it may overwrite) followed by ``partials``."""
+        """Values (..., b) and local partials (..., b, m + 1) of the
+        operator with respect to (own cash, children): ``grad`` where the
+        kernel has one, else ``evaluate`` (on a copy of k, which it may
+        overwrite) and central differences with relative step
+        ``PARTIALS_STEP``, all 2 (m + 1) probes in one more evaluation."""
         if self.grad is not None:
             return self.grad(data, k)
-        return self.evaluate(data, k.copy()), self.partials(data, k)
-
-    def partials(self, data, k) -> np.ndarray:
-        """Local partials (..., b, m + 1) of the operator with respect to
-        (own cash, children): ``grad``'s where the kernel has one, else
-        central differences with relative step ``PARTIALS_STEP``, all
-        2 (m + 1) probes in one evaluation, which leaves k as it is."""
-        if self.grad is not None:
-            return self.grad(data, k)[1]
-        width = k.shape[-1]
+        values, width = self.evaluate(data, k.copy()), k.shape[-1]
         h = PARTIALS_STEP * np.maximum(1.0, np.abs(k))
         bump = np.eye(width) * h[..., None, :]                  # (..., b, m + 1, m + 1)
         probes = k[..., None, :] + np.concatenate([bump, -bump], axis=-2)
         vals = self.evaluate(data, np.moveaxis(probes, -2, 0))  # probes (2 (m + 1), ..., b, m + 1)
-        return np.moveaxis(vals[:width] - vals[width:], 0, -1) / (2.0 * h)
+        return values, np.moveaxis(vals[:width] - vals[width:], 0, -1) / (2.0 * h)
 
     def one_step(self, data) -> OneStepValuation:
         """The operator at one node, from that node's parameters as a block
@@ -154,18 +147,21 @@ class Block:
     ``kids[j]`` are the children of ``nodes[j]`` and
     ``_take(data, slice(j, j + 1))`` its parameters.  ``take`` is
     ``[nodes | kids]`` (b, m + 1), the index that gathers the kernel's
-    stacked outcomes from a row of node values."""
+    stacked outcomes from a row of node values: ``Tree.level_takes``' for
+    a family's level blocks, passed on by the blocks derived from a whole
+    block, of which ``kids`` is then a view; built here where not given."""
 
     kernel: Kernel
     data: tuple
     nodes: np.ndarray
     kids: np.ndarray
+    take: np.ndarray | None = field(default=None, repr=False)
     width: int = field(init=False)
-    take: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "width", max(self.kids.shape[1] + 1, _width(self.data)))
-        object.__setattr__(self, "take", np.concatenate([self.nodes[:, None], self.kids], axis=1))
+        if self.take is None:
+            object.__setattr__(self, "take", np.concatenate([self.nodes[:, None], self.kids], axis=1))
 
     def parts(self, step: int):
         """(data, nodes, take) of consecutive runs of at most ``step`` nodes."""
@@ -191,8 +187,8 @@ def is_probability(q, *, positive: bool = False) -> bool:
 
 def linear_one_step(child_weights) -> OneStepValuation:
     """Expectation over the children with the given probability weights."""
-    w = np.asarray(child_weights, dtype=float)
-    if not is_probability(w):
+    w = check_numbers("child weights", child_weights)
+    if w.ndim != 1 or not is_probability(w):
         raise ValidationError("child weights must be a probability vector")
 
     def evaluate(k_x, k_children):
@@ -362,8 +358,8 @@ class ValuationFamily:
 def kernel_family(tree: Tree, kernel: Kernel, levels, **kwargs) -> ValuationFamily:
     """Family with one kernel at every internal node: ``levels`` yields each
     ``tree.level_groups`` entry's block data, read on the first sweep."""
-    return ValuationFamily(tree, lambda: [Block(kernel, data, nodes, kids)
-                                          for data, (nodes, kids) in zip(levels, tree.level_groups)], **kwargs)
+    return ValuationFamily(tree, lambda: [Block(kernel, data, nodes, kids, take) for data, (nodes, kids), take
+                                          in zip(levels, tree.level_groups, tree.level_takes)], **kwargs)
 
 
 def kernel_step(tree: Tree, kernel: Kernel, levels, x: str) -> OneStepValuation:
@@ -495,15 +491,15 @@ def committed_family(family: ValuationFamily, commitment: CashBalance) -> Valuat
         return out
 
     return ValuationFamily(family.tree, lambda: [
-        Block(_committed(b.kernel), (b.data, shift(b), base[b.nodes]), b.nodes, b.kids)
+        Block(_committed(b.kernel), (b.data, shift(b), base[b.nodes]), b.nodes, b.kids, b.take)
         for b in family.blocks], descriptor=f"committed({family.descriptor or 'custom'})")
 
 
 def value_at(family, stop: StoppingTime, balance: CashBalance) -> dict[str, float]:
     """Valuation along a stopping time: the node operator of each graph node."""
     tree = family.tree
-    for node_id in stop.graph:
-        tree.node_index(node_id)
+    if balance.tree is not tree:
+        raise ValidationError("cash balance built on a different tree")
     vals = family.node_values(balance.values)
     return {node_id: float(vals[tree.node_index(node_id)]) for node_id in sorted(stop.graph)}
 
@@ -615,7 +611,7 @@ def check_axioms(family, trials: int, seed: int, *,
     tree = family.tree
     n = tree.n_nodes
     rng = np.random.default_rng(seed)
-    low, high = cash_range
+    low, high = check_numbers("cash_range", cash_range, (2,))
 
     cash_a = rng.uniform(low, high, (trials, n))
     cash_b = rng.uniform(low, high, (trials, n))

@@ -413,7 +413,6 @@ class TestEntropicKernel:
         assert np.array_equal(values, kernel.evaluate(data, outcomes(k_x, k_children)))
         assert np.array_equal(partials, _softmax(data[0] - gamma * np.concatenate([k_x[..., None], k_children],
                                                                                   axis=-1)))
-        assert np.array_equal(partials, kernel.partials(data, outcomes(k_x, k_children)))
 
     def test_a_wide_node_values_a_row_as_it_does_alone(self):
         # nine children and the own cash make ten outcomes, an axis whose

@@ -272,6 +272,32 @@ class TestNewtonStops:
         assert np.array_equal(res.x[1:5], x0[1:5]) and np.array_equal(res.iterations[1:5], [0, 0, 0, 0])
         assert res.iterations[5] == optim.NEWTON_STEPS
 
+    def test_a_row_that_stops_on_the_bound_is_not_evaluated_past_it(self):
+        # x - 1e-9 x^2 peaks at 5e8, past the bound: the first step stops
+        # the row where it stands, and no further call is made
+        calls = []
+
+        def f(p):
+            calls.append(p.copy())
+            return p[..., 0] - 1e-9 * p[..., 0] ** 2, 1.0 - 2e-9 * p
+
+        res = newton_ascent(f, np.zeros(1), gradient_tolerance=1e-6)
+        assert res.stop_reason == "bound" and res.iterations == 0 and res.x[0] == 0.0
+        assert res.gradient_evaluations == 1 and len(calls) == 1
+
+    def test_a_row_stopped_on_the_bound_stands_at_its_iterate_beside_running_rows(self):
+        def f(p):   # row 0 runs past the bound, row 1 peaks at 0.7
+            far, near = p[..., 0, 0], p[..., 1, 0]
+            values = np.stack([far - 1e-9 * far ** 2, -(near - 0.7) ** 2], axis=-1)
+            return values, np.stack([1.0 - 2e-9 * p[..., 0, :], -2.0 * (p[..., 1, :] - 0.7)], axis=-2)
+
+        seen = []
+        res = newton_ascent(lambda p: (seen.append(np.abs(p[:, 0]).max()), f(p))[1], np.zeros((2, 1)),
+                            gradient_tolerance=1e-10)
+        assert res.stop_reason.tolist() == ["bound", "gradient"] and res.x[0, 0] == 0.0
+        assert abs(res.x[1, 0] - 0.7) <= 1e-12
+        assert max(seen) <= 1e-6   # row 0 is only ever evaluated at its start
+
     def test_a_start_whose_value_is_not_finite_is_indefinite(self):
         def walled(p):
             return np.where(p[..., 0] < 1.0, -0.5 * p[..., 0] ** 2, -np.inf), -p

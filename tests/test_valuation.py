@@ -281,7 +281,7 @@ def _two_pass_gradient(fam, k, xi):
         for data, nodes, take in fam._parts(block, rows):
             kids = take[:, 1:]
             a = adjoint[..., nodes]
-            p = block.kernel.partials(data, outcomes(k[..., nodes], out[..., kids]))
+            p = block.kernel.evaluate_with_partials(data, outcomes(k[..., nodes], out[..., kids]))[1]
             grad[..., nodes] = a * p[..., 0]
             adjoint[..., kids] += a[..., None] * p[..., 1:]
     grad[..., fam.tree.is_leaf] = adjoint[..., fam.tree.is_leaf]
