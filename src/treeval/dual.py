@@ -19,7 +19,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ValidationError, check_count, check_numbers, check_tolerance
+from .errors import (ConvergenceError, DomainError, ValidationError, check_count, check_number, check_numbers,
+                     check_tolerance)
 from .optim import AscentResult, eg_minimize, newton_ascent, sup
 from .tree import CashBalance, NodeRecord, Tree
 from .valuation import OneStepValuation, assemble, is_probability
@@ -73,13 +74,14 @@ def _mapping_of(lam) -> Mapping[str, float]:
 
 def _mass_vector(tree: Tree, lam) -> np.ndarray:
     """Masses of a density or mapping in node order; unknown nodes and
-    masses that are not numbers are rejected, absent nodes carry zero."""
+    masses that are not numbers (``check_number``) are rejected, absent
+    nodes carry zero."""
     masses = np.zeros(tree.n_nodes)
     for node_id, v in _mapping_of(lam).items():
         i = tree.node_index(node_id)
         try:
-            masses[i] = float(v)
-        except (TypeError, ValueError):
+            masses[i] = check_number("density mass", v)
+        except ValidationError:
             raise ValidationError(f"density mass at {node_id!r} must be a number (got {v!r})") from None
     return masses
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the checks that every
 entry point shares: of seeds, counts and tolerances, and of the numbers a
 caller passes in (``check_numbers``), which every entry point that takes
-cash, weights, prices, parameters or densities converts them through.
+cash, weights, prices, parameters or densities converts them through
+(``check_number`` for one number in a loop).
 Range rules (positive weights, probability vectors) stay where they apply,
 and the backward sweeps, which run inside every solve, check only the
 length of their cash array's last axis."""
@@ -72,3 +73,11 @@ def check_numbers(name: str, value, shape: tuple[int, ...] | None = None) -> np.
     if shape is not None and out.shape != shape:
         raise ValidationError(f"{name} must have shape {shape} (got {out.shape})")
     return out
+
+
+def check_number(name: str, value) -> float:
+    """``check_numbers(name, value, ())`` as a float, with no array built
+    for a finite Python float: for loops over many single numbers."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    return float(check_numbers(name, value, ()))

@@ -78,6 +78,15 @@ def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # utilities
 
 
+def _positive_wealth(w) -> np.ndarray:
+    """The wealth w, checked numbers, as an array; a domain error where
+    some entry is not strictly positive."""
+    w = check_numbers("wealth", w)
+    if np.any(w <= 0):
+        raise DomainError("CRRA utility needs strictly positive wealth")
+    return w
+
+
 @dataclass(frozen=True)
 class ExponentialUtility:
     """u(w) = -exp(-gamma w), defined on the whole line."""
@@ -89,10 +98,10 @@ class ExponentialUtility:
             raise ValidationError("exponential utility needs gamma > 0")
 
     def value(self, w):
-        return -np.exp(-self.gamma * np.asarray(w, dtype=float))
+        return -np.exp(-self.gamma * check_numbers("wealth", w))
 
     def inverse(self, v):
-        v = np.asarray(v, dtype=float)
+        v = check_numbers("utility value", v)
         if np.any(v >= 0):
             raise DomainError("exponential utility takes values in (-inf, 0)")
         return -np.log(-v) / self.gamma
@@ -109,21 +118,22 @@ class CRRAUtility:
             raise ValidationError("CRRA exponent must be positive and != 1 (log utility unsupported)")
 
     def value(self, w):
-        w = np.asarray(w, dtype=float)
-        if np.any(w <= 0):
-            raise DomainError("CRRA utility needs strictly positive wealth")
+        w = _positive_wealth(w)
         return w ** (1.0 - self.R) / (1.0 - self.R)
 
     def inverse(self, v):
-        v = np.asarray(v, dtype=float)
-        scaled = (1.0 - self.R) * v
+        scaled = (1.0 - self.R) * check_numbers("utility value", v)
         if np.any(scaled <= 0):
             raise DomainError("value outside the range of the CRRA utility")
         return scaled ** (1.0 / (1.0 - self.R))
 
     def log_marginal(self, w):
         """log u'(w) for w > 0."""
-        return -self.R * np.log(np.asarray(w, dtype=float))
+        return self._log_marginal(_positive_wealth(w))
+
+    def _log_marginal(self, w: np.ndarray) -> np.ndarray:
+        """``log_marginal`` of a float array w > 0 (unchecked)."""
+        return -self.R * np.log(w)
 
     def value_and_marginal(self, w):
         """u(w) and u'(w) from one power, for w > 0 (unchecked)."""
@@ -361,17 +371,13 @@ def _disjoint_log_argmin(cost, v, log_v, repeat) -> np.ndarray:
     return (log_t[..., None] + log_v).max(axis=-2)
 
 
-def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log q* for the minimizer q* of  sum q (cost + log q)  over the convex
-    hull of the vertex rows of v (..., nv, m), batched over the leading axes
-    of cost (..., m).  Every coordinate must carry mass at some vertex.
-
-    A node whose vertices reach every coordinate once, a vertex that repeats
-    an earlier one of the node aside (``WorstCaseParams.levels`` pads a node
-    with fewer distributions so), is solved in closed form
-    (``_disjoint_log_argmin``): one distribution with stopping is such a
-    node.  The other nodes of the block take the rounds of
-    ``_polytope_rounds`` on their own slice."""
+def _vertex_plan(v: np.ndarray) -> tuple:
+    """What ``_polytope_log_argmin`` reads of the vertices v (b, nv, m),
+    node axis first: (v, log v, repeat, closed).  ``repeat`` (b, nv) flags
+    a vertex that repeats an earlier one of its node (``WorstCaseParams.levels``
+    pads a node with fewer distributions so), and ``closed`` (b,) a node
+    whose other vertices reach every coordinate once.  Built with the block
+    that holds the vertices, so a sweep does not redo it."""
     with np.errstate(divide="ignore"):
         log_v = np.log(v)
     reach = v > 0
@@ -379,7 +385,20 @@ def _polytope_log_argmin(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     if (count > 1).any():
         repeat = np.tril((v[..., :, None, :] == v[..., None, :, :]).all(axis=-1), -1).any(axis=-1)
         count = (reach & ~repeat[..., None]).sum(axis=-2)
-    closed = (count == 1).all(axis=-1)
+    return v, log_v, repeat, (count == 1).all(axis=-1)
+
+
+def _polytope_log_argmin(cost: np.ndarray, plan: tuple) -> np.ndarray:
+    """log q* for the minimizer q* of  sum q (cost + log q)  over the convex
+    hull of the vertex rows of v (b, nv, m), batched over the leading axes
+    of cost (..., b, m), from the ``_vertex_plan`` of v.  Every coordinate
+    must carry mass at some vertex.
+
+    A node whose vertices reach every coordinate once, a repeated vertex
+    aside, is solved in closed form (``_disjoint_log_argmin``): one
+    distribution with stopping is such a node.  The other nodes of the
+    block take the rounds of ``_polytope_rounds`` on their own slice."""
+    v, log_v, repeat, closed = plan
     if closed.all():
         return _disjoint_log_argmin(cost, v, log_v, repeat)
     if not closed.any():
@@ -437,10 +456,11 @@ def _entropic_kernel(gamma: float) -> Kernel:
 def _confined_kernel(gamma: float) -> Kernel:
     """The exponential one-step with the density of its conjugate problem
     confined to a polytope, stating its rule (gamma, log w, vertices); data:
-    the log-weights log w and the vertices (b, v, m + 1), each of which must
-    give every coordinate mass.  Its ``solve`` gives the problem's minimum
-    with log q* of its minimizer, found by ``_polytope_log_argmin``, and its
-    partials are q* (the envelope theorem)."""
+    the log-weights log w and the ``_vertex_plan`` of the vertices
+    (b, v, m + 1), each of which must give every coordinate mass, made once
+    with the block.  Its ``solve`` gives the problem's minimum with log q*
+    of its minimizer, found by ``_polytope_log_argmin``, and its partials
+    are q* (the envelope theorem)."""
 
     def solve(data, k):
         log_q = _polytope_log_argmin(gamma * k - data[0], data[1])
@@ -452,7 +472,7 @@ def _confined_kernel(gamma: float) -> Kernel:
         return values, np.exp(log_q)
 
     return Kernel(lambda data, k: solve(data, k)[0], f"entropic(gamma={gamma})",
-                  grad=grad, rule=lambda data: (gamma, *data), solve=solve)
+                  grad=grad, rule=lambda data: (gamma, data[0], data[1][0]), solve=solve)
 
 
 def _entropic_levels(params: EntropicParams):
@@ -623,6 +643,8 @@ def indifference_price(utility, x0: float, probs, outcomes) -> np.ndarray:
     """
     _check_utility(utility)
     x0 = float(check_numbers("x0", x0, ()))
+    if isinstance(utility, CRRAUtility):
+        _positive_wealth(x0)
     p, k = check_numbers("outcome probabilities", probs), check_numbers("outcomes", outcomes)
     if p.ndim != 1 or k.shape[-1:] != p.shape:
         raise ValidationError("outcomes and probabilities differ in length")
@@ -660,13 +682,13 @@ def _newton_price(utility, x0: float, p: np.ndarray, k: np.ndarray) -> np.ndarra
         return low - np.log(tail / _reduce_last(np.add, p)) / utility.gamma
     lo = np.array(_reduce_last(np.minimum, k), dtype=float)
     hi = np.minimum(_reduce_last(np.maximum, k), x0 + lo)
-    target = float(utility.value(x0))
+    target = float(utility.value_and_marginal(x0)[0])   # x0 > 0, checked by the callers
     if utility.R < 1.0:
         # u(0+) = 0 here, so the utility side stays bounded at the wall and
         # indifference can be unachievable with nonnegative wealth
         wall_wealth = k - lo[..., None]
-        g_wall = np.sum(p * np.where(wall_wealth > 0, utility.value(np.maximum(wall_wealth, 1e-300)), 0.0),
-                        axis=-1)
+        u_wall = utility.value_and_marginal(np.maximum(wall_wealth, 1e-300))[0]
+        g_wall = np.sum(p * np.where(wall_wealth > 0, u_wall, 0.0), axis=-1)
         if np.any(g_wall > target):
             flat = k.reshape(-1, k.shape[-1])
             bad = flat[int(np.argmax(np.asarray(g_wall > target).reshape(-1)))]
@@ -779,7 +801,7 @@ def _ui_kernel(utility: CRRAUtility, x0: float) -> Kernel:
         # implicit function theorem: p_y u'(w_y) / sum p u'(w), w at the price
         price = _newton_price(utility, x0, data[0], k)
         wealth = np.maximum(x0 + k - price[..., None], np.finfo(float).tiny)   # at the wall: the one-hot limit
-        return price, _softmax(np.log(data[0]) + utility.log_marginal(wealth))
+        return price, _softmax(np.log(data[0]) + utility._log_marginal(wealth))
 
     def dual(data, theta, psi):
         return crra_one_period_dual(utility.R, x0, data[0][0], _one_step_density(data, theta, psi))

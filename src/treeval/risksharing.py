@@ -32,7 +32,8 @@ import numpy as np
 
 from .dual import DEFAULT_OPTIONS, DualDensity, DualSolverOptions
 from .errors import ValidationError, check_numbers
-from .families import EntropicParams, _confined_kernel, _entropic_kernel, entropic_family, entropic_params
+from .families import (EntropicParams, _confined_kernel, _entropic_kernel, _vertex_plan, entropic_family,
+                       entropic_params)
 from .tree import CashBalance, Tree
 from .valuation import (AxiomReport, Block, ValuationFamily, _sup_kernel, _take, check_axioms, committed_family,
                         derived)
@@ -241,7 +242,7 @@ def _pooled_block(blocks: tuple[Block, ...], rule, tree: Tree, opts: DualSolverO
     (big_gamma, log_w, v), _, _ = rule
     if v is None:
         return Block(_entropic_kernel(big_gamma), (log_w,), nodes, kids, take)
-    return Block(_confined_kernel(big_gamma), (log_w, v), nodes, kids, take)
+    return Block(_confined_kernel(big_gamma), (log_w, _vertex_plan(v)), nodes, kids, take)
 
 
 def _pool_levels(families: Sequence[ValuationFamily], opts: DualSolverOptions):

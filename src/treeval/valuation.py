@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError, check_count, check_numbers, check_tolerance
+from .errors import DivergenceError, ValidationError, check_count, check_number, check_numbers, check_tolerance
 from .optim import sup_rows
 from .tree import CashBalance, StoppingTime, Tree, stop_index, stopping_time
 
@@ -510,8 +510,11 @@ def sample_stop_masks(tree: Tree, rng: np.random.Generator, trials: int, *,
     at start, drawn in one batch: every internal node of the subtree is
     flagged with the given probability, every leaf always, and each path
     stops at its first flagged node.  Paths that miss start stop at their
-    leaf."""
-    flagged = (rng.uniform(size=(trials, tree.n_nodes)) < stop_probability) | tree.is_leaf
+    leaf.  The probability must be a number in [0, 1]."""
+    p = check_number("stop_probability", stop_probability)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError("stop_probability must lie in [0, 1]")
+    flagged = (rng.uniform(size=(trials, tree.n_nodes)) < p) | tree.is_leaf
     if start is not None:
         inside = np.zeros(tree.n_nodes, dtype=bool)
         inside[tree.descendant_indices(tree.node_index(start))] = True
@@ -579,14 +582,16 @@ class AxiomReport:
         }
 
 
+def _subtree_masks(tree: Tree, nodes: np.ndarray) -> np.ndarray:
+    """Whether each node lies in the subtree at ``nodes[t]``, (len(nodes),
+    n_nodes): the subtree at u is the preorder interval that starts at
+    ``pre_position[u]`` and holds ``subtree_size[u]`` nodes."""
+    offset = tree.pre_position - tree.pre_position[nodes][:, None]
+    return (offset >= 0) & (offset < tree.subtree_size[nodes][:, None])
+
+
 def _cash_witness(tree: Tree, row: np.ndarray) -> dict[str, float]:
     return {node_id: float(v) for node_id, v in zip(tree.ids, row)}
-
-
-def _max_with_witness(residual: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    worst = float(residual.max())
-    where = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    return worst, where
 
 
 def check_axioms(family, trials: int, seed: int, *,
@@ -603,7 +608,10 @@ def check_axioms(family, trials: int, seed: int, *,
     and axioms go through three sweeps: one of the drawn balances and the
     zero balance, one of the pasted and perturbed balances built from the
     first's values, and the ``value_at`` dispatch; the sweep count does not
-    grow with ``trials``.
+    grow with ``trials``.  The stops come from one ``stop_index`` walk, the
+    subtrees that locality perturbs around from the preorder intervals
+    (``Tree.pre_position``, ``Tree.subtree_size``), and only a failing
+    axiom looks up where its worst residual sits.
     """
     check_count("trials", trials, 1)
     check_count("seed", seed, 0)
@@ -629,9 +637,11 @@ def check_axioms(family, trials: int, seed: int, *,
     checks: list[AxiomCheck] = []
 
     def add(name, residual_matrix, witness_fn):
-        worst, where = _max_with_witness(residual_matrix)
+        # the witness, at the worst residual, only for an axiom that fails
+        worst = float(residual_matrix.max())
         passed = worst <= tolerance
-        witness = witness_fn(where) if not passed else None
+        witness = None if passed else witness_fn(
+            np.unravel_index(int(np.argmax(residual_matrix)), residual_matrix.shape))
         checks.append(AxiomCheck(name, passed, worst, witness))
 
     # concavity at midpoints
@@ -665,9 +675,10 @@ def check_axioms(family, trials: int, seed: int, *,
     # perturbing the balance off a node's subtree leaves the whole
     # subtree's valuations untouched.  Both balances need pi_a, and go
     # through the second sweep together.
+    # (a node before the stop reads pi_a at index -1, which np.where drops)
     at = stop_index(tree, members)
-    pasted = np.where(at >= 0, np.take_along_axis(pi_a, np.maximum(at, 0), axis=1), cash_a)
-    inside = stop_index(tree, local_nodes[:, None] == np.arange(n)) >= 0
+    pasted = np.where(at >= 0, pi_a[np.arange(trials)[:, None], at], cash_a)
+    inside = _subtree_masks(tree, local_nodes)
     perturbed = np.where(inside, cash_a, cash_a + local_noise)
     pi_pasted, pi_perturbed = family.node_values(np.concatenate([pasted, perturbed])).reshape(2, trials, n)
 

@@ -119,7 +119,7 @@ class TestDualValue:
         with pytest.raises(TreevalError):
             dual_value(fam, "root", {"root": math.nan, "up": 0.5, "down": 0.5})
 
-    @pytest.mark.parametrize("mass", ["a", None])
+    @pytest.mark.parametrize("mass", ["a", None, True, np.True_, "1", math.inf, np.array(True), np.array("1")])
     def test_a_mass_that_is_not_a_number_is_a_validation_error(self, mass):
         t, params, fam = entropic_setup()
         with pytest.raises(ValidationError, match="mass at 'root' must be a number"):

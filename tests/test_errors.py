@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from helpers import three_node_tree
-from treeval.dual import DualSolverOptions, dual_value_and_argmax, sample_density
-from treeval.errors import ValidationError, check_numbers
+from treeval.dual import DualSolverOptions, dual_value, dual_value_and_argmax, sample_density
+from treeval.errors import DomainError, ValidationError, check_number, check_numbers
 from treeval.families import (CRRAUtility, ExponentialUtility, crra_one_period_dual, entropic_family,
                               entropic_one_step, entropic_params, entropic_value, exponential_uniqueness_witness,
                               indifference_price, ui_dc_counterexample, ui_one_step, ui_params)
 from treeval.market import Strategy, extract_state_price_density, gains, market, synthesize_one_step_prices
 from treeval.risksharing import entropic_allocation, stability_check
 from treeval.tree import CashBalance, NodeRecord, build_tree, replace_after, stopping_time
-from treeval.valuation import check_axioms, linear_one_step, value_at
+from treeval.valuation import check_axioms, linear_one_step, sample_stop_masks, sample_stopping_time, value_at
 
 # one bad entry of each kind; in an array it stands for the first entry, so
 # that the pair makes the array ragged
@@ -64,7 +64,12 @@ ENTRY_POINTS = {
     "entropic_params reference mapping": lambda v: entropic_params(_tree(), 1.0, {"root": v, "up": 0.4,
                                                                                 "down": 0.4}),
     "ExponentialUtility": lambda v: ExponentialUtility(v),
+    "ExponentialUtility.value": lambda v: ExponentialUtility(1.0).value([v, 1.0]),
+    "ExponentialUtility.inverse": lambda v: ExponentialUtility(1.0).inverse([v, -1.0]),
     "CRRAUtility": lambda v: CRRAUtility(v),
+    "CRRAUtility.value": lambda v: CRRAUtility(2.0).value([v, 1.0]),
+    "CRRAUtility.inverse": lambda v: CRRAUtility(2.0).inverse([v, -1.0]),
+    "CRRAUtility.log_marginal": lambda v: CRRAUtility(2.0).log_marginal([v, 1.0]),
     "ui_params x0": lambda v: ui_params(_tree(), CRRAUtility(2.0), v),
     "indifference_price x0": lambda v: indifference_price(CRRAUtility(2.0), v, [0.5, 0.5], [0.1, 0.2]),
     "indifference_price probs": lambda v: indifference_price(CRRAUtility(2.0), 1.0, [v, 0.5], [0.1, 0.2]),
@@ -85,7 +90,12 @@ ENTRY_POINTS = {
     # valuation
     "linear_one_step": lambda v: linear_one_step([v, 0.5]),
     "check_axioms cash_range": lambda v: check_axioms(_family(), 1, 0, cash_range=(v, 1.0)),
+    "sample_stop_masks stop_probability": lambda v: sample_stop_masks(_tree(), np.random.default_rng(0), 1,
+                                                                      stop_probability=v),
+    "sample_stopping_time stop_probability": lambda v: sample_stopping_time(_tree(), np.random.default_rng(0),
+                                                                            stop_probability=v),
     # dual
+    "dual_value density mass": lambda v: dual_value(_family(), "root", {"root": v, "up": 0.4, "down": 0.4}),
     "dual_value_and_argmax start": lambda v: dual_value_and_argmax(
         _family(), "root", {"root": 0.2, "up": 0.4, "down": 0.4}, start=[v, 0.0, 0.0]),
     "sample_density floor": lambda v: sample_density(_tree(), "root", np.random.default_rng(0), floor=v),
@@ -135,10 +145,40 @@ class TestCheckNumbers:
             check_numbers("x", value)
 
 
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [0.25, -3, np.float64(2.5), np.array(1.5), np.int8(4)])
+    def test_takes_one_number_as_check_numbers_does(self, value):
+        out = check_number("x", value)
+        assert type(out) is float and out == float(check_numbers("x", value, ()))
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, True, np.True_, np.array(True), "1", np.array("1"),
+                                       None, 10 ** 400, [1.0], np.array([1.0])])
+    def test_rejects_what_check_numbers_rejects(self, value):
+        with pytest.raises(ValidationError, match="^x must"):
+            check_numbers("x", value, ())
+        with pytest.raises(ValidationError, match="^x must"):
+            check_number("x", value)
+
+
 @pytest.mark.parametrize("floor", [-0.1, 1.5])
 def test_sample_density_floor_lies_in_the_unit_interval(floor):
     with pytest.raises(ValidationError, match=r"floor must lie in \[0, 1\]"):
         sample_density(_tree(), "root", np.random.default_rng(0), floor=floor)
+
+
+@pytest.mark.parametrize("probability", [-0.1, 2.0])
+def test_stop_probability_lies_in_the_unit_interval(probability):
+    # 2.0 had flagged every node
+    with pytest.raises(ValidationError, match=r"stop_probability must lie in \[0, 1\]"):
+        sample_stop_masks(_tree(), np.random.default_rng(0), 1, stop_probability=probability)
+
+
+@pytest.mark.parametrize("wealth", [-1.0, 0.0, [1.0, -1.0]])
+def test_crra_log_marginal_needs_positive_wealth_as_value_does(wealth):
+    # -1.0 had given NaN with a RuntimeWarning
+    for method in (CRRAUtility(2.0).value, CRRAUtility(2.0).log_marginal):
+        with pytest.raises(DomainError, match="strictly positive wealth"):
+            method(wealth)
 
 
 def test_a_balance_on_another_tree_is_rejected():

@@ -18,6 +18,7 @@ from treeval.families import (
     CRRAUtility,
     EntropicParams,
     ExponentialUtility,
+    _vertex_plan,
     entropic_dual,
     entropic_family,
     entropic_one_step,
@@ -643,17 +644,17 @@ class TestDisjointPolytope:
             gamma, log_w, v, k = self.batch(rng)
             kernel = treeval.families._confined_kernel(gamma)
             del calls["_pair_move"][:]
-            value, q = kernel.grad((log_w, v), k.copy())
+            value, q = kernel.grad((log_w, _vertex_plan(v)), k.copy())
             assert calls["_pair_move"] == []
             mid = np.concatenate([v, v.mean(axis=-2, keepdims=True)], axis=-2)
-            oracle = kernel.grad((log_w, mid), k.copy())[0]
+            oracle = kernel.grad((log_w, _vertex_plan(mid)), k.copy())[0]
             assert calls["_pair_move"]
             assert np.all(np.abs(value - oracle) <= 1e-12 * (1.0 + np.abs(oracle)))
             # the problem the solver solves, in its own units: both sums
             # are rounded, so "never above" holds to their rounding
             cost = gamma * k - log_w
-            log_q = treeval.families._polytope_log_argmin(cost, v)
-            log_q_oracle = treeval.families._polytope_log_argmin(cost, mid)
+            log_q = treeval.families._polytope_log_argmin(cost, _vertex_plan(v))
+            log_q_oracle = treeval.families._polytope_log_argmin(cost, _vertex_plan(mid))
             objective, objective_oracle = ((np.exp(lq) * (cost + lq)).sum(axis=-1) for lq in (log_q, log_q_oracle))
             assert np.all(objective <= objective_oracle + 1e-14 * (1.0 + np.abs(objective_oracle)))
             assert np.isfinite(log_q).all()
@@ -664,18 +665,18 @@ class TestDisjointPolytope:
         for _ in range(100):
             gamma, log_w, v, k = self.batch(rng)
             kernel = treeval.families._confined_kernel(gamma)
-            q = kernel.grad((log_w, v), k.copy())[1]
+            q = kernel.grad((log_w, _vertex_plan(v)), k.copy())[1]
             h = 1e-5 / gamma
             bump = (np.eye(k.shape[-1]) * h)[:, None, None, :]
-            up, down = (kernel.evaluate((log_w, v), z) for z in (k + bump, k - bump))
+            up, down = (kernel.evaluate((log_w, _vertex_plan(v)), z) for z in (k + bump, k - bump))
             assert np.max(np.abs(q - np.moveaxis((up - down) / (2.0 * h), 0, -1))) <= 1e-6
 
     def test_a_repeated_vertex_is_the_same_vertex(self, monkeypatch):
         calls = polytope_calls(monkeypatch)
         gamma, log_w, v, k = self.batch(np.random.default_rng(7))
         kernel = treeval.families._confined_kernel(gamma)
-        value = kernel.evaluate((log_w, v), k.copy())
-        repeated = kernel.evaluate((log_w, v[:, [0, 1, 1, 0]]), k.copy())
+        value = kernel.evaluate((log_w, _vertex_plan(v)), k.copy())
+        repeated = kernel.evaluate((log_w, _vertex_plan(v[:, [0, 1, 1, 0]])), k.copy())
         assert calls == {"_pair_move": [], "_newton_move": []}
         assert np.max(np.abs(value - repeated)) <= 1e-12 * (1.0 + np.max(np.abs(value)))
 
@@ -697,6 +698,26 @@ class TestDisjointPolytope:
         assert check_sharing_axioms(subs, trials=5, seed=3, cash_range=(-2.0, 2.0)).all_passed
         assert calls == {"_pair_move": [], "_newton_move": []}
 
+    @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mixed"])
+    def test_a_plan_built_with_the_block_is_a_plan_built_per_call(self, kind):
+        # the vertex plan a pooled block keeps in its data, whole and as
+        # Block.parts slices it, gives bit for bit the values and partials
+        # of a plan built afresh from the block's vertices at each call
+        rng = np.random.default_rng(29)
+        t = binary_tree(3)
+        counts = {"disjoint": dict.fromkeys(t.ids, 1), "overlapping": dict.fromkeys(t.ids, 2),
+                  "mixed": {"r": 1, "u": 1, "d": 2, "uu": 1, "ud": 2, "du": 2, "dd": 1}}[kind]
+        alpha = {x: rng.dirichlet([2.0, 2.0], counts[x]).tolist() for x in t.ids if not t.is_leaf[t.node_index(x)]}
+        pooled = pooled_family([entropic_params(t, 0.8), worst_case_family(worst_case_params(t, alpha))])
+        for block in pooled.blocks:
+            k = outcomes(rng.uniform(-2.0, 2.0, (3, block.nodes.size)), rng.uniform(-2.0, 2.0, (3,) + block.kids.shape))
+            for step in (block.nodes.size, 1):
+                for data, nodes, _ in block.parts(step):
+                    part = k[:, np.isin(block.nodes, nodes)]
+                    kept = block.kernel.grad(data, part.copy())
+                    fresh = block.kernel.grad((data[0], _vertex_plan(block.kernel.rule(data)[2])), part.copy())
+                    assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+
     def test_a_mixed_level_sends_only_its_overlapping_nodes_to_the_rounds(self, monkeypatch):
         # the level below the root holds 'u' with one distribution (padded
         # by its repeat) and 'd' with two; the leaves' parents hold two
@@ -714,12 +735,13 @@ class TestDisjointPolytope:
         # each block against the rounds on every node, forced by adding
         # the midpoint of each node's first two vertices
         for block in pooled.blocks:
-            log_w, v = block.data
+            log_w, (v, *_) = block.data
             mid = np.concatenate([v, v[:, :2].mean(axis=-2, keepdims=True)], axis=-2)
             k = rng.uniform(-2.0, 2.0, (3,) + block.kids.shape)
             k_x = rng.uniform(-2.0, 2.0, (3, block.nodes.size))
-            value = block.kernel.evaluate((log_w, v), outcomes(k_x, k))
-            assert np.max(np.abs(value - block.kernel.evaluate((log_w, mid), outcomes(k_x, k)))) <= 1e-12
+            value = block.kernel.evaluate(block.data, outcomes(k_x, k))
+            assert np.max(np.abs(value - block.kernel.evaluate((log_w, _vertex_plan(mid)),
+                                                               outcomes(k_x, k)))) <= 1e-12
 
 
 class TestEntropicPoolingRule:
@@ -784,7 +806,7 @@ def rule_value(rule, k_x, k_children):
         return (v * k[..., None, :]).sum(axis=-1).min(axis=-1)
     if v is None:
         v = np.broadcast_to(np.eye(k.shape[-1]), log_w.shape[:1] + (k.shape[-1],) * 2)
-    return treeval.families._confined_kernel(gamma).evaluate((log_w, v), k)
+    return treeval.families._confined_kernel(gamma).evaluate((log_w, _vertex_plan(v)), k)
 
 
 @pytest.mark.parametrize("kind", ["entropic", "exponential_utility", "confined_pool", "worst_stopping",

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 
 import treeval.families
 import treeval.optim
+import treeval.risksharing
 import treeval.valuation
 from helpers import (
     binary_tree,
@@ -36,11 +38,12 @@ from treeval.families import (
 )
 from treeval.market import check_gains_axioms, check_market_axioms, hedged_family, market
 from treeval.risksharing import check_sharing_axioms, pooled_family
-from treeval.tree import CashBalance, hitting_stop, stopping_time
+from treeval.tree import CashBalance, hitting_stop, stop_index, stopping_time
 from treeval.valuation import (
     Block,
     OneStepValuation,
     ValuationFamily,
+    _subtree_masks,
     assemble,
     check_axioms,
     committed_family,
@@ -584,6 +587,52 @@ class TestCheckAxioms:
         for trials in (5, 200):
             assert check_axioms(fam, trials=trials, seed=8).all_passed
         assert calls.count(5) == calls.count(200)
+
+    @pytest.mark.parametrize("suite", ["market", "sharing"])
+    def test_a_repeated_suite_builds_no_vertex_plan(self, monkeypatch, suite):
+        # the hedged or pooled family is kept with its blocks and their
+        # vertex plans: each call commits it to the zero balance afresh (one
+        # sweep of it at zero, then the suite's three of the committed
+        # family), a second call builds no vertex plan, and both report
+        # what a call on freshly built families reports
+        t, mkt = _lattice(2)
+
+        def suite_and_family():
+            params = entropic_params(t, 0.9)
+            if suite == "market":
+                fam = entropic_family(params)
+                return lambda: check_market_axioms(fam, mkt, 4, 7), lambda: hedged_family(fam, mkt)
+            subs = [params, _worst(t, np.random.default_rng(3), True)]
+            return lambda: check_sharing_axioms(subs, 4, 7), lambda: pooled_family(subs)
+
+        run, family = suite_and_family()
+        # the package's ``market`` is the function, so the module comes from sys.modules
+        module = sys.modules["treeval.market"] if suite == "market" else treeval.risksharing
+        committed = _counted(monkeypatch, module, "committed_family")
+        plans = _counted(monkeypatch, treeval.risksharing, "_vertex_plan")
+        swept, inner = [], ValuationFamily.node_values
+
+        def counted(self, values):
+            swept.append(self)
+            return inner(self, values)
+
+        monkeypatch.setattr(ValuationFamily, "node_values", counted)
+        first = run().as_dict()
+        assert len(committed) == 1 and swept.count(family()) == 1 and len(swept) == 4
+        assert (len(plans) > 0) == (suite == "sharing")
+        del committed[:], plans[:], swept[:]
+        assert run().as_dict() == first
+        assert len(committed) == 1 and plans == [] and swept.count(family()) == 1 and len(swept) == 4
+        assert suite_and_family()[0]().as_dict() == first
+
+    def test_the_locality_masks_are_the_subtrees(self):
+        # the preorder intervals against the stop walk from each node
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            t = random_tree(rng, max_depth=4, max_branching=3)
+            nodes = rng.integers(0, t.n_nodes, 25)
+            oracle = stop_index(t, nodes[:, None] == np.arange(t.n_nodes)) >= 0
+            assert np.array_equal(_subtree_masks(t, nodes), oracle)
 
     def test_trials_validated(self):
         t = three_node_tree()
