@@ -97,10 +97,10 @@ def _probability_masses(tree: Tree, lam) -> np.ndarray:
     """``_mass_vector`` of a density with no negative mass and a sum of 1;
     where it may carry mass is the caller's to check."""
     masses = _mass_vector(tree, lam)
-    negative = np.flatnonzero(masses < 0)
-    if negative.size:
-        raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative")
     if not is_probability(masses):
+        negative = np.flatnonzero(masses < 0)
+        if negative.size:
+            raise DomainError(f"density mass at {tree.ids[negative[0]]!r} is negative")
         raise DomainError(f"density is not a probability: its masses must sum to 1 (got {masses.sum()!r})")
     return masses
 
@@ -179,7 +179,7 @@ def dual_value_and_argmax(family, x: str, lam, opts: DualSolverOptions | None = 
     # consecutive nodes (a subtree of a tree given in preorder) are read and
     # written as a slice, which is cheaper than a list of indices; where
     # they are the whole tree, a batch of free coordinates is the cash
-    cols = slice(xi, xi + free.size) if np.array_equal(free, np.arange(xi, xi + free.size)) else free
+    cols = slice(xi, xi + free.size) if free.tolist() == list(range(xi, xi + free.size)) else free
     whole = free.size == tree.n_nodes and isinstance(cols, slice)
     x0 = np.zeros(free.size) if start is None else check_numbers("start", start, (free.size,))
 
@@ -265,6 +265,10 @@ def primal_from_dual(dual_fn, x: str, balance: CashBalance,
     envelope or closed form); otherwise on-simplex finite differences are
     used.  Returns the infimum value and the argmin density; exhausting the
     iteration budget raises a convergence error carrying the best iterate.
+    A dual value or a partial that is not a number or an infinity (NaN, a
+    string), or a partial missing at a node of the subtree, is a
+    validation error naming the node or the value, raised at once.
+    Infinite partials are clipped to +-1e12.
     """
     opts = opts or DEFAULT_OPTIONS
     tree = balance.tree
@@ -276,16 +280,28 @@ def primal_from_dual(dual_fn, x: str, balance: CashBalance,
     def density_of(vec: np.ndarray) -> DualDensity:
         return DualDensity(support=x, values=dict(zip(ids_sub, map(float, vec))))
 
+    def dual_at(vec: np.ndarray) -> float:
+        return float(check_numbers("the value of dual_fn", dual_fn(density_of(vec)), (), infinite=True))
+
     def value_of(vec: np.ndarray) -> float:
-        return float(vec @ k_sub) + float(dual_fn(density_of(vec)))
+        return float(vec @ k_sub) + dual_at(vec)
 
     if gradient is not None:
         def grad_of(vec: np.ndarray) -> np.ndarray:
             partials = gradient(density_of(vec))
-            return k_sub + np.array([float(partials[i]) for i in ids_sub])
+            try:
+                row = [partials[node_id] for node_id in ids_sub]
+            except KeyError as missing:
+                raise ValidationError(f"gradient gives no partial at {missing.args[0]!r}") from None
+            try:
+                return k_sub + check_numbers("the partials of gradient", row, (sub.size,), infinite=True)
+            except ValidationError:   # name the first node at fault
+                for node_id, partial in zip(ids_sub, row):
+                    check_numbers(f"the partial of gradient at {node_id!r}", partial, (), infinite=True)
+                raise
     else:
         def grad_of(vec: np.ndarray) -> np.ndarray:
-            return k_sub + _simplex_fd_grad(lambda v: float(dual_fn(density_of(v))), vec)
+            return k_sub + _simplex_fd_grad(dual_at, vec)
 
     res = eg_minimize(grad_of, len(sub), value_fn=value_of,
                       tolerance=opts.tolerance,

@@ -57,19 +57,22 @@ def check_tolerance(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite and >= 0 (got {value!r})")
 
 
-def check_numbers(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+def check_numbers(name: str, value, shape: tuple[int, ...] | None = None, *,
+                  infinite: bool = False) -> np.ndarray:
     """``value`` as a new float array, of ``shape`` where one is given
     (``()`` for one number).  Raise, naming ``name`` but not echoing the
     value, unless it is numbers (not strings, None or bools) in a regular
-    nesting of that shape, none of them NaN or infinite."""
+    nesting of that shape, none of them NaN or (unless ``infinite``)
+    infinite."""
     try:
         out = np.array(value)
         # objects convert one by one, None to NaN; bools and strings do not
         out = out.astype(float, copy=False) if out.dtype.kind in "iufO" else None
     except (TypeError, ValueError, OverflowError):   # ragged, not numbers, or an int past the float range
         out = None
-    if out is None or not np.isfinite(out).all():
-        raise ValidationError(f"{name} must be {'a finite number' if shape == () else 'finite numbers'}")
+    if out is None or (np.isnan(out).any() if infinite else not np.isfinite(out).all()):
+        what = ("" if infinite else "finite ") + ("number" if shape == () else "numbers")
+        raise ValidationError(f"{name} must be {'a ' if shape == () else ''}{what}")
     if shape is not None and out.shape != shape:
         raise ValidationError(f"{name} must have shape {shape} (got {out.shape})")
     return out

@@ -3,7 +3,8 @@ with a backtracking line search and step doubling along recession
 directions, restarted Nelder-Mead for kinked objectives, ``sup``, the one
 policy that chooses between them, ``newton_ascent``, damped Newton on a
 batch of smooth sups with one value-and-gradient call per trial point and
-one Cholesky factorization and one linear solve per step, ``sup_rows``,
+one Cholesky factorization and one linear solve per step (a row where
+either fails stops as indefinite, never with numpy's error), ``sup_rows``,
 the policy of ``sup`` for many independent sups at once (that Newton
 stage first), and multiplicative-weights descent on the simplex with
 1/sqrt(k) steps.  Objectives evaluate batches:
@@ -247,18 +248,23 @@ def sup(f, x0, *, smooth: bool, gradient_tolerance: float, max_iterations: int,
     return best
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Whether each symmetric matrix of a stack (n, k, k) is positive
-    definite, that is whether its Cholesky factorization succeeds: one
-    factorization of the stack, and where that raises, one per matrix, so
-    that no matrix's answer depends on the others."""
+def _definite_solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The solutions x of a x = b for a stack of symmetric matrices a
+    (n, k, k) and right-hand sides b (n, k, 1) where a matrix is definite:
+    its Cholesky factorization succeeds and its LU solve meets no zero
+    pivot, as a singular matrix that the factorization accepts by rounding
+    does.  Returns them with which matrices are not definite (None where
+    all are), whose x is zero.  One factorization and one solve of the
+    stack, and where either raises, both for each matrix alone, so that no
+    matrix's answer depends on the others."""
     try:
         np.linalg.cholesky(a)
+        return np.linalg.solve(a, b), None
     except np.linalg.LinAlgError:
         if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(a[i:i + 1]) for i in range(len(a))])
-    return np.ones(len(a), dtype=bool)
+            return np.zeros(b.shape), np.ones(1, dtype=bool)
+        parts = [_definite_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))]
+        return np.concatenate([x for x, _ in parts]), np.array([failed is not None for _, failed in parts])
 
 
 def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: int = 0) -> AscentResult:
@@ -271,27 +277,28 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     one call, together with its Hessian stencil: the forward differences
     of the gradient along each searched coordinate.  An accepted step thus
     carries the next iterate's gradient and Hessian.  The step solves
-    ``-S step = g`` for S, the symmetrized Hessian, where the Cholesky
-    factorization of -S succeeds, that is where S is negative definite;
-    for one searched coordinate it is -g / H exactly.  Definiteness is
-    decided row by row, so no row's arithmetic depends on the batch around
-    it.  The first ``held`` coordinates stay at their start values, but
-    the gradient test reads them too, so a row finishes only where its
-    whole gradient vanishes.  A step is halved, row by row, wherever the
-    value falls or is not finite (an effective-domain wall).
+    ``-S step = g`` for S, the symmetrized Hessian, where -S is definite
+    (``_definite_solve``: the Cholesky factorization of -S succeeds and
+    the solve meets no zero pivot), that is where S is negative definite
+    up to rounding; for one searched coordinate it is -g / H exactly.
+    Definiteness is decided row by row, so no row's arithmetic depends on
+    the batch around it.  The first ``held`` coordinates stay at their
+    start values, but the gradient test reads them too, so a row finishes
+    only where its whole gradient vanishes.  A step is halved, row by row,
+    wherever the value falls or is not finite (an effective-domain wall).
 
     Each row stops for one reason, its ``stop_reason``: ``gradient`` (the
     test met), ``indefinite`` (a Hessian that is not finite or not
-    negative definite, or a start whose value is not finite), ``bound``
+    definite, or a start whose value is not finite), ``bound``
     (a step beyond ``DIVERGENCE_BOUND``, which is never evaluated: the row
     stands at its iterate in the step's trials, and a step that leaves no
     row running makes none), ``halvings`` (still falling
     after ``NEWTON_HALVINGS`` halvings) or ``steps`` (still going after
     ``NEWTON_STEPS`` steps).  All but the first leave the row where it
-    stands.  While every row runs, a step makes one finite test and one
-    factorization of the whole stack and no row masks; those, and the stop
-    bookkeeping, run only where some row stops or falls.  Returns an
-    ``AscentResult`` whose ``x``, ``value``, ``gradient_norm``,
+    stands.  While every row runs, a step makes one finite test, one
+    factorization and one solve of the whole stack and no row masks; those,
+    and the stop bookkeeping, run only where some row stops or falls.
+    Returns an ``AscentResult`` whose ``x``, ``value``, ``gradient_norm``,
     ``iterations`` (accepted steps), ``converged`` (the gradient test met)
     and ``stop_reason`` hold one entry per row, and whose
     ``gradient_evaluations`` counts the calls."""
@@ -301,12 +308,13 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
     basis = np.concatenate([np.zeros((1, 1, d)), np.eye(d)[held:, None, :]])   # x, then x + h_j e_j
     calls = 0
 
-    def trial(points):
+    def trial(points, size=None):
         # values (rows,), gradients (1 + d - held, rows, d) and steps h
-        # (rows, d); the objective's own arrays, which are never written
+        # (rows, d); the objective's own arrays, which are never written.
+        # size: |points|, where the caller has it
         nonlocal calls
         calls += 1
-        h = HESSIAN_STEP * np.maximum(1.0, np.abs(points))
+        h = HESSIAN_STEP * np.maximum(1.0, np.abs(points) if size is None else size)
         fs, gs = value_and_gradient((points + basis * h).reshape(basis.shape[:1] + shape))
         return np.asarray(fs, dtype=float).reshape(-1, n)[0], np.asarray(gs, dtype=float).reshape(-1, n, d), h
 
@@ -319,53 +327,55 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
             everyone = False
 
     fx, gs, h = trial(x)
-    running, steps = np.isfinite(fx), np.zeros(n, dtype=int)
+    running, steps, taken = np.isfinite(fx), np.zeros(n, dtype=int), 0   # taken: steps every row took
     reason = np.full(n, "indefinite", dtype=object)
     reason[running] = "steps"
     everyone = bool(running.all())   # every row running: no step needs a row mask
     for step_count in range(NEWTON_STEPS + 1):
         g = gs[0]
-        met = np.abs(g).max(axis=1) <= gradient_tolerance
+        gradient_norm = np.abs(g).max(axis=1)
+        met = gradient_norm <= gradient_tolerance
         if met.any():
             stop(met, "gradient")
         if step_count == NEWTON_STEPS or not (everyone or running.any()):
             break
         slopes = (g[:, held:] - gs[1:, :, held:]) / h[:, held:].T[:, :, None]   # [j, row, i]: -dg_i / dx_j
         minus_s = (slopes.transpose(1, 0, 2) + slopes.transpose(1, 2, 0)) * 0.5
-        # -S, factored in the running rows where it is finite: while every
-        # row runs, one finite test and one factorization of the stack
+        # solved in the running rows where -S is finite: while every row
+        # runs, one finite test and one factorization and solve of the stack
         if everyone and np.isfinite(minus_s).all():
-            usable = _positive_definite(minus_s)
+            solution, failed = _definite_solve(minus_s, g[:, held:, None])
         else:
             usable = running & np.isfinite(minus_s).all(axis=(1, 2))
-            usable[usable] = _positive_definite(minus_s[usable])
-        if not usable.all():
-            stop(~usable, "indefinite")
+            solution = np.zeros((n, d - held, 1))
+            solution[usable], failed = _definite_solve(minus_s[usable], g[usable, held:, None])
+            if failed is not None:
+                usable[usable] = ~failed
+            failed = ~usable
+        if failed is not None:
+            stop(failed, "indefinite")
             if not running.any():
                 break
-            # I in place of -S in the rows that take no step, so that the
-            # solve does not fail there
-            minus_s[~running] = np.eye(d - held)
-        step = np.zeros((n, d))
-        step[:, held:] = np.linalg.solve(minus_s, g[:, held:, None])[..., 0]
-        if not everyone:
-            step[~running] = 0.0
+        step = np.zeros((n, d))   # zero in the rows that take no step
+        step[:, held:] = solution[..., 0]
         cand = x + step
-        if not np.abs(cand).max() <= DIVERGENCE_BOUND:
+        size = np.abs(cand)
+        if not size.max() <= DIVERGENCE_BOUND:
             # the rows that step past the bound stop where they stand, and
             # their iterates stand in the trial
-            stop(~(np.abs(cand).max(axis=1) <= DIVERGENCE_BOUND), "bound")
+            stop(~(size.max(axis=1) <= DIVERGENCE_BOUND), "bound")
             if not running.any():
                 break
             cand = np.where(running[:, None], cand, x)
+            size = None
         pending = None if everyone else running.copy()   # None: every row
         for _ in range(NEWTON_HALVINGS):
-            fc, gc, hc = trial(cand)
+            fc, gc, hc = trial(cand, size)
             rose = (fc >= fx) & np.isfinite(fc)
             if pending is None:
                 if rose.all():   # every row rose: take the whole candidate
                     x, fx, gs, h = cand, fc, gc, hc
-                    steps += 1
+                    taken += 1
                     break
                 pending = running.copy()
             rose &= pending
@@ -377,12 +387,12 @@ def newton_ascent(value_and_gradient, x0, *, gradient_tolerance: float, held: in
                 break
             step[~pending] = 0.0
             step *= 0.5
-            cand = x + step
+            cand, size = x + step, None
         else:
             stop(pending, "halvings")
     lead = shape[:-1]
-    return AscentResult(x.reshape(shape), fx.reshape(lead), np.abs(gs[0]).max(axis=1).reshape(lead),
-                        steps.reshape(lead), (reason == "gradient").reshape(lead), gradient_evaluations=calls,
+    return AscentResult(x.reshape(shape), fx.reshape(lead), gradient_norm.reshape(lead), (steps + taken).reshape(lead),
+                        (reason == "gradient").reshape(lead), gradient_evaluations=calls,
                         stop_reason=reason.reshape(lead), method="newton")
 
 

@@ -313,12 +313,16 @@ class ValuationFamily:
         calls no kernel: an adjoint seeded with 1 at xi (one adjoint per
         node of a sequence) visits the kept chunks from the top level down,
         and each node hands its adjoint times its local partials to itself
-        and its children, added to what the children hold and scattered
-        through the chunk's ``Block.take`` (no node of a chunk is also one
-        of its kids, and both are distinct, so one scatter per chunk is
-        exact).  A node's gradient is its adjoint times its own-cash
-        partial, which takes the adjoint's place once handed on; a leaf's
-        is its adjoint."""
+        and its children, scattered through the chunk's ``Block.take`` (no
+        node of a chunk is also one of its kids, and both are distinct, so
+        one scatter per chunk is exact).  A kid's adjoint comes only from
+        its parent's chunk, which runs first, so with one seed the kids
+        hold nothing yet; with a sequence, a seed may sit at a kid, and the
+        kids' adjoints are added to what is handed on.  A single seed
+        whose chunk holds it alone hands on its partials as they stand (its
+        adjoint is 1), as at the root.  A node's gradient is its adjoint
+        times its own-cash partial, which takes the adjoint's place once
+        handed on; a leaf's is its adjoint."""
         out, rows = self._cash(values)
         seeds = (len(xi),) if hasattr(xi, "__len__") else ()
         tops = xi if seeds else (xi,)
@@ -338,11 +342,15 @@ class ValuationFamily:
         grad = np.zeros(seeds + out.shape)
         if seeds:
             np.moveaxis(grad, -1, 1)[np.arange(len(xi)), xi] = 1.0
+        elif kept and kept[-1][0].tolist() == [xi]:   # the top chunk is xi alone
+            _, take, p = kept.pop()
+            grad[..., take] = p
         else:
             grad[..., xi] = 1.0
         for nodes, take, p in reversed(kept):
             flow = grad.take(nodes, axis=-1)[..., None] * p
-            flow[..., 1:] += grad.take(take[:, 1:], axis=-1)
+            if seeds:
+                flow[..., 1:] += grad.take(take[:, 1:], axis=-1)
             grad[..., take] = flow
         return out, grad
 

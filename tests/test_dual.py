@@ -311,6 +311,51 @@ class TestPrimalFromDual:
         assert np.isfinite(best_value)
         assert isinstance(best_density, DualDensity)
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing partial", "^gradient gives no partial at 'down'$"),
+        ("string partial", "^the partial of gradient at 'up' must be a number$"),
+        ("nan partial", "^the partial of gradient at 'up' must be a number$"),
+        ("string dual", "^the value of dual_fn must be a number$"),
+        ("nan dual", "^the value of dual_fn must be a number$"),
+    ])
+    def test_a_bad_partial_or_dual_value_is_named_at_once(self, case, message):
+        # each raises at the first call that meets the bad value (the dual
+        # cases through the finite differences), not as a bare KeyError or
+        # ValueError, nor after the whole iteration budget
+        t, params, _ = entropic_setup()
+        k = CashBalance.from_mapping(t, {"root": 0.0, "up": 1.0, "down": -1.0})
+        exact, calls = entropic_gradient(params, "root"), []
+
+        def gradient(density):
+            calls.append(density)
+            partials = exact(density)
+            if case == "missing partial":
+                del partials["down"]
+            else:
+                partials["up"] = "a" if case == "string partial" else math.nan
+            return partials
+
+        def dual_fn(density):
+            calls.append(density)
+            return "a" if case == "string dual" else math.nan
+
+        with pytest.raises(ValidationError, match=message):
+            primal_from_dual(dual_fn, "root", k, DualSolverOptions(max_iterations=1000),
+                             gradient=gradient if case.endswith("partial") else None)
+        assert len(calls) == 1
+
+    def test_an_infinite_partial_is_clipped(self):
+        t, params, _ = entropic_setup()
+        k = CashBalance.from_mapping(t, {"root": 0.0, "up": 1.0, "down": -1.0})
+        exact = entropic_gradient(params, "root")
+
+        def gradient(density):
+            return {**exact(density), "down": math.inf}
+
+        _, density = primal_from_dual(lambda dd: entropic_dual(params, "root", dd), "root", k,
+                                      DualSolverOptions(tolerance=1e-7, max_iterations=1000), gradient=gradient)
+        assert density.values["down"] < 1e-12
+
     def test_round_trip_through_numeric_dual(self):
         # strong duality at desk scale: recover the primal from the numeric
         # dual via the envelope gradient

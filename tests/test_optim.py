@@ -319,6 +319,25 @@ class TestNewtonStops:
             assert batch.converged[r] == alone.converged and batch.stop_reason[r] == alone.stop_reason
             assert batch.iterations[r] == alone.iterations
 
+    def test_a_hessian_that_factors_by_rounding_but_is_singular_stops_its_row(self):
+        # -S of a pool of two hedged exponential one-steps (gamma 1 and 0.5
+        # on the one-asset x2/x0.5 lattice of depth 1, row 5 of 8), flat
+        # along the hedge: Cholesky accepts it by rounding, and the LU
+        # solve meets an exact zero pivot.  That row stops as indefinite,
+        # the rows beside it finish, and no numpy error escapes
+        singular = [[0.041347387735868324, 0.08269477505540301], [0.08269477505540301, 0.16538954927813876]]
+        a = np.array([singular, [[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]]])
+        b = np.array([[-0.027685571784624025, -0.05537114356924805], [1.0, -1.0], [0.5, 2.0]])
+
+        def quadratics(points):   # b.p - p A p / 2: from 0, the stencil gives -S = A to the last bit
+            ap = np.einsum("krd,rde->kre", points, a)
+            return (points * (b - 0.5 * ap)).sum(axis=-1), b - ap
+
+        res = newton_ascent(quadratics, np.zeros((3, 2)), gradient_tolerance=1e-10)
+        assert res.stop_reason.tolist() == ["indefinite", "gradient", "gradient"]
+        assert np.array_equal(res.x[0], [0.0, 0.0]) and res.iterations[0] == 0
+        assert np.allclose(res.x[1:], np.linalg.solve(a[1:], b[1:, :, None])[..., 0], atol=1e-12)
+
     def test_one_coordinate_steps_by_minus_g_over_h(self):
         # the first step from x0 is -g / H for the forward-difference H,
         # to the last bit

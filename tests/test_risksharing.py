@@ -865,6 +865,38 @@ class TestPoolsOfRuleKernels:
         assert report.tolerance == 1e-8 and report.all_passed, report.as_dict()
 
 
+SMOOTH_PAIRS = {
+    "entropic_1-entropic_0.5": (lambda t: entropic_family(entropic_params(t, 1.0)),
+                                lambda t: entropic_family(entropic_params(t, 0.5))),
+    "entropic-crra": (lambda t: entropic_family(entropic_params(t, 1.0)),
+                      lambda t: ui_family(ui_params(t, CRRAUtility(2.0), 5.0))),
+    "exponential_utility-entropic": (lambda t: ui_family(ui_params(t, ExponentialUtility(2.0), 5.0)),
+                                     lambda t: entropic_family(entropic_params(t, 0.5))),
+    "crra-crra": (lambda t: ui_family(ui_params(t, CRRAUtility(2.0), 5.0)),
+                  lambda t: ui_family(ui_params(t, CRRAUtility(2.0), 5.0))),
+    "entropic_1-entropic_1": (lambda t: entropic_family(entropic_params(t, 1.0)),
+                              lambda t: entropic_family(entropic_params(t, 1.0))),
+}
+
+
+@pytest.mark.parametrize("pair", list(SMOOTH_PAIRS))
+def test_hedging_and_pooling_commute(pair):
+    # a sum of gains is a gain, so the market is one more agent of the
+    # pool: hedge(pool(F, G)) = pool(hedge(F), hedge(G)).  Two hedged
+    # exponential one-steps of unequal gamma pool along a flat direction,
+    # where Newton meets a singular -S; those rows go on to the fallback
+    first, second = SMOOTH_PAIRS[pair]
+    for depth in (1, 2, 3):
+        t = binary_tree(depth)
+        mkt = lattice(t)
+        f, g = first(t), second(t)
+        for rows in (1, 8):
+            cash = np.random.default_rng(10 * depth + rows).uniform(-1.0, 1.0, (rows, t.n_nodes))
+            hedge_of_pool = hedged_family(pooled_family([f, g]), mkt).node_values(cash)
+            pool_of_hedges = pooled_family([hedged_family(f, mkt), hedged_family(g, mkt)]).node_values(cash)
+            assert np.max(np.abs(hedge_of_pool - pool_of_hedges)) <= 1e-9
+
+
 class TestEntropicAllocation:
     def test_identical_subsidiaries_split_evenly(self):
         t, p1, _ = hetero_pair()
